@@ -1,60 +1,51 @@
-// End-to-end query execution throughput of the index-aware executor
-// (exec/access_path planning + IndexScan + predicate pushdown) against the
-// naive fold (ExecConfig::use_index_scan = false) at growing data sizes.
+// End-to-end query execution throughput of the planned executor
+// (exec/access_path planning + IndexScan + predicate pushdown + chunk-stat
+// pruning + cost-based joins) at growing data sizes.
 //
 // Builds movie43 at --scale multiples of the base row count (default sweep
 // 1, 10, 100) and runs a fixed workload of fully specified, selective SQL
 // queries — point lookups, joins anchored by a selective predicate, LIKE
-// prefix/infix matches, range and IN predicates — through both executor
-// configurations. Every query's result rows are cross-checked between the
-// two configurations each scale; any divergence fails the bench (non-zero
-// exit), so the speedup numbers are only ever reported for identical answers.
-// One untimed warmup pass triggers the lazy column-index builds so the timed
-// rounds measure steady-state execution.
+// prefix/infix matches, range and IN predicates. Every answer is checked
+// once, untimed, against its NoREC twin (workloads::ExecuteTwin: each
+// top-level WHERE conjunct c as NOT (NOT (c)), which runs on full scans,
+// per-row predicates and nested-loop joins); any divergence fails the bench
+// (non-zero exit). One untimed warmup pass triggers the lazy column-index
+// builds so the timed rounds measure steady-state execution.
 //
-// A second section measures chunk-stat pruning in isolation: a wide 20-column
-// table whose sargable `seq` column is monotone in insertion order, so every
-// chunk covers a disjoint [min, max] range and range predicates rule out
-// whole chunks from their per-chunk statistics alone. The pruning
-// configuration disables the column indexes entirely (ExecConfig::
-// use_column_index = false) — only zone maps and predicate pushdown remain —
-// and is compared against the naive full-scan fold with the same SameRows
-// cross-check.
+// A second section measures a wide 20-column table whose sargable `seq`
+// column is monotone in insertion order, so every chunk covers a disjoint
+// [min, max] range: selective ranges become IndexScans, and wider ranges
+// scan only the chunks their per-chunk statistics cannot rule out. Answers
+// are twin-checked the same way.
 //
-// A third section proves the cost-based join planner at scale: a sales star
+// A third section times cost-based join planning at scale: a sales star
 // schema (Orders 1M-row fact table, Customer/Product/Store dimensions,
 // DataGenerator-populated) runs a multi-join workload whose FROM shapes trap
-// the legacy greedy order — the globally smallest dimension (Store) tempts
-// the greedy min-cardinality pick even though its join edge fans out to every
-// order, while the cost model's DP anchors on the filtered dimension and
-// probes the fact table through an index nested-loop. Both configurations
-// (ExecConfig::use_cost_model on vs off, everything else identical) are timed
-// and SameRows-cross-checked, and the cost run reports estimated-vs-actual
-// join cardinality q-errors (q = max(est,act)/min(est,act)).
+// a min-cardinality-first order — the globally smallest dimension (Store)
+// has a join edge that fans out to every order — while the cost model's DP
+// anchors on the filtered dimension and probes the fact table through an
+// index nested-loop. It reports throughput and estimated-vs-actual join
+// cardinality q-errors (q = max(est,act)/min(est,act)).
 //
 // A fourth section measures morsel-driven parallel execution on the same
 // star schema: the identical workload (fact-table scans with residual
 // predicates, hash joins with fact-table probe sides, dimension-anchored
-// index joins) runs once with ExecConfig::exec_threads = 1 (the bit-exact
-// legacy serial path) and once at 4 threads over a shared exec::TaskPool.
-// Results are compared *in row order* (bit-identity is the parallel
-// executor's contract, stronger than the SameRows multiset check), and the
-// pool's task/steal counters land in the report.
+// index joins) runs once with ExecConfig::exec_threads = 1 (serial) and once
+// at 4 threads over a shared exec::TaskPool. Results are compared *in row
+// order* (bit-identity is the parallel executor's contract, stronger than
+// the SameRows multiset check), and the pool's task/steal counters land in
+// the report.
 //
-// Emits BENCH_execute.json with queries/sec per (scale, config), the
-// index-vs-scan speedup per scale, the pruning-vs-scan speedup and
-// chunks-pruned counter of the wide-table section, the cost-vs-greedy
-// speedup and q-error distribution of the star-schema section, the
-// parallel-vs-serial speedup and pool counters of the parallel section, and
-// the indexed per-query latency distribution (p50/p95/p99), plus the
-// executor's cumulative access-path counters in the run metadata.
+// Emits BENCH_execute.json with queries/sec per scale, the wide-table
+// throughput and chunks-pruned counter, the star-schema join throughput and
+// q-error distribution, the parallel-vs-serial speedup and pool counters,
+// and the per-query latency distribution (p50/p95/p99), plus the executor's
+// cumulative access-path counters in the run metadata.
 //
-// Acceptance: indexed execution >= 5x the forced-scan fold at 100x scale,
-// chunk-stat pruning (indexes off) >= 2x the full scan on the wide table,
-// cost-based planning >= 2x the greedy order on the star-schema joins, and
-// parallel execution >= 2.5x serial at 4 threads (multicore hosts only — a
-// single-core machine cannot express the speedup; the committed baseline is
-// a conservative minimum so such runs do not flap the regression gate).
+// Acceptance: parallel execution >= 2.5x serial at 4 threads (multicore
+// hosts only — a single-core machine cannot express the speedup; the
+// committed baseline is a conservative minimum so such runs do not flap the
+// regression gate).
 
 #include <algorithm>
 #include <chrono>
@@ -154,6 +145,24 @@ RunResult RunWorkload(exec::Executor& ex, const std::vector<std::string>& qs,
   return out;
 }
 
+// Untimed cross-check of `answers` (one per query) against each query's
+// twin, run on a separate executor so the twins' full scans stay out of the
+// timed executor's counters.
+bool MatchesTwins(const storage::Database* db,
+                  const std::vector<std::string>& qs,
+                  const std::vector<exec::QueryResult>& answers) {
+  exec::Executor twin_ex(db);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    auto twin = ExecuteTwin(twin_ex, qs[i]);
+    if (!twin.ok() || i >= answers.size() || !twin->SameRows(answers[i])) {
+      std::fprintf(stderr, "answer differs from its twin: %s\n",
+                   qs[i].c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 // Wide table for the chunk-pruning section: 20 int columns, `seq` monotone in
 // insertion order so consecutive chunks hold disjoint [min, max] ranges.
 constexpr int kWideCols = 20;
@@ -189,7 +198,10 @@ std::unique_ptr<storage::Database> BuildWideDb(size_t rows,
 
 // Range / point predicates over `seq`, each covering at most a couple of the
 // table's chunks; only one or two of the 20 columns are referenced, so the
-// planned scan also skips materializing the rest.
+// planned fold also skips materializing the rest. The last query's two
+// conjuncts each keep about half the table, so the planner scans instead of
+// intersecting index row ids — and the scan skips the chunks either
+// conjunct's statistics rule out.
 std::vector<std::string> WideWorkload(size_t rows) {
   const auto n = [](size_t v) { return std::to_string(v); };
   return {
@@ -232,12 +244,12 @@ std::unique_ptr<storage::Database> BuildSalesDb(uint64_t seed, int orders,
 
 // Multi-join queries whose FROM shapes punish a pure min-cardinality order.
 // All aggregates are order-insensitive (COUNT/MAX), so join reordering and
-// sort-merge stay legal in both configurations.
+// sort-merge stay legal.
 std::vector<std::string> JoinWorkload() {
   return {
-      // Trap: Store (tiny, unfiltered) is the greedy first pick, and its
-      // edge fans out to every order; the filtered Customer is the right
-      // anchor, with an index nested-loop probe into Orders.
+      // Trap: Store (tiny, unfiltered) is the min-cardinality first pick,
+      // and its edge fans out to every order; the filtered Customer is the
+      // right anchor, with an index nested-loop probe into Orders.
       "SELECT COUNT(*) FROM Orders, Customer, Store "
       "WHERE Orders.customer_id = Customer.customer_id "
       "AND Orders.store_id = Store.store_id AND Customer.city = 'Kyoto'",
@@ -249,13 +261,13 @@ std::vector<std::string> JoinWorkload() {
       "AND Orders.store_id = Store.store_id "
       "AND Product.category = 'Drama' AND Customer.city = 'Oslo'",
       // Two filtered dimensions: Store filters to fewer base rows than
-      // Customer, so greedy anchors there — but each store still matches
+      // Customer, a tempting anchor — but each store still matches
       // orders_rows/stores facts, while the Customer anchor matches ~20.
       "SELECT MAX(Orders.order_year) FROM Orders, Customer, Store "
       "WHERE Orders.customer_id = Customer.customer_id "
       "AND Orders.store_id = Store.store_id "
       "AND Customer.name = 'James Smith' AND Store.city = 'Kyoto'",
-      // Selective product anchor: greedy and cost agree (parity check).
+      // Selective product anchor: the obvious order is also the cheapest.
       "SELECT COUNT(*) FROM Orders, Product, Store "
       "WHERE Orders.product_id = Product.product_id "
       "AND Orders.store_id = Store.store_id "
@@ -309,7 +321,7 @@ struct JoinRunResult {
   long long executed = 0;
   std::vector<exec::QueryResult> first_round;
   std::vector<double> per_query_seconds;  ///< summed across rounds
-  std::vector<double> q_errors;           ///< round 0, cost config only
+  std::vector<double> q_errors;           ///< round 0
 };
 
 JoinRunResult RunJoinWorkload(exec::Executor& ex,
@@ -373,9 +385,6 @@ int main(int argc, char** argv) {
   }
   const uint64_t seed = 42;
   const int base_rows = 60;
-  // The scan fold is O(rows) per table, so a few rounds suffice at 100x; the
-  // indexed fold needs more rounds for timing resolution.
-  const int scan_rounds = smoke ? 1 : 5;
   const int index_rounds = smoke ? 3 : 40;
   std::vector<int> scales = single_scale > 0 ? std::vector<int>{single_scale}
                                              : std::vector<int>{1, 10, 100};
@@ -384,95 +393,72 @@ int main(int argc, char** argv) {
   report.SetConfig("database", "movie43");
   report.SetConfig("seed", static_cast<long long>(seed));
   report.SetConfig("base_rows_per_relation", static_cast<long long>(base_rows));
-  report.SetConfig("scan_rounds", static_cast<long long>(scan_rounds));
   report.SetConfig("index_rounds", static_cast<long long>(index_rounds));
   report.SetConfig("workload_queries",
                    static_cast<long long>(Workload().size()));
 
-  std::printf("index-aware execution throughput — movie43, scales x%d..x%d, "
+  std::printf("planned execution throughput — movie43, scales x%d..x%d, "
               "%zu queries\n\n",
               scales.front(), scales.back(), Workload().size());
-  std::printf("%7s %10s %15s %15s %9s\n", "scale", "rows", "scan q/s",
-              "index q/s", "speedup");
+  std::printf("%7s %10s %15s\n", "scale", "rows", "q/s");
 
   bool all_identical = true;
-  double speedup_at_100 = 0.0;
   std::vector<double> index_query_seconds;
   std::unique_ptr<storage::Database> last_db;
   std::unique_ptr<exec::Executor> last_indexed;
   exec::ExecStats final_stats;
   for (int scale : scales) {
     auto db = BuildMovie43(seed, base_rows, scale);
-
-    exec::ExecConfig naive_cfg;
-    naive_cfg.use_index_scan = false;
-    exec::Executor naive(db.get(), naive_cfg);
-    // Defaults: index scan + join reorder on.
     auto indexed_ptr = std::make_unique<exec::Executor>(db.get());
     exec::Executor& indexed = *indexed_ptr;
 
     bool ok = true;
-    // Untimed warmup: builds every lazy column index the workload touches.
-    (void)RunWorkload(indexed, Workload(), 1, &ok);
+    // Untimed warmup: builds every lazy column index the workload touches,
+    // and its answers are checked against their twins.
+    RunResult warmup = RunWorkload(indexed, Workload(), 1, &ok);
     if (!ok) return 1;
+    const bool identical = MatchesTwins(db.get(), Workload(),
+                                        warmup.first_round);
+    all_identical = all_identical && identical;
 
-    RunResult scan = RunWorkload(naive, Workload(), scan_rounds, &ok);
-    if (!ok) return 1;
     RunResult index = RunWorkload(indexed, Workload(), index_rounds, &ok);
     if (!ok) return 1;
     index_query_seconds.insert(index_query_seconds.end(),
                                index.query_seconds.begin(),
                                index.query_seconds.end());
-
-    bool identical = scan.first_round.size() == index.first_round.size();
-    for (size_t i = 0; identical && i < scan.first_round.size(); ++i) {
-      identical = scan.first_round[i].SameRows(index.first_round[i]);
-    }
-    all_identical = all_identical && identical;
-
-    const double scan_qps = scan.executed / scan.seconds;
     const double index_qps = index.executed / index.seconds;
-    const double speedup = index_qps / scan_qps;
-    if (scale == 100) speedup_at_100 = speedup;
 
-    std::printf("%6dx %10zu %15.0f %15.0f %8.1fx%s\n", scale, db->TotalRows(),
-                scan_qps, index_qps, speedup,
-                identical ? "" : "  RESULTS DIVERGE — BUG");
+    std::printf("%6dx %10zu %15.0f%s\n", scale, db->TotalRows(), index_qps,
+                identical ? "" : "  DIFFERS FROM TWIN — BUG");
 
-    const std::string suffix = "_scale" + std::to_string(scale);
     const exec::ExecStats stats = indexed.stats();
     report.AddRow(
         "scales",
         obs::BenchReport::Row()
             .Number("scale", scale)
             .Number("dataset_rows", static_cast<double>(db->TotalRows()))
-            .Number("scan_queries_per_second", scan_qps)
             .Number("index_queries_per_second", index_qps)
-            .Number("speedup_index_vs_scan", speedup)
             .Number("index_scans", static_cast<double>(stats.index_scans))
             .Number("table_scans", static_cast<double>(stats.table_scans))
             .Number("index_joins", static_cast<double>(stats.index_joins))
             .Number("rows_pruned", static_cast<double>(stats.rows_pruned))
             .Number("results_identical", identical ? 1 : 0));
-    report.SetMetric("scan_queries_per_second" + suffix, scan_qps);
-    report.SetMetric("index_queries_per_second" + suffix, index_qps);
-    report.SetMetric("speedup_index_vs_scan" + suffix, speedup);
+    report.SetMetric("index_queries_per_second_scale" + std::to_string(scale),
+                     index_qps);
     final_stats = stats;
     last_db = std::move(db);  // the executor's db pointer stays valid
     last_indexed = std::move(indexed_ptr);
   }
 
-  // --- Wide-table chunk-stat pruning section (indexes disabled) ---
+  // --- Wide-table section: IndexScans and chunk-stat pruning ---
   const size_t wide_chunk_capacity = 4096;
   const size_t wide_rows = smoke ? 4 * wide_chunk_capacity
                                  : 16 * wide_chunk_capacity;
-  const int wide_scan_rounds = smoke ? 1 : 3;
   const int wide_pruning_rounds = smoke ? 2 : 12;
   report.SetConfig("wide_rows", static_cast<long long>(wide_rows));
   report.SetConfig("wide_columns", static_cast<long long>(kWideCols));
   report.SetConfig("wide_chunk_capacity",
                    static_cast<long long>(wide_chunk_capacity));
-  double pruning_speedup = 0.0;
   {
     auto wide_db = BuildWideDb(wide_rows, wide_chunk_capacity);
     if (wide_db == nullptr) {
@@ -480,59 +466,38 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<std::string> wide_queries = WideWorkload(wide_rows);
-
-    exec::ExecConfig naive_cfg;
-    naive_cfg.use_index_scan = false;
-    exec::Executor naive(wide_db.get(), naive_cfg);
-    exec::ExecConfig pruning_cfg;
-    pruning_cfg.use_index_scan = true;
-    pruning_cfg.use_column_index = false;  // zone maps + pushdown only
-    exec::Executor pruning(wide_db.get(), pruning_cfg);
+    exec::Executor pruning(wide_db.get());
 
     bool ok = true;
-    (void)RunWorkload(pruning, wide_queries, 1, &ok);  // warmup
+    RunResult warmup = RunWorkload(pruning, wide_queries, 1, &ok);
     if (!ok) return 1;
-    RunResult scan = RunWorkload(naive, wide_queries, wide_scan_rounds, &ok);
-    if (!ok) return 1;
+    const bool identical = MatchesTwins(wide_db.get(), wide_queries,
+                                        warmup.first_round);
+    all_identical = all_identical && identical;
     RunResult pruned =
         RunWorkload(pruning, wide_queries, wide_pruning_rounds, &ok);
     if (!ok) return 1;
 
-    bool identical = scan.first_round.size() == pruned.first_round.size();
-    for (size_t i = 0; identical && i < scan.first_round.size(); ++i) {
-      identical = scan.first_round[i].SameRows(pruned.first_round[i]);
-    }
-    all_identical = all_identical && identical;
-
-    const double scan_qps = scan.executed / scan.seconds;
     const double pruning_qps = pruned.executed / pruned.seconds;
-    pruning_speedup = pruning_qps / scan_qps;
     const exec::ExecStats pstats = pruning.stats();
 
-    std::printf("\nchunk-stat pruning — wide table, %zu rows x %d cols, "
-                "chunks of %zu (indexes off)\n",
+    std::printf("\nwide table — %zu rows x %d cols, chunks of %zu\n",
                 wide_rows, kWideCols, wide_chunk_capacity);
-    std::printf("%15s %15s %9s %15s\n", "scan q/s", "pruning q/s", "speedup",
-                "chunks pruned");
-    std::printf("%15.0f %15.0f %8.1fx %15llu%s\n", scan_qps, pruning_qps,
-                pruning_speedup,
+    std::printf("%15s %15s\n", "q/s", "chunks pruned");
+    std::printf("%15.0f %15llu%s\n", pruning_qps,
                 static_cast<unsigned long long>(pstats.chunks_pruned),
-                identical ? "" : "  RESULTS DIVERGE — BUG");
+                identical ? "" : "  DIFFERS FROM TWIN — BUG");
 
     report.AddRow("pruning",
                   obs::BenchReport::Row()
                       .Number("rows", static_cast<double>(wide_rows))
-                      .Number("scan_queries_per_second", scan_qps)
                       .Number("pruning_queries_per_second", pruning_qps)
-                      .Number("speedup_pruning_vs_scan", pruning_speedup)
                       .Number("chunks_pruned",
                               static_cast<double>(pstats.chunks_pruned))
                       .Number("results_identical", identical ? 1 : 0));
-    report.SetMetric("wide_scan_queries_per_second", scan_qps);
     report.SetMetric("wide_pruning_queries_per_second", pruning_qps);
-    report.SetMetric("speedup_pruning_vs_scan", pruning_speedup);
     // The run-metadata block also emits exec_chunks_pruned for the movie43
-    // executor; this one isolates the wide-table pruning configuration.
+    // executor; this one counts the wide-table workload alone.
     report.SetMetric("wide_chunks_pruned",
                      static_cast<double>(pstats.chunks_pruned));
   }
@@ -542,7 +507,6 @@ int main(int argc, char** argv) {
   const int customer_rows = smoke ? 5000 : 50000;
   const int product_rows = smoke ? 2000 : 20000;
   const int store_rows = smoke ? 50 : 200;
-  const int greedy_join_rounds = smoke ? 1 : 3;
   const int cost_join_rounds = smoke ? 2 : 10;
   report.SetConfig("sales_orders_rows", static_cast<long long>(orders_rows));
   report.SetConfig("sales_customer_rows",
@@ -556,7 +520,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sales star schema build failed\n");
     return 1;
   }
-  double cost_speedup = 0.0;
   {
     std::vector<sql::SelectPtr> stmts;
     for (const std::string& q : JoinWorkload()) {
@@ -569,34 +532,14 @@ int main(int argc, char** argv) {
       stmts.push_back(std::move(*parsed));
     }
 
-    exec::ExecConfig greedy_cfg;
-    greedy_cfg.use_cost_model = false;  // legacy greedy order + heuristics
-    exec::Executor greedy(sales_db.get(), greedy_cfg);
-    exec::Executor cost(sales_db.get());  // defaults: cost model on
-
+    exec::Executor cost(sales_db.get());
     bool ok = true;
-    // Untimed warmup on both (lazy column-index builds; both configs probe
-    // the same dimension/fact indexes).
+    // Untimed warmup (lazy column-index builds).
     (void)RunJoinWorkload(cost, stmts, 1, &ok);
-    if (!ok) return 1;
-    (void)RunJoinWorkload(greedy, stmts, 1, &ok);
-    if (!ok) return 1;
-
-    JoinRunResult greedy_run =
-        RunJoinWorkload(greedy, stmts, greedy_join_rounds, &ok);
     if (!ok) return 1;
     JoinRunResult cost_run = RunJoinWorkload(cost, stmts, cost_join_rounds, &ok);
     if (!ok) return 1;
-
-    bool identical = greedy_run.first_round.size() == cost_run.first_round.size();
-    for (size_t i = 0; identical && i < greedy_run.first_round.size(); ++i) {
-      identical = greedy_run.first_round[i].SameRows(cost_run.first_round[i]);
-    }
-    all_identical = all_identical && identical;
-
-    const double greedy_qps = greedy_run.executed / greedy_run.seconds;
     const double cost_qps = cost_run.executed / cost_run.seconds;
-    cost_speedup = cost_qps / greedy_qps;
 
     std::vector<double> q_errors = cost_run.q_errors;
     std::sort(q_errors.begin(), q_errors.end());
@@ -607,34 +550,23 @@ int main(int argc, char** argv) {
     std::printf("\ncost-based join planning — sales star schema, %zu rows "
                 "(%d-row fact table)\n",
                 sales_db->TotalRows(), orders_rows);
-    std::printf("%5s %12s %12s %9s %10s\n", "query", "greedy ms", "cost ms",
-                "speedup", "q-error");
+    std::printf("%5s %12s %10s\n", "query", "ms", "q-error");
     for (size_t i = 0; i < stmts.size(); ++i) {
-      const double g_ms =
-          greedy_run.per_query_seconds[i] / greedy_join_rounds * 1e3;
       const double c_ms = cost_run.per_query_seconds[i] / cost_join_rounds * 1e3;
-      std::printf("%5zu %12.2f %12.2f %8.1fx %10.2f\n", i + 1, g_ms, c_ms,
-                  g_ms / c_ms,
-                  i < cost_run.q_errors.size() ? cost_run.q_errors[i] : 0.0);
+      const double q_error =
+          i < cost_run.q_errors.size() ? cost_run.q_errors[i] : 0.0;
+      std::printf("%5zu %12.2f %10.2f\n", i + 1, c_ms, q_error);
       report.AddRow("join_planning",
                     obs::BenchReport::Row()
                         .Number("query", static_cast<double>(i + 1))
-                        .Number("greedy_ms", g_ms)
                         .Number("cost_ms", c_ms)
-                        .Number("speedup", g_ms / c_ms)
-                        .Number("q_error", i < cost_run.q_errors.size()
-                                               ? cost_run.q_errors[i]
-                                               : 0.0));
+                        .Number("q_error", q_error));
     }
-    std::printf("overall: greedy %.0f q/s, cost %.0f q/s, %.1fx; q-error "
-                "median %.2f max %.2f%s\n",
-                greedy_qps, cost_qps, cost_speedup, qerror_median, qerror_max,
-                identical ? "" : "  RESULTS DIVERGE — BUG");
+    std::printf("overall: %.0f q/s; q-error median %.2f max %.2f\n", cost_qps,
+                qerror_median, qerror_max);
 
     const exec::ExecStats cstats = cost.stats();
-    report.SetMetric("greedy_join_queries_per_second", greedy_qps);
     report.SetMetric("cost_join_queries_per_second", cost_qps);
-    report.SetMetric("speedup_cost_vs_greedy", cost_speedup);
     report.SetMetric("join_qerror_median", qerror_median);
     report.SetMetric("join_qerror_max", qerror_max);
     report.SetMetric("cost_hash_joins", static_cast<double>(cstats.hash_joins));
@@ -653,7 +585,7 @@ int main(int argc, char** argv) {
   {
     const std::vector<std::string> pqueries = ParallelWorkload();
 
-    exec::ExecConfig serial_cfg;  // defaults: exec_threads = 1, legacy path
+    exec::ExecConfig serial_cfg;  // defaults: exec_threads = 1, serial
     exec::Executor serial(sales_db.get(), serial_cfg);
     exec::TaskPool pool(static_cast<size_t>(parallel_threads - 1));
     exec::ExecConfig parallel_cfg;
@@ -719,17 +651,7 @@ int main(int argc, char** argv) {
   }
 
   report.SetMetric("results_identical", all_identical ? 1 : 0);
-  if (speedup_at_100 > 0.0) {
-    std::printf("\nacceptance: indexed >= 5x scan at 100x scale — %.1fx %s\n",
-                speedup_at_100, speedup_at_100 >= 5.0 ? "PASS" : "MISS");
-  }
-  std::printf("acceptance: chunk pruning >= 2x scan on the wide table — "
-              "%.1fx %s\n",
-              pruning_speedup, pruning_speedup >= 2.0 ? "PASS" : "MISS");
-  std::printf("acceptance: cost-based planning >= 2x greedy on star-schema "
-              "joins — %.1fx %s\n",
-              cost_speedup, cost_speedup >= 2.0 ? "PASS" : "MISS");
-  std::printf("acceptance: parallel execution >= 2.5x serial at %d threads — "
+  std::printf("\nacceptance: parallel execution >= 2.5x serial at %d threads — "
               "%.2fx %s\n",
               parallel_threads, parallel_speedup,
               parallel_speedup >= 2.5
@@ -737,7 +659,7 @@ int main(int argc, char** argv) {
                   : (std::thread::hardware_concurrency() < 4
                          ? "MISS (host has too few cores)"
                          : "MISS"));
-  std::printf("results identical across configs: %s\n",
+  std::printf("answers identical to twins and across thread counts: %s\n",
               all_identical ? "yes" : "NO — BUG");
   std::printf("access paths at last scale: %llu index scan(s), %llu table "
               "scan(s), %llu index join(s), %llu row(s) pruned, %llu pushed "

@@ -72,8 +72,8 @@ struct ExplainTableAccess {
   double selectivity = 1.0;
   long long chunks_total = 0;   ///< columnar chunks in the table at plan time
   long long chunks_pruned = 0;  ///< chunks ruled out by min/max stats pre-index
-  /// Cost-based join provenance (empty/-1 when the cost model did not plan
-  /// this step — first table in the fold, or use_cost_model = false).
+  /// Cost-based join provenance (join_algo is empty for the first table in
+  /// the fold, which nothing is joined to yet).
   std::string join_algo;  ///< "hash" | "index_nl" | "sort_merge" | "nested_loop"
   double est_rows_cumulative = -1.0;  ///< estimated rows after this fold step
   double est_cost_cumulative = -1.0;  ///< cost-model units through this step
@@ -128,8 +128,7 @@ struct TranslationExplain {
   std::vector<ExplainResult> results;
 
   /// Execution access paths of the top-1 translation, in join (fold) order.
-  /// Empty when there are no results or the executor would take its naive
-  /// fallback fold (unplannable block).
+  /// Empty when there are no results or the top-1 statement fails to plan.
   std::vector<ExplainTableAccess> execution;
 
   /// Indented tree rendering (what tools/explain_translate prints to stderr

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/macros.h"
 #include "common/strings.h"
 #include "exec/cost_model.h"
 #include "exec/like.h"
@@ -130,18 +131,17 @@ struct PlannerSlot {
   int relation_id = -1;
 };
 
-enum class Resolution { kOk, kNotFound, kAmbiguous, kError };
-
-/// Mirrors BlockExecutor::ResolveInSchema over the planner's slot list:
-/// same exactness requirements, same qualified-vs-bare lookup, and the same
-/// NotFound / error distinction (an attribute missing from a named relation
-/// is an error, not NotFound).
-Resolution ResolveRef(const catalog::Catalog& catalog,
-                      const std::vector<PlannerSlot>& slots,
-                      const sql::NameRef& relation,
-                      const sql::NameRef& attribute, int* table, int* attr) {
+/// Mirrors BlockExecutor::ResolveInSchema over the planner's slot list (same
+/// exactness requirements, same qualified-vs-bare lookup). False when the
+/// ref does not bind to exactly one slot: it is absent (correlated, or
+/// unknown) or erroneous (non-exact, missing from its named relation, or
+/// ambiguous) — the executor's resolver decides which at evaluation time.
+bool ResolveRef(const catalog::Catalog& catalog,
+                const std::vector<PlannerSlot>& slots,
+                const sql::NameRef& relation, const sql::NameRef& attribute,
+                int* table, int* attr) {
   if (!attribute.exact() || (relation.specified() && !relation.exact())) {
-    return Resolution::kError;
+    return false;
   }
   if (relation.specified()) {
     const std::string want = ToLower(relation.name);
@@ -149,33 +149,32 @@ Resolution ResolveRef(const catalog::Catalog& catalog,
       if (slots[i].binding_lower != want) continue;
       int idx = catalog.relation(slots[i].relation_id)
                     .AttributeIndex(attribute.name);
-      if (idx < 0) return Resolution::kError;
+      if (idx < 0) return false;
       *table = static_cast<int>(i);
       *attr = idx;
-      return Resolution::kOk;
+      return true;
     }
-    return Resolution::kNotFound;
+    return false;
   }
   int found_table = -1, found_attr = -1;
   for (size_t i = 0; i < slots.size(); ++i) {
     int idx =
         catalog.relation(slots[i].relation_id).AttributeIndex(attribute.name);
     if (idx < 0) continue;
-    if (found_table >= 0) return Resolution::kAmbiguous;
+    if (found_table >= 0) return false;
     found_table = static_cast<int>(i);
     found_attr = idx;
   }
-  if (found_table < 0) return Resolution::kNotFound;
+  if (found_table < 0) return false;
   *table = found_table;
   *attr = found_attr;
-  return Resolution::kOk;
+  return true;
 }
 
 /// What one conjunct's column references add up to against a slot list.
 struct RefScan {
-  bool resolved = true;    ///< every ref resolved within the slots
-  bool ambiguous = false;  ///< some bare ref matched several slots
-  bool opaque = false;     ///< contains a subquery or star (never pushable)
+  /// Every ref binds to one slot, and there is no subquery or star.
+  bool local = true;
   std::vector<char> used;  ///< per-slot: referenced by some resolved ref
 };
 
@@ -184,18 +183,11 @@ void ScanRefs(const Expr& e, const catalog::Catalog& catalog,
   switch (e.kind) {
     case ExprKind::kColumnRef: {
       int table = -1, attr = -1;
-      switch (ResolveRef(catalog, slots, e.relation, e.attribute, &table,
-                         &attr)) {
-        case Resolution::kOk:
-          scan.used[table] = 1;
-          break;
-        case Resolution::kAmbiguous:
-          scan.resolved = false;
-          scan.ambiguous = true;
-          break;
-        default:
-          scan.resolved = false;
-          break;
+      if (ResolveRef(catalog, slots, e.relation, e.attribute, &table,
+                     &attr)) {
+        scan.used[table] = 1;
+      } else {
+        scan.local = false;
       }
       return;
     }
@@ -203,7 +195,7 @@ void ScanRefs(const Expr& e, const catalog::Catalog& catalog,
     case ExprKind::kExistsSubquery:
     case ExprKind::kScalarSubquery:
     case ExprKind::kStar:
-      scan.opaque = true;
+      scan.local = false;
       return;
     default:
       break;
@@ -294,7 +286,7 @@ std::optional<SargablePredicate> TryExtractSargable(
   auto resolve = [&](const Expr& col, int* table, int* attr) {
     return col.kind == ExprKind::kColumnRef &&
            ResolveRef(catalog, slots, col.relation, col.attribute, table,
-                      attr) == Resolution::kOk;
+                      attr);
   };
   if (c.kind == ExprKind::kBinary && c.bop == BinaryOp::kLike) {
     int table = -1, attr = -1;
@@ -387,6 +379,11 @@ std::optional<SargablePredicate> TryExtractSargable(
   return std::nullopt;
 }
 
+/// An IndexScan is chosen only when the best single-predicate estimate keeps
+/// at most this fraction of the table; above it, the scan's sequential pass
+/// wins over materializing row-id lists.
+constexpr double kMaxIndexSelectivity = 0.25;
+
 std::vector<uint32_t> IntersectSorted(std::vector<uint32_t> a,
                                       const std::vector<uint32_t>& b) {
   std::vector<uint32_t> out;
@@ -398,27 +395,31 @@ std::vector<uint32_t> IntersectSorted(std::vector<uint32_t> a,
 
 }  // namespace
 
-BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
-                    const std::vector<const Expr*>& conjuncts,
-                    const ExecConfig& config) {
+Result<BlockPlan> PlanBlock(const storage::Database& db,
+                            const SelectStatement& stmt,
+                            const std::vector<const Expr*>& conjuncts,
+                            const ExecConfig& config) {
   BlockPlan plan;
   const catalog::Catalog& catalog = db.catalog();
-  if (stmt.from.empty()) return plan;  // nothing to scan; legacy path is fine
 
-  // FROM entries -> planner slots. Anything the legacy fold would reject
-  // (unresolved names, duplicate bindings) stays on the legacy path so its
-  // exact error surfaces.
+  // FROM entries -> planner slots.
   std::vector<PlannerSlot> slots;
   slots.reserve(stmt.from.size());
   for (const sql::TableRef& ref : stmt.from) {
-    if (!ref.relation.exact()) return plan;
-    Result<int> rel_id = catalog.FindRelation(ref.relation.name);
-    if (!rel_id.ok()) return plan;
+    if (!ref.relation.exact()) {
+      return Status::ExecutionError(
+          StrCat("FROM contains unresolved relation '", ref.relation.ToString(),
+                 "'; translate the query first"));
+    }
+    SFSQL_ASSIGN_OR_RETURN(int rel_id, catalog.FindRelation(ref.relation.name));
     PlannerSlot slot;
     slot.binding_lower = ToLower(ref.BindingName());
-    slot.relation_id = *rel_id;
+    slot.relation_id = rel_id;
     for (const PlannerSlot& existing : slots) {
-      if (existing.binding_lower == slot.binding_lower) return plan;
+      if (existing.binding_lower == slot.binding_lower) {
+        return Status::ExecutionError(
+            StrCat("duplicate FROM binding '", ref.BindingName(), "'"));
+      }
     }
     slots.push_back(std::move(slot));
   }
@@ -436,25 +437,10 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     const Expr& c = *conjuncts[ci];
     RefScan scan = ScanConjunct(c, catalog, slots);
-    if (scan.opaque) {
-      plan.residual.push_back(static_cast<int>(ci));
-      continue;
-    }
-    if (!scan.resolved) {
-      if (scan.ambiguous) {
-        // Hazard: a bare ref ambiguous in the full schema may still resolve
-        // in a proper prefix of the original FROM order — the legacy fold
-        // would push the conjunct there with that prefix's binding. Don't
-        // replicate the quirk; run the legacy fold.
-        for (size_t len = 1; len < n; ++len) {
-          std::vector<PlannerSlot> prefix(slots.begin(),
-                                          slots.begin() + len);
-          RefScan sub = ScanConjunct(c, catalog, prefix);
-          if (sub.resolved && !sub.opaque) return plan;
-        }
-      }
-      // Correlated or erroneous refs: the post-join filter evaluates them
-      // against the full environment, same as the legacy fold.
+    if (!scan.local) {
+      // Subqueries, stars, and correlated or erroneous refs (ambiguous
+      // included): the post-join filter evaluates them against the full
+      // environment, where an erroneous ref fails with its own message.
       plan.residual.push_back(static_cast<int>(ci));
       continue;
     }
@@ -483,9 +469,9 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
         c.rhs->kind == ExprKind::kColumnRef) {
       int lt = -1, la = -1, rt = -1, ra = -1;
       if (ResolveRef(catalog, slots, c.lhs->relation, c.lhs->attribute, &lt,
-                     &la) == Resolution::kOk &&
+                     &la) &&
           ResolveRef(catalog, slots, c.rhs->relation, c.rhs->attribute, &rt,
-                     &ra) == Resolution::kOk &&
+                     &ra) &&
           lt != rt) {
         PlannedEquiJoin edge;
         edge.conjunct = static_cast<int>(ci);
@@ -568,8 +554,6 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
       // The statistics alone emptied the table — scan the (zero) surviving
       // chunks and skip the index entirely, including its lazy build.
       demote_to_scan(0);
-    } else if (!config.use_column_index) {
-      demote_to_scan(std::min(surviving_rows, tp.table_rows));
     } else {
       std::vector<std::vector<uint32_t>> like_rows(tp.sargable.size());
       size_t min_estimate = tp.table_rows;
@@ -598,7 +582,7 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
       }
       const bool scan_cheaper =
           static_cast<double>(min_estimate) >
-          config.max_index_selectivity * static_cast<double>(tp.table_rows);
+          kMaxIndexSelectivity * static_cast<double>(tp.table_rows);
       if (tp.table_rows == 0 || !scan_cheaper) {
         tp.index_scan = true;
         bool first = true;
@@ -638,79 +622,36 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
                   static_cast<double>(tp.table_rows);
   }
 
-  // Join order. With the cost model on, a left-deep DP searches orders and
-  // picks the join algorithm per fold step (exec/cost_model); otherwise the
-  // legacy greedy order applies: cheapest estimated cardinality first,
-  // preferring tables connected to the placed set by an equi edge (keeps the
-  // fold a hash join instead of a cross product). Original FROM order when
-  // reordering is off or the block's output could depend on emission order.
-  std::vector<int> order(n);
-  for (size_t t = 0; t < n; ++t) order[t] = static_cast<int>(t);
-  const bool reorder_ok = config.reorder_joins && n > 1 && ReorderSafe(stmt);
-  std::vector<JoinStepEstimate> cost_steps;
-  if (config.use_cost_model) {
-    // Sort-merge emits in key order, so it needs the same order-insensitivity
-    // guarantee as reordering.
-    JoinOrderPlan cost =
-        PlanJoinOrder(db, tables, plan.equi_joins, config,
-                      /*allow_reorder=*/reorder_ok,
-                      /*allow_sort_merge=*/reorder_ok);
-    for (size_t t = 0; t < n; ++t) {
-      if (cost.order[t] != order[t]) plan.reordered = true;
-    }
-    order = std::move(cost.order);
-    cost_steps = std::move(cost.steps);
-    plan.cost_based = true;
-    // The fold also applies multi-table non-equi filters; discount each by
-    // the default selectivity so the block-level output estimate (the
-    // q-error numerator) accounts for them.
-    plan.estimated_output_rows = cost.output_rows;
-    for (size_t i = 0; i < plan.join_filters.size(); ++i) {
-      plan.estimated_output_rows /= 3.0;
-    }
-  } else if (reorder_ok) {
-    std::vector<std::vector<int>> adjacent(n);
-    for (const PlannedEquiJoin& e : plan.equi_joins) {
-      adjacent[e.left_from].push_back(e.right_from);
-      adjacent[e.right_from].push_back(e.left_from);
-    }
-    std::vector<char> placed(n, 0);
-    std::vector<int> greedy;
-    greedy.reserve(n);
-    while (greedy.size() < n) {
-      int best = -1;
-      bool best_connected = false;
-      for (size_t t = 0; t < n; ++t) {
-        if (placed[t]) continue;
-        bool connected = false;
-        for (int other : adjacent[t]) {
-          if (placed[other]) connected = true;
-        }
-        if (greedy.empty()) connected = false;
-        const bool better =
-            best < 0 || (connected && !best_connected) ||
-            (connected == best_connected &&
-             tables[t].estimated_rows < tables[best].estimated_rows);
-        if (better) {
-          best = static_cast<int>(t);
-          best_connected = connected;
-        }
-      }
-      placed[best] = 1;
-      greedy.push_back(best);
-    }
-    for (size_t t = 0; t < n; ++t) {
-      if (greedy[t] != order[t]) plan.reordered = true;
-    }
-    order = std::move(greedy);
+  // Join order: a left-deep DP searches orders (when the block's output
+  // cannot depend on emission order) and picks the join algorithm per fold
+  // step (exec/cost_model). Sort-merge emits in key order, so it needs the
+  // same order-insensitivity guarantee as reordering.
+  if (n == 0) {
+    // No FROM: the fold yields its one empty identity row, and
+    // table-independent conjuncts gate it in the residual filter.
+    plan.estimated_output_rows = 1.0;
+    plan.residual.insert(plan.residual.end(), constants.begin(),
+                         constants.end());
+    return plan;
   }
-
+  const bool reorder_ok = n > 1 && ReorderSafe(stmt);
+  JoinOrderPlan cost =
+      PlanJoinOrder(db, tables, plan.equi_joins, config,
+                    /*allow_reorder=*/reorder_ok,
+                    /*allow_sort_merge=*/reorder_ok);
+  // The fold also applies multi-table non-equi filters; discount each by the
+  // default selectivity so the block-level output estimate (the q-error
+  // numerator) accounts for them.
+  plan.estimated_output_rows = cost.output_rows;
+  for (size_t i = 0; i < plan.join_filters.size(); ++i) {
+    plan.estimated_output_rows /= 3.0;
+  }
   plan.tables.reserve(n);
-  for (int t : order) plan.tables.push_back(std::move(tables[t]));
-  for (size_t t = 0; t < cost_steps.size(); ++t) {
-    plan.tables[t].join_algo = cost_steps[t].algo;
-    plan.tables[t].est_rows_cumulative = cost_steps[t].rows;
-    plan.tables[t].est_cost_cumulative = cost_steps[t].cost;
+  for (size_t t = 0; t < n; ++t) {
+    TablePlan& tp = plan.tables.emplace_back(std::move(tables[cost.order[t]]));
+    tp.join_algo = cost.steps[t].algo;
+    tp.est_rows_cumulative = cost.steps[t].rows;
+    tp.est_cost_cumulative = cost.steps[t].cost;
   }
   // Table-independent conjuncts gate the whole result; evaluate them on the
   // first (cheapest) table's base rows.
@@ -723,7 +664,7 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
   // executor verifies any further edges per probed row.
   std::vector<int> step_of(n, -1);
   for (size_t t = 0; t < n; ++t) step_of[plan.tables[t].from_index] = t;
-  for (size_t t = 1; config.use_column_index && t < n; ++t) {
+  for (size_t t = 1; t < n; ++t) {
     TablePlan& tp = plan.tables[t];
     if (tp.index_scan) continue;
     for (const PlannedEquiJoin& e : plan.equi_joins) {
@@ -737,14 +678,12 @@ BlockPlan PlanBlock(const storage::Database& db, const SelectStatement& stmt,
     }
   }
 
-  plan.usable = true;
   return plan;
 }
 
 std::vector<TableAccessExplain> ExplainPlan(const storage::Database& db,
                                             const BlockPlan& plan) {
   std::vector<TableAccessExplain> out;
-  if (!plan.usable) return out;
   out.reserve(plan.tables.size());
   for (const TablePlan& tp : plan.tables) {
     TableAccessExplain e;

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "sql/ast.h"
 #include "storage/database.h"
 #include "storage/value.h"
@@ -18,10 +20,8 @@ namespace sfsql::exec {
 
 class TaskPool;
 
-/// Join algorithm chosen by the cost model for one fold step. kNone means
-/// the planner made no choice — the executor applies its legacy runtime
-/// heuristics (hash join, or an index nested-loop join when the accumulated
-/// side is small enough).
+/// Join algorithm chosen by the cost model for one fold step. kNone marks
+/// fold step 0, which only materializes its table (nothing to join yet).
 enum class JoinAlgo {
   kNone,
   kHash,             ///< build on the new table, probe with accumulated rows
@@ -33,40 +33,13 @@ enum class JoinAlgo {
 /// Lowercase display name ("hash", "index_nl", "sort_merge", ...).
 const char* JoinAlgoName(JoinAlgo algo);
 
-/// Execution knobs. `use_index_scan = false` forces the original naive
-/// fold (full scan per FROM entry, predicates classified during the fold) —
-/// kept as the differential-testing and benchmarking baseline.
+/// Execution knobs. Every block runs through the access-path planner and the
+/// cost model; these only tune parallelism, testing hooks and logging.
 struct ExecConfig {
-  bool use_index_scan = true;
-  /// Consult the per-column indexes (exact counts, IndexScan row ids, index
-  /// nested-loop joins). With this off but `use_index_scan` on, the planner
-  /// still runs — scans prune whole chunks through the per-chunk statistics
-  /// and push sargable conjuncts below the join, but never build or probe an
-  /// index. This isolates the chunk-statistics win in benchmarks.
-  bool use_column_index = true;
-  /// Reorder the join fold by post-pushdown cardinality (cheapest build side
-  /// first). Only applied when the block is provably order-insensitive — see
-  /// ReorderSafe below.
-  bool reorder_joins = true;
-  /// Cost-based planning (exec/cost_model): estimate cardinalities from the
-  /// chunk statistics + exact index counts, search join orders with a
-  /// left-deep DP (greedy above `cost_dp_max_tables`), and pick the join
-  /// algorithm (hash / index nested-loop / sort-merge) per fold step by
-  /// cost. Off = the original greedy reorder with runtime algorithm
-  /// heuristics — kept as the benchmarking baseline; both produce identical
-  /// result multisets.
-  bool use_cost_model = true;
-  /// Above this many FROM entries the join-order DP (2^n subsets) falls back
-  /// to the greedy connected-first order; algorithms are still costed.
-  int cost_dp_max_tables = 10;
-  /// Testing/benchmarking: force every planned equi-join step to the
-  /// sort-merge operator (where the block is reorder-safe), regardless of
-  /// cost. Exercises the operator in differential suites.
+  /// Testing: force every planned equi-join step to the sort-merge operator
+  /// (where the block is reorder-safe), regardless of cost. Exercises the
+  /// operator on NULL and duplicate keys in the differential suites.
   bool force_sort_merge = false;
-  /// An IndexScan is chosen only when the best single-predicate estimate
-  /// keeps at most this fraction of the table; above it, the scan's
-  /// sequential pass wins over materializing row-id lists.
-  double max_index_selectivity = 0.25;
   /// Executions slower than this emit one structured JSON line (event
   /// "slow_execute") to `slow_log_sink` (stderr when unset) — the execution
   /// counterpart of EngineConfig::slow_translate_threshold_ms. <= 0 disables.
@@ -77,12 +50,11 @@ struct ExecConfig {
   const obs::Clock* clock = nullptr;
   /// Intra-query parallelism: threads the planned fold may use for its
   /// morsel loops (scan + pushed filter, hash-join build/probe, index
-  /// nested-loop probes). 1 = the serial legacy path, thread-free and
-  /// bit-identical to the pre-pool executor. Values above 1 run on `pool`
-  /// (the Executor lazily creates a private pool of exec_threads - 1 workers
-  /// when none is wired in); the pool's worker count, not this number, caps
-  /// the actual fan-out. Results are bit-identical at every setting: morsel
-  /// outputs are stitched in morsel order.
+  /// nested-loop probes). 1 = serial and thread-free. Values above 1 run on
+  /// `pool` (the Executor lazily creates a private pool of exec_threads - 1
+  /// workers when none is wired in); the pool's worker count, not this
+  /// number, caps the actual fan-out. Results are bit-identical at every
+  /// setting: morsel outputs are stitched in morsel order.
   int exec_threads = 1;
   /// Rows per morsel for the parallel loops. 0 = 4096. Scans round this up
   /// to whole chunks, so any grain at or below the table's chunk_capacity
@@ -96,19 +68,62 @@ struct ExecConfig {
 
 /// Per-execution access-path counters, accumulated across every block
 /// (including subquery re-executions, so correlated blocks count once per
-/// outer row).
+/// outer row). kExecCounters below is their one definition: metrics, the
+/// executor's cumulative totals, bench keys and slow-execute lines all
+/// derive from it.
 struct ExecStats {
-  uint64_t index_scans = 0;        ///< base tables answered by an IndexScan
-  uint64_t table_scans = 0;        ///< base tables answered by a full scan
-  uint64_t index_joins = 0;        ///< base tables probed via index join
-  uint64_t hash_joins = 0;         ///< fold steps answered by a hash join
-  uint64_t sort_merge_joins = 0;   ///< fold steps answered by sort-merge
-  uint64_t merge_sorts_skipped = 0;  ///< sort-merge inputs already sorted
-  uint64_t rows_pruned = 0;        ///< base rows eliminated below the join
-  uint64_t pushed_predicates = 0;  ///< predicates evaluated below the join
-  uint64_t chunks_pruned = 0;      ///< chunks skipped via per-chunk statistics
-  uint64_t rows_scanned = 0;       ///< base rows read from storage (all paths)
+  uint64_t index_scans = 0;
+  uint64_t table_scans = 0;
+  uint64_t index_joins = 0;
+  uint64_t hash_joins = 0;
+  uint64_t sort_merge_joins = 0;
+  uint64_t merge_sorts_skipped = 0;
+  uint64_t rows_pruned = 0;
+  uint64_t pushed_predicates = 0;
+  uint64_t chunks_pruned = 0;
+  uint64_t rows_scanned = 0;
 };
+
+/// One ExecStats counter: its name (the metric is sfsql_exec_<name>_total,
+/// the bench key exec_<name>), help text, and field.
+struct ExecCounter {
+  const char* name;
+  const char* help;
+  uint64_t ExecStats::*field;
+};
+
+inline constexpr ExecCounter kExecCounters[] = {
+    {"index_scans", "Base tables answered by an IndexScan",
+     &ExecStats::index_scans},
+    {"table_scans", "Base tables answered by a full scan",
+     &ExecStats::table_scans},
+    {"index_joins", "Base tables answered by an index nested-loop join",
+     &ExecStats::index_joins},
+    {"hash_joins", "Fold steps answered by a hash join",
+     &ExecStats::hash_joins},
+    {"sort_merge_joins", "Fold steps answered by a sort-merge join",
+     &ExecStats::sort_merge_joins},
+    {"merge_sorts_skipped",
+     "Sort-merge inputs already sorted by the key (sort skipped)",
+     &ExecStats::merge_sorts_skipped},
+    {"rows_pruned", "Base rows eliminated below the join by pushed predicates",
+     &ExecStats::rows_pruned},
+    {"pushed_predicates",
+     "Predicates evaluated below the join (index-answered or per base row)",
+     &ExecStats::pushed_predicates},
+    {"chunks_pruned",
+     "Chunks skipped by scans via per-chunk min/max statistics",
+     &ExecStats::chunks_pruned},
+    {"rows_scanned",
+     "Base rows read from storage (scans, index scans, and index joins)",
+     &ExecStats::rows_scanned},
+};
+inline constexpr size_t kNumExecCounters = std::size(kExecCounters);
+
+/// Adds every counter of `delta` into `into`.
+inline void MergeStats(ExecStats& into, const ExecStats& delta) {
+  for (const ExecCounter& c : kExecCounters) into.*c.field += delta.*c.field;
+}
 
 /// One sargable conjunct bound to a column: a shape the column index can
 /// answer exactly (see ColumnIndex::Rows*). Operand values are literals only
@@ -161,17 +176,15 @@ struct TablePlan {
   /// Attribute eligible for an index nested-loop join: this table has no
   /// IndexScan, but joins to an earlier fold step through `attr = attr` on
   /// this column, so the executor may probe the column index once per
-  /// accumulated row instead of scanning. -1 when ineligible; the executor
-  /// still falls back to scan + hash join when the accumulated side is large.
+  /// accumulated row instead of scanning. -1 when ineligible; whether the
+  /// probe runs is the cost model's `join_algo` choice.
   int index_join_attr = -1;
   /// Join algorithm for the fold step that places this table, chosen by the
-  /// cost model. kNone (the greedy/legacy path) defers to the executor's
-  /// runtime heuristics. The first fold step is always kNone (nothing to
-  /// join against yet).
+  /// cost model. kNone only at the first fold step (nothing to join against
+  /// yet).
   JoinAlgo join_algo = JoinAlgo::kNone;
   /// Cost model estimates for EXPLAIN and q-error reporting: cumulative
-  /// estimated rows and cost after this table's fold step. Negative when the
-  /// cost model did not run (use_cost_model off).
+  /// estimated rows and cost after this table's fold step.
   double est_rows_cumulative = -1.0;
   double est_cost_cumulative = -1.0;
 };
@@ -193,17 +206,10 @@ struct PlannedJoinFilter {
   std::vector<int> tables;  ///< FROM positions referenced
 };
 
-/// The access-path plan of one query block. `usable = false` means the
-/// planner bailed (unresolved FROM, duplicate bindings, or a pushdown
-/// classification hazard) and the executor must run the legacy fold, whose
-/// error surface the planner does not try to reproduce.
+/// The access-path plan of one query block (no tables when it has no FROM).
 struct BlockPlan {
-  bool usable = false;
-  bool reordered = false;  ///< tables differ from FROM order
-  bool cost_based = false;  ///< join order/algorithms chosen by the cost model
   /// Estimated rows out of the join fold (before the post-join residual
-  /// filter); the q-error denominator. Negative when the cost model did not
-  /// run.
+  /// filter); the q-error denominator.
   double estimated_output_rows = -1.0;
   std::vector<TablePlan> tables;  ///< in join (fold) order
   std::vector<PlannedEquiJoin> equi_joins;
@@ -224,9 +230,9 @@ struct TableAccessExplain {
   double selectivity = 1.0;
   size_t chunks_total = 0;   ///< chunks in the table at plan time
   size_t chunks_pruned = 0;  ///< chunks the statistics ruled out pre-index
-  /// Cost model verdicts (empty/negative when the cost model did not run):
-  /// the join algorithm placing this table and the cumulative estimated
-  /// rows/cost after its fold step.
+  /// Cost model verdicts: the join algorithm placing this table (empty for
+  /// the first fold step) and the cumulative estimated rows/cost after its
+  /// fold step.
   std::string join_algo;
   double est_rows_cumulative = -1.0;
   double est_cost_cumulative = -1.0;
@@ -251,18 +257,19 @@ bool ReorderSafe(const sql::SelectStatement& stmt);
 
 /// Plans one block's access paths: splits per-table sargable conjuncts from
 /// residual predicates, probes the column indexes for exact cardinality
-/// estimates, picks IndexScan vs Scan per table, and (when safe) orders the
-/// fold by ascending estimated cardinality. `conjuncts` is the
-/// SplitConjuncts output for stmt.where. The caller must hold
+/// estimates, picks IndexScan vs Scan per table, and lets the cost model
+/// choose the fold order (when safe) and each step's join algorithm.
+/// `conjuncts` is the SplitConjuncts output for stmt.where. Every block
+/// plans, including one without FROM; the errors are an unresolved or
+/// unknown FROM relation and a duplicate binding. The caller must hold
 /// Database::ReadLock() — row ids are materialized against the pinned row
 /// counts.
-BlockPlan PlanBlock(const storage::Database& db,
-                    const sql::SelectStatement& stmt,
-                    const std::vector<const sql::Expr*>& conjuncts,
-                    const ExecConfig& config);
+Result<BlockPlan> PlanBlock(const storage::Database& db,
+                            const sql::SelectStatement& stmt,
+                            const std::vector<const sql::Expr*>& conjuncts,
+                            const ExecConfig& config);
 
-/// The EXPLAIN view of a plan (empty when the plan is unusable — the
-/// executor falls back to the naive fold).
+/// The EXPLAIN view of a plan, one row per table in fold order.
 std::vector<TableAccessExplain> ExplainPlan(const storage::Database& db,
                                             const BlockPlan& plan);
 

@@ -177,7 +177,7 @@ class Planner {
     // IndexScan on this table — its sargable conjuncts, if any, were demoted
     // to per-row evaluation, which the probe path applies). The probe column
     // is the first edge's attribute, matching the index_join_attr marking.
-    if (!tp.index_scan && config_.use_column_index && tp.table_rows > 0) {
+    if (!tp.index_scan && tp.table_rows > 0) {
       const double ndv_probe = ndv_.Get(tp.relation_id, edges[0].t_attr);
       const double probed =
           entry.rows * static_cast<double>(tp.table_rows) / ndv_probe;
@@ -305,9 +305,9 @@ JoinOrderPlan PlanJoinOrder(const storage::Database& db,
     return FinishPlan(std::move(entry));
   }
 
-  if (n > config.cost_dp_max_tables) {
-    // Greedy fallback: connected-first, smallest estimated input next (the
-    // legacy reorder's shape); algorithms still chosen by cost per step.
+  if (n > kDpMaxTables) {
+    // Greedy fallback: connected-first, smallest estimated input next;
+    // algorithms still chosen by cost per step.
     std::vector<char> placed(n, 0);
     int first = 0;
     for (int t = 1; t < n; ++t) {

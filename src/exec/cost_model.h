@@ -24,9 +24,9 @@ namespace sfsql::exec {
 /// The order search is a left-deep DP over subsets (Selinger): each subset
 /// keeps the cheapest plan per "interesting order" — the key columns the
 /// intermediate result is sorted by — so a sort-merge join whose sort pays
-/// off at a later step survives pruning. Above `cost_dp_max_tables` FROM
-/// entries the DP degrades to the greedy connected-first order (the same
-/// shape as the legacy reorder), with algorithms still chosen by cost.
+/// off at a later step survives pruning. Above kDpMaxTables FROM entries
+/// the DP (2^n subsets) degrades to a greedy connected-first order, with
+/// algorithms still chosen by cost.
 ///
 /// Per fold step the model costs three algorithms and keeps the cheapest:
 /// hash join (build new side, probe accumulated), index nested-loop join
@@ -35,6 +35,9 @@ namespace sfsql::exec {
 /// sort-merge (sort both sides by the key columns, skip the accumulated
 /// side's sort when it is already sorted by them). Sort-merge changes the
 /// emission order, so it is only offered when the block is reorder-safe.
+
+/// FROM entries above which the join-order DP falls back to greedy order.
+constexpr int kDpMaxTables = 10;
 
 /// One fold step's verdict: the algorithm placing table `order[i]` and the
 /// cumulative estimated rows/cost after the step. steps[0].algo is kNone

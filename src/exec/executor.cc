@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -47,9 +48,8 @@ struct Slot {
 struct BlockSchema {
   std::vector<Slot> slots;
   int width = 0;
-  /// Slot visit order for star expansion. The planned fold may place slots
-  /// in join order; stars must still expand in the original FROM order.
-  /// Empty = slot order (the legacy fold, which never reorders).
+  /// Slot visit order for star expansion. The fold places slots in join
+  /// order; stars must still expand in the original FROM order.
   std::vector<int> star_order;
 };
 
@@ -71,24 +71,43 @@ struct ColumnLoc {
 // exec/access_path.{h,cc} now — the planner classifies with the exact same
 // rules the executor evaluates with.
 
-/// Full-width row materialization of a chunked table — the legacy fold's
-/// row-wise view of the columnar store. The planned fold copies only
-/// referenced columns instead (see BuildFromRowsPlanned).
-std::vector<Row> MaterializeAllRows(const storage::Table& table) {
-  std::vector<Row> rows;
-  rows.reserve(table.num_rows());
-  for (size_t c = 0; c < table.num_chunks(); ++c) {
-    const storage::Chunk& chunk = table.chunk(c);
-    for (size_t o = 0; o < chunk.size(); ++o) {
-      Row row;
-      row.reserve(table.num_attrs());
-      for (size_t a = 0; a < table.num_attrs(); ++a) {
-        row.push_back(chunk.column(a)[o]);
-      }
-      rows.push_back(std::move(row));
-    }
+// ---------------------------------------------------------------------------
+// Checked arithmetic
+// ---------------------------------------------------------------------------
+
+Status IntegerOverflow() { return Status::ExecutionError("integer overflow"); }
+
+/// Unary minus, shared by row-mode and group-mode evaluation.
+Result<Value> Negate(const Value& v) {
+  if (v.is_null()) return Value::Null_();
+  if (v.is_double()) return Value::Double(-v.AsDouble());
+  if (!v.is_int()) return Status::TypeError("unary '-' needs a numeric operand");
+  int64_t out = 0;
+  if (__builtin_sub_overflow(int64_t{0}, v.AsInt(), &out)) {
+    return IntegerOverflow();
   }
-  return rows;
+  return Value::Int(out);
+}
+
+/// `a op b` over two integers; `b` is nonzero for / and %.
+Result<Value> IntArith(BinaryOp op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  bool overflow = false;
+  switch (op) {
+    case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+    case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+    case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+      // INT64_MIN / -1 is the one quotient int64 cannot hold (and traps).
+      overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+      if (!overflow) out = op == BinaryOp::kDiv ? a / b : a % b;
+      break;
+    default:
+      return Status::Internal("unhandled binary operator");
+  }
+  if (overflow) return IntegerOverflow();
+  return Value::Int(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -97,13 +116,12 @@ std::vector<Row> MaterializeAllRows(const storage::Table& table) {
 
 class BlockExecutor {
  public:
-  /// Non-null `info` receives the EXPLAIN view of the root block's plan
-  /// (left empty when the planner falls back to the naive fold) — the access
-  /// paths a query profile records — plus the estimated/actual join fold
-  /// cardinalities for q-error measurement.
+  /// Non-null `info` receives the EXPLAIN view of the root block's plan —
+  /// the access paths a query profile records — plus the estimated/actual
+  /// join fold cardinalities for q-error measurement.
   /// Non-null `pool` with config->exec_threads > 1 turns on the morsel-
   /// parallel operators in the planned fold; null or exec_threads == 1 is
-  /// the serial legacy path, bit-identical and thread-free.
+  /// serial, bit-identical and thread-free.
   BlockExecutor(const storage::Database* db, const ExecConfig* config,
                 ExecStats* stats, ExecInfo* info = nullptr,
                 TaskPool* pool = nullptr)
@@ -170,31 +188,6 @@ class BlockExecutor {
                attribute.ToString(), "'"));
   }
 
-  /// True if every column in `e` resolves within `schema` alone and `e` has no
-  /// subqueries (such predicates can be pushed into the join pipeline).
-  bool ResolvesLocally(const Expr& e, const BlockSchema& schema) const {
-    switch (e.kind) {
-      case ExprKind::kColumnRef: {
-        Result<int> r = ResolveInSchema(e.relation, e.attribute, schema);
-        return r.ok();
-      }
-      case ExprKind::kInSubquery:
-      case ExprKind::kExistsSubquery:
-      case ExprKind::kScalarSubquery:
-        return false;
-      case ExprKind::kStar:
-        return false;
-      default:
-        break;
-    }
-    if (e.lhs && !ResolvesLocally(*e.lhs, schema)) return false;
-    if (e.rhs && !ResolvesLocally(*e.rhs, schema)) return false;
-    for (const ExprPtr& a : e.args) {
-      if (!ResolvesLocally(*a, schema)) return false;
-    }
-    return true;
-  }
-
   // --- scalar evaluation (row mode) ---
 
   Result<Value> Eval(const Expr& e, const Env& env) {
@@ -213,10 +206,7 @@ class BlockExecutor {
         if (e.uop == UnaryOp::kNot) {
           return Value::Bool(!Truthy(v));
         }
-        if (v.is_null()) return Value::Null_();
-        if (v.is_int()) return Value::Int(-v.AsInt());
-        if (v.is_double()) return Value::Double(-v.AsDouble());
-        return Status::TypeError("unary '-' needs a numeric operand");
+        return Negate(v);
       }
       case ExprKind::kBinary:
         return EvalBinary(e, env);
@@ -341,27 +331,20 @@ class BlockExecutor {
       }
       return Status::TypeError("arithmetic needs numeric operands");
     }
-    bool ints = a.is_int() && b.is_int();
+    const bool ints = a.is_int() && b.is_int();
+    if (e.bop == BinaryOp::kMod && !ints) {
+      return Status::TypeError("'%' needs integers");
+    }
+    if ((e.bop == BinaryOp::kDiv || e.bop == BinaryOp::kMod) &&
+        b.AsDouble() == 0.0) {
+      return Value::Null_();
+    }
+    if (ints) return IntArith(e.bop, a.AsInt(), b.AsInt());
     switch (e.bop) {
-      case BinaryOp::kAdd:
-        return ints ? Value::Int(a.AsInt() + b.AsInt())
-                    : Value::Double(a.AsDouble() + b.AsDouble());
-      case BinaryOp::kSub:
-        return ints ? Value::Int(a.AsInt() - b.AsInt())
-                    : Value::Double(a.AsDouble() - b.AsDouble());
-      case BinaryOp::kMul:
-        return ints ? Value::Int(a.AsInt() * b.AsInt())
-                    : Value::Double(a.AsDouble() * b.AsDouble());
-      case BinaryOp::kDiv:
-        if (b.AsDouble() == 0.0) return Value::Null_();
-        return ints ? Value::Int(a.AsInt() / b.AsInt())
-                    : Value::Double(a.AsDouble() / b.AsDouble());
-      case BinaryOp::kMod:
-        if (!ints || b.AsInt() == 0) {
-          return ints ? Value::Null_()
-                      : Result<Value>(Status::TypeError("'%' needs integers"));
-        }
-        return Value::Int(a.AsInt() % b.AsInt());
+      case BinaryOp::kAdd: return Value::Double(a.AsDouble() + b.AsDouble());
+      case BinaryOp::kSub: return Value::Double(a.AsDouble() - b.AsDouble());
+      case BinaryOp::kMul: return Value::Double(a.AsDouble() * b.AsDouble());
+      case BinaryOp::kDiv: return Value::Double(a.AsDouble() / b.AsDouble());
       default:
         break;
     }
@@ -373,7 +356,7 @@ class BlockExecutor {
     if (EqualsIgnoreCase(e.function_name, "abs") && e.args.size() == 1) {
       SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], env));
       if (v.is_null()) return v;
-      if (v.is_int()) return Value::Int(v.AsInt() < 0 ? -v.AsInt() : v.AsInt());
+      if (v.is_int()) return v.AsInt() < 0 ? Negate(v) : v;
       if (v.is_double()) {
         return Value::Double(v.AsDouble() < 0 ? -v.AsDouble() : v.AsDouble());
       }
@@ -451,15 +434,19 @@ class BlockExecutor {
     bool all_int = true;
     double dsum = 0;
     int64_t isum = 0;
+    bool int_overflow = false;
     for (const Value& v : values) {
       if (!v.is_numeric()) {
         return Status::TypeError(StrCat(name, " needs numeric values"));
       }
       if (!v.is_int()) all_int = false;
       dsum += v.AsDouble();
-      if (v.is_int()) isum += v.AsInt();
+      if (v.is_int() && __builtin_add_overflow(isum, v.AsInt(), &isum)) {
+        int_overflow = true;
+      }
     }
     if (name == "sum") {
+      if (all_int && int_overflow) return IntegerOverflow();
       return all_int ? Value::Int(isum) : Value::Double(dsum);
     }
     return Value::Double(dsum / static_cast<double>(values.size()));
@@ -493,10 +480,7 @@ class BlockExecutor {
             Value v, EvalGrouped(*e.lhs, group, group_by_text, group_key, schema,
                                  outer));
         if (e.uop == UnaryOp::kNot) return Value::Bool(!Truthy(v));
-        if (v.is_null()) return v;
-        if (v.is_int()) return Value::Int(-v.AsInt());
-        if (v.is_double()) return Value::Double(-v.AsDouble());
-        return Status::TypeError("unary '-' needs a numeric operand");
+        return Negate(v);
       }
       case ExprKind::kBinary: {
         // Rebuild a tiny two-literal expression and reuse scalar eval.
@@ -522,23 +506,20 @@ class BlockExecutor {
 
   // --- join pipeline ---
 
-  Result<std::vector<Row>> BuildFromRows(const SelectStatement& stmt,
-                                         BlockSchema& schema, const Env& outer,
-                                         std::vector<const Expr*>& conjuncts,
-                                         std::vector<bool>& conjunct_used);
-
-  Result<std::vector<Row>> BuildFromRowsPlanned(
-      const BlockPlan& plan, BlockSchema& schema, const Env& outer,
-      const std::vector<const Expr*>& conjuncts,
-      std::vector<bool>& conjunct_used);
+  /// Runs the plan's join fold: filtered base rows per table, joined in
+  /// plan order. Marks every conjunct the fold consumed in `conjunct_used`.
+  Result<std::vector<Row>> FoldJoin(const BlockPlan& plan, BlockSchema& schema,
+                                    const Env& outer,
+                                    const std::vector<const Expr*>& conjuncts,
+                                    std::vector<bool>& conjunct_used);
 
   /// The cached access-path plan for a block, keyed by statement identity —
   /// correlated subqueries re-execute the same SelectStatement many times,
   /// and plans are environment-independent (sargable operands are literals).
   /// Cached row ids stay valid because one BlockExecutor lives within one
   /// Execute, which holds the database read lock throughout.
-  const BlockPlan& GetPlan(const SelectStatement& stmt,
-                           const std::vector<const Expr*>& conjuncts) {
+  const Result<BlockPlan>& GetPlan(const SelectStatement& stmt,
+                                   const std::vector<const Expr*>& conjuncts) {
     auto it = plans_.find(&stmt);
     if (it == plans_.end()) {
       it = plans_.emplace(&stmt, PlanBlock(*db_, stmt, conjuncts, *config_))
@@ -606,8 +587,8 @@ class BlockExecutor {
   // probe, index nested-loop probe) all reduce to "run body(b, e) over [0, n)
   // and append body's output rows in range order". RowLoop runs that shape on
   // the task pool when parallelism is on and the input is big enough, and as
-  // one plain call otherwise — so exec_threads == 1 takes the exact legacy
-  // code path. Parallel invariants:
+  // one plain call otherwise — so exec_threads == 1 never touches a thread.
+  // Parallel invariants:
   //  * outputs and stats go to per-morsel slots, stitched/merged in morsel
   //    order after the barrier — results are bit-identical to serial and no
   //    hot-path counter is shared between workers;
@@ -659,169 +640,19 @@ class BlockExecutor {
     return pool_ != nullptr && config_->exec_threads > 1;
   }
 
-  static void MergeStats(ExecStats& into, const ExecStats& d) {
-    into.index_scans += d.index_scans;
-    into.table_scans += d.table_scans;
-    into.index_joins += d.index_joins;
-    into.hash_joins += d.hash_joins;
-    into.sort_merge_joins += d.sort_merge_joins;
-    into.merge_sorts_skipped += d.merge_sorts_skipped;
-    into.rows_pruned += d.rows_pruned;
-    into.pushed_predicates += d.pushed_predicates;
-    into.chunks_pruned += d.chunks_pruned;
-    into.rows_scanned += d.rows_scanned;
-  }
-
   const storage::Database* db_;
   const ExecConfig* config_;
   ExecStats* stats_;
   ExecInfo* info_;
   TaskPool* pool_ = nullptr;
-  std::unordered_map<const SelectStatement*, BlockPlan> plans_;
+  std::unordered_map<const SelectStatement*, Result<BlockPlan>> plans_;
   bool analyzed_ = false;
   bool refs_all_ = false;
   std::unordered_set<std::string> ref_names_;
   std::unordered_map<int, std::vector<char>> referenced_cache_;
 };
 
-Result<std::vector<Row>> BlockExecutor::BuildFromRows(
-    const SelectStatement& stmt, BlockSchema& schema, const Env& outer,
-    std::vector<const Expr*>& conjuncts, std::vector<bool>& conjunct_used) {
-  std::vector<Row> rows;
-  rows.push_back(Row{});  // one empty row: identity for the fold below
-
-  stats_->table_scans += stmt.from.size();
-  for (const sql::TableRef& ref : stmt.from) {
-    if (!ref.relation.exact()) {
-      return Status::ExecutionError(
-          StrCat("FROM contains unresolved relation '", ref.relation.ToString(),
-                 "'; translate the query first"));
-    }
-    SFSQL_ASSIGN_OR_RETURN(int rel_id,
-                           db_->catalog().FindRelation(ref.relation.name));
-    Slot slot;
-    slot.binding_lower = ToLower(ref.BindingName());
-    slot.relation_id = rel_id;
-    slot.offset = schema.width;
-    slot.width = static_cast<int>(db_->catalog().relation(rel_id).attributes.size());
-    for (const Slot& existing : schema.slots) {
-      if (existing.binding_lower == slot.binding_lower) {
-        return Status::ExecutionError(
-            StrCat("duplicate FROM binding '", ref.BindingName(), "'"));
-      }
-    }
-
-    BlockSchema next = schema;
-    next.slots.push_back(slot);
-    next.width += slot.width;
-
-    // Classify so-far-unused conjuncts against the grown schema.
-    BlockSchema new_only;
-    new_only.slots = {slot};
-    new_only.width = slot.width;
-    // For resolution inside new_only the offset must be 0-based.
-    new_only.slots[0].offset = 0;
-
-    struct EquiKey {
-      int existing_col;  // flat index in `schema`
-      int new_col;       // attribute index within the new slot
-    };
-    std::vector<EquiKey> keys;
-    std::vector<const Expr*> pushable;
-    for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-      if (conjunct_used[ci]) continue;
-      const Expr* c = conjuncts[ci];
-      if (!ResolvesLocally(*c, next)) continue;
-      // Equi-join key? col = col with sides split across old schema / new slot.
-      if (c->kind == ExprKind::kBinary && c->bop == BinaryOp::kEq &&
-          c->lhs->kind == ExprKind::kColumnRef &&
-          c->rhs->kind == ExprKind::kColumnRef) {
-        Result<int> l_old = ResolveInSchema(c->lhs->relation, c->lhs->attribute,
-                                            schema);
-        Result<int> r_old = ResolveInSchema(c->rhs->relation, c->rhs->attribute,
-                                            schema);
-        Result<int> l_new = ResolveInSchema(c->lhs->relation, c->lhs->attribute,
-                                            new_only);
-        Result<int> r_new = ResolveInSchema(c->rhs->relation, c->rhs->attribute,
-                                            new_only);
-        if (l_old.ok() && r_new.ok() && !schema.slots.empty()) {
-          keys.push_back(EquiKey{*l_old, *r_new});
-          conjunct_used[ci] = true;
-          continue;
-        }
-        if (r_old.ok() && l_new.ok() && !schema.slots.empty()) {
-          keys.push_back(EquiKey{*r_old, *l_new});
-          conjunct_used[ci] = true;
-          continue;
-        }
-      }
-      pushable.push_back(c);
-      conjunct_used[ci] = true;
-    }
-
-    const std::vector<Row> table_rows = MaterializeAllRows(db_->table(rel_id));
-    stats_->rows_scanned += table_rows.size();
-    std::vector<Row> joined;
-
-    auto emit_if_passes = [&](const Row& base, const Row& extra) -> Status {
-      Row combined;
-      combined.reserve(base.size() + extra.size());
-      combined.insert(combined.end(), base.begin(), base.end());
-      combined.insert(combined.end(), extra.begin(), extra.end());
-      Env env = outer;
-      env.push_back(Frame{&next, &combined});
-      for (const Expr* p : pushable) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*p, env));
-        if (!Truthy(v)) return Status::OK();
-      }
-      joined.push_back(std::move(combined));
-      return Status::OK();
-    };
-
-    if (!keys.empty()) {
-      // Hash join: build on the new table, probe with existing rows.
-      std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq> build;
-      for (const Row& trow : table_rows) {
-        Row key;
-        key.reserve(keys.size());
-        bool has_null = false;
-        for (const EquiKey& k : keys) {
-          if (trow[k.new_col].is_null()) has_null = true;
-          key.push_back(trow[k.new_col]);
-        }
-        if (has_null) continue;  // NULL keys never join
-        build[std::move(key)].push_back(&trow);
-      }
-      for (const Row& base : rows) {
-        Row probe;
-        probe.reserve(keys.size());
-        bool has_null = false;
-        for (const EquiKey& k : keys) {
-          if (base[k.existing_col].is_null()) has_null = true;
-          probe.push_back(base[k.existing_col]);
-        }
-        if (has_null) continue;
-        auto it = build.find(probe);
-        if (it == build.end()) continue;
-        for (const Row* trow : it->second) {
-          SFSQL_RETURN_IF_ERROR(emit_if_passes(base, *trow));
-        }
-      }
-    } else {
-      for (const Row& base : rows) {
-        for (const Row& trow : table_rows) {
-          SFSQL_RETURN_IF_ERROR(emit_if_passes(base, trow));
-        }
-      }
-    }
-
-    schema = std::move(next);
-    rows = std::move(joined);
-  }
-  return rows;
-}
-
-Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
+Result<std::vector<Row>> BlockExecutor::FoldJoin(
     const BlockPlan& plan, BlockSchema& schema, const Env& outer,
     const std::vector<const Expr*>& conjuncts,
     std::vector<bool>& conjunct_used) {
@@ -945,7 +776,7 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
   }
 
   std::vector<Row> rows;
-  rows.push_back(Row{});  // fold identity, as in the legacy path
+  rows.push_back(Row{});  // fold identity
   // Flat columns the accumulated rows are currently sorted by (the output of
   // a sort-merge step). Hash, index nested-loop, and nested-loop steps all
   // iterate the accumulated side in order and emit per-base-row blocks, so
@@ -1005,26 +836,16 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
       return emit_row(base, extra, joined);
     };
 
-    // Index nested-loop join: when the accumulated side is small relative to
-    // the table, probe the join column's index once per accumulated row
-    // instead of scanning + hash-building the whole table. Probe row ids come
-    // back ascending, so emission order matches the hash join exactly (per
-    // accumulated row, matches in table order). `=` probes use Value::Compare
-    // equality, which coincides with the hash join's Equals for non-nulls.
-    const storage::Table& table = db_->table(tp.relation_id);
-    JoinAlgo algo = tp.join_algo;
-    if (algo == JoinAlgo::kNone) {
-      // No planned choice (greedy/baseline path): the legacy runtime
-      // heuristic probes the index when the accumulated side is small.
-      if (tp.index_join_attr >= 0 && !keys.empty() &&
-          rows.size() * 4 <= table.num_rows()) {
-        algo = JoinAlgo::kIndexNestedLoop;
-      }
-    } else if (algo == JoinAlgo::kIndexNestedLoop &&
-               (tp.index_join_attr < 0 || keys.empty())) {
-      algo = JoinAlgo::kHash;  // planned probe column unavailable; degrade
-    }
-    if (algo == JoinAlgo::kIndexNestedLoop) {
+    // Index nested-loop join (the cost model's pick when the accumulated side
+    // is small relative to the table): probe the join column's index once
+    // per accumulated row instead of scanning + hash-building the whole
+    // table. The cost model only picks it for tables the planner marked with
+    // an index_join_attr. Probe row ids come back ascending, so emission order
+    // matches the hash join exactly (per accumulated row, matches in table
+    // order). `=` probes use Value::Compare equality, which coincides with
+    // the hash join's Equals for non-nulls.
+    if (tp.join_algo == JoinAlgo::kIndexNestedLoop) {
+      const storage::Table& table = db_->table(tp.relation_id);
       ++stats_->index_joins;
       stats_->pushed_predicates += tp.pushed.size();
       const storage::ColumnIndex* idx =
@@ -1078,7 +899,7 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
     }
 
     SFSQL_ASSIGN_OR_RETURN(std::vector<Row> base_rows, materialize(tp));
-    if (!keys.empty() && algo == JoinAlgo::kSortMerge) {
+    if (!keys.empty() && tp.join_algo == JoinAlgo::kSortMerge) {
       // Sort-merge join: order both sides by the key columns and walk equal-
       // key groups with two pointers. Value::Compare is a total order whose
       // zero coincides with the hash join's key equality (int/double coerce
@@ -1165,77 +986,43 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
       sorted_cols = std::move(left_cols);
     } else if (!keys.empty()) {
       // Hash join: build on the new (filtered) table, probe with the
-      // accumulated rows. NULL keys never join, matching the legacy fold.
+      // accumulated rows. NULL keys never join. In parallel, workers slice
+      // the build side into per-morsel per-partition key lists, then each
+      // partition's table is assembled by one worker walking the morsels in
+      // order — so every bucket's match list is in build-side row order,
+      // exactly like serial insertion. Probe morsels then hit the partitions
+      // directly (same RowHash picks the partition and the bucket) and stitch
+      // their outputs in accumulated-row order. Serially the same code runs
+      // inline as one morsel and one partition.
       ++stats_->hash_joins;
-      const size_t grain = Grain();
-      if (ParallelEnabled() &&
-          (base_rows.size() > grain || rows.size() > grain)) {
-        // Partitioned parallel build: workers slice the build side into
-        // per-morsel per-partition key lists, then each partition's table is
-        // assembled by one worker walking the morsels in order — so every
-        // bucket's match list is in build-side row order, exactly like the
-        // serial insertion order. Probe morsels then hit the partitions
-        // directly (same RowHash picks the partition and the bucket) and
-        // stitch their outputs in accumulated-row order.
-        using BuildMap =
-            std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq>;
-        constexpr size_t kPartitions = 64;
-        const size_t bmorsels = (base_rows.size() + grain - 1) / grain;
-        std::vector<std::vector<std::vector<std::pair<uint32_t, Row>>>> parts(
-            bmorsels,
-            std::vector<std::vector<std::pair<uint32_t, Row>>>(kPartitions));
-        pool_->ParallelFor(base_rows.size(), grain, [&](size_t b, size_t e) {
-          auto& my = parts[b / grain];
-          for (size_t i = b; i < e; ++i) {
-            const Row& trow = base_rows[i];
-            Row key;
-            key.reserve(keys.size());
-            bool has_null = false;
-            for (const EquiKey& k : keys) {
-              if (trow[k.new_col].is_null()) has_null = true;
-              key.push_back(trow[k.new_col]);
-            }
-            if (has_null) continue;
-            const size_t p = RowHash{}(key) % kPartitions;
-            my[p].emplace_back(static_cast<uint32_t>(i), std::move(key));
-          }
-        });
-        std::vector<BuildMap> build(kPartitions);
-        pool_->ParallelFor(kPartitions, 1, [&](size_t pb, size_t pe) {
-          for (size_t p = pb; p < pe; ++p) {
-            for (size_t m = 0; m < bmorsels; ++m) {
-              for (std::pair<uint32_t, Row>& kv : parts[m][p]) {
-                build[p][std::move(kv.second)].push_back(
-                    &base_rows[kv.first]);
-              }
-            }
-          }
-        });
-        auto probe_body = [&](size_t b, size_t e, std::vector<Row>& out,
-                              ExecStats&) -> Status {
-          for (size_t i = b; i < e; ++i) {
-            const Row& base = rows[i];
-            Row probe;
-            probe.reserve(keys.size());
-            bool has_null = false;
-            for (const EquiKey& k : keys) {
-              if (base[k.existing_col].is_null()) has_null = true;
-              probe.push_back(base[k.existing_col]);
-            }
-            if (has_null) continue;
-            const BuildMap& part = build[RowHash{}(probe) % kPartitions];
-            auto it = part.find(probe);
-            if (it == part.end()) continue;
-            for (const Row* trow : it->second) {
-              SFSQL_RETURN_IF_ERROR(emit_row(base, *trow, out));
-            }
-          }
-          return Status::OK();
-        };
-        SFSQL_RETURN_IF_ERROR(RowLoop(rows.size(), grain, probe_body, joined));
-      } else {
-        std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq> build;
-        for (const Row& trow : base_rows) {
+      using BuildMap =
+          std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq>;
+      const bool parallel =
+          ParallelEnabled() &&
+          (base_rows.size() > Grain() || rows.size() > Grain());
+      const size_t partitions = parallel ? 64 : 1;
+      const size_t grain =
+          parallel ? Grain() : std::max<size_t>(1, base_rows.size());
+      auto partition_of = [partitions](const Row& key) -> size_t {
+        return partitions == 1 ? 0 : RowHash{}(key) % partitions;
+      };
+      auto for_morsels = [&](size_t count, size_t step,
+                             const std::function<void(size_t, size_t)>& body) {
+        if (parallel) {
+          pool_->ParallelFor(count, step, body);
+        } else {
+          body(0, count);
+        }
+      };
+      const size_t bmorsels =
+          std::max<size_t>(1, (base_rows.size() + grain - 1) / grain);
+      std::vector<std::vector<std::vector<std::pair<uint32_t, Row>>>> parts(
+          bmorsels,
+          std::vector<std::vector<std::pair<uint32_t, Row>>>(partitions));
+      for_morsels(base_rows.size(), grain, [&](size_t b, size_t e) {
+        auto& my = parts[b / grain];
+        for (size_t i = b; i < e; ++i) {
+          const Row& trow = base_rows[i];
           Row key;
           key.reserve(keys.size());
           bool has_null = false;
@@ -1244,9 +1031,24 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
             key.push_back(trow[k.new_col]);
           }
           if (has_null) continue;
-          build[std::move(key)].push_back(&trow);
+          my[partition_of(key)].emplace_back(static_cast<uint32_t>(i),
+                                             std::move(key));
         }
-        for (const Row& base : rows) {
+      });
+      std::vector<BuildMap> build(partitions);
+      for_morsels(partitions, 1, [&](size_t pb, size_t pe) {
+        for (size_t p = pb; p < pe; ++p) {
+          for (size_t m = 0; m < bmorsels; ++m) {
+            for (std::pair<uint32_t, Row>& kv : parts[m][p]) {
+              build[p][std::move(kv.second)].push_back(&base_rows[kv.first]);
+            }
+          }
+        }
+      });
+      auto probe_body = [&](size_t b, size_t e, std::vector<Row>& out,
+                            ExecStats&) -> Status {
+        for (size_t i = b; i < e; ++i) {
+          const Row& base = rows[i];
           Row probe;
           probe.reserve(keys.size());
           bool has_null = false;
@@ -1255,13 +1057,16 @@ Result<std::vector<Row>> BlockExecutor::BuildFromRowsPlanned(
             probe.push_back(base[k.existing_col]);
           }
           if (has_null) continue;
-          auto it = build.find(probe);
-          if (it == build.end()) continue;
+          const BuildMap& part = build[partition_of(probe)];
+          auto it = part.find(probe);
+          if (it == part.end()) continue;
           for (const Row* trow : it->second) {
-            SFSQL_RETURN_IF_ERROR(emit_if_passes(base, *trow));
+            SFSQL_RETURN_IF_ERROR(emit_row(base, *trow, out));
           }
         }
-      }
+        return Status::OK();
+      };
+      SFSQL_RETURN_IF_ERROR(RowLoop(rows.size(), Grain(), probe_body, joined));
     } else {
       for (const Row& base : rows) {
         for (const Row& trow : base_rows) {
@@ -1295,30 +1100,20 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
   std::vector<bool> conjunct_used(conjuncts.size(), false);
 
   BlockSchema schema;
-  std::vector<Row> rows;
-  {
-    const BlockPlan* plan = nullptr;
-    if (config_->use_index_scan && !stmt.from.empty()) {
-      plan = &GetPlan(stmt, conjuncts);
-      if (!plan->usable) plan = nullptr;  // legacy fold reproduces the edge
-    }
-    if (root && info_ != nullptr && plan != nullptr) {
-      info_->access_paths = ExplainPlan(*db_, *plan);
-    }
-    Result<std::vector<Row>> built =
-        plan != nullptr
-            ? BuildFromRowsPlanned(*plan, schema, outer, conjuncts,
-                                   conjunct_used)
-            : BuildFromRows(stmt, schema, outer, conjuncts, conjunct_used);
-    if (!built.ok()) return built.status();
-    rows = std::move(*built);
-    if (root && info_ != nullptr && plan != nullptr) {
-      // Estimated vs actual rows out of the join fold, both pre-residual —
-      // the q-error the cost model is judged on.
-      info_->estimated_join_rows = plan->estimated_output_rows;
-      info_->actual_join_rows = rows.size();
-      info_->has_join_actuals = true;
-    }
+  const Result<BlockPlan>& planned = GetPlan(stmt, conjuncts);
+  if (!planned.ok()) return planned.status();
+  const BlockPlan& plan = *planned;
+  if (root && info_ != nullptr) {
+    info_->access_paths = ExplainPlan(*db_, plan);
+  }
+  SFSQL_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                         FoldJoin(plan, schema, outer, conjuncts, conjunct_used));
+  if (root && info_ != nullptr) {
+    // Estimated vs actual rows out of the join fold, both pre-residual —
+    // the q-error the cost model is judged on.
+    info_->estimated_join_rows = plan.estimated_output_rows;
+    info_->actual_join_rows = rows.size();
+    info_->has_join_actuals = true;
   }
 
   // Final filter: conjuncts not consumed by the pipeline (subqueries,
@@ -1362,9 +1157,7 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
   auto expand_star = [&](const Expr& star, Row& out_row, const Row& src,
                          bool label_pass) {
     for (size_t si = 0; si < schema.slots.size(); ++si) {
-      const Slot& slot = schema.slots[schema.star_order.empty()
-                                          ? si
-                                          : schema.star_order[si]];
+      const Slot& slot = schema.slots[schema.star_order[si]];
       if (star.relation.specified() &&
           ToLower(star.relation.name) != slot.binding_lower) {
         continue;
@@ -1595,11 +1388,7 @@ void Executor::EnableMetrics(obs::MetricsRegistry* registry,
     clock_ = nullptr;
     execute_total_ = execute_errors_ = execute_rows_ = nullptr;
     execute_seconds_ = nullptr;
-    index_scans_total_ = table_scans_total_ = index_joins_total_ = nullptr;
-    hash_joins_total_ = sort_merge_joins_total_ = nullptr;
-    merge_sorts_skipped_total_ = nullptr;
-    rows_pruned_total_ = pushed_predicates_total_ = nullptr;
-    chunks_pruned_total_ = rows_scanned_total_ = nullptr;
+    for (obs::Counter*& m : counter_metrics_) m = nullptr;
     return;
   }
   clock_ = obs::ClockOrSteady(clock);
@@ -1611,33 +1400,11 @@ void Executor::EnableMetrics(obs::MetricsRegistry* registry,
                                        "Result rows materialized");
   execute_seconds_ = registry->GetHistogram(
       "sfsql_execute_seconds", "Execution wall time", obs::LatencyBuckets());
-  index_scans_total_ = registry->GetCounter(
-      "sfsql_exec_index_scans_total", "Base tables answered by an IndexScan");
-  table_scans_total_ = registry->GetCounter(
-      "sfsql_exec_table_scans_total", "Base tables answered by a full scan");
-  index_joins_total_ = registry->GetCounter(
-      "sfsql_exec_index_joins_total",
-      "Base tables answered by an index nested-loop join");
-  hash_joins_total_ = registry->GetCounter(
-      "sfsql_exec_hash_joins_total", "Fold steps answered by a hash join");
-  sort_merge_joins_total_ = registry->GetCounter(
-      "sfsql_exec_sort_merge_joins_total",
-      "Fold steps answered by a sort-merge join");
-  merge_sorts_skipped_total_ = registry->GetCounter(
-      "sfsql_exec_merge_sorts_skipped_total",
-      "Sort-merge inputs already sorted by the key (sort skipped)");
-  rows_pruned_total_ = registry->GetCounter(
-      "sfsql_exec_rows_pruned_total",
-      "Base rows eliminated below the join by pushed predicates");
-  pushed_predicates_total_ = registry->GetCounter(
-      "sfsql_exec_pushed_predicates_total",
-      "Predicates evaluated below the join (index-answered or per base row)");
-  chunks_pruned_total_ = registry->GetCounter(
-      "sfsql_exec_chunks_pruned_total",
-      "Chunks skipped by scans via per-chunk min/max statistics");
-  rows_scanned_total_ = registry->GetCounter(
-      "sfsql_exec_rows_scanned_total",
-      "Base rows read from storage (scans, index scans, and index joins)");
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    counter_metrics_[i] = registry->GetCounter(
+        StrCat("sfsql_exec_", kExecCounters[i].name, "_total"),
+        kExecCounters[i].help);
+  }
 }
 
 Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
@@ -1663,17 +1430,10 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
   }
   const double seconds =
       timing ? obs::NanosToSeconds(clock->NowNanos() - start) : 0.0;
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  index_scans_.fetch_add(stats.index_scans, kRelaxed);
-  table_scans_.fetch_add(stats.table_scans, kRelaxed);
-  index_joins_.fetch_add(stats.index_joins, kRelaxed);
-  hash_joins_.fetch_add(stats.hash_joins, kRelaxed);
-  sort_merge_joins_.fetch_add(stats.sort_merge_joins, kRelaxed);
-  merge_sorts_skipped_.fetch_add(stats.merge_sorts_skipped, kRelaxed);
-  rows_pruned_.fetch_add(stats.rows_pruned, kRelaxed);
-  pushed_predicates_.fetch_add(stats.pushed_predicates, kRelaxed);
-  chunks_pruned_.fetch_add(stats.chunks_pruned, kRelaxed);
-  rows_scanned_.fetch_add(stats.rows_scanned, kRelaxed);
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    totals_[i].fetch_add(stats.*kExecCounters[i].field,
+                         std::memory_order_relaxed);
+  }
   if (execute_seconds_ != nullptr) {
     execute_seconds_->Observe(seconds);
     execute_total_->Increment();
@@ -1682,16 +1442,9 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
     } else {
       execute_errors_->Increment();
     }
-    index_scans_total_->Increment(stats.index_scans);
-    table_scans_total_->Increment(stats.table_scans);
-    index_joins_total_->Increment(stats.index_joins);
-    hash_joins_total_->Increment(stats.hash_joins);
-    sort_merge_joins_total_->Increment(stats.sort_merge_joins);
-    merge_sorts_skipped_total_->Increment(stats.merge_sorts_skipped);
-    rows_pruned_total_->Increment(stats.rows_pruned);
-    pushed_predicates_total_->Increment(stats.pushed_predicates);
-    chunks_pruned_total_->Increment(stats.chunks_pruned);
-    rows_scanned_total_->Increment(stats.rows_scanned);
+    for (size_t i = 0; i < kNumExecCounters; ++i) {
+      counter_metrics_[i]->Increment(stats.*kExecCounters[i].field);
+    }
   }
   if (info != nullptr) {
     info->stats = stats;
@@ -1711,12 +1464,9 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
     w.KV("ok", out.ok());
     w.KV("rows_returned",
          static_cast<unsigned long long>(out.ok() ? out->rows.size() : 0));
-    w.KV("rows_scanned", static_cast<unsigned long long>(stats.rows_scanned));
-    w.KV("index_scans", static_cast<unsigned long long>(stats.index_scans));
-    w.KV("table_scans", static_cast<unsigned long long>(stats.table_scans));
-    w.KV("index_joins", static_cast<unsigned long long>(stats.index_joins));
-    w.KV("chunks_pruned",
-         static_cast<unsigned long long>(stats.chunks_pruned));
+    for (const ExecCounter& c : kExecCounters) {
+      w.KV(c.name, static_cast<unsigned long long>(stats.*c.field));
+    }
     w.EndObject();
     std::string line = w.TakeString();
     line += '\n';
@@ -1730,18 +1480,10 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
 }
 
 ExecStats Executor::stats() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   ExecStats s;
-  s.index_scans = index_scans_.load(kRelaxed);
-  s.table_scans = table_scans_.load(kRelaxed);
-  s.index_joins = index_joins_.load(kRelaxed);
-  s.hash_joins = hash_joins_.load(kRelaxed);
-  s.sort_merge_joins = sort_merge_joins_.load(kRelaxed);
-  s.merge_sorts_skipped = merge_sorts_skipped_.load(kRelaxed);
-  s.rows_pruned = rows_pruned_.load(kRelaxed);
-  s.pushed_predicates = pushed_predicates_.load(kRelaxed);
-  s.chunks_pruned = chunks_pruned_.load(kRelaxed);
-  s.rows_scanned = rows_scanned_.load(kRelaxed);
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    s.*kExecCounters[i].field = totals_[i].load(std::memory_order_relaxed);
+  }
   return s;
 }
 
@@ -1750,8 +1492,9 @@ std::vector<TableAccessExplain> Executor::ExplainAccessPaths(
   auto lock = db_->ReadLock();
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(stmt.where.get(), conjuncts);
-  if (!config_.use_index_scan) return {};
-  return ExplainPlan(*db_, PlanBlock(*db_, stmt, conjuncts, config_));
+  Result<BlockPlan> plan = PlanBlock(*db_, stmt, conjuncts, config_);
+  if (!plan.ok()) return {};
+  return ExplainPlan(*db_, *plan);
 }
 
 Result<QueryResult> Executor::ExecuteSql(std::string_view sql_text) {

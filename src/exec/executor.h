@@ -36,8 +36,7 @@ struct QueryResult {
 
 /// Everything one Execute call did, reported back to the caller (the engine's
 /// profile capture). Unlike Executor::stats(), these are per-call, not
-/// cumulative; `access_paths` covers the top-level block only (empty when the
-/// planner fell back to the naive fold).
+/// cumulative; `access_paths` covers the top-level block only.
 struct ExecInfo {
   ExecStats stats;
   std::vector<TableAccessExplain> access_paths;
@@ -46,10 +45,9 @@ struct ExecInfo {
   /// Cost-model estimate vs actual rows out of the top-level block's join
   /// fold, both measured before the post-join residual filter — the q-error
   /// inputs (q = max(est, act) / min(est, act), with both floored at 1).
-  /// estimated < 0 means the cost model did not run for this statement.
   double estimated_join_rows = -1.0;
   uint64_t actual_join_rows = 0;
-  bool has_join_actuals = false;  ///< true when the planned fold executed
+  bool has_join_actuals = false;  ///< true once the join fold executed
 };
 
 /// Evaluates fully specified SQL SELECT statements against an in-memory
@@ -71,10 +69,11 @@ struct ExecInfo {
 /// Statements containing unresolved schema-free elements are rejected with
 /// kExecutionError — translate them first (core/).
 ///
-/// Execution is index-aware: before running a block, an access-path plan
+/// Every block runs one planned fold: the access-path planner
 /// (exec/access_path) routes sargable WHERE conjuncts through the per-column
-/// indexes and pushes per-table predicates below the join; ExecConfig
-/// controls the planner (use_index_scan = false forces the naive fold).
+/// indexes and chunk statistics and pushes per-table predicates below the
+/// join, and the cost model (exec/cost_model) orders the fold and picks each
+/// step's join algorithm (hash, index nested-loop, sort-merge, nested-loop).
 /// Execute holds Database::ReadLock() for its whole duration, which pins row
 /// counts so IndexScan row ids stay exactly valid (column_index.h documents
 /// the staleness contract) and makes Execute safe to race against inserts.
@@ -90,13 +89,8 @@ class Executor {
 
   /// Publishes per-execution metrics into `registry`:
   ///   sfsql_execute_total, sfsql_execute_errors_total,
-  ///   sfsql_execute_seconds (histogram), sfsql_execute_rows_total,
-  ///   sfsql_exec_index_scans_total, sfsql_exec_table_scans_total,
-  ///   sfsql_exec_index_joins_total, sfsql_exec_hash_joins_total,
-  ///   sfsql_exec_sort_merge_joins_total,
-  ///   sfsql_exec_merge_sorts_skipped_total, sfsql_exec_rows_pruned_total,
-  ///   sfsql_exec_pushed_predicates_total, sfsql_exec_chunks_pruned_total,
-  ///   sfsql_exec_rows_scanned_total.
+  ///   sfsql_execute_seconds (histogram), sfsql_execute_rows_total, and
+  ///   sfsql_exec_<name>_total for every counter in kExecCounters.
   /// Null `registry` (the default state) disables metrics entirely; `clock`
   /// overrides the steady clock for the latency histogram (tests).
   void EnableMetrics(obs::MetricsRegistry* registry,
@@ -116,8 +110,8 @@ class Executor {
   ExecStats stats() const;
 
   /// Plans the top-level block of `stmt` under the current config and
-  /// returns its EXPLAIN view without executing (empty when the planner
-  /// falls back to the naive fold). Takes the database read lock itself.
+  /// returns its EXPLAIN view without executing (empty when planning fails,
+  /// e.g. on an unknown relation). Takes the database read lock itself.
   std::vector<TableAccessExplain> ExplainAccessPaths(
       const sql::SelectStatement& stmt) const;
 
@@ -136,26 +130,9 @@ class Executor {
   obs::Counter* execute_errors_ = nullptr;
   obs::Counter* execute_rows_ = nullptr;
   obs::Histogram* execute_seconds_ = nullptr;
-  obs::Counter* index_scans_total_ = nullptr;
-  obs::Counter* table_scans_total_ = nullptr;
-  obs::Counter* index_joins_total_ = nullptr;
-  obs::Counter* hash_joins_total_ = nullptr;
-  obs::Counter* sort_merge_joins_total_ = nullptr;
-  obs::Counter* merge_sorts_skipped_total_ = nullptr;
-  obs::Counter* rows_pruned_total_ = nullptr;
-  obs::Counter* pushed_predicates_total_ = nullptr;
-  obs::Counter* chunks_pruned_total_ = nullptr;
-  obs::Counter* rows_scanned_total_ = nullptr;
-  std::atomic<uint64_t> index_scans_{0};
-  std::atomic<uint64_t> table_scans_{0};
-  std::atomic<uint64_t> index_joins_{0};
-  std::atomic<uint64_t> hash_joins_{0};
-  std::atomic<uint64_t> sort_merge_joins_{0};
-  std::atomic<uint64_t> merge_sorts_skipped_{0};
-  std::atomic<uint64_t> rows_pruned_{0};
-  std::atomic<uint64_t> pushed_predicates_{0};
-  std::atomic<uint64_t> chunks_pruned_{0};
-  std::atomic<uint64_t> rows_scanned_{0};
+  /// Per-counter metrics and cumulative totals, parallel to kExecCounters.
+  obs::Counter* counter_metrics_[kNumExecCounters] = {};
+  std::atomic<uint64_t> totals_[kNumExecCounters] = {};
 };
 
 }  // namespace sfsql::exec

@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -93,7 +94,12 @@ Result<std::vector<Token>> Lex(std::string_view input) {
         tok.double_value = std::strtod(tok.text.c_str(), nullptr);
       } else {
         tok.type = TokenType::kIntLiteral;
+        errno = 0;
         tok.int_value = std::strtoll(tok.text.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          return Status::ParseError(StrCat("integer literal ", tok.text,
+                                           " out of range at position ", start));
+        }
       }
       tokens.push_back(std::move(tok));
       continue;

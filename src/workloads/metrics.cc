@@ -106,14 +106,10 @@ void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
   }
   if (executor != nullptr) {
     const exec::ExecStats e = executor->stats();
-    report->SetMetric("exec_index_scans", static_cast<double>(e.index_scans));
-    report->SetMetric("exec_table_scans", static_cast<double>(e.table_scans));
-    report->SetMetric("exec_index_joins", static_cast<double>(e.index_joins));
-    report->SetMetric("exec_rows_pruned", static_cast<double>(e.rows_pruned));
-    report->SetMetric("exec_pushed_predicates",
-                      static_cast<double>(e.pushed_predicates));
-    report->SetMetric("exec_chunks_pruned",
-                      static_cast<double>(e.chunks_pruned));
+    for (const exec::ExecCounter& c : exec::kExecCounters) {
+      report->SetMetric(StrCat("exec_", c.name),
+                        static_cast<double>(e.*c.field));
+    }
   }
 }
 
@@ -241,6 +237,27 @@ Result<bool> TranslationMatchesGold(const storage::Database& db,
                          executor.Execute(*translation.statement));
   SFSQL_ASSIGN_OR_RETURN(exec::QueryResult want, executor.ExecuteSql(gold_sql));
   return got.SameRows(want);
+}
+
+namespace {
+
+ExprPtr DoubleNegateConjuncts(ExprPtr e) {
+  if (e->kind == ExprKind::kBinary && e->bop == sql::BinaryOp::kAnd) {
+    e->lhs = DoubleNegateConjuncts(std::move(e->lhs));
+    e->rhs = DoubleNegateConjuncts(std::move(e->rhs));
+    return e;
+  }
+  return Expr::Unary(sql::UnaryOp::kNot,
+                     Expr::Unary(sql::UnaryOp::kNot, std::move(e)));
+}
+
+}  // namespace
+
+Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
+                                      std::string_view sql) {
+  SFSQL_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
+  if (stmt->where) stmt->where = DoubleNegateConjuncts(std::move(stmt->where));
+  return executor.Execute(*stmt);
 }
 
 }  // namespace sfsql::workloads

@@ -19,8 +19,8 @@ namespace sfsql::workloads {
 /// column-index counters — probes answered by index vs. scan, index builds
 /// and build time, LIKE candidates verified — plus, when `engine` is given,
 /// its satisfiability-memo hit/miss counters, and when `executor` is given,
-/// its cumulative access-path counters (index scans vs table scans, rows
-/// pruned below the join, predicates pushed).
+/// its cumulative access-path counters as exec_<name> for every counter in
+/// exec::kExecCounters.
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
                        const core::SchemaFreeEngine* engine = nullptr,
                        const exec::Executor* executor = nullptr);
@@ -68,6 +68,15 @@ Result<core::NetworkSummary> AnalyzeGold(const catalog::Catalog& catalog,
 Result<bool> TranslationMatchesGold(const storage::Database& db,
                                     const core::Translation& translation,
                                     std::string_view gold_sql);
+
+/// Executes the NoREC twin of `sql` (Rigger & Su, ESEC/FSE 2020): the same
+/// statement with every top-level WHERE conjunct c rewritten as
+/// NOT (NOT (c)). Under the executor's two-valued logic the twin means the
+/// same thing, but no twin conjunct is sargable or an equi-join edge, so it
+/// runs on full scans, per-row predicates and nested-loop joins — the
+/// differential oracle for index scans, pruning and the join operators.
+Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
+                                      std::string_view sql);
 
 }  // namespace sfsql::workloads
 

@@ -5,12 +5,12 @@
 //    53-query movie43 workload at 10x the differential-suite scale must keep
 //    its median at or below 4.
 //  * Sort-merge correctness — the forced sort-merge operator must be
-//    row-multiset-identical to the hash-join and naive folds on joins with
-//    NULL keys (which match nothing), duplicate-heavy keys, and composite
-//    keys.
+//    row-multiset-identical to the hash join and to the query's NoREC twin
+//    (nested-loop joins, full scans) on joins with NULL keys (which match
+//    nothing), duplicate-heavy keys, and composite keys.
 //  * Plan shape — the join-order DP must anchor a star query on the filtered
-//    dimension (where the greedy order falls into the tiny-unfiltered-table
-//    trap), annotate every later fold step with an algorithm verdict and
+//    dimension (not the tiny unfiltered table a min-cardinality-first order
+//    would pick), annotate every later fold step with an algorithm verdict and
 //    monotone cumulative cost, and keep FROM order when the block is not
 //    reorder-safe.
 
@@ -27,6 +27,7 @@
 #include "sql/parser.h"
 #include "storage/database.h"
 #include "workloads/datagen.h"
+#include "workloads/metrics.h"
 #include "workloads/movie43.h"
 #include "workloads/schema_builder.h"
 
@@ -42,7 +43,8 @@ using storage::Value;
 using workloads::DataGenerator;
 using workloads::SchemaBuilder;
 
-// The star schema from bench_execute's cost-vs-greedy section, at test scale.
+// The star schema from bench_execute's cost-based planning section, at test
+// scale.
 std::unique_ptr<Database> SalesDb(uint64_t seed, int orders, int customers,
                                   int products, int stores) {
   SchemaBuilder b;
@@ -145,28 +147,26 @@ TEST(CostModelTest, QErrorMedianOnMovie43WorkloadAt10x) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-merge vs hash vs naive differential.
+// Sort-merge vs hash vs twin differential. The twin (every top-level WHERE
+// conjunct c as NOT (NOT (c))) has no equi edges, so it joins by nested loop.
 
 void ExpectThreeWayAgreement(const Database* db, const std::string& sql,
                              bool expect_sort_merge) {
-  ExecConfig naive;
-  naive.use_index_scan = false;
   ExecConfig hash;  // cost model on; its picks at this scale are hash/iNL
   ExecConfig merge;
   merge.force_sort_merge = true;
 
-  Executor naive_ex(db, naive);
   Executor hash_ex(db, hash);
   Executor merge_ex(db, merge);
-  auto a = naive_ex.ExecuteSql(sql);
+  auto a = workloads::ExecuteTwin(hash_ex, sql);
   auto b = hash_ex.ExecuteSql(sql);
   auto c = merge_ex.ExecuteSql(sql);
   ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
   ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
   ASSERT_TRUE(c.ok()) << sql << ": " << c.status().ToString();
-  EXPECT_TRUE(a->SameRows(*b)) << sql << "\n  naive " << a->rows.size()
+  EXPECT_TRUE(a->SameRows(*b)) << sql << "\n  twin " << a->rows.size()
                                << " vs hash " << b->rows.size();
-  EXPECT_TRUE(a->SameRows(*c)) << sql << "\n  naive " << a->rows.size()
+  EXPECT_TRUE(a->SameRows(*c)) << sql << "\n  twin " << a->rows.size()
                                << " vs sort-merge " << c->rows.size();
   if (expect_sort_merge) {
     EXPECT_GE(merge_ex.stats().sort_merge_joins, 1u) << sql;
@@ -245,17 +245,13 @@ TEST(CostModelTest, DpAnchorsOnFilteredDimensionWhereGreedyTakesTinyTable) {
   }
   EXPECT_LE(plan[1].est_cost_cumulative, plan[2].est_cost_cumulative);
 
-  // The greedy baseline takes the trap: globally-min cardinality first.
-  ExecConfig greedy_cfg;
-  greedy_cfg.use_cost_model = false;
-  Executor greedy_ex(db.get(), greedy_cfg);
-  std::vector<TableAccessExplain> greedy = greedy_ex.ExplainAccessPaths(**parsed);
-  ASSERT_EQ(greedy.size(), 3u);
-  EXPECT_EQ(greedy[0].binding, "store");
-
-  // Different orders, identical results.
+  // The planned order and the twin's nested loops give identical results.
   auto a = cost_ex.Execute(**parsed);
-  auto b = greedy_ex.Execute(**parsed);
+  auto b = workloads::ExecuteTwin(
+      cost_ex,
+      "SELECT COUNT(*) FROM Orders, Customer, Store "
+      "WHERE Orders.customer_id = Customer.customer_id "
+      "AND Orders.store_id = Store.store_id AND Customer.city = 'Kyoto'");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->SameRows(*b));
@@ -278,12 +274,10 @@ TEST(CostModelTest, FixedOrderQueriesStillGetAlgorithmVerdicts) {
   EXPECT_EQ(plan[1].binding, "customer");
   EXPECT_FALSE(plan[1].join_algo.empty());
 
-  // And the fixed-order planned fold agrees with the naive one.
-  ExecConfig naive;
-  naive.use_index_scan = false;
-  Executor naive_ex(db.get(), naive);
+  // And the fixed-order planned fold agrees with its twin.
   auto a = ex.Execute(**parsed);
-  auto b = naive_ex.ExecuteSql(
+  auto b = workloads::ExecuteTwin(
+      ex,
       "SELECT SUM(Orders.quantity) FROM Orders, Customer "
       "WHERE Orders.customer_id = Customer.customer_id "
       "AND Customer.city = 'Oslo'");

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "exec/executor.h"
 #include "workloads/datagen.h"
@@ -57,6 +59,68 @@ TEST_F(ExecEdgeTest, ArithmeticNullAndDivision) {
   EXPECT_TRUE(r.rows[0][2].is_null());  // division by zero -> NULL
   EXPECT_TRUE(r.rows[0][3].is_null());
   EXPECT_TRUE(r.rows[0][4].is_null());
+}
+
+// Integer overflow is a typed error, never a trap or a wrapped value.
+class ExecOverflowTest : public ExecEdgeTest {
+ protected:
+  void ExpectOverflow(const std::string& sql) {
+    auto r = exec_.ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql << " returned "
+                         << (r.ok() ? r->ToString() : "");
+    EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+    EXPECT_EQ(r.status().message(), "integer overflow") << sql;
+  }
+};
+
+TEST_F(ExecOverflowTest, Addition) {
+  ExpectOverflow("SELECT 9223372036854775807 + 1");
+}
+
+TEST_F(ExecOverflowTest, Subtraction) {
+  ExpectOverflow("SELECT 0 - 9223372036854775807 - 2");
+}
+
+TEST_F(ExecOverflowTest, Multiplication) {
+  ExpectOverflow("SELECT 4611686018427387904 * 2");
+}
+
+TEST_F(ExecOverflowTest, Division) {
+  ExpectOverflow("SELECT (0 - 9223372036854775807 - 1) / (0 - 1)");
+}
+
+TEST_F(ExecOverflowTest, Modulo) {
+  ExpectOverflow("SELECT (0 - 9223372036854775807 - 1) % (0 - 1)");
+}
+
+TEST_F(ExecOverflowTest, UnaryMinus) {
+  ExpectOverflow("SELECT -(0 - 9223372036854775807 - 1)");
+}
+
+TEST_F(ExecOverflowTest, UnaryMinusInGroupedExpression) {
+  ExpectOverflow(
+      "SELECT -(MIN(release_year) - MIN(release_year) - 9223372036854775807 "
+      "- 1) FROM Movie");
+}
+
+TEST_F(ExecOverflowTest, Abs) {
+  ExpectOverflow("SELECT abs(0 - 9223372036854775807 - 1)");
+}
+
+TEST_F(ExecOverflowTest, IntegerSum) {
+  ExpectOverflow(
+      "SELECT SUM(9223372036854775807 - release_year + 1980) FROM Movie");
+}
+
+TEST_F(ExecOverflowTest, LimitsThemselvesStillCompute) {
+  QueryResult r = Run(
+      "SELECT 9223372036854775807 + 0, (0 - 9223372036854775807 - 1) / 1, "
+      "abs(0 - 9223372036854775807), 9223372036854775807.0 + 1");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(r.rows[0][1].AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(r.rows[0][2].AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(r.rows[0][3].is_double());
 }
 
 TEST_F(ExecEdgeTest, StringConcatViaPlus) {

@@ -119,7 +119,7 @@ TEST(ExecParallelDifferentialTest, AllMovie43WorkloadQueries) {
 
 // Star-schema joins: a fact table big enough for multi-chunk scans, the
 // parallel hash-join build/probe, and index nested-loop probes. The queries
-// mirror bench_execute's join workload (greedy-trap FROM shapes).
+// mirror bench_execute's join workload (min-cardinality-trap FROM shapes).
 TEST(ExecParallelDifferentialTest, StarSchemaJoinQueries) {
   workloads::SchemaBuilder b;
   b.Rel("Customer", "customer_id:int*, name:str, city:str, signup_year:int");

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "exec/executor.h"
 #include "exec/like.h"
 #include "obs/clock.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 
 namespace sfsql::exec {
@@ -434,6 +437,37 @@ TEST(SlowExecuteTest, FastExecutionsAndDisabledThresholdStaySilent) {
   Executor disarmed(db.get(), config);
   ASSERT_TRUE(disarmed.ExecuteSql("SELECT name FROM Person").ok());
   EXPECT_TRUE(captured.empty());
+}
+
+// --- Counter descriptors ----------------------------------------------------
+
+TEST(ExecCountersTest, EveryDescriptorRegistersOneMetricMatchingStats) {
+  auto db = MovieDb();
+  obs::MetricsRegistry registry;
+  Executor exec(db.get());
+  exec.EnableMetrics(&registry);
+  auto r = exec.ExecuteSql(
+      "SELECT Movie.title FROM Person, Actor, Movie "
+      "WHERE Person.person_id = Actor.person_id "
+      "AND Actor.movie_id = Movie.movie_id AND Person.gender = 'female'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ExecStats stats = exec.stats();
+  EXPECT_GT(stats.rows_scanned, 0u);
+
+  std::map<std::string, std::vector<uint64_t>> exported;  // family -> values
+  registry.ForEachFamily([&](const obs::MetricsRegistry::Family& f) {
+    if (f.name.rfind("sfsql_exec_", 0) != 0) return;
+    for (const obs::MetricsRegistry::Series& series : f.series) {
+      ASSERT_NE(series.counter, nullptr) << f.name;
+      exported[f.name].push_back(series.counter->Value());
+    }
+  });
+  EXPECT_EQ(exported.size(), kNumExecCounters);
+  for (const ExecCounter& c : kExecCounters) {
+    const std::string name = std::string("sfsql_exec_") + c.name + "_total";
+    ASSERT_EQ(exported[name].size(), 1u) << name;
+    EXPECT_EQ(exported[name][0], stats.*c.field) << name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,6 +74,22 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Lex("'unterminated").ok());
   EXPECT_FALSE(Lex("1e+").ok());
   EXPECT_FALSE(Lex("@").ok());
+}
+
+TEST(LexerTest, IntegerLiteralRange) {
+  auto max = Lex("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].int_value, std::numeric_limits<int64_t>::max());
+  // Out-of-range literals are parse errors, not silently saturated values:
+  // -9223372036854775808 negates the literal 9223372036854775808, which
+  // int64 cannot hold.
+  for (const char* sql : {"SELECT -9223372036854775808",
+                          "SELECT 99999999999999999999",
+                          "SELECT 9223372036854775808"}) {
+    auto stmt = ParseSelect(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError) << sql;
+  }
 }
 
 // ---------------------------------------------------------------------------

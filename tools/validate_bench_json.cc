@@ -97,14 +97,14 @@ bool ValidateFile(const std::string& path) {
     return Fail(path, "no latency percentile triple (*_p50/_p95/_p99)");
   }
   // The execute bench must report its chunk-pruning counters (the cumulative
-  // executor counter from the run metadata and the wide-table pruning
-  // section's isolated count) and the cost-based planning section's
-  // speedup + estimation-quality metrics. Their absence means the columnar
-  // pruning path or the cost-vs-greedy comparison silently fell out of the
-  // bench.
+  // executor counter from the run metadata and the wide-table section's own
+  // count) and the cost-based planning section's throughput +
+  // estimation-quality metrics. Their absence means the columnar pruning
+  // path or the star-schema join section silently fell out of the bench.
   if (bench->string == "execute") {
     for (const char* key :
-         {"exec_chunks_pruned", "wide_chunks_pruned", "speedup_cost_vs_greedy",
+         {"exec_chunks_pruned", "wide_chunks_pruned",
+          "cost_join_queries_per_second",
           "join_qerror_median", "join_qerror_max",
           // Morsel-driven parallel section: serial-vs-parallel throughput,
           // the speedup, and the shared pool's counters. Their absence means
