@@ -1,17 +1,16 @@
 // Probe-level throughput of the §4.3 condition-satisfiability layer — the
 // (m+1)/(n+1) factor's existence checks — comparing the per-column indexes
-// (storage/column_index) against the full-scan fallback at growing data
-// sizes.
+// (storage/column_index) against a full scan at growing data sizes.
 //
 // Builds movie43 at --scale multiples of the base row count (default scales
 // 1, 10, 100), derives a deterministic probe workload from the data itself
 // (equality, inequalities, <>, IN lists, LIKE with wildcards / escapes /
 // wildcard-free — hits and misses, every relation and attribute), and answers
-// every probe through three mapper configurations:
-//   scan       — use_column_index off, memo off (the pre-index behavior)
-//   index      — column indexes on, memo off
-//   index+memo — column indexes on, sharded memo on (the default engine path)
-// All configurations must return identical answers; the bench cross-checks
+// every probe three ways:
+//   scan       — the reference scan (workloads::ScanConditionSatisfiable)
+//   index      — a mapper with its memo off: column indexes only
+//   index+memo — a mapper with the sharded memo on (the default engine path)
+// All three must return identical answers; the bench cross-checks
 // every probe and exits non-zero on any divergence. The lazy index builds are
 // triggered by one untimed warmup pass so the timed rounds measure
 // steady-state probe throughput; the one-time build cost is reported
@@ -107,20 +106,17 @@ struct RunResult {
   std::vector<double> round_seconds;  ///< per-round wall time (one full sweep)
 };
 
-RunResult RunProbes(const storage::Database* db, bool use_index,
-                    size_t memo_capacity, const std::vector<Probe>& probes,
-                    int rounds) {
-  core::SimilarityConfig sim;
-  sim.use_column_index = use_index;
-  sim.satisfiability_memo_capacity = memo_capacity;
-  core::RelationTreeMapper mapper(db, sim);
+/// Answers every probe `rounds` times through `probe`, timing each round.
+template <typename ProbeFn>
+RunResult RunProbes(const std::vector<Probe>& probes, int rounds,
+                    ProbeFn&& probe) {
   RunResult out;
   out.answers.reserve(probes.size());
   const auto start = std::chrono::steady_clock::now();
   for (int round = 0; round < rounds; ++round) {
     const auto round_start = std::chrono::steady_clock::now();
     for (const Probe& p : probes) {
-      const bool ans = mapper.ConditionSatisfiable(p.relation, p.attr, p.cond);
+      const bool ans = probe(p);
       if (round == 0) out.answers.push_back(ans ? 1 : 0);
     }
     out.round_seconds.push_back(
@@ -133,6 +129,18 @@ RunResult RunProbes(const storage::Database* db, bool use_index,
           .count();
   out.answered = static_cast<long long>(probes.size()) * rounds;
   return out;
+}
+
+/// Probes through a mapper (column indexes, plus the memo when
+/// `memo_capacity` > 0).
+RunResult RunMapper(const storage::Database* db, size_t memo_capacity,
+                    const std::vector<Probe>& probes, int rounds) {
+  core::SimilarityConfig sim;
+  sim.satisfiability_memo_capacity = memo_capacity;
+  core::RelationTreeMapper mapper(db, sim);
+  return RunProbes(probes, rounds, [&](const Probe& p) {
+    return mapper.ConditionSatisfiable(p.relation, p.attr, p.cond);
+  });
 }
 
 }  // namespace
@@ -190,19 +198,18 @@ int main(int argc, char** argv) {
     const std::vector<Probe> probes = BuildProbes(*db);
 
     const storage::ColumnIndexStats before = db->column_index_stats();
-    RunResult scan = RunProbes(db.get(), /*use_index=*/false,
-                               /*memo_capacity=*/0, probes, scan_rounds);
+    RunResult scan = RunProbes(probes, scan_rounds, [&](const Probe& p) {
+      return ScanConditionSatisfiable(*db, p.relation, p.attr, p.cond);
+    });
     // Untimed warmup pass: triggers every lazy index build so the timed
     // configurations measure steady-state probing; the build cost lands in
     // the index_builds / index_build_seconds deltas below.
-    (void)RunProbes(db.get(), /*use_index=*/true, /*memo_capacity=*/0, probes,
-                    1);
+    (void)RunMapper(db.get(), /*memo_capacity=*/0, probes, 1);
     const storage::ColumnIndexStats warmed = db->column_index_stats();
-    RunResult indexed = RunProbes(db.get(), /*use_index=*/true,
-                                  /*memo_capacity=*/0, probes, index_rounds);
-    RunResult memoized = RunProbes(db.get(), /*use_index=*/true,
-                                   /*memo_capacity=*/1 << 16, probes,
-                                   index_rounds);
+    RunResult indexed =
+        RunMapper(db.get(), /*memo_capacity=*/0, probes, index_rounds);
+    RunResult memoized =
+        RunMapper(db.get(), /*memo_capacity=*/1 << 16, probes, index_rounds);
     memo_round_seconds.insert(memo_round_seconds.end(),
                               memoized.round_seconds.begin(),
                               memoized.round_seconds.end());

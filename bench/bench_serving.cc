@@ -41,9 +41,9 @@
 
 #include "core/engine.h"
 #include "core/plan_cache.h"
+#include "core/profile.h"
 #include "obs/bench_report.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "workloads/metrics.h"
 #include "workloads/movie43.h"
 #include "workloads/serving.h"
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   // warmed identically, then the same Zipf stream through each. The ratio is
   // the price of always-on capture.
   obs::MetricsRegistry prof_registry;
-  obs::QueryProfileStore prof_store;
+  core::QueryProfileStore prof_store;
   core::EngineConfig prof_cfg;
   prof_cfg.metrics = &prof_registry;
   prof_cfg.profiles = &prof_store;

@@ -8,14 +8,11 @@
 namespace sfsql::obs {
 class Clock;
 class MetricsRegistry;
-class QueryProfileStore;
 }  // namespace sfsql::obs
 
-namespace sfsql::exec {
-class TaskPool;
-}  // namespace sfsql::exec
-
 namespace sfsql::core {
+
+class QueryProfileStore;  // core/profile.h
 
 /// Tuning parameters of the translator. Defaults are the values the paper's
 /// experiments settled on (§7.1): sigma = k_ref = c = 0.7 and k_def = 0.3.
@@ -46,16 +43,13 @@ struct SimilarityConfig {
   /// against an integer column). Keeps such attributes from winning the
   /// attribute binding on name similarity alone.
   double type_mismatch_penalty = 0.3;
-  /// Answer condition-satisfiability probes (the m of the (m+1)/(n+1) factor,
-  /// §4.3) from the lazily built per-column indexes instead of scanning every
-  /// row. Both paths return identical answers; `false` forces the scans, kept
-  /// for differential testing and benchmarking.
-  bool use_column_index = true;
   /// Capacity (entries) of the mapper's satisfiability memo: (relation, attr,
   /// canonical condition) -> bool, stamped with the relation's row count so
-  /// appends invalidate exactly. Probes repeat heavily across candidate
-  /// relation trees within one translation and across a workload; 0 disables
-  /// (each probe hits the index or scan directly).
+  /// appends invalidate exactly. The probes themselves (the m of the
+  /// (m+1)/(n+1) factor, §4.3) are answered by the lazily built per-column
+  /// indexes. Probes repeat heavily across candidate relation trees within one
+  /// translation and across a workload; 0 disables (each probe hits the index
+  /// directly).
   size_t satisfiability_memo_capacity = 1 << 16;
 };
 
@@ -72,18 +66,10 @@ struct GeneratorConfig {
   int max_jn_nodes = 12;
   /// Safety cap on expansions *per root-relation search*; a root's search
   /// stops (reporting what it has) if exceeded. Per-root rather than global so
-  /// truncation — and with it the result set — is deterministic regardless of
-  /// how the roots are scheduled across threads. Mostly relevant to the
-  /// Regular baseline, which has no isomorphism avoidance and explodes
-  /// combinatorially.
+  /// truncation — and with it the result set — does not depend on the order
+  /// the roots are searched in. Mostly relevant to the Regular baseline, which
+  /// has no isomorphism avoidance and explodes combinatorially.
   long long max_expansions = 5'000'000;
-  /// Number of worker threads for the per-root best-first searches of TopK /
-  /// TopKRightmost / TopKRegular. Each root relation's search is independent
-  /// (Algorithm 1 removes earlier roots from the graph, which we express as a
-  /// per-root banned set), so roots parallelize embarrassingly; results are
-  /// merged through the canonical-signature dedup and are bit-identical to
-  /// the serial path. 1 = serial (the default); 0 also means serial.
-  int num_threads = 1;
   /// Multiply each rt-mapped node's contribution by its normalized mapping
   /// similarity, so networks that bind relation trees to better-matching
   /// relations outrank structurally identical ones. With exactly specified
@@ -95,11 +81,6 @@ struct GeneratorConfig {
   /// tests run on a deterministic fake clock. Timings never influence search
   /// decisions, so the clock cannot perturb results.
   const obs::Clock* clock = nullptr;
-  /// Work-stealing pool the per-root searches fan out on when num_threads > 1
-  /// (borrowed; the engine wires in its shared pool at construction). Null
-  /// with num_threads > 1 falls back to the serial path — the generator no
-  /// longer spawns threads of its own.
-  exec::TaskPool* pool = nullptr;
 };
 
 struct EngineConfig {
@@ -107,16 +88,12 @@ struct EngineConfig {
   GeneratorConfig gen;
   /// Number of translations produced by default.
   int k = 10;
-  /// Worker threads for the per-root MTJN searches; copied into
-  /// gen.num_threads at engine construction (kept here so callers can tune
-  /// the whole engine from one knob). 1 = serial.
+  /// Threads of the engine's execution pool (exec/task_pool), which is sized
+  /// max(num_threads, exec_threads) - 1 workers. Translation is always
+  /// serial. 1 = serial execution (the default).
   int num_threads = 1;
-  /// Intra-query execution parallelism: morsel threads one Execute may use
-  /// (exec/task_pool). 0 = inherit num_threads (the default: one knob scales
-  /// both translate and execute); 1 = serial execution (bit-identical to the
-  /// pre-pool executor); N > 1 = up to N-way morsels. Translation and
-  /// execution share one engine-owned pool sized max(num_threads,
-  /// exec_threads) - 1 workers.
+  /// Morsel threads one Execute may use. 0 = inherit num_threads (the
+  /// default); 1 = serial execution; N > 1 = up to N-way morsels.
   int exec_threads = 0;
   /// Capacity (entries) of the engine's name-similarity memo. Similarity
   /// scores are pure functions of (name, name, q), so the cache is exact;
@@ -182,7 +159,7 @@ struct EngineConfig {
   /// within a few percent of serving throughput (see bench_serving's
   /// profiling on/off section); null disables capture entirely. Must outlive
   /// the engine. Queryable as the sys_queries relation (core/introspection).
-  obs::QueryProfileStore* profiles = nullptr;
+  QueryProfileStore* profiles = nullptr;
 };
 
 }  // namespace sfsql::core

@@ -10,10 +10,10 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/plan_cache.h"
+#include "core/profile.h"
 #include "exec/task_pool.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "sql/canonicalize.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -27,9 +27,6 @@ using sql::ExprPtr;
 /// Handles into the registry's translate families, resolved once at engine
 /// construction so the per-query path is pure lock-free atomic writes.
 struct PipelineMetrics {
-  static constexpr const char* kPhaseNames[5] = {"parse", "map", "graph",
-                                                 "generate", "compose"};
-
   explicit PipelineMetrics(obs::MetricsRegistry* reg) {
     translate_total =
         reg->GetCounter("sfsql_translate_total", "Translate calls");
@@ -41,47 +38,30 @@ struct PipelineMetrics {
     translate_seconds = reg->GetHistogram(
         "sfsql_translate_seconds", "End-to-end Translate wall time",
         obs::LatencyBuckets());
-    for (int i = 0; i < 5; ++i) {
-      phase_seconds[i] = reg->GetHistogram(
-          "sfsql_translate_phase_seconds", "Per-phase Translate wall time",
-          obs::LatencyBuckets(), obs::Labels{{"phase", kPhaseNames[i]}});
+    for (size_t i = 0; i < kNumTranslateCounters; ++i) {
+      const TranslateCounter& c = kTranslateCounters[i];
+      if (c.family == nullptr) continue;
+      obs::Labels labels;
+      if (c.label_key != nullptr) {
+        labels.push_back({c.label_key, c.label_value});
+      }
+      switch (c.metric) {
+        case obs::MetricType::kCounter:
+          counters[i] = reg->GetCounter(c.family, c.help, labels);
+          break;
+        case obs::MetricType::kGauge:
+          gauges[i] = reg->GetGauge(c.family, c.help, labels);
+          break;
+        case obs::MetricType::kHistogram:
+          histograms[i] = reg->GetHistogram(c.family, c.help,
+                                            obs::LatencyBuckets(), labels);
+          break;
+      }
     }
-    gen_pushed = reg->GetCounter("sfsql_generator_pushed_total",
-                                 "Partial join networks enqueued");
-    gen_popped = reg->GetCounter("sfsql_generator_popped_total",
-                                 "Partial join networks expanded");
-    gen_expansions = reg->GetCounter("sfsql_generator_expansions_total",
-                                     "Expansion attempts (edge or view)");
-    gen_pruned = reg->GetCounter(
-        "sfsql_generator_pruned_total",
-        "Partial join networks dropped by potential pruning");
-    gen_emitted = reg->GetCounter("sfsql_generator_emitted_total",
-                                  "MTJNs reaching a result set (pre-dedup)");
-    cache_hits = reg->GetCounter("sfsql_similarity_cache_hits_total",
-                                 "Similarity-cache hits");
-    cache_misses = reg->GetCounter("sfsql_similarity_cache_misses_total",
-                                   "Similarity-cache misses");
     cache_evictions = reg->GetCounter("sfsql_similarity_cache_evictions_total",
                                       "Similarity-cache evictions");
     cache_entries = reg->GetGauge("sfsql_similarity_cache_entries",
                                   "Similarity-cache occupancy");
-    static constexpr const char* kProbeHelp =
-        "Condition-satisfiability probes by answer path";
-    sat_index_probes = reg->GetCounter("sfsql_satisfiability_probes_total",
-                                       kProbeHelp,
-                                       obs::Labels{{"path", "index"}});
-    sat_scan_probes = reg->GetCounter("sfsql_satisfiability_probes_total",
-                                      kProbeHelp, obs::Labels{{"path", "scan"}});
-    sat_memo_hits = reg->GetCounter("sfsql_satisfiability_probes_total",
-                                    kProbeHelp, obs::Labels{{"path", "memo"}});
-    index_builds = reg->GetCounter("sfsql_column_index_builds_total",
-                                   "Per-column satisfiability indexes built");
-    index_build_seconds =
-        reg->GetGauge("sfsql_column_index_build_seconds_total",
-                      "Cumulative wall time spent building column indexes");
-    like_verified = reg->GetCounter(
-        "sfsql_like_candidates_verified_total",
-        "Distinct strings LikeMatch-verified after trigram pre-filtering");
     static constexpr const char* kPlanLookupHelp =
         "Plan-cache lookups by tier and result";
     plan_full_hits =
@@ -108,26 +88,33 @@ struct PipelineMetrics {
         reg->GetGauge("sfsql_plan_cache_entries", "Plan-cache occupancy");
   }
 
+  /// Publishes one call's TranslateStats. Phase histograms describe pipeline
+  /// runs only: cache hits skip the phases, and observing their zeros would
+  /// distort the distributions and slow the serving hot path.
+  void Publish(const TranslateStats& stats, bool pipeline_ran) {
+    for (size_t i = 0; i < kNumTranslateCounters; ++i) {
+      const double v = kTranslateCounters[i].Value(stats);
+      if (counters[i] != nullptr) {
+        counters[i]->Increment(static_cast<uint64_t>(v));
+      } else if (gauges[i] != nullptr) {
+        if (v > 0.0) gauges[i]->Add(v);
+      } else if (histograms[i] != nullptr && pipeline_ran) {
+        histograms[i]->Observe(v);
+      }
+    }
+  }
+
   obs::Counter* translate_total;
   obs::Counter* translate_errors;
   obs::Counter* slow_translations;
   obs::Histogram* translate_seconds;
-  obs::Histogram* phase_seconds[5];  ///< indexed like kPhaseNames
-  obs::Counter* gen_pushed;
-  obs::Counter* gen_popped;
-  obs::Counter* gen_expansions;
-  obs::Counter* gen_pruned;
-  obs::Counter* gen_emitted;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
+  /// Per-counter handles, parallel to kTranslateCounters (the one matching
+  /// the counter's metric type is set; none when it exports no metric).
+  obs::Counter* counters[kNumTranslateCounters] = {};
+  obs::Gauge* gauges[kNumTranslateCounters] = {};
+  obs::Histogram* histograms[kNumTranslateCounters] = {};
   obs::Counter* cache_evictions;
   obs::Gauge* cache_entries;
-  obs::Counter* sat_index_probes;
-  obs::Counter* sat_scan_probes;
-  obs::Counter* sat_memo_hits;
-  obs::Counter* index_builds;
-  obs::Gauge* index_build_seconds;
-  obs::Counter* like_verified;
   obs::Counter* plan_full_hits;
   obs::Counter* plan_full_misses;
   obs::Counter* plan_structure_hits;
@@ -227,7 +214,7 @@ class PhaseTimer {
 SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
                                    EngineConfig config)
     : db_(db),
-      config_(ResolveConfig(config)),
+      config_(config),
       pool_(std::max(config_.num_threads, config_.exec_threads) > 1
                 ? std::make_unique<exec::TaskPool>(static_cast<size_t>(
                       std::max(config_.num_threads, config_.exec_threads) - 1))
@@ -242,9 +229,12 @@ SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
       plan_cache_(config.plan_cache_enabled && config.plan_cache_capacity > 0
                       ? std::make_unique<PlanCache>(config.plan_cache_capacity)
                       : nullptr) {
-  // One pool serves both halves of the engine: the generator's per-root
-  // searches and the executor's morsel loops.
-  config_.gen.pool = pool_.get();
+  // The generator times itself on the engine's clock; exec_threads = 0
+  // inherits num_threads (the pool above is sized the same either way).
+  config_.gen.clock = config_.clock;
+  if (config_.exec_threads <= 0) {
+    config_.exec_threads = std::max(config_.num_threads, 1);
+  }
   if (pool_ != nullptr && config_.metrics != nullptr) {
     pool_->EnableMetrics(config_.metrics);
   }
@@ -691,33 +681,17 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
   if (stats != nullptr) timer.Lap(&stats->graph_seconds);
 
   MtjnGenerator generator(&graph, config_.gen);
-  GeneratorStats local_gen;
-  GeneratorStats* gst = stats != nullptr ? &stats->generator
-                        : explain != nullptr ? &local_gen
-                                             : nullptr;
   GeneratorTrace trace;
   std::vector<ScoredNetwork> networks =
-      generator.TopK(k, gst, explain != nullptr ? &trace : nullptr);
+      generator.TopK(k, stats != nullptr ? &stats->generator : nullptr,
+                     explain != nullptr ? &trace : nullptr);
   if (stats != nullptr) timer.Lap(&stats->generate_seconds);
 
   if (explain != nullptr) {
-    explain->generator = *gst;
     explain->seed_bound = trace.seed_bound;
     explain->roots.clear();
     for (const RootSearchTrace& rt : trace.roots) {
-      ExplainRootSearch er;
-      er.root = graph.node(rt.root_xnode).ToString(cat);
-      er.potential = rt.potential;
-      er.initial_bound = rt.initial_bound;
-      er.final_bound = rt.final_bound;
-      er.seconds = obs::NanosToSeconds(rt.end_nanos - rt.start_nanos);
-      er.pushed = rt.stats.pushed;
-      er.popped = rt.stats.popped;
-      er.expansions = rt.stats.expansions;
-      er.pruned = rt.stats.pruned;
-      er.emitted = rt.stats.emitted;
-      er.truncated = rt.stats.truncated;
-      explain->roots.push_back(std::move(er));
+      explain->roots.push_back({graph.node(rt.root_xnode).ToString(cat), rt});
     }
     // Mark the candidates the best network actually chose: its nodes bind
     // each relation tree to one candidate relation.
@@ -803,20 +777,15 @@ std::vector<obs::SpanRecord> PhaseSpans(uint64_t start_nanos,
   root.start_nanos = start_nanos;
   root.end_nanos = start_nanos + obs::SecondsToNanos(total_seconds);
   spans.push_back(std::move(root));
-  const std::pair<const char*, double> phases[5] = {
-      {"parse", stats.parse_seconds},
-      {"map", stats.map_seconds},
-      {"graph", stats.graph_seconds},
-      {"generate", stats.generate_seconds},
-      {"compose", stats.compose_seconds}};
   uint64_t at = start_nanos;
-  for (int i = 0; i < 5; ++i) {
+  for (const TranslateCounter& c : kTranslateCounters) {
+    if (!c.is_phase()) continue;
     obs::SpanRecord s;
-    s.id = i + 1;
+    s.id = static_cast<int64_t>(spans.size());
     s.parent = 0;
-    s.name = phases[i].first;
+    s.name = c.label_value;
     s.start_nanos = at;
-    at += obs::SecondsToNanos(phases[i].second);
+    at += obs::SecondsToNanos(c.Value(stats));
     s.end_nanos = at;
     spans.push_back(std::move(s));
   }
@@ -827,7 +796,7 @@ std::vector<obs::SpanRecord> PhaseSpans(uint64_t start_nanos,
 
 Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     std::string_view sfsql, int k, TranslateStats* stats,
-    TranslationExplain* explain, obs::QueryProfile* profile_out) const {
+    TranslationExplain* explain, QueryProfile* profile_out) const {
   // EXPLAIN callers get full pipeline provenance, so the plan cache is
   // bypassed for them (read-only peeks fill the EXPLAIN `cache` block).
   const bool caller_explain = explain != nullptr;
@@ -991,8 +960,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     stats->sat_index_probes =
         static_cast<long long>((idx_after.value_probes + idx_after.like_probes) -
                                (idx_before.value_probes + idx_before.like_probes));
-    stats->sat_scan_probes =
-        static_cast<long long>(idx_after.scan_probes - idx_before.scan_probes);
     stats->sat_memo_hits =
         static_cast<long long>(memo_after.hits - memo_before.hits);
     stats->sat_memo_misses =
@@ -1026,48 +993,16 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
             plan_cache_->PeekProbePlan(canonical_key) != nullptr;
       }
     }
-  }
-  if (explain != nullptr) {
     explain->ok = out.ok();
     if (!out.ok()) explain->error = out.status().message();
-    explain->parse_seconds = stats->parse_seconds;
-    explain->map_seconds = stats->map_seconds;
-    explain->graph_seconds = stats->graph_seconds;
-    explain->generate_seconds = stats->generate_seconds;
-    explain->compose_seconds = stats->compose_seconds;
+    explain->stats = *stats;
     explain->total_seconds = total_seconds;
-    explain->cache_hits = stats->cache_hits;
-    explain->cache_misses = stats->cache_misses;
-    explain->sat_index_probes = stats->sat_index_probes;
-    explain->sat_scan_probes = stats->sat_scan_probes;
-    explain->sat_memo_hits = stats->sat_memo_hits;
-    explain->index_builds = stats->index_builds;
   }
   if (caller_explain && out.ok() && !out->empty()) {
     // Execution access paths of the top-1 translation: what the index-aware
     // executor would do with it (plans only — nothing is executed).
-    exec::Executor executor(db_);
-    explain->execution.clear();
-    for (const exec::TableAccessExplain& t :
-         executor.ExplainAccessPaths(*(*out)[0].statement)) {
-      ExplainTableAccess e;
-      e.binding = t.binding;
-      e.relation = t.relation;
-      e.access = t.index_scan ? "index_scan"
-                 : t.index_join ? "index_join"
-                                : "table_scan";
-      e.index_predicates = t.index_predicates;
-      e.pushed_predicates = t.pushed_predicates;
-      e.table_rows = static_cast<long long>(t.table_rows);
-      e.estimated_rows = static_cast<long long>(t.estimated_rows);
-      e.selectivity = t.selectivity;
-      e.chunks_total = static_cast<long long>(t.chunks_total);
-      e.chunks_pruned = static_cast<long long>(t.chunks_pruned);
-      e.join_algo = t.join_algo;
-      e.est_rows_cumulative = t.est_rows_cumulative;
-      e.est_cost_cumulative = t.est_cost_cumulative;
-      explain->execution.push_back(std::move(e));
-    }
+    explain->execution =
+        exec::Executor(db_).ExplainAccessPaths(*(*out)[0].statement);
   }
 
   if (metrics_ != nullptr) {
@@ -1075,36 +1010,10 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     m.translate_total->Increment();
     if (!out.ok()) m.translate_errors->Increment();
     m.translate_seconds->Observe(total_seconds);
-    // Phase histograms describe pipeline runs; cache hits skip the phases
-    // entirely, and observing five zeros per hit would both distort the
-    // distributions and put avoidable work on the serving hot path.
-    if (served_tier == 0) {
-      const double phases[5] = {stats->parse_seconds, stats->map_seconds,
-                                stats->graph_seconds, stats->generate_seconds,
-                                stats->compose_seconds};
-      for (int i = 0; i < 5; ++i) m.phase_seconds[i]->Observe(phases[i]);
-    }
-    const GeneratorStats& g = stats->generator;
-    m.gen_pushed->Increment(static_cast<uint64_t>(g.pushed));
-    m.gen_popped->Increment(static_cast<uint64_t>(g.popped));
-    m.gen_expansions->Increment(static_cast<uint64_t>(g.expansions));
-    m.gen_pruned->Increment(static_cast<uint64_t>(g.pruned));
-    m.gen_emitted->Increment(static_cast<uint64_t>(g.emitted));
-    m.cache_hits->Increment(static_cast<uint64_t>(stats->cache_hits));
-    m.cache_misses->Increment(static_cast<uint64_t>(stats->cache_misses));
+    m.Publish(*stats, served_tier == 0);
     m.cache_evictions->Increment(static_cast<uint64_t>(evictions_delta));
     // The gauge only moves when the pipeline ran; hits leave the cache as-is.
     if (deep_stats) m.cache_entries->Set(static_cast<double>(after.entries));
-    m.sat_index_probes->Increment(
-        static_cast<uint64_t>(stats->sat_index_probes));
-    m.sat_scan_probes->Increment(static_cast<uint64_t>(stats->sat_scan_probes));
-    m.sat_memo_hits->Increment(static_cast<uint64_t>(stats->sat_memo_hits));
-    m.index_builds->Increment(static_cast<uint64_t>(stats->index_builds));
-    if (stats->index_build_seconds > 0.0) {
-      m.index_build_seconds->Add(stats->index_build_seconds);
-    }
-    m.like_verified->Increment(
-        static_cast<uint64_t>(stats->like_candidates_verified));
     if (plan_metrics) {
       if (served_tier == 2) {
         // A tier-2 hit moves exactly one counter, known locally; diffing the
@@ -1151,7 +1060,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   }
 
   if (profiling) {
-    obs::QueryProfile prof;
+    QueryProfile prof;
     prof.start_nanos = start_nanos;
     prof.kind = "translate";
     prof.statement = std::string(sfsql);
@@ -1165,14 +1074,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
                       : served_tier == 1 ? "tier1"
                                          : "miss";
     prof.latency_seconds = total_seconds;
-    prof.parse_seconds = stats->parse_seconds;
-    prof.map_seconds = stats->map_seconds;
-    prof.graph_seconds = stats->graph_seconds;
-    prof.generate_seconds = stats->generate_seconds;
-    prof.compose_seconds = stats->compose_seconds;
-    prof.sat_index_probes = stats->sat_index_probes;
-    prof.sat_scan_probes = stats->sat_scan_probes;
-    prof.sat_memo_hits = stats->sat_memo_hits;
+    prof.translate = *stats;
     prof.translations = out.ok() ? static_cast<long long>(out->size()) : 0;
     if (served_tier == 0) {
       // Phase spans only for pipeline runs: hits skip the phases, and
@@ -1198,7 +1100,7 @@ Result<Translation> SchemaFreeEngine::TranslateBest(
 Result<exec::QueryResult> SchemaFreeEngine::Execute(
     std::string_view sfsql) const {
   const bool profiling = config_.profiles != nullptr;
-  obs::QueryProfile prof;
+  QueryProfile prof;
   Result<std::vector<Translation>> translations =
       TranslateImpl(sfsql, 1, nullptr, nullptr, profiling ? &prof : nullptr);
   if (profiling) prof.kind = "execute";
@@ -1223,26 +1125,8 @@ Result<exec::QueryResult> SchemaFreeEngine::Execute(
   if (profiling) {
     prof.ok = result.ok();
     if (!result.ok()) prof.error = result.status().message();
-    prof.execute_seconds = info.seconds;
     prof.latency_seconds += info.seconds;
-    prof.rows_scanned = info.stats.rows_scanned;
-    prof.rows_returned = info.rows_returned;
-    prof.chunks_pruned = info.stats.chunks_pruned;
-    prof.access_paths.reserve(info.access_paths.size());
-    for (const exec::TableAccessExplain& t : info.access_paths) {
-      obs::ProfileAccessPath p;
-      p.binding = t.binding;
-      p.relation = t.relation;
-      p.access = t.index_scan   ? "index_scan"
-                 : t.index_join ? "index_join"
-                                : "table_scan";
-      p.table_rows = t.table_rows;
-      p.estimated_rows = t.estimated_rows;
-      p.chunks_total = t.chunks_total;
-      p.chunks_pruned = t.chunks_pruned;
-      prof.chunks_total += t.chunks_total;
-      prof.access_paths.push_back(std::move(p));
-    }
+    prof.exec = std::move(info);
     config_.profiles->Record(std::move(prof));
   }
   return result;

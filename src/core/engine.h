@@ -16,13 +16,10 @@
 #include "core/mapper.h"
 #include "core/mtjn_generator.h"
 #include "core/relation_tree.h"
+#include "core/translate_stats.h"
 #include "core/view_graph.h"
 #include "exec/executor.h"
 #include "storage/database.h"
-
-namespace sfsql::obs {
-struct QueryProfile;
-}  // namespace sfsql::obs
 
 namespace sfsql::core {
 
@@ -31,6 +28,7 @@ namespace sfsql::core {
 /// null pointer and runs zero instrumentation code.
 struct PipelineMetrics;
 
+struct QueryProfile;    // core/profile.h
 class PlanCache;        // core/plan_cache.h
 struct PlanCacheStats;  // core/plan_cache.h
 struct PlanCacheEntry;  // core/plan_cache.h
@@ -52,44 +50,6 @@ struct Translation {
                              ///< mapping factors when enabled)
   NetworkSummary network;
   std::string network_text;  ///< human-readable join network
-};
-
-/// Wall-clock phase breakdown and cache counters for one Translate call.
-/// Phases cover the outermost block; subquery translation (always k = 1) is
-/// folded into compose_seconds. Cache counters are deltas over the engine's
-/// shared similarity cache, so they attribute cross-query reuse to the call
-/// that benefited.
-struct TranslateStats {
-  double parse_seconds = 0.0;
-  double map_seconds = 0.0;       ///< tree extraction + mapping + consolidation
-  double graph_seconds = 0.0;     ///< query views + extended view graph build
-  double generate_seconds = 0.0;  ///< top-k MTJN generation
-  double compose_seconds = 0.0;   ///< SQL composition, subqueries, printing
-  long long cache_hits = 0;       ///< similarity-cache hits during the call
-  long long cache_misses = 0;     ///< similarity-cache misses during the call
-  GeneratorStats generator;       ///< counters/timings from the MTJN generator
-
-  // Condition-satisfiability deltas of the call (the §4.3 probe layer; see
-  // README "Storage indexes"): how probes were answered and what index build
-  // work the call triggered. Note the database's index counters are shared by
-  // every engine probing it, so concurrent engines on one database attribute
-  // each other's probes loosely (the usual single-engine setup is exact).
-  long long sat_index_probes = 0;   ///< answered by a column index (value + LIKE)
-  long long sat_scan_probes = 0;    ///< answered by a fallback full scan
-  long long sat_memo_hits = 0;      ///< answered from the mapper's memo
-  long long sat_memo_misses = 0;    ///< memo misses (computed then cached)
-  long long index_builds = 0;       ///< column indexes (re)built during the call
-  double index_build_seconds = 0.0; ///< wall time of those builds
-  long long like_candidates_verified = 0;  ///< LikeMatch calls surviving the
-                                           ///< trigram pre-filter
-
-  // Plan-cache outcome of this call (see README "Serving & plan cache"). At
-  // most one of the three is 1; all stay 0 when the cache is disabled or
-  // bypassed (EXPLAIN calls).
-  long long plan_tier2_hits = 0;  ///< served verbatim: exact text + data epoch
-  long long plan_tier1_hits = 0;  ///< served by literal substitution into a
-                                  ///< cached structure (probe signature match)
-  long long plan_misses = 0;      ///< cache enabled but the pipeline ran
 };
 
 /// The end-to-end Schema-free SQL system (Fig. 3): parser → relation tree
@@ -133,10 +93,9 @@ class SchemaFreeEngine {
   const EngineConfig& config() const { return config_; }
   /// Precomputed profiles of every relation and attribute name in the catalog.
   const text::SchemaNameIndex& name_index() const { return name_index_; }
-  /// The engine-owned work-stealing pool shared by execution morsels and the
-  /// generator's per-root searches; null when the engine is single-threaded
-  /// (max(num_threads, exec_threads) <= 1). Feeds sys_pool and serve_driver
-  /// stats.
+  /// The engine-owned work-stealing pool execution morsels run on; null when
+  /// execution is serial (max(num_threads, exec_threads) <= 1). Feeds
+  /// sys_pool and serve_driver stats.
   const exec::TaskPool* task_pool() const { return pool_.get(); }
 
   /// Translates a schema-free SELECT into up to `k` full-SQL candidates,
@@ -168,18 +127,6 @@ class SchemaFreeEngine {
   Result<exec::QueryResult> Execute(std::string_view sfsql) const;
 
  private:
-  /// Copies the engine-level num_threads and clock knobs into the generator
-  /// config so the whole engine is tuned from one place, and resolves
-  /// exec_threads (0 = inherit num_threads).
-  static EngineConfig ResolveConfig(EngineConfig config) {
-    config.gen.num_threads = config.num_threads;
-    config.gen.clock = config.clock;
-    if (config.exec_threads <= 0) {
-      config.exec_threads = config.num_threads > 1 ? config.num_threads : 1;
-    }
-    return config;
-  }
-
   /// Every relation and attribute name of the catalog (the strings the mapper
   /// compares every query token against).
   static std::vector<std::string> SchemaNames(const catalog::Catalog& catalog);
@@ -200,7 +147,7 @@ class SchemaFreeEngine {
   Result<std::vector<Translation>> TranslateImpl(
       std::string_view sfsql, int k, TranslateStats* stats,
       TranslationExplain* explain,
-      obs::QueryProfile* profile_out = nullptr) const;
+      QueryProfile* profile_out = nullptr) const;
 
   Result<std::vector<Translation>> TranslateStatement(
       sql::SelectStatement& stmt, const std::vector<std::string>& outer_bindings,
@@ -232,8 +179,8 @@ class SchemaFreeEngine {
   const storage::Database* db_;
   EngineConfig config_;
   /// One work-stealing pool per engine (exec/task_pool), shared by every
-  /// Execute's morsel loops and every Translate's per-root TopK fan-out;
-  /// sized max(num_threads, exec_threads) - 1 workers, null when that is 0.
+  /// Execute's morsel loops; sized max(num_threads, exec_threads) - 1
+  /// workers, null when that is 0.
   /// Declared before everything that may reference it so it is destroyed
   /// last (after all users are gone).
   std::unique_ptr<exec::TaskPool> pool_;

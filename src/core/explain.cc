@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/strings.h"
 #include "obs/json.h"
 
 namespace sfsql::core {
@@ -31,11 +32,12 @@ std::string TranslationExplain::RenderTree() const {
   } else {
     out += "FAILED after " + Ms(total_seconds) + ": " + error + "\n";
   }
-  out += "├─ phases: parse " + Ms(parse_seconds) + ", map " + Ms(map_seconds) +
-         ", graph " + Ms(graph_seconds) + ", generate " +
-         Ms(generate_seconds) + ", compose " + Ms(compose_seconds) + "\n";
-  out += "├─ similarity cache: " + std::to_string(cache_hits) + " hit(s), " +
-         std::to_string(cache_misses) + " miss(es)\n";
+  out += "├─ phases: parse " + Ms(stats.parse_seconds) + ", map " +
+         Ms(stats.map_seconds) + ", graph " + Ms(stats.graph_seconds) +
+         ", generate " + Ms(stats.generate_seconds) + ", compose " +
+         Ms(stats.compose_seconds) + "\n";
+  out += "├─ similarity cache: " + std::to_string(stats.cache_hits) +
+         " hit(s), " + std::to_string(stats.cache_misses) + " miss(es)\n";
   out += "├─ plan cache: " +
          (plan_cache_outcome.empty() ? std::string("disabled")
                                      : plan_cache_outcome);
@@ -46,10 +48,9 @@ std::string TranslationExplain::RenderTree() const {
            (plan_cache_probe_plan_present ? "known" : "unknown");
   }
   out += "\n";
-  out += "├─ satisfiability: " + std::to_string(sat_index_probes) +
-         " index probe(s), " + std::to_string(sat_scan_probes) +
-         " scan probe(s), " + std::to_string(sat_memo_hits) +
-         " memo hit(s), " + std::to_string(index_builds) +
+  out += "├─ satisfiability: " + std::to_string(stats.sat_index_probes) +
+         " index probe(s), " + std::to_string(stats.sat_memo_hits) +
+         " memo hit(s), " + std::to_string(stats.index_builds) +
          " index build(s)\n";
   for (const ExplainTree& t : trees) {
     out += "├─ relation tree rt" + std::to_string(t.rt_id) + ": " + t.tree +
@@ -68,6 +69,7 @@ std::string TranslationExplain::RenderTree() const {
       out += "\n";
     }
   }
+  const GeneratorStats& generator = stats.generator;
   out += "├─ generator: " + std::to_string(generator.roots) +
          " root(s), seed bound " + Num(seed_bound) + ", pushed " +
          std::to_string(generator.pushed) + ", popped " +
@@ -77,24 +79,25 @@ std::string TranslationExplain::RenderTree() const {
          std::to_string(generator.emitted) +
          (generator.truncated ? " (TRUNCATED)" : "") + "\n";
   for (size_t i = 0; i < roots.size(); ++i) {
-    const ExplainRootSearch& r = roots[i];
+    const RootSearchTrace& r = roots[i].search;
     out += "│  ";
     out += (i + 1 == roots.size()) ? "└─ " : "├─ ";
-    out += "root " + r.root + ": potential " + Num(r.potential) + ", bound " +
-           Num(r.initial_bound) + " -> " + Num(r.final_bound) + ", " +
-           Ms(r.seconds) + ", expanded " + std::to_string(r.expansions) +
-           ", pruned " + std::to_string(r.pruned) + ", emitted " +
-           std::to_string(r.emitted) + (r.truncated ? " (TRUNCATED)" : "") +
-           "\n";
+    out += "root " + roots[i].root + ": potential " + Num(r.potential) +
+           ", bound " + Num(r.initial_bound) + " -> " + Num(r.final_bound) +
+           ", " + Ms(r.seconds()) + ", expanded " +
+           std::to_string(r.stats.expansions) + ", pruned " +
+           std::to_string(r.stats.pruned) + ", emitted " +
+           std::to_string(r.stats.emitted) +
+           (r.stats.truncated ? " (TRUNCATED)" : "") + "\n";
   }
   if (!execution.empty()) {
     out += "├─ execution access paths (fold order)\n";
     for (size_t i = 0; i < execution.size(); ++i) {
-      const ExplainTableAccess& t = execution[i];
+      const exec::TableAccessExplain& t = execution[i];
       out += "│  ";
       out += (i + 1 == execution.size()) ? "└─ " : "├─ ";
-      out += t.binding + " (" + t.relation + "): " + t.access + ", " +
-             std::to_string(t.index_predicates) + " index pred(s), " +
+      out += t.binding + " (" + t.relation + "): " + std::string(t.access()) +
+             ", " + std::to_string(t.index_predicates) + " index pred(s), " +
              std::to_string(t.pushed_predicates) + " pushed, est " +
              std::to_string(t.estimated_rows) + "/" +
              std::to_string(t.table_rows) + " rows, sel " +
@@ -134,18 +137,16 @@ std::string TranslationExplain::ToJson(bool pretty,
 
   w.Key("phases");
   w.BeginObject();
-  w.KV("parse_seconds", parse_seconds);
-  w.KV("map_seconds", map_seconds);
-  w.KV("graph_seconds", graph_seconds);
-  w.KV("generate_seconds", generate_seconds);
-  w.KV("compose_seconds", compose_seconds);
+  for (const TranslateCounter& c : kTranslateCounters) {
+    if (c.is_phase()) w.KV(StrCat(c.label_value, "_seconds"), c.Value(stats));
+  }
   w.KV("total_seconds", total_seconds);
   w.EndObject();
 
   w.Key("similarity_cache");
   w.BeginObject();
-  w.KV("hits", cache_hits);
-  w.KV("misses", cache_misses);
+  w.KV("hits", stats.cache_hits);
+  w.KV("misses", stats.cache_misses);
   w.EndObject();
 
   w.Key("cache");
@@ -162,10 +163,9 @@ std::string TranslationExplain::ToJson(bool pretty,
 
   w.Key("satisfiability");
   w.BeginObject();
-  w.KV("index_probes", sat_index_probes);
-  w.KV("scan_probes", sat_scan_probes);
-  w.KV("memo_hits", sat_memo_hits);
-  w.KV("index_builds", index_builds);
+  w.KV("index_probes", stats.sat_index_probes);
+  w.KV("memo_hits", stats.sat_memo_hits);
+  w.KV("index_builds", stats.index_builds);
   w.EndObject();
 
   w.Key("trees");
@@ -201,6 +201,7 @@ std::string TranslationExplain::ToJson(bool pretty,
 
   w.Key("generator");
   w.BeginObject();
+  const GeneratorStats& generator = stats.generator;
   w.KV("roots", generator.roots);
   w.KV("seed_bound", seed_bound);
   w.KV("pushed", generator.pushed);
@@ -215,19 +216,20 @@ std::string TranslationExplain::ToJson(bool pretty,
   w.KV("root_seconds_max", generator.root_seconds_max);
   w.Key("root_searches");
   w.BeginArray();
-  for (const ExplainRootSearch& r : roots) {
+  for (const ExplainRootSearch& root : roots) {
+    const RootSearchTrace& r = root.search;
     w.BeginObject();
-    w.KV("root", r.root);
+    w.KV("root", root.root);
     w.KV("potential", r.potential);
     w.KV("initial_bound", r.initial_bound);
     w.KV("final_bound", r.final_bound);
-    w.KV("seconds", r.seconds);
-    w.KV("pushed", r.pushed);
-    w.KV("popped", r.popped);
-    w.KV("expansions", r.expansions);
-    w.KV("pruned", r.pruned);
-    w.KV("emitted", r.emitted);
-    w.KV("truncated", r.truncated);
+    w.KV("seconds", r.seconds());
+    w.KV("pushed", r.stats.pushed);
+    w.KV("popped", r.stats.popped);
+    w.KV("expansions", r.stats.expansions);
+    w.KV("pruned", r.stats.pruned);
+    w.KV("emitted", r.stats.emitted);
+    w.KV("truncated", r.stats.truncated);
     w.EndObject();
   }
   w.EndArray();
@@ -235,18 +237,18 @@ std::string TranslationExplain::ToJson(bool pretty,
 
   w.Key("execution");
   w.BeginArray();
-  for (const ExplainTableAccess& t : execution) {
+  for (const exec::TableAccessExplain& t : execution) {
     w.BeginObject();
     w.KV("binding", t.binding);
     w.KV("relation", t.relation);
-    w.KV("access", t.access);
+    w.KV("access", t.access());
     w.KV("index_predicates", t.index_predicates);
     w.KV("pushed_predicates", t.pushed_predicates);
-    w.KV("table_rows", t.table_rows);
-    w.KV("estimated_rows", t.estimated_rows);
+    w.KV("table_rows", static_cast<unsigned long long>(t.table_rows));
+    w.KV("estimated_rows", static_cast<unsigned long long>(t.estimated_rows));
     w.KV("selectivity", t.selectivity);
-    w.KV("chunks_total", t.chunks_total);
-    w.KV("chunks_pruned", t.chunks_pruned);
+    w.KV("chunks_total", static_cast<unsigned long long>(t.chunks_total));
+    w.KV("chunks_pruned", static_cast<unsigned long long>(t.chunks_pruned));
     if (!t.join_algo.empty()) {
       w.KV("join_algo", t.join_algo);
       w.KV("est_rows_cumulative", t.est_rows_cumulative);

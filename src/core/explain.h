@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "core/mtjn_generator.h"
+#include "core/translate_stats.h"
+#include "exec/access_path.h"
 
 namespace sfsql::core {
 
@@ -37,17 +39,8 @@ struct ExplainTree {
 /// score it started from, the pruning bounds bracketing the search, and what
 /// it expanded vs pruned.
 struct ExplainRootSearch {
-  std::string root;            ///< XNode::ToString of the root
-  double potential = 0.0;      ///< Algorithm 1 rank score
-  double initial_bound = 0.0;  ///< pruning bound seeded into the search
-  double final_bound = 0.0;    ///< bound when the search finished
-  double seconds = 0.0;
-  long long pushed = 0;
-  long long popped = 0;
-  long long expansions = 0;
-  long long pruned = 0;
-  long long emitted = 0;
-  bool truncated = false;
+  std::string root;  ///< XNode::ToString of the root
+  RootSearchTrace search;
 };
 
 /// One produced translation, rank order.
@@ -55,28 +48,6 @@ struct ExplainResult {
   double weight = 0.0;
   std::string network;  ///< human-readable join network
   std::string sql;
-};
-
-/// Access path of one FROM entry of the top-1 translation, as the executor's
-/// pre-execution planner (exec/access_path) would run it: IndexScan vs Scan,
-/// how many conjuncts the column index answers vs are pushed per base row,
-/// and the exact-count selectivity estimate behind the choice.
-struct ExplainTableAccess {
-  std::string binding;   ///< FROM binding (alias or relation), lower-cased
-  std::string relation;  ///< catalog relation name
-  std::string access;    ///< "index_scan" | "table_scan"
-  long long index_predicates = 0;
-  long long pushed_predicates = 0;
-  long long table_rows = 0;
-  long long estimated_rows = 0;
-  double selectivity = 1.0;
-  long long chunks_total = 0;   ///< columnar chunks in the table at plan time
-  long long chunks_pruned = 0;  ///< chunks ruled out by min/max stats pre-index
-  /// Cost-based join provenance (join_algo is empty for the first table in
-  /// the fold, which nothing is joined to yet).
-  std::string join_algo;  ///< "hash" | "index_nl" | "sort_merge" | "nested_loop"
-  double est_rows_cumulative = -1.0;  ///< estimated rows after this fold step
-  double est_cost_cumulative = -1.0;  ///< cost-model units through this step
 };
 
 /// Full provenance of one Translate call — the translation EXPLAIN mode.
@@ -89,16 +60,12 @@ struct TranslationExplain {
   bool ok = false;
   std::string error;  ///< status message when !ok
 
-  // Phase wall times (seconds, same clocks as TranslateStats).
-  double parse_seconds = 0.0;
-  double map_seconds = 0.0;
-  double graph_seconds = 0.0;
-  double generate_seconds = 0.0;
-  double compose_seconds = 0.0;
+  /// The call's counters: phase wall times, similarity-cache and
+  /// satisfiability deltas, and the generator's merged counters. The
+  /// documents below render only the deterministic ones (index build wall
+  /// time comes from the steady clock, not the injected one).
+  TranslateStats stats;
   double total_seconds = 0.0;
-
-  long long cache_hits = 0;
-  long long cache_misses = 0;
 
   // Plan-cache provenance (the `cache` block). EXPLAIN calls always bypass
   // the cache, so these describe what a plain Translate of the same statement
@@ -110,26 +77,18 @@ struct TranslationExplain {
   bool plan_cache_tier2_present = false;  ///< exact text + epoch cached
   bool plan_cache_probe_plan_present = false;  ///< structure known to tier 1
 
-  // Condition-satisfiability probe counters of the call (§4.3 layer).
-  // Integer counts only — the build wall time lives in TranslateStats, so the
-  // EXPLAIN document stays deterministic under a fake clock.
-  long long sat_index_probes = 0;  ///< answered by a column index
-  long long sat_scan_probes = 0;   ///< answered by a fallback full scan
-  long long sat_memo_hits = 0;     ///< answered from the satisfiability memo
-  long long index_builds = 0;      ///< column indexes (re)built during the call
-
   std::vector<ExplainTree> trees;
 
-  // Generator provenance: merged counters plus the per-root searches.
-  GeneratorStats generator;
+  // Generator provenance beyond stats.generator: the per-root searches.
   double seed_bound = 0.0;  ///< root-0 kth weight seeded into the other roots
   std::vector<ExplainRootSearch> roots;
 
   std::vector<ExplainResult> results;
 
-  /// Execution access paths of the top-1 translation, in join (fold) order.
-  /// Empty when there are no results or the top-1 statement fails to plan.
-  std::vector<ExplainTableAccess> execution;
+  /// Execution access paths of the top-1 translation, in join (fold) order,
+  /// as the executor's planner (exec/access_path) would run it. Empty when
+  /// there are no results or the top-1 statement fails to plan.
+  std::vector<exec::TableAccessExplain> execution;
 
   /// Indented tree rendering (what tools/explain_translate prints to stderr
   /// and what the slow-translation log emits).

@@ -6,9 +6,9 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/plan_cache.h"
+#include "core/profile.h"
 #include "exec/task_pool.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "storage/value.h"
 
 namespace sfsql::core {
@@ -22,58 +22,47 @@ using storage::Row;
 using storage::Value;
 
 Relation MakeRelation(std::string name,
-                      std::vector<std::pair<const char*, ValueType>> attrs,
+                      std::vector<std::pair<std::string, ValueType>> attrs,
                       std::vector<int> primary_key = {}) {
   Relation rel;
   rel.name = std::move(name);
   rel.attributes.reserve(attrs.size());
   for (auto& [attr_name, type] : attrs) {
-    rel.attributes.push_back(Attribute{attr_name, type});
+    rel.attributes.push_back(Attribute{std::move(attr_name), type});
   }
   rel.primary_key = std::move(primary_key);
   return rel;
 }
 
+/// The sys_queries columns: every profile column, then the access paths as
 /// "binding:relation:access" per table, ';'-joined — enough to eyeball a
 /// plan from a sys_queries row without a JSON parser.
-std::string AccessPathSummary(const obs::QueryProfile& p) {
-  std::string out;
-  for (const obs::ProfileAccessPath& ap : p.access_paths) {
-    if (!out.empty()) out += ';';
-    out += StrCat(ap.binding, ":", ap.relation, ":", ap.access);
-  }
-  return out;
+const std::vector<ProfileColumn>& QueryColumns() {
+  static const std::vector<ProfileColumn> columns = [] {
+    std::vector<ProfileColumn> cols = ProfileColumns();
+    cols.push_back({"access_paths", ValueType::kString,
+                    [](const QueryProfile& p) {
+                      std::string out;
+                      for (const auto& t : p.exec.access_paths) {
+                        if (!out.empty()) out += ';';
+                        out += StrCat(t.binding, ":", t.relation, ":",
+                                      t.access());
+                      }
+                      return Value::String(std::move(out));
+                    }});
+    return cols;
+  }();
+  return columns;
 }
 
-std::vector<Row> QueryRows(const obs::QueryProfileStore* profiles) {
+std::vector<Row> QueryRows(const QueryProfileStore* profiles) {
   std::vector<Row> rows;
   if (profiles == nullptr) return rows;
-  for (const obs::QueryProfile& p : profiles->Snapshot()) {
+  const std::vector<ProfileColumn>& columns = QueryColumns();
+  for (const QueryProfile& p : profiles->Snapshot()) {
     Row row;
-    row.reserve(23);
-    row.push_back(Value::Int(static_cast<int64_t>(p.id)));
-    row.push_back(Value::String(p.kind));
-    row.push_back(Value::String(p.statement));
-    row.push_back(Value::String(p.fingerprint));
-    row.push_back(Value::Bool(p.ok));
-    row.push_back(Value::String(p.error));
-    row.push_back(Value::String(p.cache_tier));
-    row.push_back(Value::Double(p.latency_seconds * 1e3));
-    row.push_back(Value::Double(p.parse_seconds * 1e3));
-    row.push_back(Value::Double(p.map_seconds * 1e3));
-    row.push_back(Value::Double(p.graph_seconds * 1e3));
-    row.push_back(Value::Double(p.generate_seconds * 1e3));
-    row.push_back(Value::Double(p.compose_seconds * 1e3));
-    row.push_back(Value::Double(p.execute_seconds * 1e3));
-    row.push_back(Value::Int(p.sat_index_probes));
-    row.push_back(Value::Int(p.sat_scan_probes));
-    row.push_back(Value::Int(p.sat_memo_hits));
-    row.push_back(Value::Int(p.translations));
-    row.push_back(Value::Int(static_cast<int64_t>(p.rows_scanned)));
-    row.push_back(Value::Int(static_cast<int64_t>(p.rows_returned)));
-    row.push_back(Value::Int(static_cast<int64_t>(p.chunks_total)));
-    row.push_back(Value::Int(static_cast<int64_t>(p.chunks_pruned)));
-    row.push_back(Value::String(AccessPathSummary(p)));
+    row.reserve(columns.size());
+    for (const ProfileColumn& c : columns) row.push_back(c.get(p));
     rows.push_back(std::move(row));
   }
   return rows;
@@ -264,32 +253,12 @@ Introspection::Introspection(const IntrospectionSources& sources) {
   catalog::Catalog catalog;
   // AddRelation cannot fail here (fixed names, no duplicates), so the results
   // are intentionally unchecked; relation ids are insertion order 0..7.
-  (void)catalog.AddRelation(MakeRelation(
-      "sys_queries",
-      {{"id", kInt},
-       {"kind", kString},
-       {"statement", kString},
-       {"fingerprint", kString},
-       {"ok", kBool},
-       {"error", kString},
-       {"cache_tier", kString},
-       {"latency_ms", kDouble},
-       {"parse_ms", kDouble},
-       {"map_ms", kDouble},
-       {"graph_ms", kDouble},
-       {"generate_ms", kDouble},
-       {"compose_ms", kDouble},
-       {"execute_ms", kDouble},
-       {"sat_index_probes", kInt},
-       {"sat_scan_probes", kInt},
-       {"sat_memo_hits", kInt},
-       {"translations", kInt},
-       {"rows_scanned", kInt},
-       {"rows_returned", kInt},
-       {"chunks_total", kInt},
-       {"chunks_pruned", kInt},
-       {"access_paths", kString}},
-      /*primary_key=*/{0}));
+  std::vector<std::pair<std::string, ValueType>> query_attrs;
+  for (const ProfileColumn& c : QueryColumns()) {
+    query_attrs.emplace_back(c.name, c.type);
+  }
+  (void)catalog.AddRelation(MakeRelation("sys_queries", std::move(query_attrs),
+                                         /*primary_key=*/{0}));
   (void)catalog.AddRelation(MakeRelation("sys_metrics",
                                          {{"metric_name", kString},
                                           {"metric_type", kString},

@@ -11,7 +11,6 @@
 
 namespace sfsql::obs {
 class MetricsRegistry;
-class QueryProfileStore;
 }  // namespace sfsql::obs
 
 namespace sfsql::exec {
@@ -31,7 +30,7 @@ struct IntrospectionSources {
   /// Feeds sys_metrics.
   const obs::MetricsRegistry* metrics = nullptr;
   /// Feeds sys_queries.
-  const obs::QueryProfileStore* profiles = nullptr;
+  const QueryProfileStore* profiles = nullptr;
   /// Feeds sys_pool (the engine's shared execution/translation worker pool).
   const exec::TaskPool* pool = nullptr;
 };

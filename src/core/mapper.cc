@@ -80,10 +80,9 @@ double RelationTreeMapper::RootSimilarity(const RelationTree& rt,
 
 bool RelationTreeMapper::ComputeConditionSatisfiable(
     int relation_id, int attr_index, const Condition& cond) const {
-  const bool use_index = config_.use_column_index;
   if (cond.op == "in") {
     for (const storage::Value& v : cond.values) {
-      if (db_->AnyTupleSatisfies(relation_id, attr_index, "=", v, use_index)) {
+      if (db_->AnyTupleSatisfies(relation_id, attr_index, "=", v)) {
         return true;
       }
     }
@@ -95,12 +94,11 @@ bool RelationTreeMapper::ComputeConditionSatisfiable(
                       ? exec::LikeEscapeChar(cond.values[1].AsString())
                       : '\0';
     return db_->AnyStringMatchesLike(relation_id, attr_index,
-                                     cond.values[0].AsString(), escape,
-                                     use_index);
+                                     cond.values[0].AsString(), escape);
   }
   if (cond.values.empty()) return false;
   return db_->AnyTupleSatisfies(relation_id, attr_index, cond.op,
-                                cond.values[0], use_index);
+                                cond.values[0]);
 }
 
 bool RelationTreeMapper::ConditionSatisfiable(int relation_id, int attr_index,

@@ -96,8 +96,8 @@ class RelationTreeMapper {
   double NameSimilarity(const sql::NameRef& guess, std::string_view actual) const;
 
   /// True if some tuple of relation/attribute satisfies `cond` — the m of the
-  /// (m+1)/(n+1) factor (§4.3). Answers come from the per-column indexes or
-  /// the fallback scans per config().use_column_index, memoized per
+  /// (m+1)/(n+1) factor (§4.3). Answers come from the per-column indexes,
+  /// memoized per
   /// (relation, attribute, canonical condition) with a row-count stamp so
   /// appends invalidate exactly. Public so benchmarks and differential tests
   /// can drive the probe layer directly.

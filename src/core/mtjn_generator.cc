@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/task_pool.h"
 #include "obs/clock.h"
 
 namespace sfsql::core {
@@ -72,7 +71,7 @@ double Seconds(const obs::Clock& clock, uint64_t since_nanos) {
 /// Deterministic result order: weight descending, canonical signature
 /// ascending. The signature tie-break keeps equal-weight networks (common —
 /// weights are products of a few config constants) in one stable order across
-/// runs, platforms, and thread counts.
+/// runs and platforms.
 std::vector<ScoredNetwork> TakeTopK(
     const std::map<std::string, JoinNetwork>& by_signature, int k) {
   std::vector<std::pair<const std::string*, const JoinNetwork*>> items;
@@ -175,8 +174,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
 
   // One best-first search per root. Each search only sees its own pruning
   // bound and its own expansion budget, so its outcome depends on nothing but
-  // (graph, root, banned set, initial_bound) — the prerequisite for running
-  // them on threads without losing determinism. `banned` holds all
+  // (graph, root, banned set, initial_bound). `banned` holds all
   // better-ranked roots (Algorithm 1 line 5 removes a finished root from the
   // graph). `initial_bound` is a weight known to be no greater than the final
   // global kth weight; anything strictly below it can never enter the top k.
@@ -273,52 +271,28 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
 
   uint64_t search_start = clock.NowNanos();
   std::vector<std::map<std::string, JoinNetwork>> outcomes(ranked.size());
-  std::vector<GeneratorStats> root_stats(ranked.size());
   std::vector<RootSearchTrace> root_traces(ranked.size());
-
-  // Runs one root's search with its provenance record wrapped around it. The
-  // clock reads bracket only this root's work, so per-root times are additive
-  // (sum = total work) even when roots run concurrently.
-  auto run_root = [&](size_t i, double initial_bound) {
-    RootSearchTrace& rt = root_traces[i];
-    rt.root_xnode = ranked[i].second;
-    rt.potential = ranked[i].first;
-    rt.initial_bound = initial_bound;
-    rt.start_nanos = clock.NowNanos();
-    outcomes[i] = search_root(i, initial_bound, root_stats[i], rt.final_bound);
-    rt.end_nanos = clock.NowNanos();
-  };
 
   // The best-ranked root searches first with no outside bound; its kth weight
   // is a floor on the final global kth weight (its results all pool into the
-  // merge), so it safely seeds every other root's pruning bound. The seed is
-  // the same number regardless of scheduling, which keeps the parallel path
-  // bit-identical to the serial one.
-  run_root(0, 0.0);
+  // merge), so it seeds every later root's pruning bound. The clock reads
+  // bracket only each root's search, so per-root times are additive.
   double bound0 = 0.0;
-  if (k >= 1 && static_cast<int>(outcomes[0].size()) >= k) {
-    std::vector<double> weights;
-    weights.reserve(outcomes[0].size());
-    for (const auto& [sig, jn] : outcomes[0]) weights.push_back(jn.weight());
-    std::nth_element(weights.begin(), weights.begin() + (k - 1), weights.end(),
-                     std::greater<double>());
-    bound0 = weights[k - 1];
-  }
-
-  // The remaining roots fan out on the engine's shared work-stealing pool
-  // (grain 1: each root is one morsel, so idle workers steal whole roots).
-  // Results land in pre-sized per-root slots and merge in rank order below,
-  // so scheduling cannot perturb the output — parallel stays bit-identical
-  // to serial. Without a pool (or with num_threads <= 1) the loop is serial;
-  // the generator never spawns threads of its own.
-  const size_t rest = ranked.size() - 1;
-  if (config_.num_threads > 1 && config_.pool != nullptr && rest > 1) {
-    config_.pool->ParallelFor(rest, 1, [&](size_t b, size_t e) {
-      for (size_t j = b; j < e; ++j) run_root(j + 1, bound0);
-    });
-  } else {
-    for (size_t i = 1; i < ranked.size(); ++i) {
-      run_root(i, bound0);
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    RootSearchTrace& rt = root_traces[i];
+    rt.root_xnode = ranked[i].second;
+    rt.potential = ranked[i].first;
+    rt.initial_bound = bound0;
+    rt.start_nanos = clock.NowNanos();
+    outcomes[i] = search_root(i, bound0, rt.stats, rt.final_bound);
+    rt.end_nanos = clock.NowNanos();
+    if (i == 0 && k >= 1 && static_cast<int>(outcomes[0].size()) >= k) {
+      std::vector<double> weights;
+      weights.reserve(outcomes[0].size());
+      for (const auto& [sig, jn] : outcomes[0]) weights.push_back(jn.weight());
+      std::nth_element(weights.begin(), weights.begin() + (k - 1),
+                       weights.end(), std::greater<double>());
+      bound0 = weights[k - 1];
     }
   }
 
@@ -326,15 +300,14 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
   // the best construction weight, exactly as a shared accumulator would.
   std::map<std::string, JoinNetwork> merged;
   for (size_t i = 0; i < ranked.size(); ++i) {
-    const GeneratorStats& rst = root_stats[i];
+    const GeneratorStats& rst = root_traces[i].stats;
     st.pushed += rst.pushed;
     st.popped += rst.popped;
     st.expansions += rst.expansions;
     st.pruned += rst.pruned;
     st.emitted += rst.emitted;
     st.truncated = st.truncated || rst.truncated;
-    double root_secs = obs::NanosToSeconds(root_traces[i].end_nanos -
-                                           root_traces[i].start_nanos);
+    const double root_secs = root_traces[i].seconds();
     st.root_seconds_sum += root_secs;
     st.root_seconds_max = std::max(st.root_seconds_max, root_secs);
     for (auto& [sig, jn] : outcomes[i]) {
@@ -349,9 +322,6 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
   st.roots = static_cast<int>(ranked.size());
   st.search_seconds = Seconds(clock, search_start);
   if (trace != nullptr) {
-    for (size_t i = 0; i < ranked.size(); ++i) {
-      root_traces[i].stats = root_stats[i];
-    }
     trace->seed_bound = bound0;
     trace->roots = std::move(root_traces);
   }

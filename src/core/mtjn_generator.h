@@ -7,6 +7,7 @@
 #include "core/config.h"
 #include "core/join_network.h"
 #include "core/view_graph.h"
+#include "obs/clock.h"
 
 namespace sfsql::core {
 
@@ -18,9 +19,8 @@ struct ScoredNetwork {
 };
 
 /// Counters for the efficiency experiments (Fig. 17). Counters are summed
-/// over the per-root searches in root-rank order, so they are identical for
-/// the serial and parallel paths; the wall-clock phase timings are what the
-/// throughput benchmarks report.
+/// over the per-root searches in root-rank order; the wall-clock phase
+/// timings are what the throughput benchmarks report.
 ///
 /// This struct is a thin per-call adapter over the generator's
 /// instrumentation: when the engine runs with an obs::MetricsRegistry the
@@ -36,11 +36,9 @@ struct GeneratorStats {
   int roots = 0;           ///< per-root best-first searches performed
   double rank_seconds = 0.0;    ///< wall clock: root ranking (Algorithm 1 prep)
   double search_seconds = 0.0;  ///< wall clock: all per-root searches + merge
-  /// Per-root search times, aggregated in rank order (so serial and parallel
-  /// runs merge identically): the *sum* is total work done, the *max* is the
-  /// critical path. With num_threads == 1, search_seconds ≈ root_seconds_sum;
-  /// with more threads search_seconds approaches root_seconds_max — reporting
-  /// the two separately removes the ambiguity a single wall-time field had.
+  /// Per-root search times, aggregated in rank order: the *sum* is total work
+  /// done (≈ search_seconds, the searches run one after another), the *max*
+  /// is the slowest root.
   double root_seconds_sum = 0.0;
   double root_seconds_max = 0.0;
 };
@@ -56,6 +54,10 @@ struct RootSearchTrace {
   uint64_t start_nanos = 0;   ///< clock readings (GeneratorConfig::clock)
   uint64_t end_nanos = 0;
   GeneratorStats stats;       ///< this root's counters (timing fields unused)
+
+  double seconds() const {
+    return obs::NanosToSeconds(end_nanos - start_nanos);
+  }
 };
 
 struct GeneratorTrace {
@@ -82,14 +84,12 @@ struct GeneratorTrace {
 /// All strategies deduplicate *results* by canonical signature, keeping the
 /// best construction weight per network (Definition 7), and order results by
 /// weight with ties broken on canonical signature — so the returned list is
-/// identical across runs, platforms, and thread counts.
+/// identical across runs and platforms.
 ///
 /// Each root relation's best-first search is independent (Algorithm 1 removes
-/// earlier roots from the graph, expressed here as a per-root banned set), so
-/// GeneratorConfig::num_threads > 1 runs the roots on a small thread pool.
-/// Pruning bounds are per-root and the per-root searches are scheduled
-/// deterministically, so the parallel path produces bit-identical results to
-/// the serial one.
+/// earlier roots from the graph, expressed here as a per-root banned set). The
+/// searches run one after another in rank order; the best-ranked root's kth
+/// weight seeds every later root's pruning bound.
 class MtjnGenerator {
  public:
   MtjnGenerator(const ExtendedViewGraph* graph, GeneratorConfig config)

@@ -1,34 +1,26 @@
-#ifndef SFSQL_OBS_PROFILE_H_
-#define SFSQL_OBS_PROFILE_H_
+#ifndef SFSQL_CORE_PROFILE_H_
+#define SFSQL_CORE_PROFILE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/translate_stats.h"
+#include "exec/executor.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "storage/value.h"
 
-namespace sfsql::obs {
-
-/// Access path one table of a profiled execution took (a compressed
-/// exec::TableAccessExplain — enough to answer "why was this query slow"
-/// without holding the full plan alive).
-struct ProfileAccessPath {
-  std::string binding;
-  std::string relation;
-  std::string access;  ///< "index_scan" | "index_join" | "table_scan"
-  uint64_t table_rows = 0;
-  uint64_t estimated_rows = 0;
-  uint64_t chunks_total = 0;
-  uint64_t chunks_pruned = 0;
-};
+namespace sfsql::core {
 
 /// One query's end-to-end profile record: what the engine did for one
 /// Translate or Execute call. Captured always-on into a QueryProfileStore
-/// (EngineConfig::profiles); exported as JSON and queryable through the
-/// sys_queries virtual relation (core/introspection).
+/// (EngineConfig::profiles) by the engine, its only producer; exported as
+/// JSON and queryable through the sys_queries virtual relation
+/// (core/introspection).
 struct QueryProfile {
   uint64_t id = 0;           ///< global claim order, 1-based (store-assigned)
   uint64_t start_nanos = 0;  ///< clock reading when the call began
@@ -40,37 +32,35 @@ struct QueryProfile {
   std::string error;       ///< status message when !ok
   std::string cache_tier;  ///< "tier2" | "tier1" | "miss" | "off"
   double latency_seconds = 0.0;  ///< end-to-end (translate + execute)
+  long long translations = 0;    ///< ranked candidates returned
 
-  // Translate phase breakdown (TranslateStats; all zero on cache hits, which
-  // skip the pipeline).
-  double parse_seconds = 0.0;
-  double map_seconds = 0.0;
-  double graph_seconds = 0.0;
-  double generate_seconds = 0.0;
-  double compose_seconds = 0.0;
-  double execute_seconds = 0.0;  ///< kind == "execute" only
-
-  // Condition-satisfiability probes of the call, by answer path.
-  long long sat_index_probes = 0;
-  long long sat_scan_probes = 0;
-  long long sat_memo_hits = 0;
-
-  long long translations = 0;   ///< ranked candidates returned
-  uint64_t rows_scanned = 0;    ///< base rows read from storage (execute)
-  uint64_t rows_returned = 0;   ///< result rows materialized (execute)
-  uint64_t chunks_total = 0;    ///< chunks of the planned tables (execute)
-  uint64_t chunks_pruned = 0;   ///< chunks zone-map pruning skipped (execute)
-
-  /// Per-table access paths of the top-level executed block (empty for pure
-  /// translations and legacy-fold executions).
-  std::vector<ProfileAccessPath> access_paths;
+  /// The translate pipeline's counters (all zero on tier-2 hits, which skip
+  /// the pipeline).
+  TranslateStats translate;
+  /// What the run phase did (execute only): its counters over every executed
+  /// block, the top-level block's access paths, rows returned, wall time.
+  exec::ExecInfo exec;
 
   /// Embedded trace (span forest, Tracer::WriteForestJson shape). Filled only
   /// for pipeline runs — cache hits carry no phase provenance.
-  std::vector<SpanRecord> spans;
+  std::vector<obs::SpanRecord> spans;
 
-  void WriteJson(JsonWriter& w) const;
+  void WriteJson(obs::JsonWriter& w) const;
 };
+
+/// One scalar QueryProfile field: its name and type, and how a profile
+/// fills it.
+struct ProfileColumn {
+  std::string name;
+  catalog::ValueType type;
+  std::function<storage::Value(const QueryProfile&)> get;
+};
+
+/// Every scalar QueryProfile field, in order: the one list the profile JSON
+/// and the sys_queries relation (schema and rows) come from. The counter
+/// columns derive from kTranslateCounters (timings in ms) and kExecCounters
+/// (as exec_<name>).
+const std::vector<ProfileColumn>& ProfileColumns();
 
 /// Bounded, sharded ring buffer of QueryProfile records — the always-on
 /// profile sink behind EngineConfig::profiles.
@@ -110,7 +100,7 @@ class QueryProfileStore {
   size_t capacity() const { return capacity_; }
 
   /// {"capacity": .., "recorded": .., "dropped": .., "profiles": [..]}.
-  void WriteJson(JsonWriter& w) const;
+  void WriteJson(obs::JsonWriter& w) const;
   std::string ToJson(bool pretty = false) const;
 
  private:
@@ -132,6 +122,6 @@ class QueryProfileStore {
   mutable std::atomic<uint64_t> dropped_{0};
 };
 
-}  // namespace sfsql::obs
+}  // namespace sfsql::core
 
-#endif  // SFSQL_OBS_PROFILE_H_
+#endif  // SFSQL_CORE_PROFILE_H_

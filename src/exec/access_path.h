@@ -5,6 +5,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -61,7 +62,7 @@ struct ExecConfig {
   /// means one chunk per morsel. Correctness is grain-independent.
   size_t morsel_grain = 0;
   /// Shared work-stealing pool the morsel loops run on (borrowed — the
-  /// engine owns one pool shared by execution and translation). Null with
+  /// engine owns one and hands it to every Execute). Null with
   /// exec_threads > 1: the Executor creates its own.
   TaskPool* pool = nullptr;
 };
@@ -217,7 +218,8 @@ struct BlockPlan {
   std::vector<int> residual;  ///< conjunct indices for the post-join filter
 };
 
-/// One row of the EXPLAIN execution block.
+/// One row of the EXPLAIN execution block; query profiles keep the executed
+/// top-level block's rows too.
 struct TableAccessExplain {
   std::string binding;
   std::string relation;
@@ -236,6 +238,11 @@ struct TableAccessExplain {
   std::string join_algo;
   double est_rows_cumulative = -1.0;
   double est_cost_cumulative = -1.0;
+
+  /// "index_scan" | "index_join" | "table_scan".
+  std::string_view access() const {
+    return index_scan ? "index_scan" : index_join ? "index_join" : "table_scan";
+  }
 };
 
 /// Flattens a WHERE AND-tree into conjuncts (borrowed pointers). The

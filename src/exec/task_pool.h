@@ -48,11 +48,10 @@ struct TaskPoolStats {
   uint64_t idle_ms = 0;        ///< total worker time parked waiting for work
 };
 
-/// Engine-wide work-stealing thread pool. One instance is shared by every
-/// subsystem that fans out (the executor's morsel loops, the generator's
-/// per-root TopK): a fixed set of OS threads with per-worker deques, so two
-/// concurrent queries interleave at morsel granularity instead of
-/// oversubscribing the machine with per-call thread spawns.
+/// Engine-wide work-stealing thread pool the executor's morsel loops fan out
+/// on: a fixed set of OS threads with per-worker deques, so two concurrent
+/// queries interleave at morsel granularity instead of oversubscribing the
+/// machine with per-call thread spawns.
 ///
 /// Scheduling: ParallelFor splits [0, n) into contiguous morsels of `grain`
 /// items and deals them round-robin across the worker deques. Workers pop

@@ -27,8 +27,8 @@ struct SpanRecord {
 };
 
 /// Lightweight in-process span collector. Spans are identified by small
-/// integer ids and parented explicitly (no thread-local context), so the
-/// parallel generator can report per-root spans into the same trace. All
+/// integer ids and parented explicitly (no thread-local context), so spans
+/// recorded on several threads can land in the same trace. All
 /// methods are thread-safe; the clock is injected (steady by default) so
 /// tests and golden files get deterministic timings.
 ///

@@ -449,7 +449,6 @@ ColumnIndexStats ColumnIndexManager::stats() const {
   s.build_seconds = static_cast<double>(build_nanos_.load(kRelaxed)) * 1e-9;
   s.value_probes = value_probes_.load(kRelaxed);
   s.like_probes = like_probes_.load(kRelaxed);
-  s.scan_probes = scan_probes_.load(kRelaxed);
   s.like_candidates_verified = like_verified_.load(kRelaxed);
   return s;
 }

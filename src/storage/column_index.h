@@ -24,7 +24,6 @@ struct ColumnIndexStats {
   double build_seconds = 0.0;   ///< wall time spent building
   uint64_t value_probes = 0;    ///< comparison probes answered by an index
   uint64_t like_probes = 0;     ///< LIKE probes answered via the trigram index
-  uint64_t scan_probes = 0;     ///< probes answered by a fallback full scan
   uint64_t like_candidates_verified = 0;  ///< distinct strings LikeMatch-checked
                                           ///< after trigram pre-filtering
 };
@@ -192,7 +191,6 @@ class ColumnIndexManager {
         build_nanos_(other.build_nanos_.load(kRelaxed)),
         value_probes_(other.value_probes_.load(kRelaxed)),
         like_probes_(other.like_probes_.load(kRelaxed)),
-        scan_probes_(other.scan_probes_.load(kRelaxed)),
         like_verified_(other.like_verified_.load(kRelaxed)) {}
   ColumnIndexManager& operator=(ColumnIndexManager&& other) noexcept {
     ngram_ = other.ngram_;
@@ -201,7 +199,6 @@ class ColumnIndexManager {
     build_nanos_ = other.build_nanos_.load(kRelaxed);
     value_probes_ = other.value_probes_.load(kRelaxed);
     like_probes_ = other.like_probes_.load(kRelaxed);
-    scan_probes_ = other.scan_probes_.load(kRelaxed);
     like_verified_ = other.like_verified_.load(kRelaxed);
     return *this;
   }
@@ -218,7 +215,6 @@ class ColumnIndexManager {
 
   void CountValueProbe() const { value_probes_.fetch_add(1, kRelaxed); }
   void CountLikeProbe() const { like_probes_.fetch_add(1, kRelaxed); }
-  void CountScanProbe() const { scan_probes_.fetch_add(1, kRelaxed); }
   void CountVerified(uint64_t n) const {
     if (n != 0) like_verified_.fetch_add(n, kRelaxed);
   }
@@ -273,7 +269,6 @@ class ColumnIndexManager {
   mutable std::atomic<uint64_t> build_nanos_{0};
   mutable std::atomic<uint64_t> value_probes_{0};
   mutable std::atomic<uint64_t> like_probes_{0};
-  mutable std::atomic<uint64_t> scan_probes_{0};
   mutable std::atomic<uint64_t> like_verified_{0};
 };
 

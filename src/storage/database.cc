@@ -4,7 +4,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/like.h"
 
 namespace sfsql::storage {
 
@@ -141,79 +140,23 @@ std::vector<uint64_t> Database::RelationEpochs() const {
 }
 
 bool Database::AnyTupleSatisfies(int relation_id, int attr_index,
-                                 std::string_view op, const Value& value,
-                                 bool use_index) const {
-  if (relation_id < 0 || relation_id >= catalog_.num_relations()) return false;
-  const catalog::Relation& rel = catalog_.relation(relation_id);
-  if (attr_index < 0 || attr_index >= static_cast<int>(rel.attributes.size())) {
-    return false;
-  }
-  if (value.is_null()) return false;  // NULL satisfies no comparison
-  // Shared-lock the row store: a probe may scan rows or build an index over
-  // them, and a concurrent Insert grows the chunk directory.
+                                 std::string_view op,
+                                 const Value& value) const {
+  // NULL satisfies no comparison.
+  if (value.is_null() || !HasColumn(relation_id, attr_index)) return false;
+  // Shared-lock the row store: a probe may build an index over the rows, and
+  // a concurrent Insert grows the chunk directory.
   std::shared_lock<std::shared_mutex> lock(data_mu_);
-  if (!use_index) {
-    indexes_.CountScanProbe();
-    return AnyTupleSatisfiesScan(relation_id, attr_index, op, value);
-  }
   indexes_.CountValueProbe();
   return indexes_.Get(tables_[relation_id], attr_index)
       ->AnySatisfies(op, value);
 }
 
-bool Database::AnyTupleSatisfiesScan(int relation_id, int attr_index,
-                                     std::string_view op,
-                                     const Value& value) const {
-  const Table& table = tables_[relation_id];
-  for (size_t c = 0; c < table.num_chunks(); ++c) {
-    const Chunk& chunk = table.chunk(c);
-    // Chunk statistics answer most chunks without touching the column.
-    if (chunk.stats(attr_index).CanPrune(op, value)) continue;
-    for (const Value& v : chunk.column(attr_index)) {
-      if (v.is_null() || value.is_null()) continue;
-      // Type compatibility: numeric-with-numeric or same type.
-      bool comparable = (v.is_numeric() && value.is_numeric()) ||
-                        v.type() == value.type();
-      if (!comparable) continue;
-      if (op == "=") {
-        if (v.Equals(value)) return true;
-      } else if (op == "<>" || op == "!=") {
-        if (!v.Equals(value)) return true;
-      } else {
-        int cmp = v.Compare(value);
-        if ((op == "<" && cmp < 0) || (op == "<=" && cmp <= 0) ||
-            (op == ">" && cmp > 0) || (op == ">=" && cmp >= 0)) {
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
 bool Database::AnyStringMatchesLike(int relation_id, int attr_index,
-                                    std::string_view pattern, char escape,
-                                    bool use_index) const {
-  if (relation_id < 0 || relation_id >= catalog_.num_relations()) return false;
-  const catalog::Relation& rel = catalog_.relation(relation_id);
-  if (attr_index < 0 || attr_index >= static_cast<int>(rel.attributes.size())) {
-    return false;
-  }
+                                    std::string_view pattern,
+                                    char escape) const {
+  if (!HasColumn(relation_id, attr_index)) return false;
   std::shared_lock<std::shared_mutex> lock(data_mu_);
-  if (!use_index) {
-    indexes_.CountScanProbe();
-    const Table& table = tables_[relation_id];
-    for (size_t c = 0; c < table.num_chunks(); ++c) {
-      const Chunk& chunk = table.chunk(c);
-      if (chunk.stats(attr_index).all_null()) continue;
-      for (const Value& v : chunk.column(attr_index)) {
-        if (v.is_string() && exec::LikeMatch(v.AsString(), pattern, escape)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
   indexes_.CountLikeProbe();
   uint64_t verified = 0;
   bool found = indexes_.Get(tables_[relation_id], attr_index)

@@ -167,26 +167,29 @@ class Database {
   /// Consistent snapshot of every relation's epoch (index = relation id).
   std::vector<uint64_t> RelationEpochs() const;
 
+  /// True if (relation_id, attr_index) names a column of the catalog.
+  bool HasColumn(int relation_id, int attr_index) const {
+    return relation_id >= 0 && relation_id < catalog_.num_relations() &&
+           attr_index >= 0 &&
+           static_cast<size_t>(attr_index) <
+               catalog_.relation(relation_id).attributes.size();
+  }
+
   /// True if some tuple's `attr` value satisfies `op value` (used by the mapper's
   /// (m+1)/(n+1) condition factor). `op` is one of "=", "<>", "<", "<=", ">", ">=".
-  /// Type-incompatible comparisons are unsatisfied.
-  ///
-  /// With `use_index` (the default) the probe is answered from the lazily
-  /// built per-column index in O(log distinct); `use_index = false` forces the
-  /// original full scan, kept for differential testing and benchmarking. Both
-  /// paths return identical answers.
+  /// Type-incompatible comparisons are unsatisfied. Answered from the lazily
+  /// built per-column index in O(log distinct).
   bool AnyTupleSatisfies(int relation_id, int attr_index, std::string_view op,
-                         const Value& value, bool use_index = true) const;
+                         const Value& value) const;
 
   /// True if some tuple's `attr` string value matches the LIKE pattern (the
-  /// LIKE arm of the mapper's condition-satisfiability check). Indexed probes
-  /// pre-filter through the column's trigram posting lists and verify only the
-  /// surviving distinct strings with exec::LikeMatch.
+  /// LIKE arm of the mapper's condition-satisfiability check). The probe
+  /// pre-filters through the column index's trigram posting lists and verifies
+  /// only the surviving distinct strings with exec::LikeMatch.
   bool AnyStringMatchesLike(int relation_id, int attr_index,
-                            std::string_view pattern, char escape,
-                            bool use_index = true) const;
+                            std::string_view pattern, char escape) const;
 
-  /// Counters of the column-index layer (builds, probes by path); cumulative
+  /// Counters of the column-index layer (builds, probes by kind); cumulative
   /// over the database's lifetime, shared by all engines probing it.
   ColumnIndexStats column_index_stats() const { return indexes_.stats(); }
 
@@ -222,9 +225,6 @@ class Database {
   /// Arity + per-value type check of Insert, shared with the bulk path.
   static Status ValidateRow(const catalog::Relation& rel, const Row& row);
 
-  bool AnyTupleSatisfiesScan(int relation_id, int attr_index,
-                             std::string_view op, const Value& value) const;
-
   catalog::Catalog catalog_;
   std::vector<Table> tables_;
   /// Lazily built per-column satisfiability indexes; mutable because probing
@@ -233,7 +233,7 @@ class Database {
   mutable ColumnIndexManager indexes_;
   /// Guards the row stores against concurrent mutation: inserts take it
   /// exclusively, satisfiability probes (which may read rows to build an
-  /// index or to scan) take it shared. Query execution over result rows is a
+  /// index) take it shared. Query execution over result rows is a
   /// separate, coarser concern and is not guarded here — the serving path
   /// this protects is Translate, which touches rows only through the probes.
   mutable std::shared_mutex data_mu_;

@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/executor.h"
+#include "exec/like.h"
 #include "sql/parser.h"
 
 namespace sfsql::workloads {
@@ -76,6 +77,21 @@ bool IsColEqCol(const Expr& e) {
          e.rhs->kind == ExprKind::kColumnRef;
 }
 
+/// `v op value` as the satisfiability probes define it: NULLs and values of
+/// another type class satisfy nothing.
+bool Satisfies(const storage::Value& v, std::string_view op,
+               const storage::Value& value) {
+  if (v.is_null() || value.is_null()) return false;
+  if (!(v.is_numeric() && value.is_numeric()) && v.type() != value.type()) {
+    return false;
+  }
+  if (op == "=") return v.Equals(value);
+  if (op == "<>" || op == "!=") return !v.Equals(value);
+  const int cmp = v.Compare(value);
+  return (op == "<" && cmp < 0) || (op == "<=" && cmp <= 0) ||
+         (op == ">" && cmp > 0) || (op == ">=" && cmp >= 0);
+}
+
 }  // namespace
 
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
@@ -94,7 +110,6 @@ void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
   const storage::ColumnIndexStats s = db.column_index_stats();
   report->SetMetric("sat_index_probes",
                     static_cast<double>(s.value_probes + s.like_probes));
-  report->SetMetric("sat_scan_probes", static_cast<double>(s.scan_probes));
   report->SetMetric("index_builds", static_cast<double>(s.builds));
   report->SetMetric("index_build_seconds", s.build_seconds);
   report->SetMetric("like_candidates_verified",
@@ -258,6 +273,48 @@ Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
   SFSQL_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
   if (stmt->where) stmt->where = DoubleNegateConjuncts(std::move(stmt->where));
   return executor.Execute(*stmt);
+}
+
+bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
+                              int attr_index, const core::Condition& cond) {
+  if (!db.HasColumn(relation_id, attr_index)) return false;
+  // Decomposed exactly as RelationTreeMapper does: IN is one equality probe
+  // per value, LIKE takes its pattern and optional escape from the values.
+  std::string_view op = cond.op;
+  std::vector<storage::Value> probes = cond.values;
+  char escape = '\0';
+  if (op == "in") {
+    op = "=";
+  } else if (op == "like") {
+    if (probes.empty() || !probes[0].is_string()) return false;
+    if (probes.size() > 1 && probes[1].is_string()) {
+      escape = exec::LikeEscapeChar(probes[1].AsString());
+    }
+    probes.resize(1);
+  } else {
+    probes.resize(std::min<size_t>(probes.size(), 1));  // compares values[0]
+  }
+  const auto lock = db.ReadLock();
+  const storage::Table& table = db.table(relation_id);
+  for (const storage::Value& probe : probes) {
+    for (size_t c = 0; c < table.num_chunks(); ++c) {
+      const storage::Chunk& chunk = table.chunk(c);
+      // Chunk statistics rule out most chunks without reading the column.
+      if (op == "like" ? chunk.stats(attr_index).all_null()
+                       : chunk.stats(attr_index).CanPrune(op, probe)) {
+        continue;
+      }
+      for (const storage::Value& v : chunk.column(attr_index)) {
+        if (op == "like" ? v.is_string() && exec::LikeMatch(v.AsString(),
+                                                            probe.AsString(),
+                                                            escape)
+                         : Satisfies(v, op, probe)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace sfsql::workloads

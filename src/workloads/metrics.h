@@ -16,8 +16,8 @@ namespace sfsql::workloads {
 /// Stamps per-run metadata into a bench report (every bench_* binary calls
 /// this right before WriteFile): the dataset's row counts (total in config,
 /// per relation in a "dataset" table) and the database's cumulative
-/// column-index counters — probes answered by index vs. scan, index builds
-/// and build time, LIKE candidates verified — plus, when `engine` is given,
+/// column-index counters — index probes, index builds and build time, LIKE
+/// candidates verified — plus, when `engine` is given,
 /// its satisfiability-memo hit/miss counters, and when `executor` is given,
 /// its cumulative access-path counters as exec_<name> for every counter in
 /// exec::kExecCounters.
@@ -77,6 +77,14 @@ Result<bool> TranslationMatchesGold(const storage::Database& db,
 /// differential oracle for index scans, pruning and the join operators.
 Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
                                       std::string_view sql);
+
+/// Reference oracle for the §4.3 satisfiability probes: true if some tuple of
+/// (relation, attribute) satisfies `cond`, found by a scan (skipping chunks
+/// their min/max statistics rule out). IN and LIKE are decomposed exactly as
+/// RelationTreeMapper does; out-of-range ordinals and unknown operators are
+/// unsatisfied. Builds no index and moves no counter.
+bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
+                              int attr_index, const core::Condition& cond);
 
 }  // namespace sfsql::workloads
 

@@ -98,12 +98,12 @@ TEST(ExplainTest, ProvenanceMatchesTopOneTranslation) {
   // Per-root searches cover the generator's roots and respect the seeding
   // protocol: later roots start from at least the root-0 bound.
   ASSERT_EQ(static_cast<long long>(explain.roots.size()),
-            explain.generator.roots);
+            explain.stats.generator.roots);
   for (size_t i = 1; i < explain.roots.size(); ++i) {
-    EXPECT_GE(explain.roots[i].initial_bound, explain.seed_bound);
+    EXPECT_GE(explain.roots[i].search.initial_bound, explain.seed_bound);
   }
   for (const core::ExplainRootSearch& root : explain.roots) {
-    EXPECT_GE(root.final_bound, root.initial_bound);
+    EXPECT_GE(root.search.final_bound, root.search.initial_bound);
     EXPECT_FALSE(root.root.empty());
   }
 }
@@ -111,7 +111,6 @@ TEST(ExplainTest, ProvenanceMatchesTopOneTranslation) {
 TEST(ExplainTest, JsonMatchesGoldenOnFakeClock) {
   auto db = BuildMovie43();
   core::EngineConfig config;
-  config.num_threads = 1;  // deterministic root scheduling for the golden
   obs::FakeClock clock(0, 1'000'000);  // every reading advances 1 ms
   config.clock = &clock;
   SchemaFreeEngine engine(db.get(), config);
@@ -182,26 +181,23 @@ TEST(SlowLogTest, FastTranslationsStayQuiet) {
 
 TEST(GeneratorTimingTest, RootSecondsSumAndMaxAggregateDeterministically) {
   auto db = BuildMovie43();
-  for (int threads : {1, 4}) {
-    core::EngineConfig config;
-    config.num_threads = threads;
-    obs::FakeClock clock(0, 1'000'000);
-    config.clock = &clock;
-    SchemaFreeEngine engine(db.get(), config);
+  core::EngineConfig config;
+  obs::FakeClock clock(0, 1'000'000);
+  config.clock = &clock;
+  SchemaFreeEngine engine(db.get(), config);
 
-    core::TranslateStats stats;
-    auto result = engine.Translate(kQuery, 3, &stats);
-    ASSERT_TRUE(result.ok());
-    const core::GeneratorStats& g = stats.generator;
-    ASSERT_GT(g.roots, 0);
-    // Each root's bracket is (start, end) on the same fake clock, so the sum
-    // counts total work and the max the critical path: sum >= max > 0, and
-    // with more than one root the sum strictly exceeds the max.
-    EXPECT_GT(g.root_seconds_max, 0.0) << "threads=" << threads;
-    EXPECT_GE(g.root_seconds_sum, g.root_seconds_max);
-    if (g.roots > 1) {
-      EXPECT_GT(g.root_seconds_sum, g.root_seconds_max);
-    }
+  core::TranslateStats stats;
+  auto result = engine.Translate(kQuery, 3, &stats);
+  ASSERT_TRUE(result.ok());
+  const core::GeneratorStats& g = stats.generator;
+  ASSERT_GT(g.roots, 0);
+  // Each root's bracket is (start, end) on the same fake clock, so the sum
+  // counts total work and the max the slowest root: sum >= max > 0, and with
+  // more than one root the sum strictly exceeds the max.
+  EXPECT_GT(g.root_seconds_max, 0.0);
+  EXPECT_GE(g.root_seconds_sum, g.root_seconds_max);
+  if (g.roots > 1) {
+    EXPECT_GT(g.root_seconds_sum, g.root_seconds_max);
   }
 }
 

@@ -1,21 +1,28 @@
 // Integration tests for the sys_* virtual relations (core/introspection):
 // a profiled workload is queryable back through the engine's own schema-free
-// translation, and every system relation answers with live state.
+// translation, and every system relation answers with live state. Also checks
+// that the translate counters' one definition (kTranslateCounters) drives
+// metrics, profiles and sys_queries alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "core/introspection.h"
+#include "core/profile.h"
 #include "exec/executor.h"
 #include "exec/task_pool.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "storage/database.h"
 #include "workloads/movie43.h"
+#include "workloads/schema_builder.h"
 
 namespace sfsql {
 namespace {
@@ -45,7 +52,7 @@ class IntrospectionTest : public ::testing::Test {
 
   std::unique_ptr<storage::Database> db_;
   obs::MetricsRegistry metrics_;
-  obs::QueryProfileStore profiles_;
+  core::QueryProfileStore profiles_;
   std::unique_ptr<core::SchemaFreeEngine> engine_;
 };
 
@@ -74,45 +81,45 @@ TEST_F(IntrospectionTest, FindsWorkloadProfileThroughSchemaFreeTranslation) {
 }
 
 // The relation's contents must agree with the in-memory profiles: cache tier,
-// access paths, and chunk pruning round-trip exactly.
+// rows scanned and access paths round-trip exactly (chunk counts: below).
 TEST_F(IntrospectionTest, SysQueriesRowsMatchCapturedProfiles) {
   ASSERT_TRUE(engine_->Execute(kWorkloadQuery).ok());
   ASSERT_TRUE(engine_->Execute(kWorkloadQuery).ok());
 
   // The ground truth, straight from the store.
-  std::vector<obs::QueryProfile> captured = profiles_.Snapshot();
+  std::vector<core::QueryProfile> captured = profiles_.Snapshot();
   ASSERT_EQ(captured.size(), 2u);
   EXPECT_EQ(captured[0].kind, "execute");
   EXPECT_EQ(captured[0].cache_tier, "miss");
   EXPECT_EQ(captured[1].cache_tier, "tier2");
-  EXPECT_FALSE(captured[1].access_paths.empty());
-  EXPECT_GT(captured[1].rows_scanned, 0u);
+  EXPECT_FALSE(captured[1].exec.access_paths.empty());
+  EXPECT_GT(captured[0].exec.stats.rows_scanned, 0u);
 
   core::Introspection intro(Sources());
   exec::Executor direct(&intro.database());
   auto r = direct.ExecuteSql(
-      "SELECT id, cache_tier, rows_scanned, chunks_total, chunks_pruned, "
-      "access_paths FROM sys_queries ORDER BY id");
+      "SELECT id, cache_tier, exec_rows_scanned, access_paths FROM sys_queries "
+      "ORDER BY id");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), captured.size());
   for (size_t i = 0; i < captured.size(); ++i) {
-    const obs::QueryProfile& p = captured[i];
+    const core::QueryProfile& p = captured[i];
     const storage::Row& row = r->rows[i];
     EXPECT_EQ(row[0].AsInt(), static_cast<int64_t>(p.id));
     EXPECT_EQ(row[1].AsString(), p.cache_tier);
-    EXPECT_EQ(row[2].AsInt(), static_cast<int64_t>(p.rows_scanned));
-    EXPECT_EQ(row[3].AsInt(), static_cast<int64_t>(p.chunks_total));
-    EXPECT_EQ(row[4].AsInt(), static_cast<int64_t>(p.chunks_pruned));
+    EXPECT_EQ(row[2].AsInt(),
+              static_cast<int64_t>(p.exec.stats.rows_scanned));
     // "binding:relation:access" per table — the access kind must be one the
     // executor can actually report.
-    if (!p.access_paths.empty()) {
-      const std::string& summary = row[5].AsString();
-      EXPECT_NE(summary.find(p.access_paths[0].relation), std::string::npos);
-      EXPECT_NE(summary.find(p.access_paths[0].access), std::string::npos);
-      EXPECT_TRUE(p.access_paths[0].access == "table_scan" ||
-                  p.access_paths[0].access == "index_scan" ||
-                  p.access_paths[0].access == "index_join")
-          << p.access_paths[0].access;
+    if (!p.exec.access_paths.empty()) {
+      const exec::TableAccessExplain& first = p.exec.access_paths[0];
+      const std::string& summary = row[3].AsString();
+      EXPECT_NE(summary.find(first.relation), std::string::npos);
+      EXPECT_NE(summary.find(first.access()), std::string::npos);
+      EXPECT_TRUE(first.access() == "table_scan" ||
+                  first.access() == "index_scan" ||
+                  first.access() == "index_join")
+          << first.access();
     }
   }
 }
@@ -239,9 +246,8 @@ TEST_F(IntrospectionTest, SysColumnStatsAggregateAcrossChunks) {
   EXPECT_EQ(free->rows.size(), expected);
 }
 
-// sys_pool exposes the shared worker pool's counters: one row whose worker
-// count matches the engine's pool, with activity visible after a parallel
-// translate has fanned out through it.
+// sys_pool exposes the engine's execution pool counters: one row whose worker
+// count matches the engine's pool, with the activity of a parallel execute.
 TEST_F(IntrospectionTest, SysPoolReportsSharedPoolCounters) {
   core::EngineConfig config;
   config.num_threads = 4;
@@ -268,6 +274,160 @@ TEST_F(IntrospectionTest, SysPoolReportsSharedPoolCounters) {
   ASSERT_TRUE(free.ok()) << free.status().ToString();
   EXPECT_NE(translated.find("sys_pool"), std::string::npos) << translated;
   ASSERT_EQ(free->rows.size(), 1u);
+}
+
+// A profile's chunk counts both come from the top-level block's planned
+// access paths, as EXPLAIN shows them: T(k, i = 10k) holds 32 rows in 4
+// chunks of 8, and each query below plans a read of one chunk. The first
+// scans T and runs its IN subquery once per outer row; the second is an
+// IndexScan, which prunes chunks in its plan but never in a scan.
+TEST(ProfileChunkCountsTest, ChunkCountsComeFromTheTopLevelPlan) {
+  workloads::SchemaBuilder b;
+  b.Rel("T", "k:int*, i:int");
+  storage::Database db(b.Build(), /*chunk_capacity=*/8);
+  for (int k = 0; k < 32; ++k) {
+    ASSERT_TRUE(db.Insert(0, {storage::Value::Int(k),
+                              storage::Value::Int(10 * k)})
+                    .ok());
+  }
+  core::QueryProfileStore profiles;
+  core::EngineConfig config;
+  config.profiles = &profiles;
+  core::SchemaFreeEngine engine(&db, config);
+  ASSERT_TRUE(engine
+                  .Execute("SELECT k FROM T WHERE i >= 80 AND i <= 150 AND k "
+                           "IN (SELECT k FROM T WHERE i >= 80 AND i <= 150)")
+                  .ok());
+  ASSERT_TRUE(engine.Execute("SELECT k FROM T WHERE i = 70").ok());
+
+  core::IntrospectionSources sources;
+  sources.profiles = &profiles;
+  core::Introspection intro(sources);
+  exec::Executor direct(&intro.database());
+  auto r = direct.ExecuteSql(
+      "SELECT chunks_total, chunks_pruned, exec_chunks_pruned FROM sys_queries "
+      "ORDER BY id");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  for (const storage::Row& row : r->rows) {
+    EXPECT_EQ(row[0].AsInt(), 4);
+    EXPECT_EQ(row[1].AsInt(), 3);
+    EXPECT_LE(row[1].AsInt(), row[0].AsInt());
+  }
+  // The runtime counter still covers every executed block and every scan.
+  EXPECT_GT(r->rows[0][2].AsInt(), 3);
+  EXPECT_EQ(r->rows[1][2].AsInt(), 0);
+}
+
+// Every translate counter is defined once, in kTranslateCounters: after one
+// Translate and one Execute, each descriptor's metric series holds the sum of
+// its field over the two calls' profiles, and its key names exactly one
+// profile JSON member and one sys_queries column.
+TEST(TranslateCountersTest, EveryDescriptorDrivesMetricsProfilesAndSysQueries) {
+  auto db = workloads::BuildMovie43(42, 60);
+  obs::MetricsRegistry registry;
+  core::QueryProfileStore profiles;
+  core::EngineConfig config;
+  config.metrics = &registry;
+  config.profiles = &profiles;
+  core::SchemaFreeEngine engine(db.get(), config);
+  core::TranslateStats stats;
+  ASSERT_TRUE(engine
+                  .Translate("SELECT title? WHERE actor_name? = 'Kate Winslet' "
+                             "AND director_name? = 'James Cameron'",
+                             3, &stats)
+                  .ok());
+  ASSERT_TRUE(engine.Execute(kWorkloadQuery).ok());
+
+  const std::vector<core::QueryProfile> captured = profiles.Snapshot();
+  ASSERT_EQ(captured.size(), 2u);
+  ASSERT_EQ(captured[1].cache_tier, "miss");  // both ran the pipeline
+  EXPECT_GT(stats.generator.pushed, 0);
+  EXPECT_GT(stats.sat_index_probes, 0);
+
+  // "family{key=value}" -> series.
+  std::map<std::string, const obs::MetricsRegistry::Series*> exported;
+  registry.ForEachFamily([&](const obs::MetricsRegistry::Family& f) {
+    for (const obs::MetricsRegistry::Series& series : f.series) {
+      std::string name = f.name + "{";
+      for (const obs::Label& l : series.labels) name += l.key + "=" + l.value;
+      exported[name + "}"] = &series;
+    }
+  });
+  EXPECT_EQ(exported.count("sfsql_satisfiability_probes_total{path=scan}"), 0u);
+  for (const core::TranslateCounter& c : core::kTranslateCounters) {
+    // The Translate's own stats are what its profile recorded.
+    EXPECT_EQ(c.Value(stats), c.Value(captured[0].translate)) << c.key;
+    if (c.family == nullptr) continue;
+    const std::string name =
+        c.label_key == nullptr
+            ? StrCat(c.family, "{}")
+            : StrCat(c.family, "{", c.label_key, "=", c.label_value, "}");
+    ASSERT_EQ(exported.count(name), 1u) << name;
+    const obs::MetricsRegistry::Series& series = *exported[name];
+    const double sum = c.Value(captured[0].translate) +
+                       c.Value(captured[1].translate);
+    switch (c.metric) {
+      case obs::MetricType::kCounter:
+        ASSERT_NE(series.counter, nullptr) << c.key;
+        EXPECT_EQ(static_cast<double>(series.counter->Value()), sum) << c.key;
+        break;
+      case obs::MetricType::kGauge:
+        ASSERT_NE(series.gauge, nullptr) << c.key;
+        EXPECT_DOUBLE_EQ(series.gauge->Value(), sum) << c.key;
+        break;
+      case obs::MetricType::kHistogram:
+        ASSERT_NE(series.histogram, nullptr) << c.key;
+        EXPECT_EQ(series.histogram->Count(), 2u) << c.key;
+        EXPECT_DOUBLE_EQ(series.histogram->Sum(), sum) << c.key;
+        break;
+    }
+  }
+
+  auto json = obs::ParseJson(profiles.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const obs::JsonValue* records = json->Find("profiles");
+  ASSERT_TRUE(records != nullptr && records->is_array());
+  ASSERT_EQ(records->items.size(), 2u);
+
+  core::IntrospectionSources sources;
+  sources.profiles = &profiles;
+  core::Introspection intro(sources);
+  const catalog::Relation& sys_queries =
+      intro.database().catalog().relation(0);
+  ASSERT_EQ(sys_queries.name, "sys_queries");
+
+  std::vector<std::string> keys;
+  for (const core::TranslateCounter& c : core::kTranslateCounters) {
+    keys.push_back(c.key);
+  }
+  for (const exec::ExecCounter& c : exec::kExecCounters) {
+    keys.push_back(std::string("exec_") + c.name);
+  }
+  // Each key names one sys_queries column and one member of each record.
+  std::vector<std::vector<std::string>> namings(1);
+  for (const catalog::Attribute& a : sys_queries.attributes) {
+    namings[0].push_back(a.name);
+  }
+  for (const obs::JsonValue& record : records->items) {
+    namings.emplace_back();
+    for (const auto& member : record.members) {
+      namings.back().push_back(member.first);
+    }
+  }
+  for (const std::string& key : keys) {
+    for (const std::vector<std::string>& names : namings) {
+      EXPECT_EQ(std::count(names.begin(), names.end(), key), 1) << key;
+    }
+  }
+
+  exec::Executor direct(&intro.database());
+  auto rows = direct.ExecuteSql("SELECT * FROM sys_queries");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 2u);
+  for (const storage::Row& row : rows->rows) {
+    EXPECT_EQ(row.size(), sys_queries.attributes.size());
+  }
 }
 
 TEST(IntrospectionEmptyTest, NullSourcesYieldEmptyRelationsNotErrors) {

@@ -2,7 +2,8 @@
 // edge cases, registry registration rules and thread safety (run under TSan
 // in the sanitizer CI job), the Prometheus/JSON exporters against golden
 // files, the span tracer on a fake clock, the JSON writer/parser pair, and
-// the machine-readable bench report.
+// the machine-readable bench report — plus the query-profile ring the engine
+// records into (core/profile), whose JSON export is golden-tested here too.
 //
 // Golden files live in tests/goldens/; regenerate after an intentional format
 // change with:  SFSQL_REGEN_GOLDENS=1 ./test_obs
@@ -16,12 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/profile.h"
 #include "obs/bench_report.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace sfsql::obs {
@@ -463,6 +464,9 @@ TEST(TracerTest, ForestJsonMatchesGolden) {
 
 // --- QueryProfileStore -------------------------------------------------------
 
+using core::QueryProfile;
+using core::QueryProfileStore;
+
 QueryProfile DemoProfile(uint64_t start_nanos, const char* statement) {
   QueryProfile p;
   p.start_nanos = start_nanos;
@@ -470,7 +474,7 @@ QueryProfile DemoProfile(uint64_t start_nanos, const char* statement) {
   p.statement = statement;
   p.cache_tier = "miss";
   p.latency_seconds = 0.002;
-  p.parse_seconds = 0.0005;
+  p.translate.parse_seconds = 0.0005;
   p.translations = 3;
   return p;
 }
@@ -520,7 +524,9 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
 
   QueryProfile translate = DemoProfile(1'000'000, "SELECT name FROM people");
   translate.fingerprint = "deadbeef";
-  translate.map_seconds = 0.001;
+  translate.translate.map_seconds = 0.001;
+  translate.translate.sat_index_probes = 5;
+  translate.translate.generator.pushed = 12;
   translate.spans = {{0, -1, "translate", 1'000'000, 3'000'000, {}},
                      {1, 0, "parse", 1'000'000, 1'500'000, {{"bytes", "23"}}}};
   store.Record(std::move(translate));
@@ -528,14 +534,16 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   QueryProfile execute = DemoProfile(5'000'000, "SELECT * FROM movies");
   execute.kind = "execute";
   execute.cache_tier = "tier2";
-  execute.parse_seconds = 0.0;
+  execute.translate.parse_seconds = 0.0;
   execute.translations = 1;
-  execute.execute_seconds = 0.0007;
-  execute.rows_scanned = 120;
-  execute.rows_returned = 7;
-  execute.chunks_total = 4;
-  execute.chunks_pruned = 2;
-  execute.access_paths = {{"m", "Movie", "index_scan", 120, 9, 4, 2}};
+  execute.exec.seconds = 0.0007;
+  execute.exec.stats.rows_scanned = 120;
+  execute.exec.stats.index_scans = 1;
+  execute.exec.rows_returned = 7;
+  execute.exec.access_paths = {{.binding = "m", .relation = "Movie",
+                                .index_scan = true, .table_rows = 120,
+                                .estimated_rows = 9, .chunks_total = 4,
+                                .chunks_pruned = 2}};
   store.Record(std::move(execute));
 
   QueryProfile failed = DemoProfile(9'000'000, "SELECT FROM nothing");

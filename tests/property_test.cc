@@ -13,13 +13,13 @@
 #include "core/mapper.h"
 #include "core/mtjn_generator.h"
 #include "core/plan_cache.h"
-#include "obs/clock.h"
 #include "exec/executor.h"
-#include "exec/task_pool.h"
+#include "obs/clock.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "text/similarity.h"
 #include "workloads/datagen.h"
+#include "workloads/metrics.h"
 #include "workloads/movie43.h"
 #include "workloads/movie6.h"
 #include "workloads/schema_builder.h"
@@ -93,6 +93,21 @@ TEST(GeneratorPropertyTest, TopKMatchesOracleOnRandomSchemas) {
     auto rightmost = generator.TopKRightmost(3);
     auto regular = generator.TopKRegular(3);
 
+    // Instrumentation fully armed (injected clock, stats, trace) must not
+    // perturb the search: same networks, same weights to the bit.
+    obs::FakeClock clock(0, 1'000);
+    config.clock = &clock;
+    core::GeneratorStats stats;
+    core::GeneratorTrace trace;
+    auto traced = core::MtjnGenerator(&*graph, config).TopK(3, &stats, &trace);
+    ASSERT_EQ(traced.size(), ours.size());
+    for (size_t i = 0; i < ours.size(); ++i) {
+      EXPECT_EQ(traced[i].network.CanonicalSignature(),
+                ours[i].network.CanonicalSignature());
+      EXPECT_EQ(traced[i].weight, ours[i].weight);
+    }
+    EXPECT_EQ(static_cast<int>(trace.roots.size()), stats.roots);
+
     if (oracle.empty()) {
       EXPECT_TRUE(ours.empty()) << "trial " << trial << " query " << sf;
       continue;
@@ -120,112 +135,18 @@ TEST(GeneratorPropertyTest, TopKMatchesOracleOnRandomSchemas) {
       EXPECT_LE(ours[i].weight, 1.0 + 1e-12);
       if (i > 0) EXPECT_LE(ours[i].weight, ours[i - 1].weight + 1e-12);
     }
-  }
-}
-
-TEST(GeneratorPropertyTest, ParallelTopKIsBitIdenticalToSerial) {
-  // Per-root searches use only local pruning bounds, so running them on a
-  // thread pool must not change anything: same networks, same weights (to the
-  // bit), same order. Also checks the result against the exhaustive oracle,
-  // which now shares the (weight desc, signature asc) tie-break.
-  //
-  // Runs with instrumentation fully armed — injected clock, stats, and a
-  // GeneratorTrace on both sides — because the observability layer must not
-  // perturb the search (ISSUE: "parallel-vs-serial bit-identical with
-  // instrumentation on").
-  std::mt19937_64 rng(19700101);
-  for (int trial = 0; trial < 10; ++trial) {
-    int n = 4 + static_cast<int>(rng() % 4);
-    storage::Database db = RandomDatabase(rng, n);
-
-    std::vector<int> rels;
-    for (int r = 0; r < db.catalog().num_relations(); ++r) rels.push_back(r);
-    std::shuffle(rels.begin(), rels.end(), rng);
-    int l = 2 + static_cast<int>(rng() % 2);
-    std::string sf = "SELECT ";
-    for (int i = 0; i < l; ++i) {
-      if (i) sf += ", ";
-      sf += db.catalog().relation(rels[i]).name + ".name";
+    // The whole top-k matches the oracle's prefix, modulo last-ulp weight
+    // differences from differing construction orders; equal-weight groups may
+    // then be ordered differently, so compare the prefix as a set.
+    ASSERT_EQ(ours.size(), std::min<size_t>(3, oracle.size()));
+    for (size_t i = 0; i < ours.size(); ++i) {
+      EXPECT_NEAR(ours[i].weight, oracle[i].weight, 1e-9);
     }
-
-    auto stmt = sql::ParseSelect(sf);
-    ASSERT_TRUE(stmt.ok()) << sf;
-    auto extraction = core::ExtractRelationTrees(**stmt);
-    ASSERT_TRUE(extraction.ok());
-    core::RelationTreeMapper mapper(&db, core::SimilarityConfig{});
-    std::vector<core::MappingSet> mappings;
-    for (const core::RelationTree& rt : extraction->trees) {
-      mappings.push_back(mapper.Map(rt));
-      ASSERT_FALSE(mappings.back().candidates.empty());
-    }
-    core::ViewGraph views(&db.catalog());
-    core::GeneratorConfig config;
-    config.max_jn_nodes = n + 1;
-    auto graph = core::ExtendedViewGraph::Build(db, views, extraction->trees,
-                                                mappings, mapper, config);
-    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-
-    obs::FakeClock clock(0, 1'000);
-    config.clock = &clock;
-    core::MtjnGenerator serial_gen(&*graph, config);
-    core::GeneratorStats serial_stats;
-    core::GeneratorTrace serial_trace;
-    auto serial = serial_gen.TopK(5, &serial_stats, &serial_trace);
-
-    config.num_threads = 4;
-    exec::TaskPool pool(3);  // the generator fans out only on a wired pool
-    config.pool = &pool;
-    core::MtjnGenerator parallel_gen(&*graph, config);
-    core::GeneratorStats parallel_stats;
-    core::GeneratorTrace parallel_trace;
-    auto parallel = parallel_gen.TopK(5, &parallel_stats, &parallel_trace);
-
-    ASSERT_EQ(parallel.size(), serial.size()) << "trial " << trial << " " << sf;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].network.CanonicalSignature(),
-                serial[i].network.CanonicalSignature())
-          << "trial " << trial << " rank " << i << " query " << sf;
-      EXPECT_EQ(parallel[i].weight, serial[i].weight);  // bit-identical
-    }
-    // Counters are summed in root-rank order, so they coincide too.
-    EXPECT_EQ(parallel_stats.pushed, serial_stats.pushed);
-    EXPECT_EQ(parallel_stats.popped, serial_stats.popped);
-    EXPECT_EQ(parallel_stats.expansions, serial_stats.expansions);
-    EXPECT_EQ(parallel_stats.pruned, serial_stats.pruned);
-    EXPECT_EQ(parallel_stats.emitted, serial_stats.emitted);
-    EXPECT_EQ(parallel_stats.roots, serial_stats.roots);
-    // The traces agree per root (rank order) on everything but wall time.
-    ASSERT_EQ(parallel_trace.roots.size(), serial_trace.roots.size());
-    EXPECT_EQ(parallel_trace.seed_bound, serial_trace.seed_bound);
-    for (size_t i = 0; i < serial_trace.roots.size(); ++i) {
-      EXPECT_EQ(parallel_trace.roots[i].root_xnode,
-                serial_trace.roots[i].root_xnode);
-      EXPECT_EQ(parallel_trace.roots[i].potential,
-                serial_trace.roots[i].potential);
-      EXPECT_EQ(parallel_trace.roots[i].initial_bound,
-                serial_trace.roots[i].initial_bound);
-      EXPECT_EQ(parallel_trace.roots[i].final_bound,
-                serial_trace.roots[i].final_bound);
-      EXPECT_EQ(parallel_trace.roots[i].stats.expansions,
-                serial_trace.roots[i].stats.expansions);
-    }
-
-    // Against the oracle: same prefix, modulo last-ulp weight differences from
-    // differing construction orders.
-    auto oracle = serial_gen.EnumerateAll(config.max_jn_nodes);
-    ASSERT_EQ(serial.size(), std::min<size_t>(5, oracle.size()));
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_NEAR(serial[i].weight, oracle[i].weight, 1e-9);
-    }
-    // Equal-weight groups may be ordered differently when the two sides
-    // compute a weight a last-ulp apart, so compare the prefix as a set.
-    bool clean_boundary =
-        serial.size() == oracle.size() ||
-        oracle[serial.size()].weight < serial.back().weight - 1e-9;
-    if (clean_boundary) {
+    if (ours.size() == oracle.size() ||
+        oracle[ours.size()].weight < ours.back().weight - 1e-9) {
       std::vector<std::string> ours_sigs, oracle_sigs;
-      for (size_t i = 0; i < serial.size(); ++i) {
-        ours_sigs.push_back(serial[i].network.CanonicalSignature());
+      for (size_t i = 0; i < ours.size(); ++i) {
+        ours_sigs.push_back(ours[i].network.CanonicalSignature());
         oracle_sigs.push_back(oracle[i].network.CanonicalSignature());
       }
       std::sort(ours_sigs.begin(), ours_sigs.end());
@@ -443,17 +364,18 @@ TEST(IndexPropertyTest, IndexedMatchesScanOnRandomData) {
     if (trial % 3 == 0) {
       const char escape = rng() % 2 == 0 ? '!' : '\0';
       const std::string pattern = RandomPatternish(rng, 6);
-      EXPECT_EQ(
-          db.AnyStringMatchesLike(0, attr, pattern, escape, /*use_index=*/true),
-          db.AnyStringMatchesLike(0, attr, pattern, escape,
-                                  /*use_index=*/false))
+      const core::Condition like{"like", {storage::Value::String(pattern),
+                                          storage::Value::String({escape})}};
+      EXPECT_EQ(db.AnyStringMatchesLike(0, attr, pattern, escape),
+                workloads::ScanConditionSatisfiable(db, 0, attr, like))
           << "attr " << attr << " pattern '" << pattern << "' escape '"
           << (escape ? escape : ' ') << "'";
     } else {
       const char* op = kOps[rng() % std::size(kOps)];
       const storage::Value v = RandomValue(rng, kTypes[rng() % 4], true);
-      EXPECT_EQ(db.AnyTupleSatisfies(0, attr, op, v, /*use_index=*/true),
-                db.AnyTupleSatisfies(0, attr, op, v, /*use_index=*/false))
+      EXPECT_EQ(db.AnyTupleSatisfies(0, attr, op, v),
+                workloads::ScanConditionSatisfiable(db, 0, attr,
+                                                    core::Condition{op, {v}}))
           << "attr " << attr << " op " << op << " value " << v.ToSqlLiteral();
     }
   }
@@ -523,16 +445,12 @@ TEST(IndexPropertyTest, MemoizedMatchesUnmemoizedOnRandomConditions) {
     pool.push_back(std::move(p));
   }
 
-  core::SimilarityConfig scan_cfg;
-  scan_cfg.use_column_index = false;
-  scan_cfg.satisfiability_memo_capacity = 0;
   core::SimilarityConfig plain_cfg;
   plain_cfg.satisfiability_memo_capacity = 0;
   core::SimilarityConfig memo_cfg;
   // Tiny capacity: the per-shard limit is hit constantly, so the clear-on-full
   // path runs, not just the happy inserts.
   memo_cfg.satisfiability_memo_capacity = 64;
-  core::RelationTreeMapper scan_mapper(&db, scan_cfg);
   core::RelationTreeMapper plain_mapper(&db, plain_cfg);
   core::RelationTreeMapper memo_mapper(&db, memo_cfg);
 
@@ -546,8 +464,8 @@ TEST(IndexPropertyTest, MemoizedMatchesUnmemoizedOnRandomConditions) {
                       .ok());
     }
     const Probe& p = pool[rng() % pool.size()];
-    const bool want = scan_mapper.ConditionSatisfiable(p.relation, p.attr,
-                                                       p.cond);
+    const bool want =
+        workloads::ScanConditionSatisfiable(db, p.relation, p.attr, p.cond);
     EXPECT_EQ(plain_mapper.ConditionSatisfiable(p.relation, p.attr, p.cond),
               want)
         << "step " << step << " cond " << p.cond.ToString();
@@ -581,7 +499,7 @@ TEST(IndexPropertyTest, ConcurrentLazyIndexBuildIsConsistent) {
     }
   }
 
-  // Reference answers via the scan path (builds no indexes), so the threads
+  // Reference answers from the scan oracle (builds no indexes), so the threads
   // below are the first to touch every column index and race on the builds.
   struct Probe {
     int relation;
@@ -601,13 +519,16 @@ TEST(IndexPropertyTest, ConcurrentLazyIndexBuildIsConsistent) {
                                      .type,
                             true),
                 false};
-        p.want = db.AnyTupleSatisfies(r, a, p.op, p.value, /*use_index=*/false);
+        p.want = workloads::ScanConditionSatisfiable(
+            db, r, a, core::Condition{p.op, {p.value}});
         probes.push_back(std::move(p));
       }
       Probe like{r, a, "like:" + RandomPatternish(rng, 5),
                  storage::Value::Null_(), false};
-      like.want = db.AnyStringMatchesLike(r, a, like.op.substr(5), '!',
-                                          /*use_index=*/false);
+      like.want = workloads::ScanConditionSatisfiable(
+          db, r, a,
+          core::Condition{"like", {storage::Value::String(like.op.substr(5)),
+                                   storage::Value::String("!")}});
       probes.push_back(std::move(like));
     }
   }
@@ -620,9 +541,8 @@ TEST(IndexPropertyTest, ConcurrentLazyIndexBuildIsConsistent) {
         const bool got =
             p.op.rfind("like:", 0) == 0
                 ? db.AnyStringMatchesLike(p.relation, p.attr, p.op.substr(5),
-                                          '!', /*use_index=*/true)
-                : db.AnyTupleSatisfies(p.relation, p.attr, p.op, p.value,
-                                       /*use_index=*/true);
+                                          '!')
+                : db.AnyTupleSatisfies(p.relation, p.attr, p.op, p.value);
         if (got != p.want) mismatches.fetch_add(1);
       }
     });

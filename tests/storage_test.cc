@@ -3,8 +3,10 @@
 #include <cmath>
 #include <vector>
 
+#include "core/relation_tree.h"
 #include "storage/database.h"
 #include "storage/value.h"
+#include "workloads/metrics.h"
 
 namespace sfsql::storage {
 namespace {
@@ -308,8 +310,9 @@ TEST(ColumnIndexTest, IndexedProbesMatchScanAcrossOpsAndTypes) {
   for (int a = 0; a < 3; ++a) {
     for (const Value& v : probes) {
       for (const char* op : ops) {
-        EXPECT_EQ(db.AnyTupleSatisfies(0, a, op, v, /*use_index=*/true),
-                  db.AnyTupleSatisfies(0, a, op, v, /*use_index=*/false))
+        EXPECT_EQ(db.AnyTupleSatisfies(0, a, op, v),
+                  workloads::ScanConditionSatisfiable(
+                      db, 0, a, core::Condition{op, {v}}))
             << "attr " << a << " op " << op << " value " << v.ToSqlLiteral();
       }
     }
@@ -339,14 +342,14 @@ TEST(ColumnIndexTest, IndexedLikeMatchesScan) {
       {"zz%", '\0'},            // empty prefix range miss
   };
   for (const auto& cs : cases) {
-    EXPECT_EQ(
-        db.AnyStringMatchesLike(0, 1, cs.pattern, cs.escape, /*use_index=*/true),
-        db.AnyStringMatchesLike(0, 1, cs.pattern, cs.escape,
-                                /*use_index=*/false))
+    const core::Condition like{"like", {Value::String(cs.pattern),
+                                        Value::String({cs.escape})}};
+    EXPECT_EQ(db.AnyStringMatchesLike(0, 1, cs.pattern, cs.escape),
+              workloads::ScanConditionSatisfiable(db, 0, 1, like))
         << "pattern " << cs.pattern;
   }
   // Non-string columns have no string class to match.
-  EXPECT_FALSE(db.AnyStringMatchesLike(0, 0, "%", '\0', /*use_index=*/true));
+  EXPECT_FALSE(db.AnyStringMatchesLike(0, 0, "%", '\0'));
 }
 
 TEST(ColumnIndexTest, AppendInvalidatesIndex) {
@@ -365,21 +368,6 @@ TEST(ColumnIndexTest, AppendInvalidatesIndex) {
   EXPECT_EQ(s.builds, 2u);  // initial build + rebuild of the name column
   EXPECT_EQ(s.value_probes, 2u);
   EXPECT_EQ(s.like_probes, 2u);
-  EXPECT_EQ(s.scan_probes, 0u);
-}
-
-TEST(ColumnIndexTest, ScanFallbackCountsScanProbes) {
-  Database db(MovieCatalog());
-  ASSERT_TRUE(db.Insert(0, {Value::Int(1), Value::String("Ang Lee"),
-                            Value::Null_()}).ok());
-  EXPECT_TRUE(
-      db.AnyTupleSatisfies(0, 0, "=", Value::Int(1), /*use_index=*/false));
-  EXPECT_TRUE(db.AnyStringMatchesLike(0, 1, "%Lee", '\0', /*use_index=*/false));
-  const ColumnIndexStats s = db.column_index_stats();
-  EXPECT_EQ(s.builds, 0u);
-  EXPECT_EQ(s.scan_probes, 2u);
-  EXPECT_EQ(s.value_probes, 0u);
-  EXPECT_EQ(s.like_probes, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Reads one schema-free query from stdin and prints its top-k translations
 // with the per-phase timing / cache / generator statistics of the call.
-// Usage: debug_translate [k] [num_threads] < query.txt
+// Usage: debug_translate [k] < query.txt
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -10,9 +10,7 @@
 using namespace sfsql;  // NOLINT(build/namespaces)
 int main(int argc, char** argv) {
   auto db = workloads::BuildMovie43(42, 60);
-  core::EngineConfig config;
-  if (argc > 2) config.num_threads = atoi(argv[2]);
-  core::SchemaFreeEngine engine(db.get(), config);
+  core::SchemaFreeEngine engine(db.get());
   std::string q;
   std::getline(std::cin, q);
   core::TranslateStats stats;
@@ -33,7 +31,7 @@ int main(int argc, char** argv) {
       stats.generator.roots, stats.generator.pushed, stats.generator.popped,
       stats.generator.expansions, stats.generator.pruned,
       stats.generator.emitted, stats.generator.truncated ? " (truncated)" : "");
-  std::printf("similarity cache: %lld hits, %lld misses (threads=%d)\n",
-              stats.cache_hits, stats.cache_misses, config.num_threads);
+  std::printf("similarity cache: %lld hits, %lld misses\n", stats.cache_hits,
+              stats.cache_misses);
   return 0;
 }

@@ -33,12 +33,12 @@
 
 #include "core/engine.h"
 #include "core/plan_cache.h"
+#include "core/profile.h"
 #include "exec/task_pool.h"
 #include "obs/bench_report.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "workloads/movie43.h"
 #include "workloads/serving.h"
 
@@ -53,12 +53,12 @@ constexpr const char* kLatencyGaugeHelp =
 
 /// Updates the rolling latency gauges from the profiles captured since
 /// `last_id` and prints one stats line. Returns the highest profile id seen.
-uint64_t RollStats(const obs::QueryProfileStore& profiles,
+uint64_t RollStats(const core::QueryProfileStore& profiles,
                    obs::MetricsRegistry& registry, uint64_t last_id,
                    double elapsed_seconds) {
   std::vector<double> window_ms;
   uint64_t max_id = last_id;
-  for (const obs::QueryProfile& p : profiles.Snapshot()) {
+  for (const core::QueryProfile& p : profiles.Snapshot()) {
     if (p.id <= last_id) continue;
     if (p.id > max_id) max_id = p.id;
     window_ms.push_back(p.latency_seconds * 1e3);
@@ -84,7 +84,7 @@ uint64_t RollStats(const obs::QueryProfileStore& profiles,
 
 void WriteStatsJson(const std::string& path, const ServeResult& r, double qps,
                     const core::SchemaFreeEngine& engine,
-                    const obs::QueryProfileStore& profiles,
+                    const core::QueryProfileStore& profiles,
                     const obs::MetricsRegistry& registry, int threads,
                     long long total_requests, size_t distinct) {
   obs::JsonWriter w(/*pretty=*/true);
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
 
   auto db = BuildMovie43();
   obs::MetricsRegistry registry;
-  obs::QueryProfileStore profiles(static_cast<size_t>(profile_capacity));
+  core::QueryProfileStore profiles(static_cast<size_t>(profile_capacity));
   core::EngineConfig cfg;
   cfg.plan_cache_enabled = cache;
   cfg.plan_cache_capacity = static_cast<size_t>(capacity);

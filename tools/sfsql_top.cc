@@ -33,7 +33,6 @@ struct Aggregate {
   long long tier1 = 0;
   long long miss = 0;
   unsigned long long rows_scanned = 0;
-  unsigned long long chunks_pruned = 0;
 
   double mean_ms() const { return count > 0 ? total_ms / count : 0.0; }
 };
@@ -152,9 +151,7 @@ int main(int argc, char** argv) {
     agg.max_ms = std::max(agg.max_ms, ms);
     agg.execute_ms += NumberOr(p.Find("execute_ms"), 0.0);
     agg.rows_scanned += static_cast<unsigned long long>(
-        NumberOr(p.Find("rows_scanned"), 0.0));
-    agg.chunks_pruned += static_cast<unsigned long long>(
-        NumberOr(p.Find("chunks_pruned"), 0.0));
+        NumberOr(p.Find("exec_rows_scanned"), 0.0));
     if (const JsonValue* ok = p.Find("ok");
         ok != nullptr && ok->kind == JsonValue::Kind::kBool && !ok->boolean) {
       ++agg.errors;
