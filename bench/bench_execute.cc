@@ -676,8 +676,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(final_stats.index_scans));
   report.SetMetric("exec_rows_pruned_last_scale",
                    static_cast<double>(final_stats.rows_pruned));
-  RecordRunMetadata(&report, *last_db, /*engine=*/nullptr,
-                    last_indexed.get());
+  RecordRunMetadata(&report, *last_db, last_indexed.get());
   (void)report.WriteFile();
   return all_identical ? 0 : 1;
 }

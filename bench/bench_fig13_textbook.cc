@@ -104,7 +104,7 @@ int main() {
                        ? 0.0
                        : static_cast<double>(cache_hits) /
                              static_cast<double>(cache_hits + cache_misses));
-  RecordRunMetadata(&report, *db, &engine);
+  RecordRunMetadata(&report, *db);
   (void)report.WriteFile();
   return correct1 == 17 ? 0 : 1;
 }

@@ -87,7 +87,7 @@ int main() {
   report.SetMetric("cost_vs_sql", sum_sf / sum_sql);
   report.SetMetric("cost_vs_gui", sum_sf / sum_gui);
   report.SetLatencyMetrics("translate_seconds", std::move(translate_seconds));
-  RecordRunMetadata(&report, *db, &engine);
+  RecordRunMetadata(&report, *db);
   (void)report.WriteFile();
   return correct == total ? 0 : 1;
 }

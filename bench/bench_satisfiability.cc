@@ -6,12 +6,12 @@
 // 1, 10, 100), derives a deterministic probe workload from the data itself
 // (equality, inequalities, <>, IN lists, LIKE with wildcards / escapes /
 // wildcard-free — hits and misses, every relation and attribute), and answers
-// every probe three ways:
-//   scan       — the reference scan (workloads::ScanConditionSatisfiable)
-//   index      — a mapper with its memo off: column indexes only
-//   index+memo — a mapper with the sharded memo on (the default engine path)
-// All three must return identical answers; the bench cross-checks
-// every probe and exits non-zero on any divergence. The lazy index builds are
+// every probe two ways:
+//   scan  — the reference scan (workloads::ScanConditionSatisfiable)
+//   index — the mapper's probe, answered by the column indexes (the engine
+//           path)
+// Both must return identical answers; the bench cross-checks every probe and
+// exits non-zero on any divergence. The lazy index builds are
 // triggered by one untimed warmup pass so the timed rounds measure
 // steady-state probe throughput; the one-time build cost is reported
 // separately (index_builds / index_build_seconds).
@@ -131,13 +131,10 @@ RunResult RunProbes(const std::vector<Probe>& probes, int rounds,
   return out;
 }
 
-/// Probes through a mapper (column indexes, plus the memo when
-/// `memo_capacity` > 0).
-RunResult RunMapper(const storage::Database* db, size_t memo_capacity,
+/// Probes through a mapper, as the engine does.
+RunResult RunMapper(const storage::Database* db,
                     const std::vector<Probe>& probes, int rounds) {
-  core::SimilarityConfig sim;
-  sim.satisfiability_memo_capacity = memo_capacity;
-  core::RelationTreeMapper mapper(db, sim);
+  core::RelationTreeMapper mapper(db, core::SimilarityConfig{});
   return RunProbes(probes, rounds, [&](const Probe& p) {
     return mapper.ConditionSatisfiable(p.relation, p.attr, p.cond);
   });
@@ -183,15 +180,14 @@ int main(int argc, char** argv) {
   std::printf("condition-satisfiability probe throughput — movie43, "
               "scales x%d..x%d\n\n",
               scales.front(), scales.back());
-  std::printf("%7s %10s %9s %15s %15s %15s %9s %9s\n", "scale", "rows",
-              "probes", "scan p/s", "index p/s", "memo p/s", "idx spd",
-              "memo spd");
+  std::printf("%7s %10s %9s %15s %15s %9s\n", "scale", "rows", "probes",
+              "scan p/s", "index p/s", "idx spd");
 
   bool all_identical = true;
   double speedup_at_10 = 0.0;
-  // Per-round sweep times of the default engine path (index + memo), pooled
-  // across scales — the bench's primary latency distribution.
-  std::vector<double> memo_round_seconds;
+  // Per-round sweep times of the engine path, pooled across scales — the
+  // bench's primary latency distribution.
+  std::vector<double> index_round_seconds;
   std::unique_ptr<storage::Database> last_db;
   for (int scale : scales) {
     auto db = BuildMovie43(seed, base_rows, scale);
@@ -204,31 +200,24 @@ int main(int argc, char** argv) {
     // Untimed warmup pass: triggers every lazy index build so the timed
     // configurations measure steady-state probing; the build cost lands in
     // the index_builds / index_build_seconds deltas below.
-    (void)RunMapper(db.get(), /*memo_capacity=*/0, probes, 1);
+    (void)RunMapper(db.get(), probes, 1);
     const storage::ColumnIndexStats warmed = db->column_index_stats();
-    RunResult indexed =
-        RunMapper(db.get(), /*memo_capacity=*/0, probes, index_rounds);
-    RunResult memoized =
-        RunMapper(db.get(), /*memo_capacity=*/1 << 16, probes, index_rounds);
-    memo_round_seconds.insert(memo_round_seconds.end(),
-                              memoized.round_seconds.begin(),
-                              memoized.round_seconds.end());
+    RunResult indexed = RunMapper(db.get(), probes, index_rounds);
+    index_round_seconds.insert(index_round_seconds.end(),
+                               indexed.round_seconds.begin(),
+                               indexed.round_seconds.end());
 
-    const bool identical =
-        scan.answers == indexed.answers && scan.answers == memoized.answers;
+    const bool identical = scan.answers == indexed.answers;
     all_identical = all_identical && identical;
 
     const double scan_qps = scan.answered / scan.seconds;
     const double index_qps = indexed.answered / indexed.seconds;
-    const double memo_qps = memoized.answered / memoized.seconds;
     const double index_speedup = index_qps / scan_qps;
-    const double memo_speedup = memo_qps / scan_qps;
     if (scale == 10) speedup_at_10 = index_speedup;
 
-    std::printf("%6dx %10zu %9zu %15.0f %15.0f %15.0f %8.1fx %8.1fx%s\n",
-                scale, db->TotalRows(), probes.size(), scan_qps, index_qps,
-                memo_qps, index_speedup, memo_speedup,
-                identical ? "" : "  ANSWERS DIVERGE — BUG");
+    std::printf("%6dx %10zu %9zu %15.0f %15.0f %8.1fx%s\n", scale,
+                db->TotalRows(), probes.size(), scan_qps, index_qps,
+                index_speedup, identical ? "" : "  ANSWERS DIVERGE — BUG");
 
     const std::string suffix = "_scale" + std::to_string(scale);
     report.AddRow(
@@ -239,9 +228,7 @@ int main(int argc, char** argv) {
             .Number("probes", static_cast<double>(probes.size()))
             .Number("scan_probes_per_second", scan_qps)
             .Number("index_probes_per_second", index_qps)
-            .Number("memo_probes_per_second", memo_qps)
             .Number("speedup_indexed_vs_scan", index_speedup)
-            .Number("speedup_memo_vs_scan", memo_speedup)
             .Number("index_builds", static_cast<double>(warmed.builds -
                                                         before.builds))
             .Number("index_build_seconds",
@@ -249,7 +236,6 @@ int main(int argc, char** argv) {
             .Number("answers_identical", identical ? 1 : 0));
     report.SetMetric("scan_probes_per_second" + suffix, scan_qps);
     report.SetMetric("index_probes_per_second" + suffix, index_qps);
-    report.SetMetric("memo_probes_per_second" + suffix, memo_qps);
     report.SetMetric("speedup_indexed_vs_scan" + suffix, index_speedup);
     last_db = std::move(db);
   }
@@ -260,11 +246,11 @@ int main(int argc, char** argv) {
     std::printf("\nacceptance: indexed >= 5x scan at 10x scale — %.1fx %s\n",
                 speedup_at_10, speedup_at_10 >= 5.0 ? "PASS" : "MISS");
   }
-  std::printf("answers identical across configs: %s\n",
+  std::printf("answers identical to the scan: %s\n",
               all_identical ? "yes" : "NO — BUG");
 
-  report.SetLatencyMetrics("memo_round_seconds",
-                           std::move(memo_round_seconds));
+  report.SetLatencyMetrics("index_round_seconds",
+                           std::move(index_round_seconds));
   RecordRunMetadata(&report, *last_db);
   (void)report.WriteFile();
   return all_identical ? 0 : 1;

@@ -43,14 +43,6 @@ struct SimilarityConfig {
   /// against an integer column). Keeps such attributes from winning the
   /// attribute binding on name similarity alone.
   double type_mismatch_penalty = 0.3;
-  /// Capacity (entries) of the mapper's satisfiability memo: (relation, attr,
-  /// canonical condition) -> bool, stamped with the relation's row count so
-  /// appends invalidate exactly. The probes themselves (the m of the
-  /// (m+1)/(n+1) factor, §4.3) are answered by the lazily built per-column
-  /// indexes. Probes repeat heavily across candidate relation trees within one
-  /// translation and across a workload; 0 disables (each probe hits the index
-  /// directly).
-  size_t satisfiability_memo_capacity = 1 << 16;
 };
 
 /// Knobs of the top-k MTJN generators (§6).

@@ -40,7 +40,6 @@ struct PipelineMetrics {
         obs::LatencyBuckets());
     for (size_t i = 0; i < kNumTranslateCounters; ++i) {
       const TranslateCounter& c = kTranslateCounters[i];
-      if (c.family == nullptr) continue;
       obs::Labels labels;
       if (c.label_key != nullptr) {
         labels.push_back({c.label_key, c.label_value});
@@ -109,7 +108,7 @@ struct PipelineMetrics {
   obs::Counter* slow_translations;
   obs::Histogram* translate_seconds;
   /// Per-counter handles, parallel to kTranslateCounters (the one matching
-  /// the counter's metric type is set; none when it exports no metric).
+  /// the counter's metric type is set).
   obs::Counter* counters[kNumTranslateCounters] = {};
   obs::Gauge* gauges[kNumTranslateCounters] = {};
   obs::Histogram* histograms[kNumTranslateCounters] = {};
@@ -209,32 +208,52 @@ class PhaseTimer {
   uint64_t last_ = 0;
 };
 
+/// The engine's configuration with its derived fields filled in: the
+/// generator times itself on the engine's clock, and exec_threads = 0
+/// inherits num_threads.
+EngineConfig ResolveConfig(EngineConfig config) {
+  config.gen.clock = config.clock;
+  if (config.exec_threads <= 0) {
+    config.exec_threads = std::max(config.num_threads, 1);
+  }
+  return config;
+}
+
+/// The engine's one executor configuration: its slow log, clock and thread
+/// count, running morsels on the engine's pool.
+exec::ExecConfig EngineExecConfig(const EngineConfig& config,
+                                  exec::TaskPool* pool) {
+  exec::ExecConfig exec_config;
+  exec_config.slow_execute_threshold_ms = config.slow_execute_threshold_ms;
+  exec_config.slow_log_sink = config.slow_log_sink;
+  exec_config.clock = config.clock;
+  exec_config.exec_threads = config.exec_threads;
+  exec_config.pool = pool;
+  return exec_config;
+}
+
 }  // namespace
 
 SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
                                    EngineConfig config)
     : db_(db),
-      config_(config),
+      config_(ResolveConfig(std::move(config))),
       pool_(std::max(config_.num_threads, config_.exec_threads) > 1
                 ? std::make_unique<exec::TaskPool>(static_cast<size_t>(
                       std::max(config_.num_threads, config_.exec_threads) - 1))
                 : nullptr),
-      metrics_(config.metrics != nullptr
-                   ? std::make_unique<PipelineMetrics>(config.metrics)
+      executor_(db, EngineExecConfig(config_, pool_.get())),
+      metrics_(config_.metrics != nullptr
+                   ? std::make_unique<PipelineMetrics>(config_.metrics)
                    : nullptr),
-      name_index_(SchemaNames(db->catalog()), config.sim.qgram),
-      sim_cache_(config.similarity_cache_capacity),
-      mapper_(db, config.sim, &name_index_, &sim_cache_),
+      name_index_(SchemaNames(db->catalog()), config_.sim.qgram),
+      sim_cache_(config_.similarity_cache_capacity),
+      mapper_(db, config_.sim, &name_index_, &sim_cache_),
       views_(&db->catalog()),
-      plan_cache_(config.plan_cache_enabled && config.plan_cache_capacity > 0
-                      ? std::make_unique<PlanCache>(config.plan_cache_capacity)
+      plan_cache_(config_.plan_cache_enabled && config_.plan_cache_capacity > 0
+                      ? std::make_unique<PlanCache>(config_.plan_cache_capacity)
                       : nullptr) {
-  // The generator times itself on the engine's clock; exec_threads = 0
-  // inherits num_threads (the pool above is sized the same either way).
-  config_.gen.clock = config_.clock;
-  if (config_.exec_threads <= 0) {
-    config_.exec_threads = std::max(config_.num_threads, 1);
-  }
+  executor_.EnableMetrics(config_.metrics, config_.clock);
   if (pool_ != nullptr && config_.metrics != nullptr) {
     pool_->EnableMetrics(config_.metrics);
   }
@@ -823,14 +842,14 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
 
   const bool timing = stats != nullptr;
   const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
-  text::SimilarityCache::Stats before;
+  // The similarity and index counters are the calling thread's own tallies:
+  // the whole call runs on this thread, so their differences are exactly
+  // this call's work. Snapshots are deferred until the tier-2 lookup has
+  // missed: a tier-2 hit runs neither the similarity machinery nor
+  // satisfiability probes, so its differences are zero by construction.
+  text::SimilarityCache::Stats sim_before;
   storage::ColumnIndexStats idx_before;
-  SatisfiabilityMemoStats memo_before;
   PlanCacheStats plan_before;
-  // Snapshots of the similarity/index/memo counters are deferred until the
-  // tier-2 lookup has missed: a tier-2 hit runs neither the similarity
-  // machinery nor satisfiability probes, so its deltas are zero by
-  // construction and snapshotting them would be pure hit-path cost.
   bool deep_stats = false;
   const bool plan_metrics = metrics_ != nullptr && plan_cache_ != nullptr;
   const uint64_t start_nanos = timing ? clock->NowNanos() : 0;
@@ -867,9 +886,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
 
   if (served_tier == 0) {
     if (timing) {
-      before = sim_cache_.stats();
-      idx_before = db_->column_index_stats();
-      memo_before = mapper_.memo_stats();
+      sim_before = text::SimilarityCache::ThreadStats();
+      idx_before = storage::ColumnIndexManager::ThreadStats();
       deep_stats = true;
     }
     // Taken after GetFull (whose miss increment therefore precedes it; the
@@ -944,26 +962,22 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   }
 
   double total_seconds = 0.0;
-  long long evictions_delta = 0;
-  text::SimilarityCache::Stats after;
+  uint64_t evictions_delta = 0;
   if (timing) {
     total_seconds = obs::NanosToSeconds(clock->NowNanos() - start_nanos);
   }
   if (deep_stats) {
-    after = sim_cache_.stats();
-    stats->cache_hits = static_cast<long long>(after.hits - before.hits);
-    stats->cache_misses = static_cast<long long>(after.misses - before.misses);
-    evictions_delta =
-        static_cast<long long>(after.evictions - before.evictions);
-    const storage::ColumnIndexStats idx_after = db_->column_index_stats();
-    const SatisfiabilityMemoStats memo_after = mapper_.memo_stats();
+    const text::SimilarityCache::Stats sim_after =
+        text::SimilarityCache::ThreadStats();
+    stats->cache_hits = static_cast<long long>(sim_after.hits - sim_before.hits);
+    stats->cache_misses =
+        static_cast<long long>(sim_after.misses - sim_before.misses);
+    evictions_delta = sim_after.evictions - sim_before.evictions;
+    const storage::ColumnIndexStats idx_after =
+        storage::ColumnIndexManager::ThreadStats();
     stats->sat_index_probes =
         static_cast<long long>((idx_after.value_probes + idx_after.like_probes) -
                                (idx_before.value_probes + idx_before.like_probes));
-    stats->sat_memo_hits =
-        static_cast<long long>(memo_after.hits - memo_before.hits);
-    stats->sat_memo_misses =
-        static_cast<long long>(memo_after.misses - memo_before.misses);
     stats->index_builds =
         static_cast<long long>(idx_after.builds - idx_before.builds);
     stats->index_build_seconds =
@@ -1001,8 +1015,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   if (caller_explain && out.ok() && !out->empty()) {
     // Execution access paths of the top-1 translation: what the index-aware
     // executor would do with it (plans only — nothing is executed).
-    explain->execution =
-        exec::Executor(db_).ExplainAccessPaths(*(*out)[0].statement);
+    explain->execution = executor_.ExplainAccessPaths(*(*out)[0].statement);
   }
 
   if (metrics_ != nullptr) {
@@ -1011,9 +1024,11 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     if (!out.ok()) m.translate_errors->Increment();
     m.translate_seconds->Observe(total_seconds);
     m.Publish(*stats, served_tier == 0);
-    m.cache_evictions->Increment(static_cast<uint64_t>(evictions_delta));
+    m.cache_evictions->Increment(evictions_delta);
     // The gauge only moves when the pipeline ran; hits leave the cache as-is.
-    if (deep_stats) m.cache_entries->Set(static_cast<double>(after.entries));
+    if (deep_stats) {
+      m.cache_entries->Set(static_cast<double>(sim_cache_.stats().entries));
+    }
     if (plan_metrics) {
       if (served_tier == 2) {
         // A tier-2 hit moves exactly one counter, known locally; diffing the
@@ -1110,17 +1125,9 @@ Result<exec::QueryResult> SchemaFreeEngine::Execute(
   }
   Translation best = std::move(translations->front());
 
-  exec::ExecConfig exec_config;
-  exec_config.slow_execute_threshold_ms = config_.slow_execute_threshold_ms;
-  exec_config.slow_log_sink = config_.slow_log_sink;
-  exec_config.clock = config_.clock;
-  exec_config.exec_threads = config_.exec_threads;
-  exec_config.pool = pool_.get();
-  exec::Executor executor(db_, exec_config);
-  executor.EnableMetrics(config_.metrics, config_.clock);
   exec::ExecInfo info;
   Result<exec::QueryResult> result =
-      executor.Execute(*best.statement, profiling ? &info : nullptr);
+      executor_.Execute(*best.statement, profiling ? &info : nullptr);
 
   if (profiling) {
     prof.ok = result.ok();

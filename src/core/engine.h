@@ -184,6 +184,10 @@ class SchemaFreeEngine {
   /// Declared before everything that may reference it so it is destroyed
   /// last (after all users are gone).
   std::unique_ptr<exec::TaskPool> pool_;
+  /// Runs every Execute and plans EXPLAIN's access paths. Configured and
+  /// metered once here; Execute is safe to call concurrently (its counters
+  /// are atomics). Declared after pool_, which it borrows.
+  mutable exec::Executor executor_;
   /// Null when config_.metrics is null (metrics off). Resolved once at
   /// construction so Translate never touches the registry's lock.
   std::unique_ptr<PipelineMetrics> metrics_;

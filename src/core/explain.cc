@@ -49,8 +49,7 @@ std::string TranslationExplain::RenderTree() const {
   }
   out += "\n";
   out += "├─ satisfiability: " + std::to_string(stats.sat_index_probes) +
-         " index probe(s), " + std::to_string(stats.sat_memo_hits) +
-         " memo hit(s), " + std::to_string(stats.index_builds) +
+         " index probe(s), " + std::to_string(stats.index_builds) +
          " index build(s)\n";
   for (const ExplainTree& t : trees) {
     out += "├─ relation tree rt" + std::to_string(t.rt_id) + ": " + t.tree +
@@ -164,7 +163,6 @@ std::string TranslationExplain::ToJson(bool pretty,
   w.Key("satisfiability");
   w.BeginObject();
   w.KV("index_probes", stats.sat_index_probes);
-  w.KV("memo_hits", stats.sat_memo_hits);
   w.KV("index_builds", stats.index_builds);
   w.EndObject();
 

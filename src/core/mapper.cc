@@ -78,8 +78,9 @@ double RelationTreeMapper::RootSimilarity(const RelationTree& rt,
   return s;
 }
 
-bool RelationTreeMapper::ComputeConditionSatisfiable(
-    int relation_id, int attr_index, const Condition& cond) const {
+bool RelationTreeMapper::ConditionSatisfiable(int relation_id, int attr_index,
+                                              const Condition& cond) const {
+  // The database answers out-of-range ordinals with false.
   if (cond.op == "in") {
     for (const storage::Value& v : cond.values) {
       if (db_->AnyTupleSatisfies(relation_id, attr_index, "=", v)) {
@@ -99,53 +100,6 @@ bool RelationTreeMapper::ComputeConditionSatisfiable(
   if (cond.values.empty()) return false;
   return db_->AnyTupleSatisfies(relation_id, attr_index, cond.op,
                                 cond.values[0]);
-}
-
-bool RelationTreeMapper::ConditionSatisfiable(int relation_id, int attr_index,
-                                              const Condition& cond) const {
-  if (relation_id < 0 || relation_id >= db_->catalog().num_relations()) {
-    return false;
-  }
-  if (memo_ == nullptr) {
-    return ComputeConditionSatisfiable(relation_id, attr_index, cond);
-  }
-  // Condition::ToString round-trips op, values (typed) and LIKE escapes, so
-  // equal keys imply equal probes.
-  std::string key = StrCat(relation_id, "#", attr_index, "#", cond.ToString());
-  const size_t stamp = db_->NumRows(relation_id);
-  MemoShard& shard = memo_[std::hash<std::string>{}(key) % kMemoShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.first == stamp) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second.second;
-    }
-  }
-  const bool answer =
-      ComputeConditionSatisfiable(relation_id, attr_index, cond);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    if (shard.entries.size() >= memo_shard_capacity_ &&
-        shard.entries.find(key) == shard.entries.end()) {
-      shard.entries.clear();
-    }
-    shard.entries[std::move(key)] = {stamp, answer};
-  }
-  return answer;
-}
-
-SatisfiabilityMemoStats RelationTreeMapper::memo_stats() const {
-  SatisfiabilityMemoStats s;
-  if (memo_ == nullptr) return s;
-  // Lock-free: the counters are atomics precisely so this per-translate read
-  // never touches the shard mutexes shared with cross-thread probes.
-  for (size_t i = 0; i < kMemoShards; ++i) {
-    s.hits += memo_[i].hits.load(std::memory_order_relaxed);
-    s.misses += memo_[i].misses.load(std::memory_order_relaxed);
-  }
-  return s;
 }
 
 namespace {

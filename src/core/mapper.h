@@ -1,15 +1,7 @@
 #ifndef SFSQL_CORE_MAPPER_H_
 #define SFSQL_CORE_MAPPER_H_
 
-#include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -19,14 +11,6 @@
 #include "text/similarity_cache.h"
 
 namespace sfsql::core {
-
-/// Hit/miss counters of the mapper's satisfiability memo, snapshot via
-/// RelationTreeMapper::memo_stats(). Cumulative over the mapper's lifetime;
-/// the engine publishes per-translate deltas.
-struct SatisfiabilityMemoStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
 
 /// One candidate relation for a relation tree, with the per-attribute-tree
 /// bindings chosen while scoring (argmax attribute of §4.3).
@@ -67,12 +51,7 @@ class RelationTreeMapper {
       : db_(db),
         config_(config),
         index_(index),
-        cache_(cache),
-        memo_(config.satisfiability_memo_capacity > 0
-                  ? std::make_unique<MemoShard[]>(kMemoShards)
-                  : nullptr),
-        memo_shard_capacity_(std::max<size_t>(
-            1, config.satisfiability_memo_capacity / kMemoShards)) {}
+        cache_(cache) {}
 
   /// Sim(rt, R) = Sim(n(rt), R) * prod_i Sim(at_i, R)  (§4.1).
   double Similarity(const RelationTree& rt, int relation_id) const;
@@ -96,53 +75,24 @@ class RelationTreeMapper {
   double NameSimilarity(const sql::NameRef& guess, std::string_view actual) const;
 
   /// True if some tuple of relation/attribute satisfies `cond` — the m of the
-  /// (m+1)/(n+1) factor (§4.3). Answers come from the per-column indexes,
-  /// memoized per
-  /// (relation, attribute, canonical condition) with a row-count stamp so
-  /// appends invalidate exactly. Public so benchmarks and differential tests
-  /// can drive the probe layer directly.
+  /// (m+1)/(n+1) factor (§4.3). IN is one equality probe per value, LIKE
+  /// takes its pattern and optional escape from the values; each probe is
+  /// answered by the database's per-column index. Public so benchmarks and
+  /// differential tests can drive the probe layer directly.
   bool ConditionSatisfiable(int relation_id, int attr_index,
                             const Condition& cond) const;
-
-  /// Cumulative memo hit/miss counters (zeros when the memo is disabled).
-  SatisfiabilityMemoStats memo_stats() const;
 
   const SimilarityConfig& config() const { return config_; }
 
  private:
-  /// The uncached probe behind ConditionSatisfiable.
-  bool ComputeConditionSatisfiable(int relation_id, int attr_index,
-                                   const Condition& cond) const;
-
   /// SchemaNameSimilarity(a, b, qgram), memoized through `cache_` and fed
   /// with precomputed profiles from `index_` when available.
   double CachedNameSimilarity(std::string_view a, std::string_view b) const;
-
-  /// Sharded so concurrent Translate calls (the generator maps from worker
-  /// threads) rarely contend on one lock. Entries carry the relation's row
-  /// count at probe time; a stamp mismatch is a miss and overwrites. A full
-  /// shard is cleared wholesale — probes repeat across a workload or not at
-  /// all, so LRU bookkeeping buys nothing (same policy as the mapping cache).
-  static constexpr size_t kMemoShards = 8;
-  struct MemoShard {
-    std::mutex mu;
-    /// key -> (row-count stamp, answer)
-    std::unordered_map<std::string, std::pair<size_t, bool>> entries;
-    /// Atomic so memo_stats() can read without the shard mutex — it runs on
-    /// every metered translate and the mutexes are contended by cross-thread
-    /// satisfiability probes.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-  };
 
   const storage::Database* db_;
   SimilarityConfig config_;
   const text::SchemaNameIndex* index_ = nullptr;
   text::SimilarityCache* cache_ = nullptr;
-  /// Heap-allocated (not inline) so the mapper stays movable despite the
-  /// shard mutexes; null when the memo is disabled by config.
-  std::unique_ptr<MemoShard[]> memo_;
-  size_t memo_shard_capacity_ = 0;
 };
 
 }  // namespace sfsql::core

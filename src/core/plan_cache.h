@@ -89,8 +89,7 @@ std::optional<ProbePlan> BuildProbePlan(const sql::SelectStatement& canonical);
 ///  * the literal type tags and the equality partition of `literals`
 ///    (which slots hold equal values — this decides tree consolidation), and
 ///  * the answer bit of every (relation, attribute, condition) probe, in plan
-///    × catalog order, answered through `mapper` (hitting the PR-3
-///    satisfiability memo and column indexes).
+///    × catalog order, answered through `mapper` (the column indexes).
 std::string ComputeProbeSignature(const ProbePlan& plan,
                                   const std::vector<storage::Value>& literals,
                                   const storage::Database& db,

@@ -12,9 +12,11 @@ namespace sfsql::core {
 
 /// Wall-clock phase breakdown and cache counters for one Translate call.
 /// Phases cover the outermost block; subquery translation (always k = 1) is
-/// folded into compose_seconds. Cache counters are deltas over the engine's
-/// shared similarity cache, so they attribute cross-query reuse to the call
-/// that benefited. kTranslateCounters below is the one definition of every
+/// folded into compose_seconds. Cache, probe and index counters count the
+/// call's own work: a Translate runs entirely on its caller's thread, and the
+/// similarity cache and column indexes keep a per-thread tally beside their
+/// shared totals, so concurrent calls never see each other's lookups.
+/// kTranslateCounters below is the one definition of every
 /// counter here except the plan-cache outcome: metrics, EXPLAIN, query
 /// profiles and sys_queries derive from it.
 struct TranslateStats {
@@ -27,13 +29,11 @@ struct TranslateStats {
   long long cache_misses = 0;     ///< similarity-cache misses during the call
   GeneratorStats generator;       ///< counters/timings from the MTJN generator
 
-  // Condition-satisfiability deltas of the call (§4.3). The database's index
-  // counters are shared by every engine probing it, so concurrent engines on
-  // one database attribute each other's probes loosely.
+  // Condition-satisfiability work of the call (§4.3).
   long long sat_index_probes = 0;   ///< answered by a column index (value + LIKE)
   long long sat_scan_probes = 0;    ///< always 0; kept as perfbench reads it
-  long long sat_memo_hits = 0;      ///< answered from the mapper's memo
-  long long sat_memo_misses = 0;    ///< memo misses (computed then cached)
+  long long sat_memo_hits = 0;      ///< always 0; kept as perfbench reads it
+  long long sat_memo_misses = 0;    ///< always 0; kept as perfbench reads it
   long long index_builds = 0;       ///< column indexes (re)built during the call
   double index_build_seconds = 0.0; ///< wall time of those builds
   long long like_candidates_verified = 0;  ///< LikeMatch calls surviving the
@@ -51,7 +51,7 @@ struct TranslateStats {
 /// One TranslateStats counter. `key` names it in query profiles (JSON) and
 /// as a sys_queries column; timings are reported there in milliseconds, so
 /// their keys end in _ms. The metric is `family`{label_key=label_value} of
-/// type `metric`; a null family exports nothing.
+/// type `metric`.
 struct TranslateCounter {
   const char* key;
   const char* family;
@@ -111,11 +111,6 @@ inline constexpr TranslateCounter kTranslateCounters[] = {
      &TranslateStats::cache_misses},
     {"sat_index_probes", kProbeFamily, obs::MetricType::kCounter, kProbeHelp,
      &TranslateStats::sat_index_probes, "path", "index"},
-    {"sat_memo_hits", kProbeFamily, obs::MetricType::kCounter, kProbeHelp,
-     &TranslateStats::sat_memo_hits, "path", "memo"},
-    // Not a metric: every miss goes on to an index probe, counted above.
-    {"sat_memo_misses", nullptr, obs::MetricType::kCounter,
-     "Satisfiability-memo misses", &TranslateStats::sat_memo_misses},
     {"index_builds", "sfsql_column_index_builds_total",
      obs::MetricType::kCounter, "Per-column satisfiability indexes built",
      &TranslateStats::index_builds},

@@ -1364,13 +1364,6 @@ Executor::Executor(const storage::Database* db, const ExecConfig& config)
 
 Executor::~Executor() = default;
 
-void Executor::set_config(const ExecConfig& config) {
-  config_ = config;
-  // A private pool sized for the old exec_threads would silently cap the new
-  // one; drop it and re-create lazily.
-  owned_pool_.reset();
-}
-
 TaskPool* Executor::EffectivePool() {
   if (config_.exec_threads <= 1) return nullptr;
   if (config_.pool != nullptr) return config_.pool;

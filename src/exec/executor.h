@@ -84,8 +84,6 @@ class Executor {
   ~Executor();
 
   const ExecConfig& config() const { return config_; }
-  /// Not safe against concurrent Execute (drops the private pool, if any).
-  void set_config(const ExecConfig& config);
 
   /// Publishes per-execution metrics into `registry`:
   ///   sfsql_execute_total, sfsql_execute_errors_total,

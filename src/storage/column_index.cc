@@ -404,6 +404,36 @@ std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
   return out;  // candidates were ascending, so out is too
 }
 
+namespace {
+
+/// The calling thread's share of every manager's counters (see ThreadStats).
+struct ThreadTally {
+  uint64_t builds = 0;
+  uint64_t build_nanos = 0;
+  uint64_t value_probes = 0;
+  uint64_t like_probes = 0;
+  uint64_t like_verified = 0;
+};
+thread_local ThreadTally tls_tally;
+
+}  // namespace
+
+void ColumnIndexManager::CountValueProbe() const {
+  value_probes_.fetch_add(1, kRelaxed);
+  ++tls_tally.value_probes;
+}
+
+void ColumnIndexManager::CountLikeProbe() const {
+  like_probes_.fetch_add(1, kRelaxed);
+  ++tls_tally.like_probes;
+}
+
+void ColumnIndexManager::CountVerified(uint64_t n) const {
+  if (n == 0) return;
+  like_verified_.fetch_add(n, kRelaxed);
+  tls_tally.like_verified += n;
+}
+
 void ColumnIndexManager::Reset(const std::vector<size_t>& attrs_per_relation) {
   relations_.clear();
   relations_.reserve(attrs_per_relation.size());
@@ -436,6 +466,8 @@ const ColumnIndex* ColumnIndexManager::Get(const Table& table,
                      .count();
     builds_.fetch_add(1, kRelaxed);
     build_nanos_.fetch_add(static_cast<uint64_t>(nanos), kRelaxed);
+    ++tls_tally.builds;
+    tls_tally.build_nanos += static_cast<uint64_t>(nanos);
     if (slot.index != nullptr) slot.retired.push_back(std::move(slot.index));
     slot.index = std::move(built);
     slot.published.store(slot.index.get(), std::memory_order_release);
@@ -450,6 +482,16 @@ ColumnIndexStats ColumnIndexManager::stats() const {
   s.value_probes = value_probes_.load(kRelaxed);
   s.like_probes = like_probes_.load(kRelaxed);
   s.like_candidates_verified = like_verified_.load(kRelaxed);
+  return s;
+}
+
+ColumnIndexStats ColumnIndexManager::ThreadStats() {
+  ColumnIndexStats s;
+  s.builds = tls_tally.builds;
+  s.build_seconds = static_cast<double>(tls_tally.build_nanos) * 1e-9;
+  s.value_probes = tls_tally.value_probes;
+  s.like_probes = tls_tally.like_probes;
+  s.like_candidates_verified = tls_tally.like_verified;
   return s;
 }
 

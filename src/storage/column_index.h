@@ -16,9 +16,10 @@ namespace sfsql::storage {
 
 class Table;
 
-/// Aggregate counters of the per-column index layer, snapshot via
-/// ColumnIndexManager::stats(). The engine turns per-translate deltas of these
-/// into TranslateStats fields and obs metrics.
+/// Counters of the per-column index layer: cumulative per manager via
+/// ColumnIndexManager::stats() (sys_* relations, bench metadata), and per
+/// calling thread via ColumnIndexManager::ThreadStats(), whose before/after
+/// differences give one Translate's own probes and builds.
 struct ColumnIndexStats {
   uint64_t builds = 0;          ///< column indexes (re)built
   double build_seconds = 0.0;   ///< wall time spent building
@@ -56,8 +57,7 @@ struct ColumnIndexStats {
 /// therefore either (a) hold Database::ReadLock() across both the Get and
 /// every row access, so the size cannot advance in between (what the executor
 /// does), or (b) re-check built_rows() == num_rows() at use time and replan
-/// on mismatch — the same epoch discipline as the mapper's satisfiability
-/// memo.
+/// on mismatch.
 class ColumnIndex {
  public:
   /// Scans `table`'s column `attr_index` once and builds the summary. `ngram`
@@ -213,13 +213,17 @@ class ColumnIndexManager {
   /// later append triggers a rebuild (superseded indexes are retired).
   const ColumnIndex* Get(const Table& table, int attr_index) const;
 
-  void CountValueProbe() const { value_probes_.fetch_add(1, kRelaxed); }
-  void CountLikeProbe() const { like_probes_.fetch_add(1, kRelaxed); }
-  void CountVerified(uint64_t n) const {
-    if (n != 0) like_verified_.fetch_add(n, kRelaxed);
-  }
+  /// Each Count* adds to both the shared totals and the calling thread's.
+  void CountValueProbe() const;
+  void CountLikeProbe() const;
+  void CountVerified(uint64_t n) const;
 
+  /// Cumulative counters of this manager, across every thread.
   ColumnIndexStats stats() const;
+  /// The calling thread's counters, summed over every manager. Before/after
+  /// differences count exactly the probes and builds the caller made in
+  /// between, whatever other threads do meanwhile.
+  static ColumnIndexStats ThreadStats();
 
   /// Summary of one built column index (the sys_indexes virtual relation).
   struct ColumnIndexInfo {

@@ -134,8 +134,8 @@ class Database {
 
   /// Row count of one relation, read under the data lock — safe against
   /// concurrent Insert (table(r).num_rows() without the lock races with the
-  /// chunk directory growing). The mapper's satisfiability memo uses this as
-  /// its per-relation freshness stamp.
+  /// chunk directory growing). The sys_relations and sys_indexes relations
+  /// read it.
   size_t NumRows(int relation_id) const;
 
   /// Appends `row` to relation `relation_id` after checking arity and that each
@@ -190,7 +190,8 @@ class Database {
                             std::string_view pattern, char escape) const;
 
   /// Counters of the column-index layer (builds, probes by kind); cumulative
-  /// over the database's lifetime, shared by all engines probing it.
+  /// over the database's lifetime, shared by all engines probing it. One
+  /// caller's own share comes from ColumnIndexManager::ThreadStats().
   ColumnIndexStats column_index_stats() const { return indexes_.stats(); }
 
   /// Summaries of every currently built column index (nothing is built by

@@ -15,12 +15,7 @@ SchemaNameIndex::SchemaNameIndex(const std::vector<std::string>& names, int q)
 
 const NameProfile* SchemaNameIndex::Find(std::string_view name) const {
   auto it = profiles_.find(ToLower(name));
-  if (it == profiles_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return &it->second;
+  return it == profiles_.end() ? nullptr : &it->second;
 }
 
 }  // namespace sfsql::text

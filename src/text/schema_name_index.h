@@ -1,8 +1,7 @@
 #ifndef SFSQL_TEXT_SCHEMA_NAME_INDEX_H_
 #define SFSQL_TEXT_SCHEMA_NAME_INDEX_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,24 +34,11 @@ class SchemaNameIndex {
   int q() const { return q_; }
   size_t size() const { return profiles_.size(); }
 
-  /// Lookup counters (relaxed atomics; observability only): how often Find
-  /// returned a profile vs fell through to an on-the-fly profile build. A
-  /// high miss count means query tokens dominate schema names in the
-  /// similarity workload — the expected steady state.
-  uint64_t lookup_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t lookup_misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
  private:
   int q_ = 3;
   /// Keyed by the lower-cased name; the node-based map keeps profile addresses
   /// stable so Find can hand out raw pointers.
   std::unordered_map<std::string, NameProfile> profiles_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace sfsql::text

@@ -6,6 +6,13 @@
 
 namespace sfsql::text {
 
+namespace {
+
+/// The calling thread's share of every cache's counters (see ThreadStats).
+thread_local SimilarityCache::Stats tls_stats;
+
+}  // namespace
+
 SimilarityCache::SimilarityCache(size_t capacity, size_t num_shards)
     : capacity_(capacity),
       per_shard_capacity_(0),
@@ -49,6 +56,7 @@ double SimilarityCache::GetOrCompute(std::string_view a, std::string_view b,
                                      const std::function<double()>& compute) {
   if (capacity_ == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
+    ++tls_stats.misses;
     return compute();
   }
   std::string key = MakeKey(a, b, q);
@@ -60,10 +68,12 @@ double SimilarityCache::GetOrCompute(std::string_view a, std::string_view b,
       // Refresh: move to the front of the LRU list.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
+      ++tls_stats.hits;
       return it->second->second;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
+  ++tls_stats.misses;
   double value = compute();  // outside the lock; pure and repeatable
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -76,6 +86,7 @@ double SimilarityCache::GetOrCompute(std::string_view a, std::string_view b,
       shard.index.erase(shard.lru.back().first);
       shard.lru.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++tls_stats.evictions;
       entries_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -100,10 +111,12 @@ SimilarityCache::Stats SimilarityCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   // Lock-free: the entry count is maintained at insert/evict. stats() runs
-  // twice per metered translate, so walking the shard mutexes here would put
+  // once per metered translate, so walking the shard mutexes here would put
   // cross-thread contention on the serving hot path.
   s.entries = entries_.load(std::memory_order_relaxed);
   return s;
 }
+
+SimilarityCache::Stats SimilarityCache::ThreadStats() { return tls_stats; }
 
 }  // namespace sfsql::text

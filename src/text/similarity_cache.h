@@ -52,7 +52,13 @@ class SimilarityCache {
   void Clear();
 
   size_t capacity() const { return capacity_; }
+  /// Cumulative counters of this cache, across every thread.
   Stats stats() const;
+  /// Hits, misses and evictions of the calling thread's GetOrCompute calls,
+  /// summed over every cache (`entries` stays 0). Before/after differences
+  /// count exactly the lookups a caller made in between, whatever other
+  /// threads do meanwhile.
+  static Stats ThreadStats();
 
  private:
   struct Shard {

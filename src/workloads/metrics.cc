@@ -95,7 +95,6 @@ bool Satisfies(const storage::Value& v, std::string_view op,
 }  // namespace
 
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
-                       const core::SchemaFreeEngine* engine,
                        const exec::Executor* executor) {
   report->SetConfig("dataset_total_rows",
                     static_cast<long long>(db.TotalRows()));
@@ -114,11 +113,6 @@ void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
   report->SetMetric("index_build_seconds", s.build_seconds);
   report->SetMetric("like_candidates_verified",
                     static_cast<double>(s.like_candidates_verified));
-  if (engine != nullptr) {
-    const core::SatisfiabilityMemoStats m = engine->mapper().memo_stats();
-    report->SetMetric("sat_memo_hits", static_cast<double>(m.hits));
-    report->SetMetric("sat_memo_misses", static_cast<double>(m.misses));
-  }
   if (executor != nullptr) {
     const exec::ExecStats e = executor->stats();
     for (const exec::ExecCounter& c : exec::kExecCounters) {

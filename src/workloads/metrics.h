@@ -17,12 +17,10 @@ namespace sfsql::workloads {
 /// this right before WriteFile): the dataset's row counts (total in config,
 /// per relation in a "dataset" table) and the database's cumulative
 /// column-index counters — index probes, index builds and build time, LIKE
-/// candidates verified — plus, when `engine` is given,
-/// its satisfiability-memo hit/miss counters, and when `executor` is given,
-/// its cumulative access-path counters as exec_<name> for every counter in
+/// candidates verified — plus, when `executor` is given, its cumulative
+/// access-path counters as exec_<name> for every counter in
 /// exec::kExecCounters.
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
-                       const core::SchemaFreeEngine* engine = nullptr,
                        const exec::Executor* executor = nullptr);
 
 /// Information-unit costs (§7.1). A schema element (relation or attribute

@@ -355,10 +355,10 @@ TEST(TranslateCountersTest, EveryDescriptorDrivesMetricsProfilesAndSysQueries) {
     }
   });
   EXPECT_EQ(exported.count("sfsql_satisfiability_probes_total{path=scan}"), 0u);
+  EXPECT_EQ(exported.count("sfsql_satisfiability_probes_total{path=memo}"), 0u);
   for (const core::TranslateCounter& c : core::kTranslateCounters) {
     // The Translate's own stats are what its profile recorded.
     EXPECT_EQ(c.Value(stats), c.Value(captured[0].translate)) << c.key;
-    if (c.family == nullptr) continue;
     const std::string name =
         c.label_key == nullptr
             ? StrCat(c.family, "{}")

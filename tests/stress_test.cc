@@ -1,14 +1,17 @@
 // Concurrency stress: Engine::Translate racing Database::InsertRows on one
 // shared engine with every accelerator enabled (plan cache, mapping cache,
-// satisfiability memo, column indexes, parallel generator). Designed for the
-// TSan CI configuration, but the assertions are meaningful under any build:
+// similarity cache, column indexes). Designed for the TSan CI configuration,
+// but the assertions are meaningful under any build:
 //
 //   * every translation observed during the race equals the pre-insert or the
 //     post-insert expectation (the insert flips exactly one attribute's
 //     satisfiability, so no probe interleaving can produce a third result),
 //   * after the writer quiesces, the shared engine serves the post-insert
 //     translation — no cache layer (plan cache tier-1/2, mapping cache,
-//     satisfiability memo, column index) may hold a stale answer.
+//     column index) may hold a stale answer.
+//
+// A third test races two Translate loops with no writer and checks that each
+// call's TranslateStats count only that call's own lookups and probes.
 
 #include <gtest/gtest.h>
 
@@ -162,6 +165,67 @@ TEST(TranslateInsertStressTest, RepeatedInsertsQuiesceFresh) {
   EXPECT_EQ(ResultKey(engine.Translate(kFlipQuery, kK)),
             ResultKey(core::SchemaFreeEngine(db.get(), plain)
                           .Translate(kFlipQuery, kK)));
+}
+
+// Every call of query A repeats the same similarity lookups and
+// satisfiability probes (no plan cache, no mapping cache, warm indexes), so
+// its counters must equal the serial values even while thread B runs other
+// lookups and probes on the same engine, caches and database.
+TEST(TranslateCountersStressTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  auto db = workloads::BuildMovie43(42, 30);
+  core::EngineConfig config;
+  config.plan_cache_enabled = false;
+  config.mapping_cache_capacity = 0;
+  core::SchemaFreeEngine engine(db.get(), config);
+  constexpr const char* kQueryA =
+      "SELECT title? WHERE actor_name? = 'Kate Winslet' "
+      "AND director_name? = 'James Cameron'";
+  constexpr const char* kQueryB =
+      "SELECT name? WHERE title? LIKE '%Titanic%' AND year? > 1990";
+
+  // Warm both queries so no call builds an index, then take A's serial counts.
+  core::TranslateStats serial;
+  ASSERT_TRUE(engine.Translate(kQueryB, kK).ok());
+  ASSERT_TRUE(engine.Translate(kQueryA, kK).ok());
+  ASSERT_TRUE(engine.Translate(kQueryA, kK, &serial).ok());
+  ASSERT_GT(serial.sat_index_probes, 0);
+  ASSERT_GT(serial.cache_hits + serial.cache_misses, 0);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread other([&] {
+    started.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) {
+      core::TranslateStats stats;
+      EXPECT_TRUE(engine.Translate(kQueryB, kK, &stats).ok());
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  int mismatches = 0;
+  for (int i = 0; i < 200; ++i) {
+    core::TranslateStats stats;
+    ASSERT_TRUE(engine.Translate(kQueryA, kK, &stats).ok());
+    const bool same =
+        stats.sat_index_probes == serial.sat_index_probes &&
+        stats.cache_hits + stats.cache_misses ==
+            serial.cache_hits + serial.cache_misses &&
+        stats.like_candidates_verified == serial.like_candidates_verified &&
+        stats.index_builds == 0;
+    if (!same && mismatches++ == 0) {
+      ADD_FAILURE() << "call " << i << ": sat_index_probes "
+                    << stats.sat_index_probes << " (serial "
+                    << serial.sat_index_probes << "), similarity lookups "
+                    << stats.cache_hits + stats.cache_misses << " (serial "
+                    << serial.cache_hits + serial.cache_misses
+                    << "), like_candidates_verified "
+                    << stats.like_candidates_verified << " (serial "
+                    << serial.like_candidates_verified << "), index_builds "
+                    << stats.index_builds;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  other.join();
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace
