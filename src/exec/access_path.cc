@@ -7,7 +7,6 @@
 #include "common/strings.h"
 #include "exec/cost_model.h"
 #include "exec/like.h"
-#include "sql/printer.h"
 
 namespace sfsql::exec {
 
@@ -15,66 +14,25 @@ using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
 using sql::ExprPtr;
-using sql::SelectStatement;
 using sql::UnaryOp;
 using storage::Value;
 
-void SplitConjuncts(const Expr* e, std::vector<const Expr*>& out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kBinary && e->bop == BinaryOp::kAnd) {
-    SplitConjuncts(e->lhs.get(), out);
-    SplitConjuncts(e->rhs.get(), out);
-    return;
-  }
-  out.push_back(e);
-}
-
-bool IsAggregateName(const std::string& name) {
-  return EqualsIgnoreCase(name, "count") || EqualsIgnoreCase(name, "sum") ||
-         EqualsIgnoreCase(name, "avg") || EqualsIgnoreCase(name, "min") ||
-         EqualsIgnoreCase(name, "max");
-}
-
-bool ContainsAggregate(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall && IsAggregateName(e.function_name)) {
-    return true;
-  }
-  if (e.lhs && ContainsAggregate(*e.lhs)) return true;
-  if (e.rhs && ContainsAggregate(*e.rhs)) return true;
-  for (const ExprPtr& a : e.args) {
-    if (ContainsAggregate(*a)) return true;
-  }
-  return false;
-}
-
 namespace {
 
-/// True if `e`'s value over a group is independent of the order rows entered
-/// the group: group-by expressions (matched textually, like EvalGrouped),
-/// literals, COUNT/MIN/MAX aggregates, and compositions thereof. Bare
-/// columns read the group's first-seen representative row, and SUM/AVG
-/// accumulate doubles in row order — both order-sensitive.
-bool OrderInsensitive(const Expr& e, const std::vector<std::string>& gb_text) {
-  const std::string text = sql::PrintExpr(e);
-  for (const std::string& g : gb_text) {
-    if (text == g) return true;
+/// True if the value of `b` over a group is independent of the order rows
+/// entered the group: GROUP BY keys, literals, COUNT/MIN/MAX aggregates, and
+/// compositions thereof. Bare columns read the group's first-seen row, and
+/// SUM/AVG accumulate doubles in row order — both order-sensitive.
+bool OrderInsensitive(const BoundExpr& b, size_t keys) {
+  if (b.group_slot >= 0) {
+    // COUNT is a set size; MIN/MAX are Compare-extrema (ties within a typed
+    // column are identical values, appends never reorder a column's type).
+    const std::string& name = b.expr->function_name;
+    return static_cast<size_t>(b.group_slot) < keys ||
+           EqualsIgnoreCase(name, "count") || EqualsIgnoreCase(name, "min") ||
+           EqualsIgnoreCase(name, "max");
   }
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return true;
-    case ExprKind::kFunctionCall:
-      if (IsAggregateName(e.function_name)) {
-        // COUNT is a set size; MIN/MAX are Compare-extrema (ties within a
-        // typed column are identical values, appends never reorder a column's
-        // type). SUM/AVG accumulate in row order and drift on doubles.
-        return EqualsIgnoreCase(e.function_name, "count") ||
-               EqualsIgnoreCase(e.function_name, "min") ||
-               EqualsIgnoreCase(e.function_name, "max");
-      }
-      for (const ExprPtr& a : e.args) {
-        if (!OrderInsensitive(*a, gb_text)) return false;
-      }
-      return true;
+  switch (b.expr->kind) {
     case ExprKind::kColumnRef:
     case ExprKind::kStar:
     case ExprKind::kInSubquery:
@@ -82,137 +40,35 @@ bool OrderInsensitive(const Expr& e, const std::vector<std::string>& gb_text) {
     case ExprKind::kScalarSubquery:
       return false;
     default:
-      if (e.lhs && !OrderInsensitive(*e.lhs, gb_text)) return false;
-      if (e.rhs && !OrderInsensitive(*e.rhs, gb_text)) return false;
-      for (const ExprPtr& a : e.args) {
-        if (!OrderInsensitive(*a, gb_text)) return false;
+      if (b.lhs && !OrderInsensitive(*b.lhs, keys)) return false;
+      if (b.rhs && !OrderInsensitive(*b.rhs, keys)) return false;
+      for (const BoundExpr& a : b.args) {
+        if (!OrderInsensitive(a, keys)) return false;
       }
       return true;
   }
 }
 
-}  // namespace
-
-bool ReorderSafe(const SelectStatement& stmt) {
+/// True if the block's output multiset is provably independent of the join
+/// fold order: no LIMIT, and (for aggregate blocks) every output expression
+/// is OrderInsensitive.
+bool ReorderSafe(const BoundBlock& block) {
   // LIMIT picks a prefix of the emission order; reordering would change
   // which rows survive.
-  if (stmt.limit.has_value()) return false;
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.select_items) {
-    if (ContainsAggregate(*item.expr)) has_aggregate = true;
-  }
-  if (stmt.having && ContainsAggregate(*stmt.having)) has_aggregate = true;
-  for (const sql::OrderItem& o : stmt.order_by) {
-    if (ContainsAggregate(*o.expr)) has_aggregate = true;
-  }
+  if (block.stmt->limit.has_value()) return false;
   // Non-aggregate blocks are multiset-stable under any fold order (DISTINCT
   // keeps one row per equality class, ORDER BY re-sorts; only tie order can
   // move, which row-multiset semantics ignore).
-  if (!has_aggregate) return true;
-  std::vector<std::string> gb_text;
-  gb_text.reserve(stmt.group_by.size());
-  for (const ExprPtr& g : stmt.group_by) {
-    gb_text.push_back(sql::PrintExpr(*g));
+  if (!block.aggregates) return true;
+  const size_t keys = block.group_by.size();
+  for (const BoundExpr& item : block.select_items) {
+    if (!OrderInsensitive(item, keys)) return false;
   }
-  for (const sql::SelectItem& item : stmt.select_items) {
-    if (!OrderInsensitive(*item.expr, gb_text)) return false;
-  }
-  if (stmt.having && !OrderInsensitive(*stmt.having, gb_text)) return false;
-  for (const sql::OrderItem& o : stmt.order_by) {
-    if (!OrderInsensitive(*o.expr, gb_text)) return false;
+  if (block.having && !OrderInsensitive(*block.having, keys)) return false;
+  for (const BoundExpr& o : block.order_by) {
+    if (!OrderInsensitive(o, keys)) return false;
   }
   return true;
-}
-
-namespace {
-
-struct PlannerSlot {
-  std::string binding_lower;
-  int relation_id = -1;
-};
-
-/// Mirrors BlockExecutor::ResolveInSchema over the planner's slot list (same
-/// exactness requirements, same qualified-vs-bare lookup). False when the
-/// ref does not bind to exactly one slot: it is absent (correlated, or
-/// unknown) or erroneous (non-exact, missing from its named relation, or
-/// ambiguous) — the executor's resolver decides which at evaluation time.
-bool ResolveRef(const catalog::Catalog& catalog,
-                const std::vector<PlannerSlot>& slots,
-                const sql::NameRef& relation, const sql::NameRef& attribute,
-                int* table, int* attr) {
-  if (!attribute.exact() || (relation.specified() && !relation.exact())) {
-    return false;
-  }
-  if (relation.specified()) {
-    const std::string want = ToLower(relation.name);
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].binding_lower != want) continue;
-      int idx = catalog.relation(slots[i].relation_id)
-                    .AttributeIndex(attribute.name);
-      if (idx < 0) return false;
-      *table = static_cast<int>(i);
-      *attr = idx;
-      return true;
-    }
-    return false;
-  }
-  int found_table = -1, found_attr = -1;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    int idx =
-        catalog.relation(slots[i].relation_id).AttributeIndex(attribute.name);
-    if (idx < 0) continue;
-    if (found_table >= 0) return false;
-    found_table = static_cast<int>(i);
-    found_attr = idx;
-  }
-  if (found_table < 0) return false;
-  *table = found_table;
-  *attr = found_attr;
-  return true;
-}
-
-/// What one conjunct's column references add up to against a slot list.
-struct RefScan {
-  /// Every ref binds to one slot, and there is no subquery or star.
-  bool local = true;
-  std::vector<char> used;  ///< per-slot: referenced by some resolved ref
-};
-
-void ScanRefs(const Expr& e, const catalog::Catalog& catalog,
-              const std::vector<PlannerSlot>& slots, RefScan& scan) {
-  switch (e.kind) {
-    case ExprKind::kColumnRef: {
-      int table = -1, attr = -1;
-      if (ResolveRef(catalog, slots, e.relation, e.attribute, &table,
-                     &attr)) {
-        scan.used[table] = 1;
-      } else {
-        scan.local = false;
-      }
-      return;
-    }
-    case ExprKind::kInSubquery:
-    case ExprKind::kExistsSubquery:
-    case ExprKind::kScalarSubquery:
-    case ExprKind::kStar:
-      scan.local = false;
-      return;
-    default:
-      break;
-  }
-  if (e.lhs) ScanRefs(*e.lhs, catalog, slots, scan);
-  if (e.rhs) ScanRefs(*e.rhs, catalog, slots, scan);
-  for (const ExprPtr& a : e.args) {
-    ScanRefs(*a, catalog, slots, scan);
-  }
-}
-
-RefScan ScanConjunct(const Expr& e, const catalog::Catalog& catalog,
-                     const std::vector<PlannerSlot>& slots) {
-  RefScan scan;
-  scan.used.assign(slots.size(), 0);
-  ScanRefs(e, catalog, slots, scan);
-  return scan;
 }
 
 /// The literal value of `e`, folding a unary minus over a numeric or NULL
@@ -276,29 +132,25 @@ SargablePredicate EmptyPredicate(int conjunct, int attr) {
   return p;
 }
 
-/// Tries to turn a fully-local single-table conjunct into a predicate the
-/// column index answers exactly — with the same result multiset and the
-/// same (absence of) type errors as evaluating it per row. `*table_out`
-/// receives the slot the predicate binds to.
+/// Tries to turn a local conjunct that reads one table, whose relation is
+/// `relation`, into a predicate the column index answers exactly — with the
+/// same result multiset and the same (absence of) type errors as evaluating
+/// it per row.
 std::optional<SargablePredicate> TryExtractSargable(
-    const Expr& c, int conjunct, const catalog::Catalog& catalog,
-    const std::vector<PlannerSlot>& slots, int* table_out) {
-  auto resolve = [&](const Expr& col, int* table, int* attr) {
-    return col.kind == ExprKind::kColumnRef &&
-           ResolveRef(catalog, slots, col.relation, col.attribute, table,
-                      attr);
+    const BoundExpr& b, int conjunct, const catalog::Relation& relation) {
+  const Expr& c = *b.expr;
+  // Every column ref of a local conjunct binds to this block's FROM.
+  auto resolve = [](const BoundExpr& col, int* attr) {
+    *attr = col.attr;
+    return col.expr->kind == ExprKind::kColumnRef;
   };
   if (c.kind == ExprKind::kBinary && c.bop == BinaryOp::kLike) {
-    int table = -1, attr = -1;
-    if (!c.lhs || !c.rhs || !resolve(*c.lhs, &table, &attr)) {
-      return std::nullopt;
-    }
+    int attr = -1;
+    if (!b.lhs || !b.rhs || !resolve(*b.lhs, &attr)) return std::nullopt;
     std::optional<Value> pattern = LiteralOf(*c.rhs);
     if (!pattern.has_value()) return std::nullopt;
-    *table_out = table;
     if (pattern->is_null()) return EmptyPredicate(conjunct, attr);
-    const catalog::ValueType declared =
-        catalog.relation(slots[table].relation_id).attributes[attr].type;
+    const catalog::ValueType declared = relation.attributes[attr].type;
     // A non-string column (or pattern) type-errors on the first non-null
     // row — leave it to per-row evaluation.
     if (!pattern->is_string() || declared != catalog::ValueType::kString) {
@@ -315,24 +167,23 @@ std::optional<SargablePredicate> TryExtractSargable(
   if (c.kind == ExprKind::kBinary) {
     const char* op = CompareOpString(c.bop);
     if (op == nullptr || !c.lhs || !c.rhs) return std::nullopt;
-    int table = -1, attr = -1;
+    int attr = -1;
     std::optional<Value> lit;
-    if (resolve(*c.lhs, &table, &attr)) {
+    if (resolve(*b.lhs, &attr)) {
       lit = LiteralOf(*c.rhs);
-    } else if (resolve(*c.rhs, &table, &attr)) {
+    } else if (resolve(*b.rhs, &attr)) {
       lit = LiteralOf(*c.lhs);
       if (lit.has_value()) op = FlipOp(op);
     }
     if (!lit.has_value()) return std::nullopt;
-    *table_out = table;
     if (lit->is_null()) return EmptyPredicate(conjunct, attr);
     const bool equality = op[0] == '=' || (op[0] == '<' && op[1] == '>');
     if (!equality) {
       // Inequalities type-error on incomparable operands; only push them to
       // the index when the scan could not have errored.
-      const catalog::ValueType declared =
-          catalog.relation(slots[table].relation_id).attributes[attr].type;
-      if (!InequalityClassMatches(declared, *lit)) return std::nullopt;
+      if (!InequalityClassMatches(relation.attributes[attr].type, *lit)) {
+        return std::nullopt;
+      }
     }
     SargablePredicate p;
     p.kind = SargablePredicate::Kind::kCompare;
@@ -343,14 +194,13 @@ std::optional<SargablePredicate> TryExtractSargable(
     return p;
   }
   if (c.kind == ExprKind::kBetween && !c.negated) {
-    int table = -1, attr = -1;
-    if (!c.lhs || c.args.size() != 2 || !resolve(*c.lhs, &table, &attr)) {
+    int attr = -1;
+    if (!b.lhs || c.args.size() != 2 || !resolve(*b.lhs, &attr)) {
       return std::nullopt;
     }
     std::optional<Value> low = LiteralOf(*c.args[0]);
     std::optional<Value> high = LiteralOf(*c.args[1]);
     if (!low.has_value() || !high.has_value()) return std::nullopt;
-    *table_out = table;
     SargablePredicate p;
     p.kind = SargablePredicate::Kind::kBetween;
     p.conjunct = conjunct;
@@ -359,8 +209,8 @@ std::optional<SargablePredicate> TryExtractSargable(
     return p;
   }
   if (c.kind == ExprKind::kInList && !c.negated) {
-    int table = -1, attr = -1;
-    if (!c.lhs || !resolve(*c.lhs, &table, &attr)) return std::nullopt;
+    int attr = -1;
+    if (!b.lhs || !resolve(*b.lhs, &attr)) return std::nullopt;
     std::vector<Value> items;
     items.reserve(c.args.size());
     for (const ExprPtr& item : c.args) {
@@ -368,7 +218,6 @@ std::optional<SargablePredicate> TryExtractSargable(
       if (!v.has_value()) return std::nullopt;
       items.push_back(std::move(*v));
     }
-    *table_out = table;
     SargablePredicate p;
     p.kind = SargablePredicate::Kind::kIn;
     p.conjunct = conjunct;
@@ -396,96 +245,65 @@ std::vector<uint32_t> IntersectSorted(std::vector<uint32_t> a,
 }  // namespace
 
 Result<BlockPlan> PlanBlock(const storage::Database& db,
-                            const SelectStatement& stmt,
-                            const std::vector<const Expr*>& conjuncts,
-                            const ExecConfig& config) {
+                            const BoundBlock& block, const ExecConfig& config) {
+  if (!block.error.ok()) return block.error;
   BlockPlan plan;
   const catalog::Catalog& catalog = db.catalog();
 
-  // FROM entries -> planner slots.
-  std::vector<PlannerSlot> slots;
-  slots.reserve(stmt.from.size());
-  for (const sql::TableRef& ref : stmt.from) {
-    if (!ref.relation.exact()) {
-      return Status::ExecutionError(
-          StrCat("FROM contains unresolved relation '", ref.relation.ToString(),
-                 "'; translate the query first"));
-    }
-    SFSQL_ASSIGN_OR_RETURN(int rel_id, catalog.FindRelation(ref.relation.name));
-    PlannerSlot slot;
-    slot.binding_lower = ToLower(ref.BindingName());
-    slot.relation_id = rel_id;
-    for (const PlannerSlot& existing : slots) {
-      if (existing.binding_lower == slot.binding_lower) {
-        return Status::ExecutionError(
-            StrCat("duplicate FROM binding '", ref.BindingName(), "'"));
-      }
-    }
-    slots.push_back(std::move(slot));
-  }
-
-  // Classify every conjunct against the full FROM schema.
-  const size_t n = slots.size();
+  // Classify every conjunct by the FROM entries its bindings read.
+  const size_t n = block.relation_ids.size();
   std::vector<TablePlan> tables(n);
   for (size_t t = 0; t < n; ++t) {
     tables[t].from_index = static_cast<int>(t);
-    tables[t].relation_id = slots[t].relation_id;
-    tables[t].binding_lower = slots[t].binding_lower;
-    tables[t].table_rows = db.table(slots[t].relation_id).num_rows();
+    tables[t].relation_id = block.relation_ids[t];
+    tables[t].binding_lower = block.bindings[t];
+    tables[t].table_rows = db.table(block.relation_ids[t]).num_rows();
   }
   std::vector<int> constants;  // table-independent conjuncts
-  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-    const Expr& c = *conjuncts[ci];
-    RefScan scan = ScanConjunct(c, catalog, slots);
-    if (!scan.local) {
+  for (size_t ci = 0; ci < block.conjuncts.size(); ++ci) {
+    const BoundConjunct& c = block.conjuncts[ci];
+    const std::vector<int>& used = c.tables;
+    if (!c.local || (used.empty() && n == 0)) {
       // Subqueries, stars, and correlated or erroneous refs (ambiguous
       // included): the post-join filter evaluates them against the full
       // environment, where an erroneous ref fails with its own message.
+      // Without FROM, table-independent conjuncts gate the fold's one
+      // identity row there too.
       plan.residual.push_back(static_cast<int>(ci));
       continue;
-    }
-    std::vector<int> used;
-    for (size_t t = 0; t < n; ++t) {
-      if (scan.used[t]) used.push_back(static_cast<int>(t));
     }
     if (used.empty()) {
       constants.push_back(static_cast<int>(ci));
       continue;
     }
     if (used.size() == 1) {
-      int table = -1;
-      std::optional<SargablePredicate> sarg =
-          TryExtractSargable(c, static_cast<int>(ci), catalog, slots, &table);
+      TablePlan& tp = tables[used[0]];
+      std::optional<SargablePredicate> sarg = TryExtractSargable(
+          c.expr, static_cast<int>(ci), catalog.relation(tp.relation_id));
       if (sarg.has_value()) {
-        tables[table].sargable.push_back(std::move(*sarg));
+        tp.sargable.push_back(std::move(*sarg));
       } else {
-        tables[used[0]].pushed.push_back(static_cast<int>(ci));
+        tp.pushed.push_back(static_cast<int>(ci));
       }
       continue;
     }
-    if (used.size() == 2 && c.kind == ExprKind::kBinary &&
-        c.bop == BinaryOp::kEq && c.lhs &&
-        c.lhs->kind == ExprKind::kColumnRef && c.rhs &&
-        c.rhs->kind == ExprKind::kColumnRef) {
-      int lt = -1, la = -1, rt = -1, ra = -1;
-      if (ResolveRef(catalog, slots, c.lhs->relation, c.lhs->attribute, &lt,
-                     &la) &&
-          ResolveRef(catalog, slots, c.rhs->relation, c.rhs->attribute, &rt,
-                     &ra) &&
-          lt != rt) {
-        PlannedEquiJoin edge;
-        edge.conjunct = static_cast<int>(ci);
-        edge.left_from = lt;
-        edge.left_attr = la;
-        edge.right_from = rt;
-        edge.right_attr = ra;
-        plan.equi_joins.push_back(edge);
-        continue;
-      }
+    const BoundExpr& e = c.expr;
+    if (used.size() == 2 && e.expr->kind == ExprKind::kBinary &&
+        e.expr->bop == BinaryOp::kEq &&
+        e.lhs->expr->kind == ExprKind::kColumnRef &&
+        e.rhs->expr->kind == ExprKind::kColumnRef) {
+      PlannedEquiJoin edge;
+      edge.conjunct = static_cast<int>(ci);
+      edge.left_from = e.lhs->from;
+      edge.left_attr = e.lhs->attr;
+      edge.right_from = e.rhs->from;
+      edge.right_attr = e.rhs->attr;
+      plan.equi_joins.push_back(edge);
+      continue;
     }
     PlannedJoinFilter filter;
     filter.conjunct = static_cast<int>(ci);
-    filter.tables = std::move(used);
+    filter.tables = used;
     plan.join_filters.push_back(std::move(filter));
   }
 
@@ -627,14 +445,11 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
   // step (exec/cost_model). Sort-merge emits in key order, so it needs the
   // same order-insensitivity guarantee as reordering.
   if (n == 0) {
-    // No FROM: the fold yields its one empty identity row, and
-    // table-independent conjuncts gate it in the residual filter.
+    // No FROM: the fold yields its one empty identity row.
     plan.estimated_output_rows = 1.0;
-    plan.residual.insert(plan.residual.end(), constants.begin(),
-                         constants.end());
     return plan;
   }
-  const bool reorder_ok = n > 1 && ReorderSafe(stmt);
+  const bool reorder_ok = n > 1 && ReorderSafe(block);
   JoinOrderPlan cost =
       PlanJoinOrder(db, tables, plan.equi_joins, config,
                     /*allow_reorder=*/reorder_ok,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/binder.h"
 #include "sql/ast.h"
 #include "storage/database.h"
 #include "storage/value.h"
@@ -67,9 +68,9 @@ struct ExecConfig {
   TaskPool* pool = nullptr;
 };
 
-/// Per-execution access-path counters, accumulated across every block
-/// (including subquery re-executions, so correlated blocks count once per
-/// outer row). kExecCounters below is their one definition: metrics, the
+/// Per-execution access-path counters, accumulated across every block run
+/// (a correlated subquery counts once per outer row it runs for, an
+/// uncorrelated one once per execution). kExecCounters below is their one definition: metrics, the
 /// executor's cumulative totals, bench keys and slow-execute lines all
 /// derive from it.
 struct ExecStats {
@@ -133,7 +134,7 @@ inline void MergeStats(ExecStats& into, const ExecStats& delta) {
 struct SargablePredicate {
   enum class Kind { kCompare, kIn, kBetween, kLike };
   Kind kind = Kind::kCompare;
-  int conjunct = -1;    ///< index into the block's conjunct list
+  int conjunct = -1;    ///< index into BoundBlock::conjuncts
   int attr_index = -1;  ///< attribute within the table's relation
   std::string op;       ///< kCompare: "=", "<>", "<", "<=", ">", ">="
   std::vector<storage::Value> values;  ///< operand / IN list / [low, high]
@@ -215,7 +216,7 @@ struct BlockPlan {
   std::vector<TablePlan> tables;  ///< in join (fold) order
   std::vector<PlannedEquiJoin> equi_joins;
   std::vector<PlannedJoinFilter> join_filters;
-  std::vector<int> residual;  ///< conjunct indices for the post-join filter
+  std::vector<int> residual;  ///< post-join filter conjuncts, ascending
 };
 
 /// One row of the EXPLAIN execution block; query profiles keep the executed
@@ -245,36 +246,18 @@ struct TableAccessExplain {
   }
 };
 
-/// Flattens a WHERE AND-tree into conjuncts (borrowed pointers). The
-/// executor and the planner must agree on conjunct order; both use this.
-void SplitConjuncts(const sql::Expr* e, std::vector<const sql::Expr*>& out);
-
-/// True if `name` is one of the five aggregate functions.
-bool IsAggregateName(const std::string& name);
-
-/// True if `e` contains an aggregate call outside of any nested subquery.
-bool ContainsAggregate(const sql::Expr& e);
-
-/// True if the block's output multiset is provably independent of the join
-/// fold order: no LIMIT, and (for aggregate blocks) every output expression
-/// reduces to group-by expressions, literals, and order-insensitive
-/// aggregates (COUNT/MIN/MAX — SUM and AVG accumulate floats in row order,
-/// and bare columns read the group's first-seen representative row).
-bool ReorderSafe(const sql::SelectStatement& stmt);
-
-/// Plans one block's access paths: splits per-table sargable conjuncts from
-/// residual predicates, probes the column indexes for exact cardinality
-/// estimates, picks IndexScan vs Scan per table, and lets the cost model
-/// choose the fold order (when safe) and each step's join algorithm.
-/// `conjuncts` is the SplitConjuncts output for stmt.where. Every block
-/// plans, including one without FROM; the errors are an unresolved or
-/// unknown FROM relation and a duplicate binding. The caller must hold
+/// Plans one bound block's access paths: classifies its conjuncts by the
+/// FROM entries their bindings read into per-table sargable and pushed
+/// predicates, equi-join edges, join filters and the residual, probes the
+/// column indexes for exact cardinality estimates, picks IndexScan vs Scan
+/// per table, and lets the cost model choose the fold order (when safe) and
+/// each step's join algorithm. Every block plans, including one without
+/// FROM; the only error is the block's bind error (an unresolved or unknown
+/// FROM relation, a duplicate binding). The caller must hold
 /// Database::ReadLock() — row ids are materialized against the pinned row
 /// counts.
 Result<BlockPlan> PlanBlock(const storage::Database& db,
-                            const sql::SelectStatement& stmt,
-                            const std::vector<const sql::Expr*>& conjuncts,
-                            const ExecConfig& config);
+                            const BoundBlock& block, const ExecConfig& config);
 
 /// The EXPLAIN view of a plan, one row per table in fold order.
 std::vector<TableAccessExplain> ExplainPlan(const storage::Database& db,

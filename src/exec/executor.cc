@@ -4,11 +4,13 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "exec/binder.h"
 #include "exec/like.h"
 #include "exec/task_pool.h"
 #include "obs/clock.h"
@@ -22,8 +24,6 @@ namespace sfsql::exec {
 using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
-using sql::ExprPtr;
-using sql::NameKind;
 using sql::SelectStatement;
 using sql::UnaryOp;
 using storage::Row;
@@ -34,42 +34,26 @@ using storage::Value;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Schemas and environments
+// Frames
 // ---------------------------------------------------------------------------
 
-/// One FROM entry materialized into the block's flat tuple layout.
-struct Slot {
-  std::string binding_lower;  // alias or relation name, lower-cased
-  int relation_id = -1;
-  int offset = 0;  // first column of this slot in the flat row
-  int width = 0;
+/// One group of an aggregating block. Its group row is `key` (the GROUP BY
+/// values) followed by `aggregates`, each computed on first use.
+struct Group {
+  Row key;
+  std::vector<const Row*> rows;  ///< first-seen first
+  std::vector<std::optional<Value>> aggregates;
 };
 
-struct BlockSchema {
-  std::vector<Slot> slots;
-  int width = 0;
-  /// Slot visit order for star expansion. The fold places slots in join
-  /// order; stars must still expand in the original FROM order.
-  std::vector<int> star_order;
-};
-
-/// A row bound to its schema; environments chain outward for correlated
-/// subqueries (innermost frame last).
+/// One block's current tuple as its bound expressions read it. A block at
+/// nesting level L evaluates under an Env of L + 1 frames, its own last; a
+/// column ref reads env[level].row at offsets[from] + attr.
 struct Frame {
-  const BlockSchema* schema;
-  const Row* row;
+  const Row* row = nullptr;      ///< null: an empty group (columns read NULL)
+  const int* offsets = nullptr;  ///< FROM entry -> its first column in *row
+  Group* group = nullptr;        ///< group mode: what the group slots read
 };
 using Env = std::vector<Frame>;
-
-/// Where a column reference resolved to.
-struct ColumnLoc {
-  int frame = -1;   // index into Env, or -1 = the "local candidate" schema
-  int column = -1;  // flat column index within the frame's row
-};
-
-// IsAggregateName / ContainsAggregate / SplitConjuncts live in
-// exec/access_path.{h,cc} now — the planner classifies with the exact same
-// rules the executor evaluates with.
 
 // ---------------------------------------------------------------------------
 // Checked arithmetic
@@ -123,142 +107,113 @@ class BlockExecutor {
   /// parallel operators in the planned fold; null or exec_threads == 1 is
   /// serial, bit-identical and thread-free.
   BlockExecutor(const storage::Database* db, const ExecConfig* config,
-                ExecStats* stats, ExecInfo* info = nullptr,
-                TaskPool* pool = nullptr)
-      : db_(db), config_(config), stats_(stats), info_(info), pool_(pool) {}
+                const Binding& binding, ExecStats* stats,
+                ExecInfo* info = nullptr, TaskPool* pool = nullptr)
+      : db_(db),
+        config_(config),
+        stats_(stats),
+        info_(info),
+        pool_(pool),
+        plans_(binding.blocks.size()),
+        once_(binding.blocks.size()) {}
 
-  Result<QueryResult> ExecuteBlock(const SelectStatement& stmt, const Env& outer);
+  /// Runs `block` under the enclosing blocks' frames (`env` holds
+  /// block.level of them; the block's own frame is appended).
+  Result<QueryResult> ExecuteBlock(const BoundBlock& block, Env env);
+
+  /// The block's access-path plan, planned on first use and cached for the
+  /// rest of this execution: a correlated subquery reruns the same block
+  /// many times, and plans are environment-independent (sargable operands
+  /// are literals). Cached row ids stay valid because one BlockExecutor
+  /// lives within one Database::ReadLock. EXPLAIN plans through here too.
+  Result<const BlockPlan*> Plan(const BoundBlock& block) {
+    std::optional<Result<BlockPlan>>& plan = plans_[block.id];
+    if (!plan.has_value()) plan = PlanBlock(*db_, block, *config_);
+    if (!plan->ok()) return plan->status();
+    return &plan->value();
+  }
 
  private:
-  // --- name resolution ---
+  // --- scalar evaluation: one evaluator for row and group mode ---
 
-  /// Looks up [relation.]attribute in `schema` only (no outer frames). Returns
-  /// flat column index, kNotFound if absent, other errors on ambiguity.
-  Result<int> ResolveInSchema(const sql::NameRef& relation,
-                              const sql::NameRef& attribute,
-                              const BlockSchema& schema) const {
-    if (!attribute.exact() || (relation.specified() && !relation.exact())) {
-      return Status::ExecutionError(
-          StrCat("unresolved schema-free element '", relation.ToString(),
-                 relation.specified() ? "." : "", attribute.ToString(),
-                 "'; translate the query first"));
-    }
-    if (relation.specified()) {
-      std::string want = ToLower(relation.name);
-      for (const Slot& slot : schema.slots) {
-        if (slot.binding_lower != want) continue;
-        const catalog::Relation& rel = db_->catalog().relation(slot.relation_id);
-        int idx = rel.AttributeIndex(attribute.name);
-        if (idx < 0) {
-          return Status::ExecutionError(
-              StrCat("relation '", relation.name, "' has no attribute '",
-                     attribute.name, "'"));
-        }
-        return slot.offset + idx;
-      }
-      return Status::NotFound(relation.name);
-    }
-    int found = -1;
-    for (const Slot& slot : schema.slots) {
-      const catalog::Relation& rel = db_->catalog().relation(slot.relation_id);
-      int idx = rel.AttributeIndex(attribute.name);
-      if (idx < 0) continue;
-      if (found >= 0) {
-        return Status::ExecutionError(
-            StrCat("ambiguous attribute '", attribute.name, "'"));
-      }
-      found = slot.offset + idx;
-    }
-    if (found < 0) return Status::NotFound(attribute.name);
-    return found;
-  }
-
-  /// Resolves against the environment, innermost frame first.
-  Result<ColumnLoc> ResolveColumn(const sql::NameRef& relation,
-                                  const sql::NameRef& attribute,
-                                  const Env& env) const {
-    for (int f = static_cast<int>(env.size()) - 1; f >= 0; --f) {
-      Result<int> r = ResolveInSchema(relation, attribute, *env[f].schema);
-      if (r.ok()) return ColumnLoc{f, *r};
-      if (r.status().code() != StatusCode::kNotFound) return r.status();
-    }
-    return Status::ExecutionError(
-        StrCat("cannot resolve column '",
-               relation.specified() ? relation.ToString() + "." : "",
-               attribute.ToString(), "'"));
-  }
-
-  // --- scalar evaluation (row mode) ---
-
-  Result<Value> Eval(const Expr& e, const Env& env) {
+  Result<Value> Eval(const BoundExpr& b, const Env& env) {
+    if (b.group_slot >= 0) return GroupValue(b, env);
+    const Expr& e = *b.expr;
     switch (e.kind) {
       case ExprKind::kLiteral:
         return e.literal;
       case ExprKind::kColumnRef: {
-        SFSQL_ASSIGN_OR_RETURN(ColumnLoc loc,
-                               ResolveColumn(e.relation, e.attribute, env));
-        return (*env[loc.frame].row)[loc.column];
+        if (!b.error.ok()) return b.error;
+        const Frame& f = env[b.level];
+        if (f.row == nullptr) return Value::Null_();
+        return (*f.row)[f.offsets[b.from] + b.attr];
       }
       case ExprKind::kStar:
         return Status::ExecutionError("'*' is only valid in SELECT or COUNT(*)");
       case ExprKind::kUnary: {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.lhs, env));
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*b.lhs, env));
         if (e.uop == UnaryOp::kNot) {
           return Value::Bool(!Truthy(v));
         }
         return Negate(v);
       }
       case ExprKind::kBinary:
-        return EvalBinary(e, env);
+        return EvalBinary(b, env);
       case ExprKind::kFunctionCall:
         if (IsAggregateName(e.function_name)) {
           return Status::ExecutionError(
               StrCat("aggregate '", e.function_name,
                      "' used outside of an aggregated query block"));
         }
-        return EvalScalarFunction(e, env);
+        return EvalScalarFunction(b, env);
       case ExprKind::kInList: {
-        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*e.lhs, env));
+        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*b.lhs, env));
         if (subject.is_null()) return Value::Bool(e.negated ? true : false);
-        for (const ExprPtr& item : e.args) {
-          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*item, env));
+        for (const BoundExpr& item : b.args) {
+          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
           if (subject.Equals(v)) return Value::Bool(!e.negated);
         }
         return Value::Bool(e.negated);
       }
       case ExprKind::kInSubquery: {
-        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*e.lhs, env));
+        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*b.lhs, env));
         // Two-valued logic: a NULL subject matches nothing.
         if (subject.is_null()) return Value::Bool(e.negated);
-        SFSQL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteBlock(*e.subquery, env));
-        if (sub.columns.size() != 1) {
+        QueryResult fresh;
+        SFSQL_ASSIGN_OR_RETURN(const QueryResult* sub,
+                               RunSubquery(b, env, fresh));
+        if (sub->columns.size() != 1) {
           return Status::ExecutionError("IN subquery must return one column");
         }
-        for (const Row& row : sub.rows) {
+        for (const Row& row : sub->rows) {
           if (subject.Equals(row[0])) return Value::Bool(!e.negated);
         }
         return Value::Bool(e.negated);
       }
       case ExprKind::kExistsSubquery: {
-        SFSQL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteBlock(*e.subquery, env));
-        bool exists = !sub.rows.empty();
+        QueryResult fresh;
+        SFSQL_ASSIGN_OR_RETURN(const QueryResult* sub,
+                               RunSubquery(b, env, fresh));
+        bool exists = !sub->rows.empty();
         return Value::Bool(e.negated ? !exists : exists);
       }
       case ExprKind::kScalarSubquery: {
-        SFSQL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteBlock(*e.subquery, env));
-        if (sub.columns.size() != 1) {
+        QueryResult fresh;
+        SFSQL_ASSIGN_OR_RETURN(const QueryResult* sub,
+                               RunSubquery(b, env, fresh));
+        if (sub->columns.size() != 1) {
           return Status::ExecutionError("scalar subquery must return one column");
         }
-        if (sub.rows.empty()) return Value::Null_();
-        if (sub.rows.size() > 1) {
+        if (sub->rows.empty()) return Value::Null_();
+        if (sub->rows.size() > 1) {
           return Status::ExecutionError("scalar subquery returned several rows");
         }
-        return sub.rows[0][0];
+        return sub->rows[0][0];
       }
       case ExprKind::kBetween: {
-        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*e.lhs, env));
-        SFSQL_ASSIGN_OR_RETURN(Value low, Eval(*e.args[0], env));
-        SFSQL_ASSIGN_OR_RETURN(Value high, Eval(*e.args[1], env));
+        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*b.lhs, env));
+        SFSQL_ASSIGN_OR_RETURN(Value low, Eval(b.args[0], env));
+        SFSQL_ASSIGN_OR_RETURN(Value high, Eval(b.args[1], env));
         if (subject.is_null() || low.is_null() || high.is_null()) {
           return Value::Bool(false);
         }
@@ -266,7 +221,7 @@ class BlockExecutor {
         return Value::Bool(e.negated ? !in : in);
       }
       case ExprKind::kIsNull: {
-        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*e.lhs, env));
+        SFSQL_ASSIGN_OR_RETURN(Value subject, Eval(*b.lhs, env));
         bool is_null = subject.is_null();
         return Value::Bool(e.negated ? !is_null : is_null);
       }
@@ -282,21 +237,22 @@ class BlockExecutor {
     return !v.AsString().empty();
   }
 
-  Result<Value> EvalBinary(const Expr& e, const Env& env) {
+  Result<Value> EvalBinary(const BoundExpr& node, const Env& env) {
+    const Expr& e = *node.expr;
     if (e.bop == BinaryOp::kAnd) {
-      SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.lhs, env));
+      SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*node.lhs, env));
       if (!Truthy(a)) return Value::Bool(false);
-      SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.rhs, env));
+      SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*node.rhs, env));
       return Value::Bool(Truthy(b));
     }
     if (e.bop == BinaryOp::kOr) {
-      SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.lhs, env));
+      SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*node.lhs, env));
       if (Truthy(a)) return Value::Bool(true);
-      SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.rhs, env));
+      SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*node.rhs, env));
       return Value::Bool(Truthy(b));
     }
-    SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.lhs, env));
-    SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.rhs, env));
+    SFSQL_ASSIGN_OR_RETURN(Value a, Eval(*node.lhs, env));
+    SFSQL_ASSIGN_OR_RETURN(Value b, Eval(*node.rhs, env));
     if (sql::IsComparisonOp(e.bop)) {
       if (a.is_null() || b.is_null()) return Value::Bool(false);
       if (e.bop == BinaryOp::kLike) {
@@ -351,10 +307,11 @@ class BlockExecutor {
     return Status::Internal("unhandled binary operator");
   }
 
-  Result<Value> EvalScalarFunction(const Expr& e, const Env& env) {
+  Result<Value> EvalScalarFunction(const BoundExpr& b, const Env& env) {
+    const Expr& e = *b.expr;
     // Small scalar function library; extend as needed.
     if (EqualsIgnoreCase(e.function_name, "abs") && e.args.size() == 1) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], env));
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], env));
       if (v.is_null()) return v;
       if (v.is_int()) return v.AsInt() < 0 ? Negate(v) : v;
       if (v.is_double()) {
@@ -363,19 +320,19 @@ class BlockExecutor {
       return Status::TypeError("abs needs a numeric argument");
     }
     if (EqualsIgnoreCase(e.function_name, "lower") && e.args.size() == 1) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], env));
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], env));
       if (v.is_null()) return v;
       if (!v.is_string()) return Status::TypeError("lower needs a string");
       return Value::String(ToLower(v.AsString()));
     }
     if (EqualsIgnoreCase(e.function_name, "upper") && e.args.size() == 1) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], env));
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], env));
       if (v.is_null()) return v;
       if (!v.is_string()) return Status::TypeError("upper needs a string");
       return Value::String(ToUpper(v.AsString()));
     }
     if (EqualsIgnoreCase(e.function_name, "length") && e.args.size() == 1) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], env));
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], env));
       if (v.is_null()) return v;
       if (!v.is_string()) return Status::TypeError("length needs a string");
       return Value::Int(static_cast<int64_t>(v.AsString().size()));
@@ -384,15 +341,11 @@ class BlockExecutor {
         StrCat("unknown function '", e.function_name, "'"));
   }
 
-  // --- aggregation ---
-
-  struct Group {
-    Row key;
-    std::vector<const Row*> rows;
-  };
-
-  Result<Value> ComputeAggregate(const Expr& call, const Group& group,
-                                 const BlockSchema& schema, const Env& outer) {
+  /// The aggregate `b` over `group`: its argument runs once per row of the
+  /// group, in the group's own frame.
+  Result<Value> ComputeAggregate(const BoundExpr& b, const Group& group,
+                                 const Env& env) {
+    const Expr& call = *b.expr;
     const std::string name = ToLower(call.function_name);
     if (call.args.size() != 1) {
       return Status::ExecutionError(
@@ -403,10 +356,12 @@ class BlockExecutor {
     }
     std::vector<Value> values;
     values.reserve(group.rows.size());
+    Env row_env = env;
+    Frame& own = row_env[b.level];
+    own.group = nullptr;
     for (const Row* row : group.rows) {
-      Env env = outer;
-      env.push_back(Frame{&schema, row});
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*call.args[0], env));
+      own.row = row;
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], row_env));
       if (!v.is_null()) values.push_back(std::move(v));
     }
     if (call.distinct) {
@@ -452,134 +407,44 @@ class BlockExecutor {
     return Value::Double(dsum / static_cast<double>(values.size()));
   }
 
-  /// Evaluates a select/having/order expression in group mode: group-by
-  /// expressions are matched textually, aggregates computed over the group, and
-  /// bare columns fall back to the group's representative (first) row.
-  Result<Value> EvalGrouped(const Expr& e, const Group& group,
-                            const std::vector<std::string>& group_by_text,
-                            const std::vector<Value>& group_key,
-                            const BlockSchema& schema, const Env& outer) {
-    std::string text = sql::PrintExpr(e);
-    for (size_t i = 0; i < group_by_text.size(); ++i) {
-      if (text == group_by_text[i]) return group_key[i];
+  /// A group slot's value: a GROUP BY key, or an aggregate computed on its
+  /// first use in this group.
+  Result<Value> GroupValue(const BoundExpr& b, const Env& env) {
+    Group& group = *env[b.level].group;
+    const size_t slot = static_cast<size_t>(b.group_slot);
+    if (slot < group.key.size()) return group.key[slot];
+    std::optional<Value>& value = group.aggregates[slot - group.key.size()];
+    if (!value.has_value()) {
+      SFSQL_ASSIGN_OR_RETURN(value, ComputeAggregate(b, group, env));
     }
-    if (e.kind == ExprKind::kFunctionCall && IsAggregateName(e.function_name)) {
-      return ComputeAggregate(e, group, schema, outer);
+    return *value;
+  }
+
+  /// The result of subquery `b` under `env`: a correlated block runs into
+  /// `fresh` each time; an uncorrelated one runs once per execution and its
+  /// result (or error) is reused.
+  Result<const QueryResult*> RunSubquery(const BoundExpr& b, const Env& env,
+                                         QueryResult& fresh) {
+    const BoundBlock& sub = *b.subquery;
+    if (sub.correlated) {
+      SFSQL_ASSIGN_OR_RETURN(fresh, ExecuteBlock(sub, env));
+      return &fresh;
     }
-    switch (e.kind) {
-      case ExprKind::kLiteral:
-        return e.literal;
-      case ExprKind::kColumnRef: {
-        if (group.rows.empty()) return Value::Null_();
-        Env env = outer;
-        env.push_back(Frame{&schema, group.rows[0]});
-        return Eval(e, env);
-      }
-      case ExprKind::kUnary: {
-        SFSQL_ASSIGN_OR_RETURN(
-            Value v, EvalGrouped(*e.lhs, group, group_by_text, group_key, schema,
-                                 outer));
-        if (e.uop == UnaryOp::kNot) return Value::Bool(!Truthy(v));
-        return Negate(v);
-      }
-      case ExprKind::kBinary: {
-        // Rebuild a tiny two-literal expression and reuse scalar eval.
-        SFSQL_ASSIGN_OR_RETURN(
-            Value a, EvalGrouped(*e.lhs, group, group_by_text, group_key, schema,
-                                 outer));
-        SFSQL_ASSIGN_OR_RETURN(
-            Value b, EvalGrouped(*e.rhs, group, group_by_text, group_key, schema,
-                                 outer));
-        ExprPtr tmp = Expr::Binary(e.bop, Expr::Literal(std::move(a)),
-                                   Expr::Literal(std::move(b)));
-        return Eval(*tmp, outer);
-      }
-      default: {
-        // Subqueries and other constructs: evaluate against the representative
-        // row (correlated aggregate subqueries over groups are out of scope).
-        Env env = outer;
-        if (!group.rows.empty()) env.push_back(Frame{&schema, group.rows[0]});
-        return Eval(e, env);
-      }
-    }
+    std::optional<Result<QueryResult>>& once = once_[sub.id];
+    if (!once.has_value()) once = ExecuteBlock(sub, env);
+    if (!once->ok()) return once->status();
+    return &once->value();
   }
 
   // --- join pipeline ---
 
   /// Runs the plan's join fold: filtered base rows per table, joined in
-  /// plan order. Marks every conjunct the fold consumed in `conjunct_used`.
-  Result<std::vector<Row>> FoldJoin(const BlockPlan& plan, BlockSchema& schema,
-                                    const Env& outer,
-                                    const std::vector<const Expr*>& conjuncts,
-                                    std::vector<bool>& conjunct_used);
-
-  /// The cached access-path plan for a block, keyed by statement identity —
-  /// correlated subqueries re-execute the same SelectStatement many times,
-  /// and plans are environment-independent (sargable operands are literals).
-  /// Cached row ids stay valid because one BlockExecutor lives within one
-  /// Execute, which holds the database read lock throughout.
-  const Result<BlockPlan>& GetPlan(const SelectStatement& stmt,
-                                   const std::vector<const Expr*>& conjuncts) {
-    auto it = plans_.find(&stmt);
-    if (it == plans_.end()) {
-      it = plans_.emplace(&stmt, PlanBlock(*db_, stmt, conjuncts, *config_))
-               .first;
-    }
-    return it->second;
-  }
-
-  // --- referenced-column analysis ---
-  //
-  // The planned fold copies only columns the statement can read out of the
-  // chunks; everything else stays a NULL placeholder in the flat row. The
-  // analysis is conservative and name-based over the whole root statement
-  // (subqueries included): a bare name can resolve into any slot carrying
-  // it and correlated refs cross blocks, so per-binding precision is not
-  // attempted. A star or a non-exact name forces full materialization.
-
-  void CollectReferences(const SelectStatement& stmt) {
-    std::function<void(const Expr&)> walk = [&](const Expr& e) {
-      if (refs_all_) return;
-      switch (e.kind) {
-        case ExprKind::kStar:
-          refs_all_ = true;
-          return;
-        case ExprKind::kColumnRef:
-          if (!e.attribute.exact()) {
-            refs_all_ = true;
-            return;
-          }
-          ref_names_.insert(ToLower(e.attribute.name));
-          break;
-        default:
-          break;
-      }
-      if (e.lhs) walk(*e.lhs);
-      if (e.rhs) walk(*e.rhs);
-      for (const ExprPtr& a : e.args) walk(*a);
-      if (e.subquery) CollectReferences(*e.subquery);
-    };
-    for (const sql::SelectItem& item : stmt.select_items) walk(*item.expr);
-    if (stmt.where) walk(*stmt.where);
-    for (const ExprPtr& g : stmt.group_by) walk(*g);
-    if (stmt.having) walk(*stmt.having);
-    for (const sql::OrderItem& o : stmt.order_by) walk(*o.expr);
-  }
-
-  /// Per-attribute "must materialize" flags for one relation.
-  const std::vector<char>& ReferencedAttrs(int relation_id) {
-    auto it = referenced_cache_.find(relation_id);
-    if (it != referenced_cache_.end()) return it->second;
-    const catalog::Relation& rel = db_->catalog().relation(relation_id);
-    std::vector<char> wanted(rel.attributes.size(), 1);
-    if (!refs_all_) {
-      for (size_t a = 0; a < rel.attributes.size(); ++a) {
-        wanted[a] = ref_names_.count(ToLower(rel.attributes[a].name)) ? 1 : 0;
-      }
-    }
-    return referenced_cache_.emplace(relation_id, std::move(wanted))
-        .first->second;
-  }
+  /// plan order. `env` holds the block's frames, its own last; `offset_of`
+  /// (FROM entry -> first flat column, which the own frame points at) fills
+  /// in as tables are placed.
+  Result<std::vector<Row>> FoldJoin(const BoundBlock& block,
+                                    const BlockPlan& plan, const Env& env,
+                                    std::vector<int>& offset_of);
 
   // --- morsel-parallel row loops ---
   //
@@ -645,50 +510,27 @@ class BlockExecutor {
   ExecStats* stats_;
   ExecInfo* info_;
   TaskPool* pool_ = nullptr;
-  std::unordered_map<const SelectStatement*, Result<BlockPlan>> plans_;
-  bool analyzed_ = false;
-  bool refs_all_ = false;
-  std::unordered_set<std::string> ref_names_;
-  std::unordered_map<int, std::vector<char>> referenced_cache_;
+  /// Per BoundBlock::id: the block's plan, and an uncorrelated block's one
+  /// result.
+  std::vector<std::optional<Result<BlockPlan>>> plans_;
+  std::vector<std::optional<Result<QueryResult>>> once_;
 };
 
 Result<std::vector<Row>> BlockExecutor::FoldJoin(
-    const BlockPlan& plan, BlockSchema& schema, const Env& outer,
-    const std::vector<const Expr*>& conjuncts,
-    std::vector<bool>& conjunct_used) {
-  // Everything the plan routed below or into the join is consumed here; the
-  // residual conjuncts stay unused for the caller's post-join filter.
-  for (const TablePlan& tp : plan.tables) {
-    for (int ci : tp.pushed) conjunct_used[ci] = true;
-    for (const SargablePredicate& p : tp.sargable) {
-      conjunct_used[p.conjunct] = true;
-    }
-  }
-  for (const PlannedEquiJoin& e : plan.equi_joins) {
-    conjunct_used[e.conjunct] = true;
-  }
-  for (const PlannedJoinFilter& f : plan.join_filters) {
-    conjunct_used[f.conjunct] = true;
-  }
-
-  // Single-slot frame for evaluating a table's pushed conjuncts against one
-  // base row (instead of once per joined tuple).
+    const BoundBlock& block, const BlockPlan& plan, const Env& env,
+    std::vector<int>& offset_of) {
+  // Pushed conjuncts run against one base row (instead of once per joined
+  // tuple): the own frame reads it with every FROM entry at offset 0. Each
+  // morsel copies the frames once and repoints the own frame per row.
   const size_t n = plan.tables.size();
-  auto slot_for = [&](const TablePlan& tp, int offset) {
-    Slot slot;
-    slot.binding_lower = tp.binding_lower;
-    slot.relation_id = tp.relation_id;
-    slot.offset = offset;
-    slot.width = static_cast<int>(
-        db_->catalog().relation(tp.relation_id).attributes.size());
-    return slot;
-  };
-  auto passes_pushed = [&](const TablePlan& tp, const BlockSchema& local,
-                           const Row& row) -> Result<bool> {
-    Env env = outer;
-    env.push_back(Frame{&local, &row});
+  const std::vector<int> at_zero(n, 0);
+  Env base_env = env;
+  base_env.back() = Frame{nullptr, at_zero.data(), nullptr};
+  auto passes_pushed = [&](const TablePlan& tp, const Row& row,
+                           Env& row_env) -> Result<bool> {
+    row_env.back().row = &row;
     for (int ci : tp.pushed) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*conjuncts[ci], env));
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, row_env));
       if (!Truthy(v)) return false;
     }
     return true;
@@ -703,24 +545,22 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
   // base row. Tables answered by an index nested-loop join skip this.
   auto materialize = [&](const TablePlan& tp) -> Result<std::vector<Row>> {
     const storage::Table& table = db_->table(tp.relation_id);
-    const std::vector<char>& wanted = ReferencedAttrs(tp.relation_id);
+    const std::vector<char>& wanted = block.read_attrs[tp.from_index];
     const size_t width = table.num_attrs();
-    BlockSchema local;
-    local.slots.push_back(slot_for(tp, 0));
-    local.width = local.slots[0].width;
     std::vector<Row> base;
     if (tp.index_scan) {
       ++stats_->index_scans;
       stats_->rows_scanned += tp.row_ids.size();
       auto scan_ids = [&](size_t b, size_t e, std::vector<Row>& out,
                           ExecStats&) -> Status {
+        Env row_env = base_env;
         out.reserve(out.size() + (e - b));
         for (size_t i = b; i < e; ++i) {
           Row row(width);
           for (size_t a = 0; a < width; ++a) {
             if (wanted[a]) row[a] = table.at(tp.row_ids[i], a);
           }
-          SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, local, row));
+          SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, row, row_env));
           if (ok) out.push_back(std::move(row));
         }
         return Status::OK();
@@ -733,6 +573,7 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       // per-chunk verdicts and the row runs concatenate in chunk order.
       auto scan_chunks = [&](size_t cb, size_t ce, std::vector<Row>& out,
                              ExecStats& st) -> Status {
+        Env row_env = base_env;
         for (size_t c = cb; c < ce; ++c) {
           if (c < tp.pruned_chunks.size() && tp.pruned_chunks[c]) {
             ++st.chunks_pruned;
@@ -745,7 +586,7 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
             for (size_t a = 0; a < width; ++a) {
               if (wanted[a]) row[a] = chunk.column(a)[o];
             }
-            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, local, row));
+            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, row, row_env));
             if (ok) out.push_back(std::move(row));
           }
         }
@@ -763,16 +604,15 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
 
   // Stage 2: fold in plan order — hash joins on the planned equi edges, join
   // filters evaluated at the step where their last table is placed.
-  std::vector<int> step_of(n, -1);    // FROM position -> fold step
-  std::vector<int> offset_of(n, -1);  // FROM position -> flat offset
+  std::vector<int> step_of(n, -1);  // FROM position -> fold step
   for (size_t t = 0; t < n; ++t) {
     step_of[plan.tables[t].from_index] = static_cast<int>(t);
   }
-  std::vector<std::vector<const Expr*>> step_filters(n);
+  std::vector<std::vector<const BoundExpr*>> step_filters(n);
   for (const PlannedJoinFilter& f : plan.join_filters) {
     int last = 0;
     for (int tab : f.tables) last = std::max(last, step_of[tab]);
-    step_filters[last].push_back(conjuncts[f.conjunct]);
+    step_filters[last].push_back(&block.conjuncts[f.conjunct].expr);
   }
 
   std::vector<Row> rows;
@@ -783,18 +623,11 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
   // they preserve it; a later sort-merge on exactly these columns can skip
   // its accumulated-side sort.
   std::vector<int> sorted_cols;
+  int placed_width = 0;  // flat columns of the tables placed so far
   for (size_t t = 0; t < n; ++t) {
     const TablePlan& tp = plan.tables[t];
-    Slot slot;
-    slot.binding_lower = tp.binding_lower;
-    slot.relation_id = tp.relation_id;
-    slot.offset = schema.width;
-    slot.width = static_cast<int>(
-        db_->catalog().relation(tp.relation_id).attributes.size());
-    BlockSchema next = schema;
-    next.slots.push_back(slot);
-    next.width += slot.width;
-    offset_of[tp.from_index] = slot.offset;
+    offset_of[tp.from_index] = placed_width;
+    placed_width += static_cast<int>(db_->table(tp.relation_id).num_attrs());
 
     struct EquiKey {
       int existing_col;  // flat index in the accumulated schema
@@ -811,29 +644,30 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
             EquiKey{offset_of[e.left_from] + e.left_attr, e.right_attr});
       }
     }
-    const std::vector<const Expr*>& filters = step_filters[t];
+    const std::vector<const BoundExpr*>& filters = step_filters[t];
 
     std::vector<Row> joined;
     // `out`-parameterized so the parallel probe loops can emit into their
     // morsel's private vector; the join filters are subquery-free (see
-    // RowLoop), so concurrent evaluation is safe.
+    // RowLoop), so concurrent evaluation is safe. `join_env` is the caller's
+    // (per-morsel) copy of the frames; its own frame reads the combined row.
     auto emit_row = [&](const Row& base, const Row& extra,
-                        std::vector<Row>& out) -> Status {
+                        std::vector<Row>& out, Env& join_env) -> Status {
       Row combined;
       combined.reserve(base.size() + extra.size());
       combined.insert(combined.end(), base.begin(), base.end());
       combined.insert(combined.end(), extra.begin(), extra.end());
-      Env env = outer;
-      env.push_back(Frame{&next, &combined});
-      for (const Expr* p : filters) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*p, env));
+      join_env.back().row = &combined;
+      for (const BoundExpr* p : filters) {
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*p, join_env));
         if (!Truthy(v)) return Status::OK();
       }
       out.push_back(std::move(combined));
       return Status::OK();
     };
+    Env step_env = env;
     auto emit_if_passes = [&](const Row& base, const Row& extra) -> Status {
-      return emit_row(base, extra, joined);
+      return emit_row(base, extra, joined, step_env);
     };
 
     // Index nested-loop join (the cost model's pick when the accumulated side
@@ -850,11 +684,8 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       stats_->pushed_predicates += tp.pushed.size();
       const storage::ColumnIndex* idx =
           db_->ColumnIndexFor(tp.relation_id, tp.index_join_attr);
-      const std::vector<char>& wanted = ReferencedAttrs(tp.relation_id);
+      const std::vector<char>& wanted = block.read_attrs[tp.from_index];
       const size_t width = table.num_attrs();
-      BlockSchema local;
-      local.slots.push_back(slot_for(tp, 0));
-      local.width = local.slots[0].width;
       size_t probe_key = 0;
       while (keys[probe_key].new_col != tp.index_join_attr) ++probe_key;
       // Probe morsels run in parallel over the accumulated rows; per probe
@@ -864,6 +695,8 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       // workers only call its const read API.
       auto probe_index = [&](size_t b, size_t e, std::vector<Row>& out,
                              ExecStats& st) -> Status {
+        Env row_env = base_env;
+        Env join_env = env;
         for (size_t ri = b; ri < e; ++ri) {
           const Row& base = rows[ri];
           bool has_null = false;
@@ -885,15 +718,14 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
               match = !v.is_null() && v.Equals(base[keys[k].existing_col]);
             }
             if (!match) continue;
-            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, local, trow));
+            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, trow, row_env));
             if (!ok) continue;
-            SFSQL_RETURN_IF_ERROR(emit_row(base, trow, out));
+            SFSQL_RETURN_IF_ERROR(emit_row(base, trow, out, join_env));
           }
         }
         return Status::OK();
       };
       SFSQL_RETURN_IF_ERROR(RowLoop(rows.size(), Grain(), probe_index, joined));
-      schema = std::move(next);
       rows = std::move(joined);
       continue;
     }
@@ -1047,6 +879,7 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       });
       auto probe_body = [&](size_t b, size_t e, std::vector<Row>& out,
                             ExecStats&) -> Status {
+        Env join_env = env;
         for (size_t i = b; i < e; ++i) {
           const Row& base = rows[i];
           Row probe;
@@ -1061,7 +894,7 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
           auto it = part.find(probe);
           if (it == part.end()) continue;
           for (const Row* trow : it->second) {
-            SFSQL_RETURN_IF_ERROR(emit_row(base, *trow, out));
+            SFSQL_RETURN_IF_ERROR(emit_row(base, *trow, out, join_env));
           }
         }
         return Status::OK();
@@ -1074,40 +907,26 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
         }
       }
     }
-    schema = std::move(next);
     rows = std::move(joined);
   }
-
-  // Stars expand in the original FROM order regardless of the fold order:
-  // slot step_of[f] holds FROM entry f.
-  schema.star_order.assign(step_of.begin(), step_of.end());
   return rows;
 }
 
-Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
-                                                const Env& outer) {
-  const bool root = !analyzed_;
-  if (!analyzed_) {
-    // First call = the root statement; subquery blocks recurse through here
-    // with the analysis already in place.
-    analyzed_ = true;
-    CollectReferences(stmt);
-  }
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(stmt.where.get(), conjuncts);
-  // An OR at the top level is a single conjunct; fine — it lands in the final
-  // filter below.
-  std::vector<bool> conjunct_used(conjuncts.size(), false);
-
-  BlockSchema schema;
-  const Result<BlockPlan>& planned = GetPlan(stmt, conjuncts);
-  if (!planned.ok()) return planned.status();
+Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
+                                                Env env) {
+  const SelectStatement& stmt = *block.stmt;
+  const bool root = block.level == 0;
+  SFSQL_ASSIGN_OR_RETURN(const BlockPlan* planned, Plan(block));
   const BlockPlan& plan = *planned;
   if (root && info_ != nullptr) {
     info_->access_paths = ExplainPlan(*db_, plan);
   }
+  // The block's own frame goes last; every row loop below repoints it.
+  std::vector<int> offset_of(block.relation_ids.size(), -1);
+  env.push_back(Frame{nullptr, offset_of.data(), nullptr});
+  Frame& own = env.back();
   SFSQL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         FoldJoin(plan, schema, outer, conjuncts, conjunct_used));
+                         FoldJoin(block, plan, env, offset_of));
   if (root && info_ != nullptr) {
     // Estimated vs actual rows out of the join fold, both pre-residual —
     // the q-error the cost model is judged on.
@@ -1116,17 +935,15 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
     info_->has_join_actuals = true;
   }
 
-  // Final filter: conjuncts not consumed by the pipeline (subqueries,
+  // Final filter: conjuncts the fold did not consume (subqueries,
   // outer-correlated predicates, OR trees).
-  {
+  if (!plan.residual.empty()) {
     std::vector<Row> filtered;
     for (Row& row : rows) {
-      Env env = outer;
-      env.push_back(Frame{&schema, &row});
+      own.row = &row;
       bool pass = true;
-      for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-        if (conjunct_used[ci]) continue;
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*conjuncts[ci], env));
+      for (int ci : plan.residual) {
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, env));
         if (!Truthy(v)) {
           pass = false;
           break;
@@ -1137,41 +954,11 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
     rows = std::move(filtered);
   }
 
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.select_items) {
-    if (ContainsAggregate(*item.expr)) has_aggregate = true;
-  }
-  if (stmt.having && ContainsAggregate(*stmt.having)) has_aggregate = true;
-  for (const sql::OrderItem& o : stmt.order_by) {
-    if (ContainsAggregate(*o.expr)) has_aggregate = true;
-  }
-
   QueryResult result;
 
   // Column labels.
   auto label_of = [&](const sql::SelectItem& item) {
     return item.alias.empty() ? sql::PrintExpr(*item.expr) : item.alias;
-  };
-
-  // Expand stars for the non-aggregate path.
-  auto expand_star = [&](const Expr& star, Row& out_row, const Row& src,
-                         bool label_pass) {
-    for (size_t si = 0; si < schema.slots.size(); ++si) {
-      const Slot& slot = schema.slots[schema.star_order[si]];
-      if (star.relation.specified() &&
-          ToLower(star.relation.name) != slot.binding_lower) {
-        continue;
-      }
-      const catalog::Relation& rel = db_->catalog().relation(slot.relation_id);
-      for (int a = 0; a < slot.width; ++a) {
-        if (label_pass) {
-          result.columns.push_back(
-              StrCat(slot.binding_lower, ".", rel.attributes[a].name));
-        } else {
-          out_row.push_back(src[slot.offset + a]);
-        }
-      }
-    }
   };
 
   // Order keys computed alongside projection.
@@ -1181,57 +968,47 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
   };
   std::vector<OutRow> out_rows;
 
-  if (has_aggregate) {
+  if (block.aggregates) {
     // Group rows.
-    std::vector<std::string> group_by_text;
-    for (const ExprPtr& g : stmt.group_by) {
-      group_by_text.push_back(sql::PrintExpr(*g));
-    }
     std::unordered_map<Row, Group, RowHash, RowEq> groups;
-    std::vector<Row> group_order;  // first-seen order
+    std::vector<Group*> group_order;  // first-seen order
     for (const Row& row : rows) {
-      Env env = outer;
-      env.push_back(Frame{&schema, &row});
+      own.row = &row;
       Row key;
-      for (const ExprPtr& g : stmt.group_by) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*g, env));
+      for (const BoundExpr& g : block.group_by) {
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(g, env));
         key.push_back(std::move(v));
       }
-      auto [it, inserted] = groups.try_emplace(key);
+      auto [it, inserted] = groups.try_emplace(std::move(key));
       if (inserted) {
-        it->second.key = key;
-        group_order.push_back(key);
+        it->second.key = it->first;
+        group_order.push_back(&it->second);
       }
       it->second.rows.push_back(&row);
     }
     if (stmt.group_by.empty() && groups.empty()) {
       // Global aggregate over an empty input still yields one group.
-      groups.try_emplace(Row{});
-      group_order.push_back(Row{});
+      group_order.push_back(&groups[Row{}]);
     }
 
-    for (const Row& key : group_order) {
-      const Group& group = groups[key];
-      if (stmt.having) {
-        SFSQL_ASSIGN_OR_RETURN(
-            Value v, EvalGrouped(*stmt.having, group, group_by_text, group.key,
-                                 schema, outer));
+    for (Group* group : group_order) {
+      group->aggregates.resize(block.aggregate_calls.size());
+      own = Frame{group->rows.empty() ? nullptr : group->rows[0],
+                  offset_of.data(), group};
+      if (block.having) {
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*block.having, env));
         if (!Truthy(v)) continue;
       }
       OutRow out;
-      for (const sql::SelectItem& item : stmt.select_items) {
+      for (const BoundExpr& item : block.select_items) {
         if (item.expr->kind == ExprKind::kStar) {
           return Status::ExecutionError("'*' cannot appear in an aggregate query");
         }
-        SFSQL_ASSIGN_OR_RETURN(
-            Value v, EvalGrouped(*item.expr, group, group_by_text, group.key,
-                                 schema, outer));
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
         out.projected.push_back(std::move(v));
       }
-      for (const sql::OrderItem& o : stmt.order_by) {
-        SFSQL_ASSIGN_OR_RETURN(
-            Value v, EvalGrouped(*o.expr, group, group_by_text, group.key,
-                                 schema, outer));
+      for (const BoundExpr& o : block.order_by) {
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(o, env));
         out.order_keys.push_back(std::move(v));
       }
       out_rows.push_back(std::move(out));
@@ -1240,43 +1017,41 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const SelectStatement& stmt,
       result.columns.push_back(label_of(item));
     }
   } else {
-    // Plain projection. Resolve ORDER BY aliases to select items up front.
-    for (const sql::SelectItem& item : stmt.select_items) {
-      if (item.expr->kind == ExprKind::kStar) {
-        Row dummy;
-        expand_star(*item.expr, dummy, dummy, /*label_pass=*/true);
-      } else {
-        result.columns.push_back(label_of(item));
+    // Plain projection; a star expands its FROM entries in FROM order.
+    for (size_t i = 0; i < stmt.select_items.size(); ++i) {
+      for (int f : block.select_items[i].star_entries) {
+        for (const catalog::Attribute& a :
+             db_->catalog().relation(block.relation_ids[f]).attributes) {
+          result.columns.push_back(StrCat(block.bindings[f], ".", a.name));
+        }
+      }
+      if (stmt.select_items[i].expr->kind != ExprKind::kStar) {
+        result.columns.push_back(label_of(stmt.select_items[i]));
       }
     }
     for (const Row& row : rows) {
-      Env env = outer;
-      env.push_back(Frame{&schema, &row});
+      own.row = &row;
       OutRow out;
-      for (const sql::SelectItem& item : stmt.select_items) {
+      for (const BoundExpr& item : block.select_items) {
         if (item.expr->kind == ExprKind::kStar) {
-          expand_star(*item.expr, out.projected, row, /*label_pass=*/false);
+          for (int f : item.star_entries) {
+            const auto first = row.begin() + offset_of[f];
+            out.projected.insert(out.projected.end(), first,
+                                 first + db_->table(block.relation_ids[f])
+                                             .num_attrs());
+          }
         } else {
-          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, env));
+          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
           out.projected.push_back(std::move(v));
         }
       }
-      for (const sql::OrderItem& o : stmt.order_by) {
+      for (size_t j = 0; j < block.order_by.size(); ++j) {
         // ORDER BY may name a select alias.
-        bool is_alias = false;
-        if (o.expr->kind == ExprKind::kColumnRef && !o.expr->relation.specified()) {
-          for (size_t i = 0; i < stmt.select_items.size(); ++i) {
-            if (!stmt.select_items[i].alias.empty() &&
-                EqualsIgnoreCase(stmt.select_items[i].alias,
-                                 o.expr->attribute.name)) {
-              out.order_keys.push_back(out.projected[i]);
-              is_alias = true;
-              break;
-            }
-          }
+        if (block.order_alias[j] >= 0) {
+          out.order_keys.push_back(out.projected[block.order_alias[j]]);
+          continue;
         }
-        if (is_alias) continue;
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*o.expr, env));
+        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.order_by[j], env));
         out.order_keys.push_back(std::move(v));
       }
       out_rows.push_back(std::move(out));
@@ -1418,8 +1193,9 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
     // Pool tasks spawned below run strictly within this lock scope (the
     // ParallelFor barrier completes before the executor returns), so morsel
     // workers see the same pinned row counts as the caller.
-    BlockExecutor block(db_, &config_, &stats, info, EffectivePool());
-    out = block.ExecuteBlock(stmt, Env{});
+    const Binding binding = Bind(db_->catalog(), stmt);
+    BlockExecutor block(db_, &config_, binding, &stats, info, EffectivePool());
+    out = block.ExecuteBlock(binding.root(), Env{});
   }
   const double seconds =
       timing ? obs::NanosToSeconds(clock->NowNanos() - start) : 0.0;
@@ -1483,11 +1259,12 @@ ExecStats Executor::stats() const {
 std::vector<TableAccessExplain> Executor::ExplainAccessPaths(
     const sql::SelectStatement& stmt) const {
   auto lock = db_->ReadLock();
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(stmt.where.get(), conjuncts);
-  Result<BlockPlan> plan = PlanBlock(*db_, stmt, conjuncts, config_);
+  const Binding binding = Bind(db_->catalog(), stmt);
+  ExecStats unused;
+  BlockExecutor planner(db_, &config_, binding, &unused);
+  Result<const BlockPlan*> plan = planner.Plan(binding.root());
   if (!plan.ok()) return {};
-  return ExplainPlan(*db_, *plan);
+  return ExplainPlan(*db_, **plan);
 }
 
 Result<QueryResult> Executor::ExecuteSql(std::string_view sql_text) {

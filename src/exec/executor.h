@@ -69,6 +69,18 @@ struct ExecInfo {
 /// Statements containing unresolved schema-free elements are rejected with
 /// kExecutionError — translate them first (core/).
 ///
+/// Each Execute binds the statement once (exec/binder) before planning.
+/// A column ref binds to its innermost block whose FROM has it, moving
+/// outward only on "not found"; an ambiguity, a missing attribute of a named
+/// entry, or a schema-free name is kept with the ref and fails the query
+/// only if the ref is evaluated. The planner and the one evaluator read
+/// these bindings. In group mode (SELECT, HAVING and ORDER BY of an
+/// aggregating block) GROUP BY expressions and aggregate calls read slots of
+/// the group's row, and bare columns read the group's first row — NULL for
+/// the empty group of a global aggregate over no rows. A subquery that reads
+/// no enclosing row runs once per Execute; a correlated one once per outer
+/// row.
+///
 /// Every block runs one planned fold: the access-path planner
 /// (exec/access_path) routes sargable WHERE conjuncts through the per-column
 /// indexes and chunk statistics and pushes per-table predicates below the
@@ -107,9 +119,10 @@ class Executor {
   /// (atomics inside, so concurrent Executes accumulate safely).
   ExecStats stats() const;
 
-  /// Plans the top-level block of `stmt` under the current config and
-  /// returns its EXPLAIN view without executing (empty when planning fails,
-  /// e.g. on an unknown relation). Takes the database read lock itself.
+  /// Binds `stmt` and plans its top-level block exactly as Execute does,
+  /// and returns the EXPLAIN view without executing (empty when planning
+  /// fails, e.g. on an unknown relation). Takes the database read lock
+  /// itself.
   std::vector<TableAccessExplain> ExplainAccessPaths(
       const sql::SelectStatement& stmt) const;
 

@@ -251,5 +251,95 @@ TEST_F(ExecEdgeTest, DistinctOnExpressions) {
   EXPECT_EQ(r.rows.size(), 2u);  // 19 and 20
 }
 
+// Group mode runs the one evaluator: every expression kind works over
+// aggregates, not only arithmetic and comparisons.
+TEST_F(ExecEdgeTest, GroupedPredicatesOverAggregates) {
+  QueryResult between = Run(
+      "SELECT gender, count(*) FROM Person GROUP BY gender "
+      "HAVING count(*) BETWEEN 1 AND 100 ORDER BY gender");
+  ASSERT_EQ(between.rows.size(), 2u);
+  EXPECT_EQ(between.rows[0][0].AsString(), "female");
+  EXPECT_EQ(between.rows[0][1].AsInt(), 2);
+  EXPECT_EQ(between.rows[1][0].AsString(), "male");
+  EXPECT_EQ(between.rows[1][1].AsInt(), 5);
+  QueryResult in = Run(
+      "SELECT gender, count(*) FROM Person GROUP BY gender "
+      "HAVING count(*) IN (1, 2)");
+  ASSERT_EQ(in.rows.size(), 1u);
+  EXPECT_EQ(in.rows[0][0].AsString(), "female");
+  EXPECT_TRUE(Run("SELECT gender FROM Person GROUP BY gender "
+                  "HAVING max(name) IS NULL")
+                  .rows.empty());
+  EXPECT_EQ(Run("SELECT gender FROM Person GROUP BY gender "
+                "HAVING max(name) IS NOT NULL")
+                .rows.size(),
+            2u);
+}
+
+TEST_F(ExecEdgeTest, ScalarFunctionsOverAggregates) {
+  QueryResult abs_sum = Run("SELECT abs(sum(1)) FROM Person");
+  ASSERT_EQ(abs_sum.rows.size(), 1u);
+  EXPECT_EQ(abs_sum.rows[0][0].AsInt(), 7);
+  QueryResult lower_max = Run("SELECT lower(max(name)) FROM Person");
+  ASSERT_EQ(lower_max.rows.size(), 1u);
+  EXPECT_EQ(lower_max.rows[0][0].AsString(), "tom hanks");
+}
+
+TEST_F(ExecEdgeTest, GroupedLikeKeepsEscape) {
+  QueryResult rows = Run("SELECT name FROM Person WHERE name LIKE 'T!om%' ESCAPE '!'");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsString(), "Tom Hanks");
+  QueryResult groups = Run(
+      "SELECT gender FROM Person GROUP BY gender "
+      "HAVING max(name) LIKE 'T!om%' ESCAPE '!'");
+  ASSERT_EQ(groups.rows.size(), 1u);
+  EXPECT_EQ(groups.rows[0][0].AsString(), "male");
+}
+
+// An empty global aggregate still has its frame: an outer ref in a
+// subquery, or a column under a scalar function, binds to it and reads NULL,
+// like a bare column does. A ref that binds nowhere fails as it does over a
+// non-empty input.
+TEST_F(ExecEdgeTest, SubqueryOverEmptyGlobalAggregateReadsNull) {
+  QueryResult r = Run(
+      "SELECT count(*), (SELECT count(*) FROM Movie m "
+      "WHERE m.title = Person.name), lower(name) FROM Person WHERE 1 = 0");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 0);
+  EXPECT_TRUE(r.rows[0][2].is_null());
+  auto missing =
+      exec_.ExecuteSql("SELECT count(*), nosuch FROM Person WHERE 1 = 0");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(), "cannot resolve column 'nosuch'");
+}
+
+TEST_F(ExecEdgeTest, UncorrelatedSubqueriesRunOncePerExecute) {
+  Executor in_list(db_.get());
+  auto in = in_list.ExecuteSql(
+      "SELECT name FROM Person "
+      "WHERE name IN (SELECT name FROM Person WHERE gender = 'female')");
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_EQ(in->rows.size(), 2u);
+  EXPECT_EQ(in_list.stats().table_scans, 2u);  // outer scan + one subquery run
+
+  Executor scalar(db_.get());
+  auto max = scalar.ExecuteSql(
+      "SELECT title FROM Movie WHERE title = (SELECT max(title) FROM Movie)");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  ASSERT_EQ(max->rows.size(), 1u);
+  EXPECT_EQ(max->rows[0][0].AsString(), "Titanic");
+  EXPECT_EQ(scalar.stats().table_scans, 2u);
+
+  // A correlated subquery still runs once per outer row: 1 + 7 scans.
+  Executor correlated(db_.get());
+  auto exists = correlated.ExecuteSql(
+      "SELECT name FROM Person p "
+      "WHERE EXISTS (SELECT * FROM Actor a WHERE a.person_id = p.person_id)");
+  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+  EXPECT_EQ(exists->rows.size(), 5u);
+  EXPECT_EQ(correlated.stats().table_scans, 8u);
+}
+
 }  // namespace
 }  // namespace sfsql::exec
