@@ -97,8 +97,6 @@ const BoundBlock* Binder::BindBlock(const SelectStatement& stmt) {
     }
     block.relation_ids.push_back(*rel);
     block.bindings.push_back(ToLower(ref.BindingName()));
-    block.read_attrs.emplace_back(
-        catalog_.relation(*rel).attributes.size(), 0);
   }
 
   block.aggregates = !stmt.group_by.empty() ||
@@ -108,6 +106,11 @@ const BoundBlock* Binder::BindBlock(const SelectStatement& stmt) {
   }
   for (const sql::OrderItem& o : stmt.order_by) {
     block.aggregates = block.aggregates || ContainsAggregate(*o.expr);
+  }
+  if (stmt.having && !block.aggregates) {
+    block.error =
+        Status::ExecutionError("HAVING clause on a non-aggregate query");
+    return &block;
   }
 
   chain_.push_back(&block);
@@ -123,7 +126,6 @@ const BoundBlock* Binder::BindBlock(const SelectStatement& stmt) {
         continue;
       }
       b.star_entries.push_back(static_cast<int>(f));
-      std::fill(block.read_attrs[f].begin(), block.read_attrs[f].end(), 1);
     }
   }
   std::vector<const Expr*> conjuncts;
@@ -255,7 +257,6 @@ Status Binder::BindColumn(const Expr& e, BoundExpr& b) {
     b.level = lv;
     b.from = from;
     b.attr = attr;
-    block.read_attrs[from][attr] = 1;
     for (size_t inner = lv + 1; inner < chain_.size(); ++inner) {
       chain_[inner]->correlated = true;
     }

@@ -51,14 +51,12 @@ struct BoundBlock {
   const sql::SelectStatement* stmt = nullptr;
   int id = 0;     ///< index in Binding::blocks
   int level = 0;  ///< nesting depth: the frame its rows occupy
-  /// An unresolved or unknown FROM relation, or a duplicate binding. Set:
-  /// nothing below the FROM list was bound, and running the block fails.
+  /// An unresolved or unknown FROM relation, a duplicate binding, or HAVING
+  /// on a block that does not aggregate. Set: nothing below the FROM list
+  /// was bound, and running the block fails.
   Status error;
   std::vector<int> relation_ids;      ///< per FROM entry
   std::vector<std::string> bindings;  ///< per FROM entry, lower-cased
-  /// Per FROM entry and attribute: 1 when some expression reads it. The fold
-  /// copies only these columns out of the chunks.
-  std::vector<std::vector<char>> read_attrs;
   std::vector<BoundExpr> select_items;
   std::vector<BoundConjunct> conjuncts;  ///< WHERE, split on top-level AND
   std::vector<BoundExpr> group_by;

@@ -41,19 +41,27 @@ namespace {
 /// values) followed by `aggregates`, each computed on first use.
 struct Group {
   Row key;
-  std::vector<const Row*> rows;  ///< first-seen first
+  std::vector<const uint32_t*> rows;  ///< its tuples, first-seen first
   std::vector<std::optional<Value>> aggregates;
 };
 
-/// One block's current tuple as its bound expressions read it. A block at
-/// nesting level L evaluates under an Env of L + 1 frames, its own last; a
-/// column ref reads env[level].row at offsets[from] + attr.
+/// One block's current tuple as its bound expressions read it. A tuple is
+/// one row id per FROM entry, in FROM order; nothing is copied out of the
+/// chunks until an expression reads it. A block at nesting level L evaluates
+/// under an Env of L + 1 frames, its own last; a column ref reads
+/// tables[from]->at(ids[from], attr) of env[level].
 struct Frame {
-  const Row* row = nullptr;      ///< null: an empty group (columns read NULL)
-  const int* offsets = nullptr;  ///< FROM entry -> its first column in *row
-  Group* group = nullptr;        ///< group mode: what the group slots read
+  const uint32_t* ids = nullptr;  ///< null: an empty group (columns read NULL)
+  const storage::Table* const* tables = nullptr;  ///< per FROM entry
+  Group* group = nullptr;  ///< group mode: what the group slots read
 };
 using Env = std::vector<Frame>;
+
+/// Row ids per tuple of `block`'s join fold: one per FROM entry. A block
+/// without FROM keeps one unread id, so its one tuple has an address.
+size_t TupleWidth(const BoundBlock& block) {
+  return std::max<size_t>(1, block.relation_ids.size());
+}
 
 // ---------------------------------------------------------------------------
 // Checked arithmetic
@@ -145,8 +153,8 @@ class BlockExecutor {
       case ExprKind::kColumnRef: {
         if (!b.error.ok()) return b.error;
         const Frame& f = env[b.level];
-        if (f.row == nullptr) return Value::Null_();
-        return (*f.row)[f.offsets[b.from] + b.attr];
+        if (f.ids == nullptr) return Value::Null_();
+        return f.tables[b.from]->at(f.ids[b.from], b.attr);
       }
       case ExprKind::kStar:
         return Status::ExecutionError("'*' is only valid in SELECT or COUNT(*)");
@@ -341,70 +349,67 @@ class BlockExecutor {
         StrCat("unknown function '", e.function_name, "'"));
   }
 
-  /// The aggregate `b` over `group`: its argument runs once per row of the
-  /// group, in the group's own frame.
+  /// The aggregate `b` over `group`, folded in one pass: its argument runs
+  /// once per tuple of the group, in the group's own frame. Only DISTINCT
+  /// keeps the values it has seen.
   Result<Value> ComputeAggregate(const BoundExpr& b, const Group& group,
                                  const Env& env) {
     const Expr& call = *b.expr;
-    const std::string name = ToLower(call.function_name);
+    const std::string& name = call.function_name;
     if (call.args.size() != 1) {
       return Status::ExecutionError(
-          StrCat("aggregate '", call.function_name, "' takes one argument"));
+          StrCat("aggregate '", name, "' takes one argument"));
     }
-    if (name == "count" && call.args[0]->kind == ExprKind::kStar) {
+    const bool count = EqualsIgnoreCase(name, "count");
+    if (count && call.args[0]->kind == ExprKind::kStar) {
       return Value::Int(static_cast<int64_t>(group.rows.size()));
     }
-    std::vector<Value> values;
-    values.reserve(group.rows.size());
+    const bool min = EqualsIgnoreCase(name, "min");
+    const bool max = EqualsIgnoreCase(name, "max");
     Env row_env = env;
     Frame& own = row_env[b.level];
     own.group = nullptr;
-    for (const Row* row : group.rows) {
-      own.row = row;
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], row_env));
-      if (!v.is_null()) values.push_back(std::move(v));
-    }
-    if (call.distinct) {
-      std::unordered_set<Row, RowHash, RowEq> seen;
-      std::vector<Value> unique;
-      for (Value& v : values) {
-        Row key{v};
-        if (seen.insert(key).second) unique.push_back(std::move(v));
-      }
-      values = std::move(unique);
-    }
-    if (name == "count") return Value::Int(static_cast<int64_t>(values.size()));
-    if (values.empty()) return Value::Null_();
-    if (name == "min" || name == "max") {
-      Value best = values[0];
-      for (size_t i = 1; i < values.size(); ++i) {
-        int cmp = values[i].Compare(best);
-        if ((name == "min" && cmp < 0) || (name == "max" && cmp > 0)) {
-          best = values[i];
-        }
-      }
-      return best;
-    }
-    // sum / avg
+    std::unordered_set<Row, RowHash, RowEq> seen;
+    int64_t n = 0;  // non-NULL (and, under DISTINCT, unique) values
+    Value best;     // min / max
     bool all_int = true;
+    bool int_overflow = false;
+    bool non_numeric = false;  // sum / avg: reported after every Eval error
     double dsum = 0;
     int64_t isum = 0;
-    bool int_overflow = false;
-    for (const Value& v : values) {
-      if (!v.is_numeric()) {
-        return Status::TypeError(StrCat(name, " needs numeric values"));
-      }
-      if (!v.is_int()) all_int = false;
-      dsum += v.AsDouble();
-      if (v.is_int() && __builtin_add_overflow(isum, v.AsInt(), &isum)) {
-        int_overflow = true;
+    for (const uint32_t* ids : group.rows) {
+      own.ids = ids;
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], row_env));
+      if (v.is_null()) continue;
+      if (call.distinct && !seen.insert(Row{v}).second) continue;
+      if (++n == 1 && (min || max)) {
+        best = std::move(v);
+      } else if (min || max) {
+        const int cmp = v.Compare(best);
+        if ((min && cmp < 0) || (max && cmp > 0)) best = std::move(v);
+      } else if (!count) {
+        if (!v.is_numeric()) {
+          non_numeric = true;
+          continue;
+        }
+        if (!v.is_int()) all_int = false;
+        dsum += v.AsDouble();
+        if (v.is_int() && __builtin_add_overflow(isum, v.AsInt(), &isum)) {
+          int_overflow = true;
+        }
       }
     }
-    if (name == "sum") {
+    if (count) return Value::Int(n);
+    if (n == 0) return Value::Null_();
+    if (min || max) return best;
+    if (non_numeric) {
+      return Status::TypeError(StrCat(ToLower(name), " needs numeric values"));
+    }
+    if (EqualsIgnoreCase(name, "sum")) {
       if (all_int && int_overflow) return IntegerOverflow();
       return all_int ? Value::Int(isum) : Value::Double(dsum);
     }
-    return Value::Double(dsum / static_cast<double>(values.size()));
+    return Value::Double(dsum / static_cast<double>(n));
   }
 
   /// A group slot's value: a GROUP BY key, or an aggregate computed on its
@@ -438,22 +443,50 @@ class BlockExecutor {
 
   // --- join pipeline ---
 
-  /// Runs the plan's join fold: filtered base rows per table, joined in
-  /// plan order. `env` holds the block's frames, its own last; `offset_of`
-  /// (FROM entry -> first flat column, which the own frame points at) fills
-  /// in as tables are placed.
-  Result<std::vector<Row>> FoldJoin(const BoundBlock& block,
-                                    const BlockPlan& plan, const Env& env,
-                                    std::vector<int>& offset_of);
+  /// A morsel's private copy of the frames, its own frame reading the
+  /// scratch tuple `ids`.
+  struct MorselEnv {
+    MorselEnv(const Env& outer, size_t width) : ids(width, 0), env(outer) {
+      env.back().ids = ids.data();
+    }
+    std::vector<uint32_t> ids;
+    Env env;
+  };
+
+  /// True if base row `id` of `tp`'s table passes its pushed conjuncts. They
+  /// read that one FROM entry only, so they run against the id parked in
+  /// `m`'s scratch tuple instead of once per joined tuple.
+  Result<bool> PassesPushed(const BoundBlock& block, const TablePlan& tp,
+                            uint32_t id, MorselEnv& m) {
+    m.ids[tp.from_index] = id;
+    for (int ci : tp.pushed) {
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, m.env));
+      if (!Truthy(v)) return false;
+    }
+    return true;
+  }
+
+  /// The ids of `tp`'s base rows that pass its pushed conjuncts, ascending.
+  /// An IndexScan starts from the plan's row ids (sargable conjuncts already
+  /// satisfied); a scan walks the chunks, skipping every chunk the plan's
+  /// statistics pass pruned. Without pushed conjuncts nothing is evaluated.
+  Result<std::vector<uint32_t>> ScanBase(const BoundBlock& block,
+                                         const TablePlan& tp, const Env& env);
+
+  /// Runs the plan's join fold: base row ids per table, joined in plan order
+  /// into tuples of TupleWidth(block) ids stored flat. `env` holds the
+  /// block's frames, its own last (its `tables` set).
+  Result<std::vector<uint32_t>> FoldJoin(const BoundBlock& block,
+                                         const BlockPlan& plan, const Env& env);
 
   // --- morsel-parallel row loops ---
   //
-  // The three hot operators of the planned fold (scan + pushed filter, hash
-  // probe, index nested-loop probe) all reduce to "run body(b, e) over [0, n)
-  // and append body's output rows in range order". RowLoop runs that shape on
-  // the task pool when parallelism is on and the input is big enough, and as
-  // one plain call otherwise — so exec_threads == 1 never touches a thread.
-  // Parallel invariants:
+  // The hot operators of the planned fold (scan + pushed filter, hash build
+  // and probe, index nested-loop probe) all reduce to "run body(b, e) over
+  // [0, n) and append body's output ids in range order". RowLoop runs that
+  // shape on the task pool when parallelism is on and the input is big
+  // enough, and as one plain call otherwise — so exec_threads == 1 never
+  // touches a thread. Parallel invariants:
   //  * outputs and stats go to per-morsel slots, stitched/merged in morsel
   //    order after the barrier — results are bit-identical to serial and no
   //    hot-path counter is shared between workers;
@@ -468,15 +501,15 @@ class BlockExecutor {
   //  * on error, the lowest-indexed failing morsel's status is returned —
   //    the same error serial execution would have hit first.
   Status RowLoop(size_t n, size_t grain,
-                 const std::function<Status(size_t, size_t, std::vector<Row>&,
+                 const std::function<Status(size_t, size_t,
+                                            std::vector<uint32_t>&,
                                             ExecStats&)>& body,
-                 std::vector<Row>& out) {
-    if (pool_ == nullptr || config_->exec_threads <= 1 || n <= grain ||
-        grain == 0) {
+                 std::vector<uint32_t>& out) {
+    if (!ParallelEnabled() || n <= grain || grain == 0) {
       return body(0, n, out, *stats_);
     }
     const size_t morsels = (n + grain - 1) / grain;
-    std::vector<std::vector<Row>> outs(morsels);
+    std::vector<std::vector<uint32_t>> outs(morsels);
     std::vector<Status> statuses(morsels);
     std::vector<ExecStats> deltas(morsels);
     pool_->ParallelFor(n, grain, [&](size_t b, size_t e) {
@@ -487,10 +520,10 @@ class BlockExecutor {
       if (!s.ok()) return s;
     }
     size_t total = out.size();
-    for (const std::vector<Row>& o : outs) total += o.size();
+    for (const std::vector<uint32_t>& o : outs) total += o.size();
     out.reserve(total);
     for (size_t m = 0; m < morsels; ++m) {
-      for (Row& r : outs[m]) out.push_back(std::move(r));
+      out.insert(out.end(), outs[m].begin(), outs[m].end());
       MergeStats(*stats_, deltas[m]);
     }
     return Status::OK();
@@ -516,94 +549,76 @@ class BlockExecutor {
   std::vector<std::optional<Result<QueryResult>>> once_;
 };
 
-Result<std::vector<Row>> BlockExecutor::FoldJoin(
-    const BoundBlock& block, const BlockPlan& plan, const Env& env,
-    std::vector<int>& offset_of) {
-  // Pushed conjuncts run against one base row (instead of once per joined
-  // tuple): the own frame reads it with every FROM entry at offset 0. Each
-  // morsel copies the frames once and repoints the own frame per row.
-  const size_t n = plan.tables.size();
-  const std::vector<int> at_zero(n, 0);
-  Env base_env = env;
-  base_env.back() = Frame{nullptr, at_zero.data(), nullptr};
-  auto passes_pushed = [&](const TablePlan& tp, const Row& row,
-                           Env& row_env) -> Result<bool> {
-    row_env.back().row = &row;
-    for (int ci : tp.pushed) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, row_env));
-      if (!Truthy(v)) return false;
-    }
-    return true;
-  };
-
-  // Stage 1, run lazily at each fold step: the filtered base-row list of one
-  // table, materialized column-at-a-time out of the chunks — only columns the
-  // statement can read are copied; the rest stay NULL placeholders. An
-  // IndexScan starts from the plan's row ids (sargable conjuncts already
-  // satisfied); a scan walks the chunks, skipping every chunk the plan's
-  // statistics pass pruned. Either way the pushed predicates run once per
-  // base row. Tables answered by an index nested-loop join skip this.
-  auto materialize = [&](const TablePlan& tp) -> Result<std::vector<Row>> {
-    const storage::Table& table = db_->table(tp.relation_id);
-    const std::vector<char>& wanted = block.read_attrs[tp.from_index];
-    const size_t width = table.num_attrs();
-    std::vector<Row> base;
-    if (tp.index_scan) {
-      ++stats_->index_scans;
-      stats_->rows_scanned += tp.row_ids.size();
-      auto scan_ids = [&](size_t b, size_t e, std::vector<Row>& out,
-                          ExecStats&) -> Status {
-        Env row_env = base_env;
-        out.reserve(out.size() + (e - b));
-        for (size_t i = b; i < e; ++i) {
-          Row row(width);
-          for (size_t a = 0; a < width; ++a) {
-            if (wanted[a]) row[a] = table.at(tp.row_ids[i], a);
-          }
-          SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, row, row_env));
-          if (ok) out.push_back(std::move(row));
-        }
-        return Status::OK();
-      };
-      SFSQL_RETURN_IF_ERROR(RowLoop(tp.row_ids.size(), Grain(), scan_ids, base));
+Result<std::vector<uint32_t>> BlockExecutor::ScanBase(const BoundBlock& block,
+                                                      const TablePlan& tp,
+                                                      const Env& env) {
+  const storage::Table& table = *env.back().tables[tp.from_index];
+  const size_t width = TupleWidth(block);
+  std::vector<uint32_t> base;
+  if (tp.index_scan) {
+    ++stats_->index_scans;
+    stats_->rows_scanned += tp.row_ids.size();
+    if (tp.pushed.empty()) {
+      base = tp.row_ids;
     } else {
-      ++stats_->table_scans;
-      // Morsels are whole chunks (a grain below chunk_capacity rounds up to
-      // one chunk per morsel); workers prune locally against the plan's
-      // per-chunk verdicts and the row runs concatenate in chunk order.
-      auto scan_chunks = [&](size_t cb, size_t ce, std::vector<Row>& out,
-                             ExecStats& st) -> Status {
-        Env row_env = base_env;
-        for (size_t c = cb; c < ce; ++c) {
-          if (c < tp.pruned_chunks.size() && tp.pruned_chunks[c]) {
-            ++st.chunks_pruned;
-            continue;
-          }
-          const storage::Chunk& chunk = table.chunk(c);
-          st.rows_scanned += chunk.size();
-          for (size_t o = 0; o < chunk.size(); ++o) {
-            Row row(width);
-            for (size_t a = 0; a < width; ++a) {
-              if (wanted[a]) row[a] = chunk.column(a)[o];
-            }
-            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, row, row_env));
-            if (ok) out.push_back(std::move(row));
-          }
+      auto scan_ids = [&](size_t b, size_t e, std::vector<uint32_t>& out,
+                          ExecStats&) -> Status {
+        MorselEnv m(env, width);
+        for (size_t i = b; i < e; ++i) {
+          SFSQL_ASSIGN_OR_RETURN(bool ok,
+                                 PassesPushed(block, tp, tp.row_ids[i], m));
+          if (ok) out.push_back(tp.row_ids[i]);
         }
         return Status::OK();
       };
-      const size_t chunks_per_morsel =
-          std::max<size_t>(1, Grain() / table.chunk_capacity());
       SFSQL_RETURN_IF_ERROR(
-          RowLoop(table.num_chunks(), chunks_per_morsel, scan_chunks, base));
+          RowLoop(tp.row_ids.size(), Grain(), scan_ids, base));
     }
-    stats_->rows_pruned += table.num_rows() - base.size();
-    stats_->pushed_predicates += tp.pushed.size() + tp.sargable.size();
-    return base;
-  };
+  } else {
+    ++stats_->table_scans;
+    // Morsels are whole chunks (a grain below chunk_capacity rounds up to
+    // one chunk per morsel); workers prune locally against the plan's
+    // per-chunk verdicts and the id runs concatenate in chunk order.
+    auto scan_chunks = [&](size_t cb, size_t ce, std::vector<uint32_t>& out,
+                           ExecStats& st) -> Status {
+      MorselEnv m(env, width);
+      for (size_t c = cb; c < ce; ++c) {
+        if (c < tp.pruned_chunks.size() && tp.pruned_chunks[c]) {
+          ++st.chunks_pruned;
+          continue;
+        }
+        const size_t first = c * table.chunk_capacity();
+        const size_t end = first + table.chunk(c).size();
+        st.rows_scanned += end - first;
+        for (auto id = static_cast<uint32_t>(first); id < end; ++id) {
+          if (!tp.pushed.empty()) {
+            SFSQL_ASSIGN_OR_RETURN(bool ok, PassesPushed(block, tp, id, m));
+            if (!ok) continue;
+          }
+          out.push_back(id);
+        }
+      }
+      return Status::OK();
+    };
+    const size_t chunks_per_morsel =
+        std::max<size_t>(1, Grain() / table.chunk_capacity());
+    SFSQL_RETURN_IF_ERROR(
+        RowLoop(table.num_chunks(), chunks_per_morsel, scan_chunks, base));
+  }
+  stats_->rows_pruned += table.num_rows() - base.size();
+  stats_->pushed_predicates += tp.pushed.size() + tp.sargable.size();
+  return base;
+}
 
-  // Stage 2: fold in plan order — hash joins on the planned equi edges, join
-  // filters evaluated at the step where their last table is placed.
+Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
+                                                      const BlockPlan& plan,
+                                                      const Env& env) {
+  const size_t n = plan.tables.size();
+  const size_t width = TupleWidth(block);
+  const storage::Table* const* tables = env.back().tables;
+
+  // Fold in plan order — equi edges key the join, join filters run at the
+  // step where their last table is placed.
   std::vector<int> step_of(n, -1);  // FROM position -> fold step
   for (size_t t = 0; t < n; ++t) {
     step_of[plan.tables[t].from_index] = static_cast<int>(t);
@@ -615,122 +630,140 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
     step_filters[last].push_back(&block.conjuncts[f.conjunct].expr);
   }
 
-  std::vector<Row> rows;
-  rows.push_back(Row{});  // fold identity
-  // Flat columns the accumulated rows are currently sorted by (the output of
-  // a sort-merge step). Hash, index nested-loop, and nested-loop steps all
-  // iterate the accumulated side in order and emit per-base-row blocks, so
-  // they preserve it; a later sort-merge on exactly these columns can skip
-  // its accumulated-side sort.
-  std::vector<int> sorted_cols;
-  int placed_width = 0;  // flat columns of the tables placed so far
+  std::vector<uint32_t> acc(width, 0);  // fold identity: one tuple
+  // The (FROM entry, attribute) columns the accumulated tuples are currently
+  // sorted by (the output of a sort-merge step). Hash, index nested-loop, and
+  // nested-loop steps all iterate the accumulated side in order and emit
+  // per-tuple blocks, so they preserve it; a later sort-merge on exactly
+  // these columns can skip its accumulated-side sort.
+  std::vector<std::pair<int, int>> sorted_cols;
   for (size_t t = 0; t < n; ++t) {
     const TablePlan& tp = plan.tables[t];
-    offset_of[tp.from_index] = placed_width;
-    placed_width += static_cast<int>(db_->table(tp.relation_id).num_attrs());
+    const int from = tp.from_index;
+    const storage::Table& table = *tables[from];
+    const size_t count = acc.size() / width;
+    auto tuple = [&](size_t i) { return acc.data() + i * width; };
 
     struct EquiKey {
-      int existing_col;  // flat index in the accumulated schema
-      int new_col;       // attribute index within the new slot
+      int from;      // placed FROM entry
+      int attr;      // its attribute
+      int new_attr;  // attribute of the table this step places
     };
     std::vector<EquiKey> keys;
     for (const PlannedEquiJoin& e : plan.equi_joins) {
       const int ts = static_cast<int>(t);
       if (step_of[e.left_from] == ts && step_of[e.right_from] < ts) {
-        keys.push_back(
-            EquiKey{offset_of[e.right_from] + e.right_attr, e.left_attr});
+        keys.push_back(EquiKey{e.right_from, e.right_attr, e.left_attr});
       } else if (step_of[e.right_from] == ts && step_of[e.left_from] < ts) {
-        keys.push_back(
-            EquiKey{offset_of[e.left_from] + e.left_attr, e.right_attr});
+        keys.push_back(EquiKey{e.left_from, e.left_attr, e.right_attr});
       }
     }
+    auto placed = [&](const uint32_t* tup, const EquiKey& k) -> const Value& {
+      return tables[k.from]->at(tup[k.from], k.attr);
+    };
+    auto placed_null = [&](const uint32_t* tup) {
+      for (const EquiKey& k : keys) {
+        if (placed(tup, k).is_null()) return true;
+      }
+      return false;
+    };
     const std::vector<const BoundExpr*>& filters = step_filters[t];
 
-    std::vector<Row> joined;
-    // `out`-parameterized so the parallel probe loops can emit into their
-    // morsel's private vector; the join filters are subquery-free (see
-    // RowLoop), so concurrent evaluation is safe. `join_env` is the caller's
-    // (per-morsel) copy of the frames; its own frame reads the combined row.
-    auto emit_row = [&](const Row& base, const Row& extra,
-                        std::vector<Row>& out, Env& join_env) -> Status {
-      Row combined;
-      combined.reserve(base.size() + extra.size());
-      combined.insert(combined.end(), base.begin(), base.end());
-      combined.insert(combined.end(), extra.begin(), extra.end());
-      join_env.back().row = &combined;
+    std::vector<uint32_t> joined;
+    // Appends `tup` extended by `id` at this step's FROM entry to `out` if
+    // the join filters pass. `out`-parameterized so the parallel probe loops
+    // can emit into their morsel's private vector; the join filters are
+    // subquery-free (see RowLoop), so concurrent evaluation is safe.
+    // `join_env` is the caller's (per-morsel) copy of the frames.
+    auto emit = [&](const uint32_t* tup, uint32_t id,
+                    std::vector<uint32_t>& out, Env& join_env) -> Status {
+      const size_t at = out.size();
+      out.insert(out.end(), tup, tup + width);
+      out[at + from] = id;
+      join_env.back().ids = out.data() + at;
       for (const BoundExpr* p : filters) {
         SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*p, join_env));
-        if (!Truthy(v)) return Status::OK();
+        if (!Truthy(v)) {
+          out.resize(at);
+          break;
+        }
       }
-      out.push_back(std::move(combined));
       return Status::OK();
     };
     Env step_env = env;
-    auto emit_if_passes = [&](const Row& base, const Row& extra) -> Status {
-      return emit_row(base, extra, joined, step_env);
-    };
 
     // Index nested-loop join (the cost model's pick when the accumulated side
     // is small relative to the table): probe the join column's index once
-    // per accumulated row instead of scanning + hash-building the whole
+    // per accumulated tuple instead of scanning + hash-building the whole
     // table. The cost model only picks it for tables the planner marked with
     // an index_join_attr. Probe row ids come back ascending, so emission order
-    // matches the hash join exactly (per accumulated row, matches in table
+    // matches the hash join exactly (per accumulated tuple, matches in table
     // order). `=` probes use Value::Compare equality, which coincides with
     // the hash join's Equals for non-nulls.
     if (tp.join_algo == JoinAlgo::kIndexNestedLoop) {
-      const storage::Table& table = db_->table(tp.relation_id);
       ++stats_->index_joins;
       stats_->pushed_predicates += tp.pushed.size();
       const storage::ColumnIndex* idx =
           db_->ColumnIndexFor(tp.relation_id, tp.index_join_attr);
-      const std::vector<char>& wanted = block.read_attrs[tp.from_index];
-      const size_t width = table.num_attrs();
       size_t probe_key = 0;
-      while (keys[probe_key].new_col != tp.index_join_attr) ++probe_key;
-      // Probe morsels run in parallel over the accumulated rows; per probe
-      // row the index returns ids ascending, so stitching morsels in order
+      while (keys[probe_key].new_attr != tp.index_join_attr) ++probe_key;
+      // Probe morsels run in parallel over the accumulated tuples; per probe
+      // the index returns ids ascending, so stitching morsels in order
       // reproduces the serial emission order exactly. `idx` was fetched above
       // on this thread (ColumnIndexFor may lazily build under a mutex);
       // workers only call its const read API.
-      auto probe_index = [&](size_t b, size_t e, std::vector<Row>& out,
+      auto probe_index = [&](size_t b, size_t e, std::vector<uint32_t>& out,
                              ExecStats& st) -> Status {
-        Env row_env = base_env;
+        MorselEnv m(env, width);
         Env join_env = env;
         for (size_t ri = b; ri < e; ++ri) {
-          const Row& base = rows[ri];
-          bool has_null = false;
-          for (const EquiKey& k : keys) {
-            if (base[k.existing_col].is_null()) has_null = true;
-          }
-          if (has_null) continue;
+          const uint32_t* tup = tuple(ri);
+          if (placed_null(tup)) continue;
           for (uint32_t id :
-               idx->RowsSatisfying("=", base[keys[probe_key].existing_col])) {
+               idx->RowsSatisfying("=", placed(tup, keys[probe_key]))) {
             ++st.rows_scanned;
-            Row trow(width);
-            for (size_t a = 0; a < width; ++a) {
-              if (wanted[a]) trow[a] = table.at(id, a);
-            }
             bool match = true;
             for (size_t k = 0; k < keys.size() && match; ++k) {
               if (k == probe_key) continue;
-              const Value& v = trow[keys[k].new_col];
-              match = !v.is_null() && v.Equals(base[keys[k].existing_col]);
+              const Value& v = table.at(id, keys[k].new_attr);
+              match = !v.is_null() && v.Equals(placed(tup, keys[k]));
             }
             if (!match) continue;
-            SFSQL_ASSIGN_OR_RETURN(bool ok, passes_pushed(tp, trow, row_env));
+            SFSQL_ASSIGN_OR_RETURN(bool ok, PassesPushed(block, tp, id, m));
             if (!ok) continue;
-            SFSQL_RETURN_IF_ERROR(emit_row(base, trow, out, join_env));
+            SFSQL_RETURN_IF_ERROR(emit(tup, id, out, join_env));
           }
         }
         return Status::OK();
       };
-      SFSQL_RETURN_IF_ERROR(RowLoop(rows.size(), Grain(), probe_index, joined));
-      rows = std::move(joined);
+      // A probe emits about `fanout` tuples (the cost model's estimate), so a
+      // morsel of Grain() / fanout probes emits about Grain() tuples.
+      const double placed_rows = plan.tables[t - 1].est_rows_cumulative;
+      const double fanout = tp.est_rows_cumulative / std::max(1.0, placed_rows);
+      const size_t grain = static_cast<size_t>(
+          std::max(1.0, static_cast<double>(Grain()) / std::max(1.0, fanout)));
+      SFSQL_RETURN_IF_ERROR(RowLoop(count, grain, probe_index, joined));
+      acc = std::move(joined);
       continue;
     }
 
-    SFSQL_ASSIGN_OR_RETURN(std::vector<Row> base_rows, materialize(tp));
+    SFSQL_ASSIGN_OR_RETURN(std::vector<uint32_t> base,
+                           ScanBase(block, tp, env));
+    if (t == 0) {
+      // The identity tuple times the base ids: no keys, no join filters.
+      acc.assign(base.size() * width, 0);
+      for (size_t i = 0; i < base.size(); ++i) acc[i * width + from] = base[i];
+      continue;
+    }
+    auto fresh = [&](uint32_t id, const EquiKey& k) -> const Value& {
+      return table.at(id, k.new_attr);
+    };
+    auto fresh_null = [&](uint32_t id) {
+      for (const EquiKey& k : keys) {
+        if (fresh(id, k).is_null()) return true;
+      }
+      return false;
+    };
     if (!keys.empty() && tp.join_algo == JoinAlgo::kSortMerge) {
       // Sort-merge join: order both sides by the key columns and walk equal-
       // key groups with two pointers. Value::Compare is a total order whose
@@ -740,44 +773,36 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       // Output emits in key order — the planner only chooses this operator
       // for reorder-safe blocks.
       ++stats_->sort_merge_joins;
-      std::vector<int> left_cols;
+      std::vector<std::pair<int, int>> left_cols;
       left_cols.reserve(keys.size());
-      for (const EquiKey& k : keys) left_cols.push_back(k.existing_col);
-      std::vector<uint32_t> lidx;
-      lidx.reserve(rows.size());
-      for (uint32_t i = 0; i < rows.size(); ++i) {
-        bool has_null = false;
-        for (const EquiKey& k : keys) {
-          if (rows[i][k.existing_col].is_null()) has_null = true;
-        }
-        if (!has_null) lidx.push_back(i);
+      for (const EquiKey& k : keys) left_cols.emplace_back(k.from, k.attr);
+      std::vector<uint32_t> lidx;  // accumulated tuple indices
+      lidx.reserve(count);
+      for (uint32_t i = 0; i < count; ++i) {
+        if (!placed_null(tuple(i))) lidx.push_back(i);
       }
-      std::vector<uint32_t> ridx;
-      ridx.reserve(base_rows.size());
-      for (uint32_t i = 0; i < base_rows.size(); ++i) {
-        bool has_null = false;
-        for (const EquiKey& k : keys) {
-          if (base_rows[i][k.new_col].is_null()) has_null = true;
-        }
-        if (!has_null) ridx.push_back(i);
+      std::vector<uint32_t> ridx;  // base row ids
+      ridx.reserve(base.size());
+      for (uint32_t id : base) {
+        if (!fresh_null(id)) ridx.push_back(id);
       }
       auto cmp_lr = [&](uint32_t l, uint32_t r) {
         for (const EquiKey& k : keys) {
-          int c = rows[l][k.existing_col].Compare(base_rows[r][k.new_col]);
+          int c = placed(tuple(l), k).Compare(fresh(r, k));
           if (c != 0) return c;
         }
         return 0;
       };
       auto cmp_ll = [&](uint32_t a, uint32_t b) {
         for (const EquiKey& k : keys) {
-          int c = rows[a][k.existing_col].Compare(rows[b][k.existing_col]);
+          int c = placed(tuple(a), k).Compare(placed(tuple(b), k));
           if (c != 0) return c;
         }
         return 0;
       };
       auto cmp_rr = [&](uint32_t a, uint32_t b) {
         for (const EquiKey& k : keys) {
-          int c = base_rows[a][k.new_col].Compare(base_rows[b][k.new_col]);
+          int c = fresh(a, k).Compare(fresh(b, k));
           if (c != 0) return c;
         }
         return 0;
@@ -808,7 +833,7 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
           for (size_t i = li; i < le; ++i) {
             for (size_t j = ri; j < re; ++j) {
               SFSQL_RETURN_IF_ERROR(
-                  emit_if_passes(rows[lidx[i]], base_rows[ridx[j]]));
+                  emit(tuple(lidx[i]), ridx[j], joined, step_env));
             }
           }
           li = le;
@@ -818,98 +843,94 @@ Result<std::vector<Row>> BlockExecutor::FoldJoin(
       sorted_cols = std::move(left_cols);
     } else if (!keys.empty()) {
       // Hash join: build on the new (filtered) table, probe with the
-      // accumulated rows. NULL keys never join. In parallel, workers slice
-      // the build side into per-morsel per-partition key lists, then each
+      // accumulated tuples. NULL keys never join. In parallel, workers slice
+      // the build side into per-morsel per-partition id lists, then each
       // partition's table is assembled by one worker walking the morsels in
       // order — so every bucket's match list is in build-side row order,
       // exactly like serial insertion. Probe morsels then hit the partitions
       // directly (same RowHash picks the partition and the bucket) and stitch
-      // their outputs in accumulated-row order. Serially the same code runs
-      // inline as one morsel and one partition.
+      // their outputs in accumulated-tuple order. Serially the same code runs
+      // inline as one morsel and one partition. Keys are read into one
+      // buffer per morsel; only a distinct build key is copied into the map.
       ++stats_->hash_joins;
       using BuildMap =
-          std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq>;
+          std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq>;
       const bool parallel =
-          ParallelEnabled() &&
-          (base_rows.size() > Grain() || rows.size() > Grain());
+          ParallelEnabled() && (base.size() > Grain() || count > Grain());
       const size_t partitions = parallel ? 64 : 1;
       const size_t grain =
-          parallel ? Grain() : std::max<size_t>(1, base_rows.size());
+          parallel ? Grain() : std::max<size_t>(1, base.size());
       auto partition_of = [partitions](const Row& key) -> size_t {
         return partitions == 1 ? 0 : RowHash{}(key) % partitions;
       };
-      auto for_morsels = [&](size_t count, size_t step,
+      auto fresh_key = [&](uint32_t id, Row& key) {
+        for (size_t k = 0; k < keys.size(); ++k) key[k] = fresh(id, keys[k]);
+      };
+      auto for_morsels = [&](size_t total, size_t step,
                              const std::function<void(size_t, size_t)>& body) {
         if (parallel) {
-          pool_->ParallelFor(count, step, body);
+          pool_->ParallelFor(total, step, body);
         } else {
-          body(0, count);
+          body(0, total);
         }
       };
       const size_t bmorsels =
-          std::max<size_t>(1, (base_rows.size() + grain - 1) / grain);
-      std::vector<std::vector<std::vector<std::pair<uint32_t, Row>>>> parts(
-          bmorsels,
-          std::vector<std::vector<std::pair<uint32_t, Row>>>(partitions));
-      for_morsels(base_rows.size(), grain, [&](size_t b, size_t e) {
-        auto& my = parts[b / grain];
+          std::max<size_t>(1, (base.size() + grain - 1) / grain);
+      std::vector<std::vector<std::vector<uint32_t>>> parts(
+          bmorsels, std::vector<std::vector<uint32_t>>(partitions));
+      for_morsels(base.size(), grain, [&](size_t b, size_t e) {
+        std::vector<std::vector<uint32_t>>& my = parts[b / grain];
+        Row key(keys.size());
         for (size_t i = b; i < e; ++i) {
-          const Row& trow = base_rows[i];
-          Row key;
-          key.reserve(keys.size());
-          bool has_null = false;
-          for (const EquiKey& k : keys) {
-            if (trow[k.new_col].is_null()) has_null = true;
-            key.push_back(trow[k.new_col]);
-          }
-          if (has_null) continue;
-          my[partition_of(key)].emplace_back(static_cast<uint32_t>(i),
-                                             std::move(key));
+          if (fresh_null(base[i])) continue;
+          fresh_key(base[i], key);
+          my[partition_of(key)].push_back(base[i]);
         }
       });
       std::vector<BuildMap> build(partitions);
       for_morsels(partitions, 1, [&](size_t pb, size_t pe) {
+        Row key(keys.size());
         for (size_t p = pb; p < pe; ++p) {
           for (size_t m = 0; m < bmorsels; ++m) {
-            for (std::pair<uint32_t, Row>& kv : parts[m][p]) {
-              build[p][std::move(kv.second)].push_back(&base_rows[kv.first]);
+            for (uint32_t id : parts[m][p]) {
+              fresh_key(id, key);
+              auto it = build[p].find(key);
+              if (it == build[p].end()) it = build[p].try_emplace(key).first;
+              it->second.push_back(id);
             }
           }
         }
       });
-      auto probe_body = [&](size_t b, size_t e, std::vector<Row>& out,
+      auto probe_body = [&](size_t b, size_t e, std::vector<uint32_t>& out,
                             ExecStats&) -> Status {
         Env join_env = env;
+        Row probe(keys.size());
         for (size_t i = b; i < e; ++i) {
-          const Row& base = rows[i];
-          Row probe;
-          probe.reserve(keys.size());
-          bool has_null = false;
-          for (const EquiKey& k : keys) {
-            if (base[k.existing_col].is_null()) has_null = true;
-            probe.push_back(base[k.existing_col]);
+          const uint32_t* tup = tuple(i);
+          if (placed_null(tup)) continue;
+          for (size_t k = 0; k < keys.size(); ++k) {
+            probe[k] = placed(tup, keys[k]);
           }
-          if (has_null) continue;
           const BuildMap& part = build[partition_of(probe)];
           auto it = part.find(probe);
           if (it == part.end()) continue;
-          for (const Row* trow : it->second) {
-            SFSQL_RETURN_IF_ERROR(emit_row(base, *trow, out, join_env));
+          for (uint32_t id : it->second) {
+            SFSQL_RETURN_IF_ERROR(emit(tup, id, out, join_env));
           }
         }
         return Status::OK();
       };
-      SFSQL_RETURN_IF_ERROR(RowLoop(rows.size(), Grain(), probe_body, joined));
+      SFSQL_RETURN_IF_ERROR(RowLoop(count, Grain(), probe_body, joined));
     } else {
-      for (const Row& base : rows) {
-        for (const Row& trow : base_rows) {
-          SFSQL_RETURN_IF_ERROR(emit_if_passes(base, trow));
+      for (size_t i = 0; i < count; ++i) {
+        for (uint32_t id : base) {
+          SFSQL_RETURN_IF_ERROR(emit(tuple(i), id, joined, step_env));
         }
       }
     }
-    rows = std::move(joined);
+    acc = std::move(joined);
   }
-  return rows;
+  return acc;
 }
 
 Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
@@ -921,26 +942,28 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
   if (root && info_ != nullptr) {
     info_->access_paths = ExplainPlan(*db_, plan);
   }
-  // The block's own frame goes last; every row loop below repoints it.
-  std::vector<int> offset_of(block.relation_ids.size(), -1);
-  env.push_back(Frame{nullptr, offset_of.data(), nullptr});
+  // The block's own frame goes last; every tuple loop below repoints it.
+  std::vector<const storage::Table*> tables;
+  for (int rel : block.relation_ids) tables.push_back(&db_->table(rel));
+  env.push_back(Frame{nullptr, tables.data(), nullptr});
   Frame& own = env.back();
-  SFSQL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         FoldJoin(block, plan, env, offset_of));
+  SFSQL_ASSIGN_OR_RETURN(std::vector<uint32_t> tuples,
+                         FoldJoin(block, plan, env));
+  const size_t width = TupleWidth(block);
   if (root && info_ != nullptr) {
     // Estimated vs actual rows out of the join fold, both pre-residual —
     // the q-error the cost model is judged on.
     info_->estimated_join_rows = plan.estimated_output_rows;
-    info_->actual_join_rows = rows.size();
+    info_->actual_join_rows = tuples.size() / width;
     info_->has_join_actuals = true;
   }
 
   // Final filter: conjuncts the fold did not consume (subqueries,
-  // outer-correlated predicates, OR trees).
+  // outer-correlated predicates, OR trees). Survivors compact in place.
   if (!plan.residual.empty()) {
-    std::vector<Row> filtered;
-    for (Row& row : rows) {
-      own.row = &row;
+    size_t kept = 0;
+    for (size_t at = 0; at < tuples.size(); at += width) {
+      own.ids = tuples.data() + at;
       bool pass = true;
       for (int ci : plan.residual) {
         SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, env));
@@ -949,17 +972,36 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
           break;
         }
       }
-      if (pass) filtered.push_back(std::move(row));
+      if (!pass) continue;
+      if (kept != at) {
+        std::copy_n(tuples.begin() + at, width, tuples.begin() + kept);
+      }
+      kept += width;
     }
-    rows = std::move(filtered);
+    tuples.resize(kept);
   }
 
   QueryResult result;
 
-  // Column labels.
+  // Column labels, and where each select item's value lands in a result row
+  // (a star before it expands to several columns).
+  std::vector<size_t> position;
   auto label_of = [&](const sql::SelectItem& item) {
     return item.alias.empty() ? sql::PrintExpr(*item.expr) : item.alias;
   };
+  for (size_t i = 0; i < stmt.select_items.size(); ++i) {
+    for (int f : block.select_items[i].star_entries) {
+      for (const catalog::Attribute& a :
+           db_->catalog().relation(block.relation_ids[f]).attributes) {
+        result.columns.push_back(StrCat(block.bindings[f], ".", a.name));
+      }
+    }
+    position.push_back(result.columns.size());
+    if (stmt.select_items[i].expr->kind != ExprKind::kStar ||
+        block.aggregates) {
+      result.columns.push_back(label_of(stmt.select_items[i]));
+    }
+  }
 
   // Order keys computed alongside projection.
   struct OutRow {
@@ -967,94 +1009,83 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
     Row order_keys;
   };
   std::vector<OutRow> out_rows;
+  // Projects the current frame: the select items (a star expands its FROM
+  // entries in FROM order), then the ORDER BY keys — one naming a select
+  // alias reads that item's value.
+  auto project = [&]() -> Status {
+    OutRow out;
+    for (const BoundExpr& item : block.select_items) {
+      if (item.expr->kind == ExprKind::kStar) {
+        if (block.aggregates) {
+          return Status::ExecutionError(
+              "'*' cannot appear in an aggregate query");
+        }
+        for (int f : item.star_entries) {
+          for (size_t a = 0; a < tables[f]->num_attrs(); ++a) {
+            out.projected.push_back(tables[f]->at(own.ids[f], a));
+          }
+        }
+        continue;
+      }
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
+      out.projected.push_back(std::move(v));
+    }
+    for (size_t j = 0; j < block.order_by.size(); ++j) {
+      if (block.order_alias[j] >= 0) {
+        out.order_keys.push_back(out.projected[position[block.order_alias[j]]]);
+        continue;
+      }
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.order_by[j], env));
+      out.order_keys.push_back(std::move(v));
+    }
+    out_rows.push_back(std::move(out));
+    return Status::OK();
+  };
 
   if (block.aggregates) {
-    // Group rows.
+    // Group the tuples; without GROUP BY they form one group, empty or not.
     std::unordered_map<Row, Group, RowHash, RowEq> groups;
     std::vector<Group*> group_order;  // first-seen order
-    for (const Row& row : rows) {
-      own.row = &row;
+    if (block.group_by.empty()) {
+      Group& all = groups[Row{}];
+      all.rows.reserve(tuples.size() / width);
+      for (size_t at = 0; at < tuples.size(); at += width) {
+        all.rows.push_back(tuples.data() + at);
+      }
+      group_order.push_back(&all);
+    } else {
       Row key;
-      for (const BoundExpr& g : block.group_by) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(g, env));
-        key.push_back(std::move(v));
+      for (size_t at = 0; at < tuples.size(); at += width) {
+        own.ids = tuples.data() + at;
+        key.clear();
+        for (const BoundExpr& g : block.group_by) {
+          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(g, env));
+          key.push_back(std::move(v));
+        }
+        auto it = groups.find(key);
+        if (it == groups.end()) {
+          it = groups.try_emplace(key).first;
+          it->second.key = key;
+          group_order.push_back(&it->second);
+        }
+        it->second.rows.push_back(own.ids);
       }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) {
-        it->second.key = it->first;
-        group_order.push_back(&it->second);
-      }
-      it->second.rows.push_back(&row);
-    }
-    if (stmt.group_by.empty() && groups.empty()) {
-      // Global aggregate over an empty input still yields one group.
-      group_order.push_back(&groups[Row{}]);
     }
 
     for (Group* group : group_order) {
       group->aggregates.resize(block.aggregate_calls.size());
       own = Frame{group->rows.empty() ? nullptr : group->rows[0],
-                  offset_of.data(), group};
+                  tables.data(), group};
       if (block.having) {
         SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*block.having, env));
         if (!Truthy(v)) continue;
       }
-      OutRow out;
-      for (const BoundExpr& item : block.select_items) {
-        if (item.expr->kind == ExprKind::kStar) {
-          return Status::ExecutionError("'*' cannot appear in an aggregate query");
-        }
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
-        out.projected.push_back(std::move(v));
-      }
-      for (const BoundExpr& o : block.order_by) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(o, env));
-        out.order_keys.push_back(std::move(v));
-      }
-      out_rows.push_back(std::move(out));
-    }
-    for (const sql::SelectItem& item : stmt.select_items) {
-      result.columns.push_back(label_of(item));
+      SFSQL_RETURN_IF_ERROR(project());
     }
   } else {
-    // Plain projection; a star expands its FROM entries in FROM order.
-    for (size_t i = 0; i < stmt.select_items.size(); ++i) {
-      for (int f : block.select_items[i].star_entries) {
-        for (const catalog::Attribute& a :
-             db_->catalog().relation(block.relation_ids[f]).attributes) {
-          result.columns.push_back(StrCat(block.bindings[f], ".", a.name));
-        }
-      }
-      if (stmt.select_items[i].expr->kind != ExprKind::kStar) {
-        result.columns.push_back(label_of(stmt.select_items[i]));
-      }
-    }
-    for (const Row& row : rows) {
-      own.row = &row;
-      OutRow out;
-      for (const BoundExpr& item : block.select_items) {
-        if (item.expr->kind == ExprKind::kStar) {
-          for (int f : item.star_entries) {
-            const auto first = row.begin() + offset_of[f];
-            out.projected.insert(out.projected.end(), first,
-                                 first + db_->table(block.relation_ids[f])
-                                             .num_attrs());
-          }
-        } else {
-          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(item, env));
-          out.projected.push_back(std::move(v));
-        }
-      }
-      for (size_t j = 0; j < block.order_by.size(); ++j) {
-        // ORDER BY may name a select alias.
-        if (block.order_alias[j] >= 0) {
-          out.order_keys.push_back(out.projected[block.order_alias[j]]);
-          continue;
-        }
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.order_by[j], env));
-        out.order_keys.push_back(std::move(v));
-      }
-      out_rows.push_back(std::move(out));
+    for (size_t at = 0; at < tuples.size(); at += width) {
+      own.ids = tuples.data() + at;
+      SFSQL_RETURN_IF_ERROR(project());
     }
   }
 

@@ -86,6 +86,11 @@ struct ExecInfo {
 /// indexes and chunk statistics and pushes per-table predicates below the
 /// join, and the cost model (exec/cost_model) orders the fold and picks each
 /// step's join algorithm (hash, index nested-loop, sort-merge, nested-loop).
+/// The fold is late-materialized: a tuple is one row id per FROM entry,
+/// stored flat, and scans emit base row ids. Every expression after the scan
+/// (join filters, the residual filter, grouping, aggregates, projection)
+/// reads its columns straight out of the chunks through the tuple; only
+/// result rows are copied into Rows.
 /// Execute holds Database::ReadLock() for its whole duration, which pins row
 /// counts so IndexScan row ids stay exactly valid (column_index.h documents
 /// the staleness contract) and makes Execute safe to race against inserts.

@@ -143,6 +143,36 @@ TEST_F(ExecEdgeTest, HavingWithoutGroupBy) {
   EXPECT_TRUE(drop.rows.empty());
 }
 
+// HAVING needs an aggregating block (GROUP BY or an aggregate call), as in
+// SQLite; on a plain block it is an error, not a filter that never runs.
+// HavingWithoutGroupBy above covers the global aggregate that keeps working.
+TEST_F(ExecEdgeTest, HavingOnNonAggregateQueryIsAnError) {
+  auto r = exec_.ExecuteSql("SELECT name FROM Person HAVING 1 = 0");
+  ASSERT_FALSE(r.ok()) << r->ToString();
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  EXPECT_EQ(r.status().message(), "HAVING clause on a non-aggregate query");
+}
+
+// An ORDER BY naming a select alias sorts by that item's value, also when a
+// star before it expanded to several columns.
+TEST_F(ExecEdgeTest, OrderByAliasAfterStar) {
+  QueryResult r = Run("SELECT *, person_id AS k FROM Person ORDER BY k DESC");
+  ASSERT_EQ(r.columns.size(), 4u);
+  EXPECT_EQ(r.columns[3], "k");
+  ASSERT_EQ(r.rows.size(), 7u);
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    EXPECT_EQ(r.rows[i][3].AsInt(), static_cast<int64_t>(7 - i));
+    EXPECT_EQ(r.rows[i][0].AsInt(), r.rows[i][3].AsInt());
+  }
+  // The alias of an aggregate in a grouped block sorts too.
+  QueryResult g = Run(
+      "SELECT gender, COUNT(*) AS n FROM Person GROUP BY gender ORDER BY n");
+  ASSERT_EQ(g.rows.size(), 2u);
+  EXPECT_EQ(g.rows[0][0].AsString(), "female");
+  EXPECT_EQ(g.rows[0][1].AsInt(), 2);
+  EXPECT_EQ(g.rows[1][1].AsInt(), 5);
+}
+
 TEST_F(ExecEdgeTest, OrderByMultipleMixedDirections) {
   QueryResult r = Run(
       "SELECT gender, name FROM Person ORDER BY gender DESC, name ASC");

@@ -41,8 +41,9 @@ using storage::Value;
 // ok/error status, and row-multiset-identical results when ok. Returns the
 // planned result for further inspection.
 Result<QueryResult> ExpectSameBothWays(const Database* db,
-                                       const std::string& sql) {
-  Executor ex(db);
+                                       const std::string& sql,
+                                       const ExecConfig& config = {}) {
+  Executor ex(db, config);
   Result<QueryResult> a = ex.ExecuteSql(sql);
   Result<QueryResult> b = workloads::ExecuteTwin(ex, sql);
   EXPECT_EQ(a.ok(), b.ok()) << sql << "\n  planned: "
@@ -554,6 +555,11 @@ std::unique_ptr<Database> ChunkedDb(size_t chunk_capacity, size_t total) {
   return db;
 }
 
+// Join tuples are row ids into the chunks, one per FROM entry: the self-
+// joins put two ids of one table in a tuple, and with a grain of two rows
+// the 4-thread runs split the tuples into morsels that straddle the seals.
+// Each query runs serially and at 4 threads against its twin, and the two
+// planned results must match row for row.
 TEST(ExecChunkTest, DifferentialAtChunkEdgeRowCounts) {
   constexpr size_t kCap = 8;
   for (size_t total : {size_t{0}, size_t{kCap - 1}, size_t{kCap},
@@ -569,8 +575,28 @@ TEST(ExecChunkTest, DifferentialAtChunkEdgeRowCounts) {
              "SELECT k FROM T WHERE i IN (10, 160, 999)",
              "SELECT k FROM T WHERE s LIKE 'ev%'",
              "SELECT COUNT(*) FROM T WHERE i >= 0",
+             "SELECT a.k, b.k FROM T a, T b WHERE a.k = b.k",
+             "SELECT a.k, b.k FROM T a, T b WHERE a.s = b.s AND a.k + 8 = b.k",
+             "SELECT * FROM T a, T b WHERE a.k = b.k",
+             "SELECT a.s, COUNT(*), SUM(b.i), MAX(b.k) FROM T a, T b "
+             "WHERE a.k = b.k AND b.i > 20 GROUP BY a.s",
+             "SELECT a.k FROM T a WHERE EXISTS "
+             "(SELECT * FROM T b WHERE b.i = a.i + 10 AND b.s <> a.s)",
          }) {
-      ExpectSameBothWays(db.get(), sql);
+      std::string serial;
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("exec_threads=" + std::to_string(threads));
+        ExecConfig config;
+        config.exec_threads = threads;
+        config.morsel_grain = 2;
+        Result<QueryResult> r = ExpectSameBothWays(db.get(), sql, config);
+        ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+        if (threads == 1) {
+          serial = r->ToString();
+        } else {
+          EXPECT_EQ(r->ToString(), serial) << sql;
+        }
+      }
     }
   }
 }
