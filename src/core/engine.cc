@@ -906,8 +906,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     if (cache != nullptr && have_canonical) {
       probe_plan = cache->GetProbePlan(canonical_key);
       if (probe_plan != nullptr) {
-        signature = ComputeProbeSignature(*probe_plan, canonical.literals,
-                                          *db_, mapper_);
+        signature =
+            ComputeProbeSignature(*probe_plan, canonical.literals, *db_);
         if (std::shared_ptr<const TranslationPlan> structure =
                 cache->GetStructure(canonical_key, signature)) {
           // Tier-1 hit: substitute this query's literals into the cached
@@ -944,8 +944,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
         }
         if (probe_plan != nullptr) {
           if (signature.empty()) {
-            signature = ComputeProbeSignature(*probe_plan, canonical.literals,
-                                              *db_, mapper_);
+            signature =
+                ComputeProbeSignature(*probe_plan, canonical.literals, *db_);
           }
           if (db_->epoch() == epoch0) {
             cache->PutStructure(canonical_key, signature, plan);

@@ -78,28 +78,26 @@ double RelationTreeMapper::RootSimilarity(const RelationTree& rt,
   return s;
 }
 
+storage::ColumnPredicate RelationTreeMapper::ProbePredicate(
+    const Condition& cond) {
+  using storage::ColumnPredicate;
+  // A NULL comparison: no row satisfies it, and no probe is counted for it.
+  if (cond.values.empty()) return ColumnPredicate::Compare("=", {});
+  if (cond.op == "in") return ColumnPredicate::In(cond.values);
+  if (cond.op == "like") {
+    if (!cond.values[0].is_string()) return ColumnPredicate::Compare("=", {});
+    const char escape = cond.values.size() > 1 && cond.values[1].is_string()
+                            ? exec::LikeEscapeChar(cond.values[1].AsString())
+                            : '\0';
+    return ColumnPredicate::Like(cond.values[0].AsString(), escape);
+  }
+  return ColumnPredicate::Compare(cond.op, cond.values[0]);
+}
+
 bool RelationTreeMapper::ConditionSatisfiable(int relation_id, int attr_index,
                                               const Condition& cond) const {
   // The database answers out-of-range ordinals with false.
-  if (cond.op == "in") {
-    for (const storage::Value& v : cond.values) {
-      if (db_->AnyTupleSatisfies(relation_id, attr_index, "=", v)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  if (cond.op == "like") {
-    if (cond.values.empty() || !cond.values[0].is_string()) return false;
-    char escape = cond.values.size() > 1 && cond.values[1].is_string()
-                      ? exec::LikeEscapeChar(cond.values[1].AsString())
-                      : '\0';
-    return db_->AnyStringMatchesLike(relation_id, attr_index,
-                                     cond.values[0].AsString(), escape);
-  }
-  if (cond.values.empty()) return false;
-  return db_->AnyTupleSatisfies(relation_id, attr_index, cond.op,
-                                cond.values[0]);
+  return db_->AnyTupleSatisfies(relation_id, attr_index, ProbePredicate(cond));
 }
 
 namespace {
@@ -158,6 +156,12 @@ double RelationTreeMapper::AttributeSimilarity(const AttributeTree& at,
                                                int* best_attribute) const {
   const catalog::Relation& rel = db_->catalog().relation(relation_id);
   const std::vector<std::string> rel_words = SplitIdentifierWords(rel.name);
+  // Each condition becomes its probe predicate once, not once per attribute.
+  std::vector<storage::ColumnPredicate> probes;
+  probes.reserve(at.conditions.size());
+  for (const Condition& cond : at.conditions) {
+    probes.push_back(ProbePredicate(cond));
+  }
   double best = 0.0;
   int best_idx = -1;
   for (int i = 0; i < static_cast<int>(rel.attributes.size()); ++i) {
@@ -183,10 +187,10 @@ double RelationTreeMapper::AttributeSimilarity(const AttributeTree& at,
     int n = static_cast<int>(at.conditions.size());
     int m = 0;
     bool type_clash = false;
-    for (const Condition& cond : at.conditions) {
-      if (ConditionSatisfiable(relation_id, i, cond)) {
+    for (size_t c = 0; c < probes.size(); ++c) {
+      if (db_->AnyTupleSatisfies(relation_id, i, probes[c])) {
         ++m;
-      } else if (!TypeCompatible(cond, rel.attributes[i].type)) {
+      } else if (!TypeCompatible(at.conditions[c], rel.attributes[i].type)) {
         type_clash = true;
       }
     }

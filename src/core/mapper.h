@@ -74,11 +74,16 @@ class RelationTreeMapper {
   /// (?x / ?) carry no name information and score k_def.
   double NameSimilarity(const sql::NameRef& guess, std::string_view actual) const;
 
+  /// The storage predicate that probes `cond`: the whole condition, an IN
+  /// list included, with LIKE's pattern and optional escape read from the
+  /// values. A condition no row can satisfy (no values, a non-string LIKE
+  /// pattern) becomes a NULL comparison.
+  static storage::ColumnPredicate ProbePredicate(const Condition& cond);
+
   /// True if some tuple of relation/attribute satisfies `cond` — the m of the
-  /// (m+1)/(n+1) factor (§4.3). IN is one equality probe per value, LIKE
-  /// takes its pattern and optional escape from the values; each probe is
-  /// answered by the database's per-column index. Public so benchmarks and
-  /// differential tests can drive the probe layer directly.
+  /// (m+1)/(n+1) factor (§4.3): one Database::AnyTupleSatisfies probe of its
+  /// ProbePredicate. Public so benchmarks and differential tests can drive
+  /// the probe layer directly.
   bool ConditionSatisfiable(int relation_id, int attr_index,
                             const Condition& cond) const;
 

@@ -106,8 +106,7 @@ std::optional<ProbePlan> BuildProbePlan(const sql::SelectStatement& canonical) {
 
 std::string ComputeProbeSignature(const ProbePlan& plan,
                                   const std::vector<storage::Value>& literals,
-                                  const storage::Database& db,
-                                  const RelationTreeMapper& mapper) {
+                                  const storage::Database& db) {
   std::string sig;
   // Literal part: type tag plus equality-partition representative. Two literal
   // vectors agree here iff tree consolidation sees the same value conflicts
@@ -143,11 +142,13 @@ std::string ComputeProbeSignature(const ProbePlan& plan,
         cond.values[i] = literals[slot];
       }
     }
+    const storage::ColumnPredicate probe =
+        RelationTreeMapper::ProbePredicate(cond);
     for (int r = 0; r < catalog.num_relations(); ++r) {
       const int num_attrs =
           static_cast<int>(catalog.relation(r).attributes.size());
       for (int a = 0; a < num_attrs; ++a) {
-        if (mapper.ConditionSatisfiable(r, a, cond)) bits |= 1 << nbits;
+        if (db.AnyTupleSatisfies(r, a, probe)) bits |= 1 << nbits;
         if (++nbits == 8) flush();
       }
     }

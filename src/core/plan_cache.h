@@ -89,11 +89,11 @@ std::optional<ProbePlan> BuildProbePlan(const sql::SelectStatement& canonical);
 ///  * the literal type tags and the equality partition of `literals`
 ///    (which slots hold equal values — this decides tree consolidation), and
 ///  * the answer bit of every (relation, attribute, condition) probe, in plan
-///    × catalog order, answered through `mapper` (the column indexes).
+///    × catalog order: the condition's RelationTreeMapper::ProbePredicate,
+///    built once, answered by Database::AnyTupleSatisfies per column.
 std::string ComputeProbeSignature(const ProbePlan& plan,
                                   const std::vector<storage::Value>& literals,
-                                  const storage::Database& db,
-                                  const RelationTreeMapper& mapper);
+                                  const storage::Database& db);
 
 /// Builds the cacheable form of a ranked translation list: statements are
 /// deep-cloned and each literal is matched back to the query literal slot it

@@ -107,29 +107,11 @@ const char* FlipOp(const char* op) {
   return op;  // = and <> are symmetric
 }
 
-/// True if a scan comparing every non-null value of a column declared as
-/// `declared` against `lit` with an inequality operator cannot type-error
-/// (Insert enforces runtime type == declared type).
-bool InequalityClassMatches(catalog::ValueType declared, const Value& lit) {
-  switch (declared) {
-    case catalog::ValueType::kBool: return lit.is_bool();
-    case catalog::ValueType::kInt64:
-    case catalog::ValueType::kDouble: return lit.is_numeric();
-    case catalog::ValueType::kString: return lit.is_string();
-    default: return false;
-  }
-}
-
 /// An always-empty sargable predicate ("col = NULL" shape): both the count
 /// and row-id paths return nothing, matching two-valued-logic scans.
 SargablePredicate EmptyPredicate(int conjunct, int attr) {
-  SargablePredicate p;
-  p.kind = SargablePredicate::Kind::kCompare;
-  p.conjunct = conjunct;
-  p.attr_index = attr;
-  p.op = "=";
-  p.values.push_back(Value::Null_());
-  return p;
+  return {conjunct, attr,
+          storage::ColumnPredicate::Compare("=", Value::Null_())};
 }
 
 /// Tries to turn a local conjunct that reads one table, whose relation is
@@ -156,13 +138,10 @@ std::optional<SargablePredicate> TryExtractSargable(
     if (!pattern->is_string() || declared != catalog::ValueType::kString) {
       return std::nullopt;
     }
-    SargablePredicate p;
-    p.kind = SargablePredicate::Kind::kLike;
-    p.conjunct = conjunct;
-    p.attr_index = attr;
-    p.like_pattern = pattern->AsString();
-    p.like_escape = LikeEscapeChar(c.like_escape);
-    return p;
+    return SargablePredicate{
+        conjunct, attr,
+        storage::ColumnPredicate::Like(pattern->AsString(),
+                                       LikeEscapeChar(c.like_escape))};
   }
   if (c.kind == ExprKind::kBinary) {
     const char* op = CompareOpString(c.bop);
@@ -181,17 +160,12 @@ std::optional<SargablePredicate> TryExtractSargable(
     if (!equality) {
       // Inequalities type-error on incomparable operands; only push them to
       // the index when the scan could not have errored.
-      if (!InequalityClassMatches(relation.attributes[attr].type, *lit)) {
+      if (!storage::InDeclaredClass(relation.attributes[attr].type, *lit)) {
         return std::nullopt;
       }
     }
-    SargablePredicate p;
-    p.kind = SargablePredicate::Kind::kCompare;
-    p.conjunct = conjunct;
-    p.attr_index = attr;
-    p.op = op;
-    p.values.push_back(std::move(*lit));
-    return p;
+    return SargablePredicate{
+        conjunct, attr, storage::ColumnPredicate::Compare(op, std::move(*lit))};
   }
   if (c.kind == ExprKind::kBetween && !c.negated) {
     int attr = -1;
@@ -201,12 +175,9 @@ std::optional<SargablePredicate> TryExtractSargable(
     std::optional<Value> low = LiteralOf(*c.args[0]);
     std::optional<Value> high = LiteralOf(*c.args[1]);
     if (!low.has_value() || !high.has_value()) return std::nullopt;
-    SargablePredicate p;
-    p.kind = SargablePredicate::Kind::kBetween;
-    p.conjunct = conjunct;
-    p.attr_index = attr;
-    p.values = {std::move(*low), std::move(*high)};
-    return p;
+    return SargablePredicate{
+        conjunct, attr,
+        storage::ColumnPredicate::Between(std::move(*low), std::move(*high))};
   }
   if (c.kind == ExprKind::kInList && !c.negated) {
     int attr = -1;
@@ -218,29 +189,16 @@ std::optional<SargablePredicate> TryExtractSargable(
       if (!v.has_value()) return std::nullopt;
       items.push_back(std::move(*v));
     }
-    SargablePredicate p;
-    p.kind = SargablePredicate::Kind::kIn;
-    p.conjunct = conjunct;
-    p.attr_index = attr;
-    p.values = std::move(items);
-    return p;
+    return SargablePredicate{conjunct, attr,
+                             storage::ColumnPredicate::In(std::move(items))};
   }
   return std::nullopt;
 }
 
-/// An IndexScan is chosen only when the best single-predicate estimate keeps
-/// at most this fraction of the table; above it, the scan's sequential pass
-/// wins over materializing row-id lists.
+/// An IndexScan is chosen only when its predicate keeps at most this
+/// fraction of the table; above it, the scan's sequential pass wins over
+/// materializing a row-id list.
 constexpr double kMaxIndexSelectivity = 0.25;
-
-std::vector<uint32_t> IntersectSorted(std::vector<uint32_t> a,
-                                      const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
 
 }  // namespace
 
@@ -310,8 +268,8 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
   // Access path per table. Chunk-statistics pruning runs FIRST — a chunk
   // whose per-column min/max cannot satisfy some sargable conjunct drops out
   // before any column index is consulted (pruning order: chunk stats ->
-  // index -> residual). Only then are the indexes probed for exact
-  // cardinality estimates; row ids are collected only for chosen IndexScans.
+  // index -> residual). Only then are the indexes probed for exact counts;
+  // row ids are collected only for a chosen IndexScan's one predicate.
   for (size_t t = 0; t < n; ++t) {
     TablePlan& tp = tables[t];
     const storage::Table& table = db.table(tp.relation_id);
@@ -327,27 +285,11 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
     size_t surviving_rows = 0;
     for (size_t c = 0; c < table.num_chunks(); ++c) {
       const storage::Chunk& chunk = table.chunk(c);
-      bool pruned = false;
-      for (const SargablePredicate& p : tp.sargable) {
-        const storage::ChunkStats& st = chunk.stats(p.attr_index);
-        switch (p.kind) {
-          case SargablePredicate::Kind::kCompare:
-            pruned = st.CanPrune(p.op, p.values[0]);
-            break;
-          case SargablePredicate::Kind::kIn:
-            pruned = st.CanPruneIn(p.values);
-            break;
-          case SargablePredicate::Kind::kBetween:
-            pruned = st.CanPruneBetween(p.values[0], p.values[1]);
-            break;
-          case SargablePredicate::Kind::kLike:
-            // Min/max say nothing about pattern matches; only an all-NULL
-            // column rules the chunk out.
-            pruned = st.all_null();
-            break;
-        }
-        if (pruned) break;
-      }
+      const bool pruned = std::any_of(
+          tp.sargable.begin(), tp.sargable.end(),
+          [&](const SargablePredicate& p) {
+            return chunk.stats(p.attr_index).CanPrune(p.pred);
+          });
       if (pruned) {
         tp.pruned_chunks[c] = 1;
         ++tp.chunks_pruned;
@@ -357,81 +299,36 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
     }
     tp.scan_rows = surviving_rows;
 
-    // Scan path: the sargable conjuncts demote to per-row evaluation but are
-    // retained for chunk pruning; the estimate still informs the join order.
-    auto demote_to_scan = [&tp](size_t estimate) {
-      for (const SargablePredicate& p : tp.sargable) {
-        tp.pushed.push_back(p.conjunct);
+    // The smallest count picks the IndexScan's predicate. When the
+    // statistics alone emptied the table, no index is consulted (nor lazily
+    // built): the scan reads the zero surviving chunks.
+    const SargablePredicate* best = nullptr;
+    if (surviving_rows > 0 || tp.table_rows == 0) {
+      for (SargablePredicate& p : tp.sargable) {
+        p.estimated_rows =
+            db.ColumnIndexFor(tp.relation_id, p.attr_index)->Count(p.pred);
+        if (best == nullptr || p.estimated_rows < best->estimated_rows) {
+          best = &p;
+        }
       }
-      tp.prunable = std::move(tp.sargable);
-      tp.sargable.clear();
-      tp.estimated_rows = estimate;
-    };
-
-    if (surviving_rows == 0 && tp.table_rows > 0) {
-      // The statistics alone emptied the table — scan the (zero) surviving
-      // chunks and skip the index entirely, including its lazy build.
-      demote_to_scan(0);
+    }
+    tp.index_scan = best != nullptr &&
+                    (tp.table_rows == 0 ||
+                     static_cast<double>(best->estimated_rows) <=
+                         kMaxIndexSelectivity *
+                             static_cast<double>(tp.table_rows));
+    std::vector<int> demoted;
+    for (const SargablePredicate& p : tp.sargable) {
+      if (!tp.index_scan || &p != best) demoted.push_back(p.conjunct);
+    }
+    tp.pushed.insert(tp.pushed.begin(), demoted.begin(), demoted.end());
+    if (tp.index_scan) {
+      tp.row_ids =
+          db.ColumnIndexFor(tp.relation_id, best->attr_index)->Rows(best->pred);
+      tp.estimated_rows = best->estimated_rows;
     } else {
-      std::vector<std::vector<uint32_t>> like_rows(tp.sargable.size());
-      size_t min_estimate = tp.table_rows;
-      for (size_t s = 0; s < tp.sargable.size(); ++s) {
-        SargablePredicate& p = tp.sargable[s];
-        const storage::ColumnIndex* idx =
-            db.ColumnIndexFor(tp.relation_id, p.attr_index);
-        switch (p.kind) {
-          case SargablePredicate::Kind::kCompare:
-            p.estimated_rows = idx->CountSatisfying(p.op, p.values[0]);
-            break;
-          case SargablePredicate::Kind::kIn:
-            p.estimated_rows = idx->CountIn(p.values);
-            break;
-          case SargablePredicate::Kind::kBetween:
-            p.estimated_rows = idx->CountBetween(p.values[0], p.values[1]);
-            break;
-          case SargablePredicate::Kind::kLike:
-            // LIKE has no cheap count; materialize once and reuse below.
-            like_rows[s] = idx->RowsMatchingLike(p.like_pattern,
-                                                 p.like_escape);
-            p.estimated_rows = like_rows[s].size();
-            break;
-        }
-        min_estimate = std::min(min_estimate, p.estimated_rows);
-      }
-      const bool scan_cheaper =
-          static_cast<double>(min_estimate) >
-          kMaxIndexSelectivity * static_cast<double>(tp.table_rows);
-      if (tp.table_rows == 0 || !scan_cheaper) {
-        tp.index_scan = true;
-        bool first = true;
-        for (size_t s = 0; s < tp.sargable.size(); ++s) {
-          const SargablePredicate& p = tp.sargable[s];
-          const storage::ColumnIndex* idx =
-              db.ColumnIndexFor(tp.relation_id, p.attr_index);
-          std::vector<uint32_t> rows;
-          switch (p.kind) {
-            case SargablePredicate::Kind::kCompare:
-              rows = idx->RowsSatisfying(p.op, p.values[0]);
-              break;
-            case SargablePredicate::Kind::kIn:
-              rows = idx->RowsIn(p.values);
-              break;
-            case SargablePredicate::Kind::kBetween:
-              rows = idx->RowsBetween(p.values[0], p.values[1]);
-              break;
-            case SargablePredicate::Kind::kLike:
-              rows = std::move(like_rows[s]);
-              break;
-          }
-          tp.row_ids = first ? std::move(rows)
-                             : IntersectSorted(std::move(tp.row_ids), rows);
-          first = false;
-          if (tp.row_ids.empty()) break;
-        }
-        tp.estimated_rows = tp.row_ids.size();
-      } else {
-        demote_to_scan(std::min(min_estimate, surviving_rows));
-      }
+      tp.estimated_rows =
+          best == nullptr ? 0 : std::min(best->estimated_rows, surviving_rows);
     }
     tp.selectivity =
         tp.table_rows == 0
@@ -506,7 +403,7 @@ std::vector<TableAccessExplain> ExplainPlan(const storage::Database& db,
     e.relation = db.catalog().relation(tp.relation_id).name;
     e.index_scan = tp.index_scan;
     e.index_join = tp.index_join_attr >= 0;
-    e.index_predicates = static_cast<int>(tp.sargable.size());
+    e.index_predicates = tp.index_scan ? 1 : 0;
     e.pushed_predicates = static_cast<int>(tp.pushed.size());
     e.table_rows = tp.table_rows;
     e.estimated_rows = tp.estimated_rows;

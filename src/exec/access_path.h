@@ -127,19 +127,14 @@ inline void MergeStats(ExecStats& into, const ExecStats& delta) {
   for (const ExecCounter& c : kExecCounters) into.*c.field += delta.*c.field;
 }
 
-/// One sargable conjunct bound to a column: a shape the column index can
-/// answer exactly (see ColumnIndex::Rows*). Operand values are literals only
-/// (after folding unary minus), so the predicate is environment-independent
-/// and the plan is valid for correlated re-executions too.
+/// One sargable conjunct bound to a column: a predicate the column index
+/// answers exactly. Operand values are literals only (after folding unary
+/// minus), so the predicate is environment-independent and the plan is valid
+/// for correlated re-executions too.
 struct SargablePredicate {
-  enum class Kind { kCompare, kIn, kBetween, kLike };
-  Kind kind = Kind::kCompare;
   int conjunct = -1;    ///< index into BoundBlock::conjuncts
   int attr_index = -1;  ///< attribute within the table's relation
-  std::string op;       ///< kCompare: "=", "<>", "<", "<=", ">", ">="
-  std::vector<storage::Value> values;  ///< operand / IN list / [low, high]
-  std::string like_pattern;            ///< kLike
-  char like_escape = '\0';
+  storage::ColumnPredicate pred;
   size_t estimated_rows = 0;  ///< exact match count from the column index
 };
 
@@ -148,16 +143,17 @@ struct TablePlan {
   int from_index = -1;  ///< position in the statement's FROM list
   int relation_id = -1;
   std::string binding_lower;
+  /// True when the table is read through the row ids of one sargable
+  /// predicate, the one with the smallest count; false for a scan.
   bool index_scan = false;
-  /// Conjuncts answered by the index (row_ids is their intersection).
-  /// When the scan is chosen instead, these demote into `pushed`.
+  /// Every sargable conjunct of the table. All of them prune chunks against
+  /// the per-chunk statistics, and the smallest count is the table's
+  /// estimate.
   std::vector<SargablePredicate> sargable;
-  /// Conjunct indices evaluated once per base row, below the join.
+  /// Conjunct indices evaluated once per base row, below the join: every
+  /// sargable conjunct but an IndexScan's own (first, in conjunct order),
+  /// then the ones the index cannot answer.
   std::vector<int> pushed;
-  /// When the scan is chosen, the demoted sargable conjuncts are retained
-  /// here so the scan can keep pruning whole chunks against the per-chunk
-  /// statistics (the conjuncts are also in `pushed` for per-row residue).
-  std::vector<SargablePredicate> prunable;
   /// Per-chunk prune verdicts from the chunk statistics, computed at plan
   /// time *before* any index is consulted (valid while ReadLock is held);
   /// 1 = no row of the chunk can pass the sargable conjuncts. Empty when the
@@ -165,12 +161,14 @@ struct TablePlan {
   std::vector<char> pruned_chunks;
   size_t chunks_total = 0;
   size_t chunks_pruned = 0;
-  /// IndexScan row positions (ascending), materialized at plan time — valid
-  /// while Database::ReadLock() is held (see the staleness contract in
-  /// column_index.h).
+  /// IndexScan row positions (ascending) of its one predicate, materialized
+  /// at plan time — valid while Database::ReadLock() is held (see the
+  /// staleness contract in column_index.h).
   std::vector<uint32_t> row_ids;
   size_t table_rows = 0;
-  size_t estimated_rows = 0;  ///< post-pushdown cardinality estimate
+  /// Base-row estimate: the smallest sargable count (at most scan_rows on a
+  /// scan), table_rows without sargable conjuncts.
+  size_t estimated_rows = 0;
   /// Rows a scan would actually read: table rows minus rows in chunks the
   /// statistics pass pruned (equals table_rows when nothing was prunable).
   size_t scan_rows = 0;
@@ -226,7 +224,7 @@ struct TableAccessExplain {
   std::string relation;
   bool index_scan = false;
   bool index_join = false;  ///< eligible for an index nested-loop join
-  int index_predicates = 0;   ///< conjuncts answered by the index
+  int index_predicates = 0;   ///< conjuncts answered by the index (0 or 1)
   int pushed_predicates = 0;  ///< conjuncts evaluated per base row
   size_t table_rows = 0;
   size_t estimated_rows = 0;

@@ -279,10 +279,11 @@ const char* JoinAlgoName(JoinAlgo algo) {
 
 double EstimateBaseRows(const TablePlan& tp) {
   double est = static_cast<double>(tp.estimated_rows);
-  // `pushed` holds demoted sargable conjuncts (already reflected in the
-  // estimate via `prunable`) plus conjuncts the index cannot answer; only
-  // the latter get the default discount.
-  const size_t non_sargable = tp.pushed.size() - tp.prunable.size();
+  // `pushed` holds the sargable conjuncts the access path does not answer
+  // (the estimate, their smallest count, already reflects them) plus the
+  // conjuncts no index can answer; only the latter get the default discount.
+  const size_t demoted = tp.sargable.size() - (tp.index_scan ? 1 : 0);
+  const size_t non_sargable = tp.pushed.size() - demoted;
   for (size_t i = 0; i < non_sargable; ++i) est *= kDefaultConjunctSel;
   return est;
 }

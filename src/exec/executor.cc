@@ -467,9 +467,10 @@ class BlockExecutor {
   }
 
   /// The ids of `tp`'s base rows that pass its pushed conjuncts, ascending.
-  /// An IndexScan starts from the plan's row ids (sargable conjuncts already
-  /// satisfied); a scan walks the chunks, skipping every chunk the plan's
-  /// statistics pass pruned. Without pushed conjuncts nothing is evaluated.
+  /// An IndexScan starts from the plan's row ids (its one index predicate
+  /// already satisfied); a scan walks the chunks, skipping every chunk the
+  /// plan's statistics pass pruned. Without pushed conjuncts nothing is
+  /// evaluated.
   Result<std::vector<uint32_t>> ScanBase(const BoundBlock& block,
                                          const TablePlan& tp, const Env& env);
 
@@ -606,7 +607,7 @@ Result<std::vector<uint32_t>> BlockExecutor::ScanBase(const BoundBlock& block,
         RowLoop(table.num_chunks(), chunks_per_morsel, scan_chunks, base));
   }
   stats_->rows_pruned += table.num_rows() - base.size();
-  stats_->pushed_predicates += tp.pushed.size() + tp.sargable.size();
+  stats_->pushed_predicates += tp.pushed.size() + (tp.index_scan ? 1 : 0);
   return base;
 }
 
@@ -716,11 +717,12 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
                              ExecStats& st) -> Status {
         MorselEnv m(env, width);
         Env join_env = env;
+        auto eq = storage::ColumnPredicate::Compare("=", Value::Null_());
         for (size_t ri = b; ri < e; ++ri) {
           const uint32_t* tup = tuple(ri);
           if (placed_null(tup)) continue;
-          for (uint32_t id :
-               idx->RowsSatisfying("=", placed(tup, keys[probe_key]))) {
+          eq.values[0] = placed(tup, keys[probe_key]);
+          for (uint32_t id : idx->Rows(eq)) {
             ++st.rows_scanned;
             bool match = true;
             for (size_t k = 0; k < keys.size() && match; ++k) {

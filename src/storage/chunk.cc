@@ -36,9 +36,30 @@ size_t ChunkStats::DistinctEstimate() const {
   return std::min(sketch_.Estimate(), non_null_count_);
 }
 
-bool ChunkStats::CanPrune(std::string_view op, const Value& lit) const {
+bool ChunkStats::CanPrune(const ColumnPredicate& pred) const {
+  if (!has_values_) return true;  // all-NULL chunk
+  switch (pred.kind) {
+    case ColumnPredicate::Kind::kCompare:
+      return CanPruneCompare(pred.op, pred.values[0]);
+    case ColumnPredicate::Kind::kIn:
+      return std::all_of(
+          pred.values.begin(), pred.values.end(),
+          [&](const Value& item) { return CanPruneCompare("=", item); });
+    case ColumnPredicate::Kind::kBetween: {
+      const Value& low = pred.values[0];
+      const Value& high = pred.values[1];
+      if (low.is_null() || high.is_null()) return true;
+      if (!Comparable(low) || !Comparable(high)) return false;
+      return max_.Compare(low) < 0 || min_.Compare(high) > 0;
+    }
+    case ColumnPredicate::Kind::kLike:
+      return false;  // min/max say nothing about pattern matches
+  }
+  return false;
+}
+
+bool ChunkStats::CanPruneCompare(std::string_view op, const Value& lit) const {
   if (lit.is_null()) return true;  // NULL comparisons never hold
-  if (!has_values_) return true;   // all-NULL chunk
   if (!Comparable(lit)) return false;
   if (op == "=") {
     return lit.Compare(min_) < 0 || lit.Compare(max_) > 0;
@@ -53,21 +74,6 @@ bool ChunkStats::CanPrune(std::string_view op, const Value& lit) const {
   if (op == ">") return max_.Compare(lit) <= 0;
   if (op == ">=") return max_.Compare(lit) < 0;
   return false;
-}
-
-bool ChunkStats::CanPruneBetween(const Value& low, const Value& high) const {
-  if (!has_values_) return true;
-  if (low.is_null() || high.is_null()) return true;
-  if (!Comparable(low) || !Comparable(high)) return false;
-  return max_.Compare(low) < 0 || min_.Compare(high) > 0;
-}
-
-bool ChunkStats::CanPruneIn(const std::vector<Value>& items) const {
-  if (!has_values_) return true;
-  for (const Value& item : items) {
-    if (!CanPrune("=", item)) return false;
-  }
-  return true;
 }
 
 }  // namespace sfsql::storage

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "storage/predicate.h"
 #include "storage/value.h"
 
 namespace sfsql::storage {
@@ -51,7 +52,7 @@ struct DistinctSketch {
 /// Per-column statistics of one chunk, maintained incrementally on append:
 /// min/max (Value::Compare order), NULL count, and a linear-counting sketch
 /// (over Value::Hash) estimating the distinct count. The planner prunes
-/// whole chunks against sargable predicates with `CanPrune*` before it ever
+/// whole chunks against sargable predicates with `CanPrune` before it ever
 /// consults a column index.
 class ChunkStats {
  public:
@@ -76,23 +77,19 @@ class ChunkStats {
   /// The raw sketch, for cross-chunk unions (table-level NDV).
   const DistinctSketch& distinct_sketch() const { return sketch_; }
 
-  /// True when no row of the chunk can satisfy `op lit` — the chunk is all
-  /// NULL (predicates over NULL are false under two-valued logic), or the
-  /// literal falls outside [min, max] in a way the operator cannot reach.
-  /// `op` is one of "=", "<>", "!=", "<", "<=", ">", ">=". Conservative:
-  /// returns false whenever the literal is not comparable with the column.
-  bool CanPrune(std::string_view op, const Value& lit) const;
-
-  /// True when no row can land in [low, high] (BETWEEN).
-  bool CanPruneBetween(const Value& low, const Value& high) const;
-
-  /// True when no row can equal any item of the IN list.
-  bool CanPruneIn(const std::vector<Value>& items) const;
+  /// True when no row of the chunk can satisfy `pred`: the column is all
+  /// NULL (every predicate over NULL is false under two-valued logic), or
+  /// [min, max] lies where the predicate's operands cannot reach. A LIKE
+  /// prunes only an all-NULL chunk. Conservative: an operand of another type
+  /// class than the column never prunes.
+  bool CanPrune(const ColumnPredicate& pred) const;
 
  private:
   bool Comparable(const Value& lit) const {
     return (min_.is_numeric() && lit.is_numeric()) || min_.type() == lit.type();
   }
+  /// CanPrune for `col op lit` on a chunk with values.
+  bool CanPruneCompare(std::string_view op, const Value& lit) const;
 
   bool has_values_ = false;
   Value min_;

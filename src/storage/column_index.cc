@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "exec/like.h"
 #include "storage/database.h"
@@ -101,220 +102,129 @@ bool ValueLess(const Value& a, const Value& b) { return a.Compare(b) < 0; }
 }  // namespace
 
 std::pair<size_t, size_t> ColumnIndex::EqualRange(const Value& value) const {
-  auto [lo, hi] =
-      std::equal_range(values_.begin(), values_.end(), value, ValueLess);
-  return {static_cast<size_t>(lo - values_.begin()),
-          static_cast<size_t>(hi - values_.begin())};
-}
-
-void ColumnIndex::CollectRows(size_t first, size_t last,
-                              std::vector<uint32_t>* out) const {
-  if (first >= last) return;
-  const size_t old = out->size();
-  out->insert(out->end(), row_ids_.begin() + row_id_begin_[first],
-              row_ids_.begin() + row_id_begin_[last]);
-  if (last - first > 1) std::sort(out->begin() + old, out->end());
-}
-
-std::vector<uint32_t> ColumnIndex::RowsSatisfying(std::string_view op,
-                                                  const Value& value) const {
-  std::vector<uint32_t> out;
-  if (value.is_null()) return out;  // two-valued logic: NULL probe keeps nothing
-  if (op == "=") {
-    auto [lo, hi] = EqualRange(value);
-    CollectRows(lo, hi, &out);
-    return out;
-  }
-  if (op == "<>" || op == "!=") {
-    // Equals-complement over the whole domain: values of other type classes
-    // compare unequal, hence satisfy '<>', exactly like the scan.
-    auto [lo, hi] = EqualRange(value);
-    CollectRows(0, lo, &out);
-    CollectRows(hi, values_.size(), &out);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  // Inequalities stay inside the probe's type class; callers gate on the
-  // declared column type so a scan would not have raised a TypeError.
-  auto [lo, hi] = ClassRange(value);
-  if (lo == hi) return out;
-  size_t first = lo, last = hi;
-  if (op == "<") {
-    last = static_cast<size_t>(std::lower_bound(values_.begin() + lo,
-                                                values_.begin() + hi, value,
-                                                ValueLess) -
-                               values_.begin());
-  } else if (op == "<=") {
-    last = static_cast<size_t>(std::upper_bound(values_.begin() + lo,
-                                                values_.begin() + hi, value,
-                                                ValueLess) -
-                               values_.begin());
-  } else if (op == ">") {
-    first = static_cast<size_t>(std::upper_bound(values_.begin() + lo,
-                                                 values_.begin() + hi, value,
-                                                 ValueLess) -
-                                values_.begin());
-  } else if (op == ">=") {
-    first = static_cast<size_t>(std::lower_bound(values_.begin() + lo,
-                                                 values_.begin() + hi, value,
-                                                 ValueLess) -
-                                values_.begin());
-  } else {
-    return out;  // unrecognized op: the scan keeps nothing either
-  }
-  CollectRows(first, last, &out);
-  return out;
-}
-
-std::vector<uint32_t> ColumnIndex::RowsIn(
-    const std::vector<Value>& values) const {
-  std::vector<uint32_t> out;
-  for (const Value& v : values) {
-    if (v.is_null()) continue;
-    auto [lo, hi] = EqualRange(v);
-    CollectRows(lo, hi, &out);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<uint32_t> ColumnIndex::RowsBetween(const Value& low,
-                                               const Value& high) const {
-  std::vector<uint32_t> out;
-  if (low.is_null() || high.is_null()) return out;
-  // BETWEEN compares across the whole Compare total order (no type check in
-  // the executor), so the range is over all of values_, not one class.
-  const size_t first = static_cast<size_t>(
-      std::lower_bound(values_.begin(), values_.end(), low, ValueLess) -
+  // values_ holds one witness per Compare-equality class, so the range is at
+  // most one value wide.
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(values_.begin(), values_.end(), value, ValueLess) -
       values_.begin());
-  const size_t last = static_cast<size_t>(
-      std::upper_bound(values_.begin(), values_.end(), high, ValueLess) -
-      values_.begin());
-  if (first < last) CollectRows(first, last, &out);
-  return out;
+  return {lo, lo < values_.size() && values_[lo].Compare(value) == 0 ? lo + 1
+                                                                     : lo};
 }
 
-std::vector<uint32_t> ColumnIndex::RowsMatchingLike(std::string_view pattern,
-                                                    char escape,
-                                                    uint64_t* verified) const {
-  std::vector<uint32_t> out;
-  const std::vector<uint32_t> distinct =
-      MatchingDistinctStrings(pattern, escape, verified, /*first_only=*/false);
-  for (uint32_t id : distinct) {
-    CollectRows(id, id + 1, &out);
-  }
-  if (distinct.size() > 1) std::sort(out.begin(), out.end());
-  return out;
-}
-
-size_t ColumnIndex::CountSatisfying(std::string_view op,
-                                    const Value& value) const {
-  if (value.is_null()) return 0;
-  auto span = [&](size_t first, size_t last) {
-    return first < last
-               ? static_cast<size_t>(row_id_begin_[last] - row_id_begin_[first])
-               : 0;
+template <typename Visit>
+void ColumnIndex::Match(const ColumnPredicate& pred, uint64_t* verified,
+                        Visit&& visit) const {
+  using Kind = ColumnPredicate::Kind;
+  auto lower = [&](size_t lo, size_t hi, const Value& v) {
+    return static_cast<size_t>(
+        std::lower_bound(values_.begin() + lo, values_.begin() + hi, v,
+                         ValueLess) -
+        values_.begin());
   };
-  if (op == "=") {
-    auto [lo, hi] = EqualRange(value);
-    return span(lo, hi);
+  auto upper = [&](size_t lo, size_t hi, const Value& v) {
+    return static_cast<size_t>(
+        std::upper_bound(values_.begin() + lo, values_.begin() + hi, v,
+                         ValueLess) -
+        values_.begin());
+  };
+  // Visits a non-empty range; false once the visitor asked to stop.
+  auto emit = [&](size_t first, size_t last) {
+    return first >= last || visit(first, last);
+  };
+  switch (pred.kind) {
+    case Kind::kCompare: {
+      const Value& v = pred.values[0];
+      if (v.is_null()) return;
+      const std::string& op = pred.op;
+      if (op == "=" || op == "<>" || op == "!=") {
+        auto [lo, hi] = EqualRange(v);
+        if (op == "=") {
+          emit(lo, hi);
+        } else if (emit(0, lo)) {
+          // Equals-complement over the whole domain: values of other type
+          // classes compare unequal, hence satisfy '<>'.
+          emit(hi, values_.size());
+        }
+        return;
+      }
+      // The inequalities compare inside the literal's type class.
+      auto [lo, hi] = ClassRange(v);
+      if (op == "<") {
+        emit(lo, lower(lo, hi, v));
+      } else if (op == "<=") {
+        emit(lo, upper(lo, hi, v));
+      } else if (op == ">") {
+        emit(upper(lo, hi, v), hi);
+      } else if (op == ">=") {
+        emit(lower(lo, hi, v), hi);
+      }
+      return;
+    }
+    case Kind::kIn: {
+      std::vector<std::pair<size_t, size_t>> ranges;
+      for (const Value& v : pred.values) {
+        if (!v.is_null()) ranges.push_back(EqualRange(v));
+      }
+      // Equal list elements (1, 1.0) share one range: visit it once.
+      std::sort(ranges.begin(), ranges.end());
+      ranges.erase(std::unique(ranges.begin(), ranges.end()), ranges.end());
+      for (auto [first, last] : ranges) {
+        if (!emit(first, last)) return;
+      }
+      return;
+    }
+    case Kind::kBetween: {
+      const Value& low = pred.values[0];
+      const Value& high = pred.values[1];
+      if (low.is_null() || high.is_null()) return;
+      emit(lower(0, values_.size(), low), upper(0, values_.size(), high));
+      return;
+    }
+    case Kind::kLike:
+      MatchLike(pred.pattern, pred.escape, verified, visit);
+      return;
   }
-  if (op == "<>" || op == "!=") {
-    auto [lo, hi] = EqualRange(value);
-    return span(0, values_.size()) - span(lo, hi);
-  }
-  auto [lo, hi] = ClassRange(value);
-  if (lo == hi) return 0;
-  size_t first = lo, last = hi;
-  if (op == "<") {
-    last = static_cast<size_t>(std::lower_bound(values_.begin() + lo,
-                                                values_.begin() + hi, value,
-                                                ValueLess) -
-                               values_.begin());
-  } else if (op == "<=") {
-    last = static_cast<size_t>(std::upper_bound(values_.begin() + lo,
-                                                values_.begin() + hi, value,
-                                                ValueLess) -
-                               values_.begin());
-  } else if (op == ">") {
-    first = static_cast<size_t>(std::upper_bound(values_.begin() + lo,
-                                                 values_.begin() + hi, value,
-                                                 ValueLess) -
-                                values_.begin());
-  } else if (op == ">=") {
-    first = static_cast<size_t>(std::lower_bound(values_.begin() + lo,
-                                                 values_.begin() + hi, value,
-                                                 ValueLess) -
-                                values_.begin());
-  } else {
-    return 0;
-  }
-  return span(first, last);
 }
 
-size_t ColumnIndex::CountIn(const std::vector<Value>& values) const {
-  // Deduplicate by equal-range start so repeated list elements (1, 1.0) do
-  // not double-count their shared bucket.
-  std::vector<size_t> firsts;
-  firsts.reserve(values.size());
-  for (const Value& v : values) {
-    if (v.is_null()) continue;
-    auto [lo, hi] = EqualRange(v);
-    if (lo < hi) firsts.push_back(lo);
-  }
-  std::sort(firsts.begin(), firsts.end());
-  firsts.erase(std::unique(firsts.begin(), firsts.end()), firsts.end());
+size_t ColumnIndex::Count(const ColumnPredicate& pred,
+                          uint64_t* verified) const {
   size_t n = 0;
-  for (size_t lo : firsts) n += row_id_begin_[lo + 1] - row_id_begin_[lo];
+  Match(pred, verified, [&](size_t first, size_t last) {
+    n += row_id_begin_[last] - row_id_begin_[first];
+    return true;
+  });
   return n;
 }
 
-size_t ColumnIndex::CountBetween(const Value& low, const Value& high) const {
-  if (low.is_null() || high.is_null()) return 0;
-  const size_t first = static_cast<size_t>(
-      std::lower_bound(values_.begin(), values_.end(), low, ValueLess) -
-      values_.begin());
-  const size_t last = static_cast<size_t>(
-      std::upper_bound(values_.begin(), values_.end(), high, ValueLess) -
-      values_.begin());
-  return first < last ? row_id_begin_[last] - row_id_begin_[first] : 0;
-}
-
-bool ColumnIndex::AnySatisfies(std::string_view op, const Value& value) const {
-  if (value.is_null()) return false;
-  auto [lo, hi] = ClassRange(value);
-  if (lo == hi) return false;
-  if (op == "=") {
-    return std::binary_search(
-        values_.begin() + lo, values_.begin() + hi, value,
-        [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  }
-  if (op == "<>" || op == "!=") {
-    // More than one distinct comparable value: at least one differs.
-    if (hi - lo > 1) return true;
-    return values_[lo].Compare(value) != 0;
-  }
-  const int min_cmp = values_[lo].Compare(value);
-  const int max_cmp = values_[hi - 1].Compare(value);
-  if (op == "<") return min_cmp < 0;
-  if (op == "<=") return min_cmp <= 0;
-  if (op == ">") return max_cmp > 0;
-  if (op == ">=") return max_cmp >= 0;
-  return false;  // unrecognized op: the scan satisfies nothing either
-}
-
-bool ColumnIndex::AnyLikeMatch(std::string_view pattern, char escape,
-                               uint64_t* verified) const {
-  return !MatchingDistinctStrings(pattern, escape, verified, /*first_only=*/true)
-              .empty();
-}
-
-std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
-    std::string_view pattern, char escape, uint64_t* verified,
-    bool first_only) const {
+std::vector<uint32_t> ColumnIndex::Rows(const ColumnPredicate& pred,
+                                        uint64_t* verified) const {
   std::vector<uint32_t> out;
-  if (string_begin_ == values_.size()) return out;
+  size_t distinct = 0;
+  Match(pred, verified, [&](size_t first, size_t last) {
+    out.insert(out.end(), row_ids_.begin() + row_id_begin_[first],
+               row_ids_.begin() + row_id_begin_[last]);
+    distinct += last - first;
+    return true;
+  });
+  // Each distinct value's list is ascending; several need a merge.
+  if (distinct > 1) std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool ColumnIndex::Exists(const ColumnPredicate& pred,
+                         uint64_t* verified) const {
+  bool found = false;
+  Match(pred, verified, [&](size_t, size_t) {
+    found = true;
+    return false;
+  });
+  return found;
+}
+
+template <typename Visit>
+void ColumnIndex::MatchLike(std::string_view pattern, char escape,
+                            uint64_t* verified, Visit&& visit) const {
+  if (string_begin_ == values_.size()) return;
   const exec::LikePatternInfo info = exec::AnalyzeLikePattern(pattern, escape);
 
   if (!info.has_wildcards) {
@@ -325,9 +235,10 @@ std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
     auto it = std::lower_bound(values_.begin() + string_begin_, values_.end(),
                                probe, ValueLess);
     if (it != values_.end() && it->Compare(probe) == 0) {
-      out.push_back(static_cast<uint32_t>(it - values_.begin()));
+      const auto id = static_cast<size_t>(it - values_.begin());
+      visit(id, id + 1);
     }
-    return out;
+    return;
   }
 
   // Every trigram of every literal run must occur in a matching string.
@@ -341,14 +252,11 @@ std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
   required.erase(std::unique(required.begin(), required.end()),
                  required.end());
 
-  auto matches = [&](uint32_t id) {
+  // Verifies one candidate (ids ascending); true stops the caller's loop.
+  auto take = [&](size_t id) {
     if (verified != nullptr) ++*verified;
-    return exec::LikeMatch(values_[id].AsString(), pattern, escape);
-  };
-  auto take = [&](uint32_t id) {
-    if (!matches(id)) return false;
-    out.push_back(id);
-    return first_only;  // true stops the caller's loop at the first match
+    return exec::LikeMatch(values_[id].AsString(), pattern, escape) &&
+           !visit(id, id + 1);
   };
 
   if (required.empty()) {
@@ -367,23 +275,23 @@ std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
             0) {
           break;
         }
-        if (take(static_cast<uint32_t>(i))) break;
+        if (take(i)) break;
       }
-      return out;
+      return;
     }
     // No selective literal at all (e.g. '%a%', '___'): verify every distinct
     // string — still a big win over the row scan when values repeat.
     for (size_t i = string_begin_; i < values_.size(); ++i) {
-      if (take(static_cast<uint32_t>(i))) break;
+      if (take(i)) break;
     }
-    return out;
+    return;
   }
 
   std::vector<const std::vector<uint32_t>*> lists;
   lists.reserve(required.size());
   for (const std::string& g : required) {
     auto it = postings_.find(g);
-    if (it == postings_.end()) return out;  // gram absent: nothing can match
+    if (it == postings_.end()) return;  // gram absent: nothing can match
     lists.push_back(&it->second);
   }
   std::sort(lists.begin(), lists.end(),
@@ -401,7 +309,6 @@ std::vector<uint32_t> ColumnIndex::MatchingDistinctStrings(
   for (uint32_t id : candidates) {
     if (take(id)) break;
   }
-  return out;  // candidates were ascending, so out is too
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "storage/predicate.h"
 #include "storage/value.h"
 
 namespace sfsql::storage {
@@ -34,8 +35,8 @@ struct ColumnIndexStats {
 ///
 ///  * the distinct non-null values, sorted by Value::Compare — the total order
 ///    groups values into type classes (bool < numeric < string) and coincides
-///    with Value::Equals inside a class, so every comparison operator reduces
-///    to a binary search or a min/max check against the probe's class range;
+///    with Value::Equals inside a class, so every predicate but LIKE reduces
+///    to binary searches for the ranges of distinct values it keeps;
 ///  * a trigram posting-list index over the distinct strings: a string
 ///    matching a LIKE pattern must contain every literal run of the pattern,
 ///    hence every trigram of every run, so intersecting posting lists leaves
@@ -46,14 +47,13 @@ struct ColumnIndexStats {
 ///
 /// Instances are immutable after Build and safe to share across threads.
 ///
-/// Staleness contract for the row-id path: every row id returned by a Rows*
-/// method is a global row position (as accepted by Table::at) *as of
-/// built_rows()*. Tables are
-/// append-only, so the ids stay valid while the table still has exactly
-/// built_rows() rows; once NumRows advances, the ids are merely incomplete
-/// (they miss the appended rows), and ColumnIndexManager::Get — whose stamp
-/// check compares built_rows() against the live size — rebuilds before
-/// handing the index out again. A consumer that plans an IndexScan must
+/// Staleness contract for the row-id path: every row id returned by Rows is a
+/// global row position (as accepted by Table::at) *as of built_rows()*.
+/// Tables are append-only, so the ids stay valid while the table still has
+/// exactly built_rows() rows; once NumRows advances, the ids are merely
+/// incomplete (they miss the appended rows), and ColumnIndexManager::Get —
+/// whose stamp check compares built_rows() against the live size — rebuilds
+/// before handing the index out again. A consumer that plans an IndexScan must
 /// therefore either (a) hold Database::ReadLock() across both the Get and
 /// every row access, so the size cannot advance in between (what the executor
 /// does), or (b) re-check built_rows() == num_rows() at use time and replan
@@ -69,69 +69,38 @@ class ColumnIndex {
   /// match proves nothing was added since the build).
   size_t built_rows() const { return built_rows_; }
 
-  /// Exactly Database::AnyTupleSatisfies semantics for one column: true if
-  /// some non-null value of the column is comparable with `value` (numeric
-  /// with numeric, or same type) and satisfies `op`. O(log n) for "=",
-  /// O(1) for the other operators.
-  bool AnySatisfies(std::string_view op, const Value& value) const;
+  // --- predicate answers. Each computes once which distinct-value ranges
+  // satisfy `pred` (see ColumnPredicate for the semantics) and derives its
+  // answer from them. `*verified` (optional) is incremented per distinct
+  // string a LIKE hands to LikeMatch, i.e. the work the trigram pre-filter
+  // could not eliminate.
 
-  /// True if some string value of the column matches the LIKE pattern.
-  /// `*verified` (optional) is incremented per candidate handed to LikeMatch,
-  /// i.e. the work the trigram pre-filter could not eliminate.
-  bool AnyLikeMatch(std::string_view pattern, char escape,
-                    uint64_t* verified = nullptr) const;
+  /// Exact number of rows satisfying `pred`, from the CSR offsets — no row
+  /// id is touched.
+  size_t Count(const ColumnPredicate& pred, uint64_t* verified = nullptr) const;
 
-  // --- row retrieval (the executor's IndexScan; see the staleness contract
-  // above). All methods return ascending row positions of the rows whose
-  // column value is non-null and satisfies the predicate — exactly the rows
-  // the executor's two-valued-logic evaluation would keep, since a NULL
-  // operand always evaluates the predicate to false.
+  /// Ascending row positions of the rows satisfying `pred` (the executor's
+  /// IndexScan; see the staleness contract above).
+  std::vector<uint32_t> Rows(const ColumnPredicate& pred,
+                             uint64_t* verified = nullptr) const;
 
-  /// Rows satisfying `v op value` for op in =, <>/!=, <, <=, >, >=.
-  /// Mirrors exec two-valued comparison semantics: '='/'<>' use
-  /// Equals-equivalence across the whole domain (so '<>' keeps values of
-  /// other type classes); the inequalities compare within the probe's type
-  /// class (callers gate on declared column type so a scan would not have
-  /// type-errored). NULL probes (and unrecognized ops) return no rows.
-  std::vector<uint32_t> RowsSatisfying(std::string_view op,
-                                       const Value& value) const;
-
-  /// Rows whose value Equals some element of `values` (the IN-list arm).
-  /// NULL list elements match nothing.
-  std::vector<uint32_t> RowsIn(const std::vector<Value>& values) const;
-
-  /// Rows with low <= v <= high in the Value::Compare total order — exactly
-  /// the executor's BETWEEN, which compares across type classes without
-  /// error. NULL bounds return no rows (the predicate is two-valued false).
-  std::vector<uint32_t> RowsBetween(const Value& low, const Value& high) const;
-
-  /// Rows whose string value matches the LIKE pattern, via trigram-posting
-  /// intersection (or the sorted literal-prefix range) and LikeMatch
-  /// verification of the surviving *distinct* strings only. `*verified` is
-  /// incremented per candidate handed to LikeMatch.
-  std::vector<uint32_t> RowsMatchingLike(std::string_view pattern, char escape,
-                                         uint64_t* verified = nullptr) const;
-
-  // --- cardinality estimates (exact counts, no row ids materialized). The
-  // access-path planner calls these first and collects row ids only for the
-  // predicates it actually routes through the index.
-
-  /// Exactly RowsSatisfying(op, value).size(), in O(log distinct) from the
-  /// CSR offsets.
-  size_t CountSatisfying(std::string_view op, const Value& value) const;
-
-  /// Exactly RowsIn(values).size() (duplicate list elements are deduplicated
-  /// by equal-range start, so the count stays exact).
-  size_t CountIn(const std::vector<Value>& values) const;
-
-  /// Exactly RowsBetween(low, high).size().
-  size_t CountBetween(const Value& low, const Value& high) const;
+  /// True if some row satisfies `pred`; a LIKE stops at the first verified
+  /// match.
+  bool Exists(const ColumnPredicate& pred, uint64_t* verified = nullptr) const;
 
   size_t num_distinct() const { return values_.size(); }
   size_t num_distinct_strings() const { return values_.size() - string_begin_; }
 
  private:
   ColumnIndex() = default;
+
+  /// Calls visit(first, last) for each [first, last) range of values_ whose
+  /// distinct values satisfy `pred` — non-empty, disjoint and ascending —
+  /// until visit returns false (a LIKE then stops verifying). Defined and
+  /// instantiated in column_index.cc only.
+  template <typename Visit>
+  void Match(const ColumnPredicate& pred, uint64_t* verified,
+             Visit&& visit) const;
 
   /// [first, last) range of values_ holding the probe's type class; empty for
   /// NULL probes.
@@ -140,16 +109,10 @@ class ColumnIndex {
   /// [first, last) equal range of `value` across the whole Compare order.
   std::pair<size_t, size_t> EqualRange(const Value& value) const;
 
-  /// Appends the row ids of distinct values [first, last) to `out`; the
-  /// result is sorted ascending (per-bucket lists are ascending, multiple
-  /// buckets are merged by a final sort unless there is at most one).
-  void CollectRows(size_t first, size_t last, std::vector<uint32_t>* out) const;
-
-  /// Distinct-string offsets (into values_) matching the LIKE pattern;
-  /// `first_only` stops at the first match (the existence probes).
-  std::vector<uint32_t> MatchingDistinctStrings(std::string_view pattern,
-                                                char escape, uint64_t* verified,
-                                                bool first_only) const;
+  /// Match for LIKE: one one-value range per matching distinct string.
+  template <typename Visit>
+  void MatchLike(std::string_view pattern, char escape, uint64_t* verified,
+                 Visit&& visit) const;
 
   std::vector<Value> values_;  ///< distinct non-null values, Compare-sorted
   size_t numeric_begin_ = 0;   ///< bools live in [0, numeric_begin_)

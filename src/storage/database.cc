@@ -140,27 +140,24 @@ std::vector<uint64_t> Database::RelationEpochs() const {
 }
 
 bool Database::AnyTupleSatisfies(int relation_id, int attr_index,
-                                 std::string_view op,
-                                 const Value& value) const {
-  // NULL satisfies no comparison.
-  if (value.is_null() || !HasColumn(relation_id, attr_index)) return false;
+                                 const ColumnPredicate& pred) const {
+  if (!HasColumn(relation_id, attr_index)) return false;
+  const bool compare = pred.kind == ColumnPredicate::Kind::kCompare;
+  if (compare && pred.values[0].is_null()) return false;
+  if (pred.kind == ColumnPredicate::Kind::kLike) {
+    indexes_.CountLikeProbe();
+  } else {
+    indexes_.CountValueProbe();
+  }
   // Shared-lock the row store: a probe may build an index over the rows, and
   // a concurrent Insert grows the chunk directory.
   std::shared_lock<std::shared_mutex> lock(data_mu_);
-  indexes_.CountValueProbe();
-  return indexes_.Get(tables_[relation_id], attr_index)
-      ->AnySatisfies(op, value);
-}
-
-bool Database::AnyStringMatchesLike(int relation_id, int attr_index,
-                                    std::string_view pattern,
-                                    char escape) const {
-  if (!HasColumn(relation_id, attr_index)) return false;
-  std::shared_lock<std::shared_mutex> lock(data_mu_);
-  indexes_.CountLikeProbe();
+  const ColumnIndex* index = indexes_.Get(tables_[relation_id], attr_index);
+  const catalog::ValueType declared =
+      catalog_.relation(relation_id).attributes[attr_index].type;
+  if (compare && !InDeclaredClass(declared, pred.values[0])) return false;
   uint64_t verified = 0;
-  bool found = indexes_.Get(tables_[relation_id], attr_index)
-                   ->AnyLikeMatch(pattern, escape, &verified);
+  const bool found = index->Exists(pred, &verified);
   indexes_.CountVerified(verified);
   return found;
 }

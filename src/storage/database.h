@@ -175,19 +175,14 @@ class Database {
                catalog_.relation(relation_id).attributes.size();
   }
 
-  /// True if some tuple's `attr` value satisfies `op value` (used by the mapper's
-  /// (m+1)/(n+1) condition factor). `op` is one of "=", "<>", "<", "<=", ">", ">=".
-  /// Type-incompatible comparisons are unsatisfied. Answered from the lazily
-  /// built per-column index in O(log distinct).
-  bool AnyTupleSatisfies(int relation_id, int attr_index, std::string_view op,
-                         const Value& value) const;
-
-  /// True if some tuple's `attr` string value matches the LIKE pattern (the
-  /// LIKE arm of the mapper's condition-satisfiability check). The probe
-  /// pre-filters through the column index's trigram posting lists and verifies
-  /// only the surviving distinct strings with exec::LikeMatch.
-  bool AnyStringMatchesLike(int relation_id, int attr_index,
-                            std::string_view pattern, char escape) const;
+  /// True if some tuple's `attr` value satisfies `pred` — the condition
+  /// satisfiability of the mapper's (m+1)/(n+1) factor (§4.3), answered from
+  /// the lazily built column index. Bad ordinals are unsatisfied. It differs
+  /// from SQL in one place: a comparison against a literal outside the
+  /// column's declared type class is unsatisfied, where SQL's `<>` keeps
+  /// every non-null row.
+  bool AnyTupleSatisfies(int relation_id, int attr_index,
+                         const ColumnPredicate& pred) const;
 
   /// Counters of the column-index layer (builds, probes by kind); cumulative
   /// over the database's lifetime, shared by all engines probing it. One

@@ -109,4 +109,14 @@ size_t Value::Hash() const {
   return std::hash<std::string>{}(AsString());
 }
 
+bool InDeclaredClass(catalog::ValueType declared, const Value& v) {
+  switch (declared) {
+    case catalog::ValueType::kBool: return v.is_bool();
+    case catalog::ValueType::kInt64:
+    case catalog::ValueType::kDouble: return v.is_numeric();
+    case catalog::ValueType::kString: return v.is_string();
+    default: return false;
+  }
+}
+
 }  // namespace sfsql::storage

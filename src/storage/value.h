@@ -69,6 +69,11 @@ class Value {
   Data data_;
 };
 
+/// True if non-null `v` lies in the type class (bool, numeric, string) of
+/// the values Insert admits into a column declared `declared`, so comparing
+/// them with `v` cannot type-error.
+bool InDeclaredClass(catalog::ValueType declared, const Value& v);
+
 /// One tuple.
 using Row = std::vector<Value>;
 

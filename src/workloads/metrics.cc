@@ -272,8 +272,8 @@ Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
 bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
                               int attr_index, const core::Condition& cond) {
   if (!db.HasColumn(relation_id, attr_index)) return false;
-  // Decomposed exactly as RelationTreeMapper does: IN is one equality probe
-  // per value, LIKE takes its pattern and optional escape from the values.
+  // IN is one equality scan per value; LIKE takes its pattern and optional
+  // escape from the values, as RelationTreeMapper does.
   std::string_view op = cond.op;
   std::vector<storage::Value> probes = cond.values;
   char escape = '\0';
@@ -291,11 +291,13 @@ bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
   const auto lock = db.ReadLock();
   const storage::Table& table = db.table(relation_id);
   for (const storage::Value& probe : probes) {
+    const auto compare =
+        storage::ColumnPredicate::Compare(std::string(op), probe);
     for (size_t c = 0; c < table.num_chunks(); ++c) {
       const storage::Chunk& chunk = table.chunk(c);
       // Chunk statistics rule out most chunks without reading the column.
       if (op == "like" ? chunk.stats(attr_index).all_null()
-                       : chunk.stats(attr_index).CanPrune(op, probe)) {
+                       : chunk.stats(attr_index).CanPrune(compare)) {
         continue;
       }
       for (const storage::Value& v : chunk.column(attr_index)) {

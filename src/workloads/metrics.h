@@ -78,9 +78,10 @@ Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
 
 /// Reference oracle for the §4.3 satisfiability probes: true if some tuple of
 /// (relation, attribute) satisfies `cond`, found by a scan (skipping chunks
-/// their min/max statistics rule out). IN and LIKE are decomposed exactly as
-/// RelationTreeMapper does; out-of-range ordinals and unknown operators are
-/// unsatisfied. Builds no index and moves no counter.
+/// their min/max statistics rule out). IN scans once per list value, LIKE
+/// reads its pattern and escape as RelationTreeMapper does; out-of-range
+/// ordinals and unknown operators are unsatisfied. Builds no index and moves
+/// no counter.
 bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
                               int attr_index, const core::Condition& cond);
 

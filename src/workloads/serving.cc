@@ -16,8 +16,8 @@ namespace sfsql::workloads {
 
 namespace {
 
-/// The 53-query movie43 benchmark mix (the bench_translate_throughput
-/// workload).
+/// The 53-query movie43 benchmark mix: 17 textbook, 6 sophisticated and 30
+/// user-variant queries.
 std::vector<std::string> BaseQueries() {
   std::vector<std::string> queries;
   for (const BenchQuery& q : TextbookQueries()) queries.push_back(q.sfsql);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -326,27 +327,66 @@ TEST(ExecIndexDifferentialTest, AllMovie43WorkloadQueries) {
 // Index count/row consistency and planner behaviors.
 
 TEST(ExecIndexTest, CountsMatchCollectedRows) {
+  using storage::ColumnPredicate;
   auto db = PlaygroundDb();
   auto lock = db->ReadLock();
   const storage::ColumnIndex* idx = db->ColumnIndexFor(0, 1);  // T1.i
   ASSERT_NE(idx, nullptr);
-  const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
-  for (const char* op : kOps) {
+  std::vector<ColumnPredicate> preds;
+  for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
     for (int64_t v : {-1, 0, 7, 49, 50, 100}) {
-      EXPECT_EQ(idx->CountSatisfying(op, Value::Int(v)),
-                idx->RowsSatisfying(op, Value::Int(v)).size())
-          << op << " " << v;
+      preds.push_back(ColumnPredicate::Compare(op, Value::Int(v)));
     }
   }
-  EXPECT_EQ(idx->CountIn({Value::Int(3), Value::Int(3), Value::Int(9)}),
-            idx->RowsIn({Value::Int(3), Value::Int(9)}).size());
-  EXPECT_EQ(idx->CountBetween(Value::Int(10), Value::Int(20)),
-            idx->RowsBetween(Value::Int(10), Value::Int(20)).size());
-  EXPECT_EQ(idx->CountBetween(Value::Int(20), Value::Int(10)), 0u);
+  preds.push_back(
+      ColumnPredicate::In({Value::Int(3), Value::Int(3), Value::Int(9)}));
+  preds.push_back(ColumnPredicate::Between(Value::Int(10), Value::Int(20)));
+  preds.push_back(ColumnPredicate::Between(Value::Int(20), Value::Int(10)));
+  for (const ColumnPredicate& p : preds) {
+    const std::vector<uint32_t> rows = idx->Rows(p);
+    EXPECT_EQ(idx->Count(p), rows.size());
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  }
+  EXPECT_EQ(
+      idx->Count(ColumnPredicate::Between(Value::Int(20), Value::Int(10))), 0u);
   const storage::ColumnIndex* sidx = db->ColumnIndexFor(0, 3);  // T1.s
   ASSERT_NE(sidx, nullptr);
-  std::vector<uint32_t> like = sidx->RowsMatchingLike("alpha%", '\0');
+  std::vector<uint32_t> like =
+      sidx->Rows(ColumnPredicate::Like("alpha%", '\0'));
   for (size_t i = 1; i < like.size(); ++i) EXPECT_LT(like[i - 1], like[i]);
+}
+
+// A table with two sargable conjuncts reads the row ids of the one with the
+// smaller count and filters them by the other as a pushed conjunct.
+TEST(ExecIndexTest, IndexScanReadsOnlyItsSmallestCountPredicate) {
+  auto db = PlaygroundDb();
+  size_t k_count = 0;
+  size_t i_count = 0;
+  {
+    auto lock = db->ReadLock();
+    k_count = db->ColumnIndexFor(0, 0)->Count(
+        storage::ColumnPredicate::Between(Value::Int(10), Value::Int(29)));
+    i_count = db->ColumnIndexFor(0, 1)->Count(
+        storage::ColumnPredicate::Compare("<", Value::Int(3)));
+  }
+  ASSERT_EQ(k_count, 20u);
+  ASSERT_LT(i_count, k_count);
+  for (const char* sql :
+       {"SELECT k, i FROM T1 WHERE k BETWEEN 10 AND 29 AND i < 3",
+        "SELECT k, i FROM T1 WHERE i < 3 AND k BETWEEN 10 AND 29"}) {
+    Executor ex(db.get());
+    auto parsed = sql::ParseSelect(sql);
+    ASSERT_TRUE(parsed.ok());
+    std::vector<TableAccessExplain> plan = ex.ExplainAccessPaths(**parsed);
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_TRUE(plan[0].index_scan) << sql;
+    EXPECT_EQ(plan[0].index_predicates, 1) << sql;
+    EXPECT_EQ(plan[0].pushed_predicates, 1) << sql;
+    EXPECT_EQ(plan[0].estimated_rows, i_count) << sql;
+    Result<QueryResult> r = ExpectSameBothWays(db.get(), sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LT(r->rows.size(), i_count) << sql;  // the pushed BETWEEN filters
+  }
 }
 
 TEST(ExecIndexTest, StatsCountScansAndPruning) {
@@ -573,6 +613,7 @@ TEST(ExecChunkTest, DifferentialAtChunkEdgeRowCounts) {
              "SELECT k FROM T WHERE i <= 0",
              "SELECT k FROM T WHERE i BETWEEN 75 AND 85",
              "SELECT k FROM T WHERE i IN (10, 160, 999)",
+             "SELECT COUNT(*) FROM T WHERE i BETWEEN 20 AND 200 AND k < 12",
              "SELECT k FROM T WHERE s LIKE 'ev%'",
              "SELECT COUNT(*) FROM T WHERE i >= 0",
              "SELECT a.k, b.k FROM T a, T b WHERE a.k = b.k",

@@ -14,6 +14,7 @@
 #include "core/mtjn_generator.h"
 #include "core/plan_cache.h"
 #include "exec/executor.h"
+#include "index_checks.h"
 #include "obs/clock.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -339,7 +340,8 @@ TEST(IndexPropertyTest, IndexedMatchesScanOnRandomData) {
   std::mt19937_64 rng(43);
   SchemaBuilder b;
   b.Rel("T", "id:int*, i:int, d:double, s:str, b:bool");
-  storage::Database db(b.Build());
+  // Small chunks, so the prune test sees many chunks.
+  storage::Database db(b.Build(), /*chunk_capacity=*/32);
   auto insert_rows = [&](int count, int base) {
     for (int i = 0; i < count; ++i) {
       ASSERT_TRUE(
@@ -353,10 +355,14 @@ TEST(IndexPropertyTest, IndexedMatchesScanOnRandomData) {
   };
   insert_rows(300, 0);
 
+  using storage::ColumnPredicate;
   const catalog::ValueType kTypes[] = {
       catalog::ValueType::kInt64, catalog::ValueType::kDouble,
       catalog::ValueType::kString, catalog::ValueType::kBool};
   const char* kOps[] = {"=", "<>", "!=", "<", "<=", ">", ">="};
+  // IN lists and BETWEEN bounds come from their own stream, leaving the
+  // compare and LIKE cases above exactly as drawn by `rng`.
+  std::mt19937_64 list_rng(4343);
   for (int trial = 0; trial < 2000; ++trial) {
     // Appending mid-stream exercises the stamp invalidation + lazy rebuild.
     if (trial == 1000) insert_rows(100, 300);
@@ -366,18 +372,53 @@ TEST(IndexPropertyTest, IndexedMatchesScanOnRandomData) {
       const std::string pattern = RandomPatternish(rng, 6);
       const core::Condition like{"like", {storage::Value::String(pattern),
                                           storage::Value::String({escape})}};
-      EXPECT_EQ(db.AnyStringMatchesLike(0, attr, pattern, escape),
-                workloads::ScanConditionSatisfiable(db, 0, attr, like))
-          << "attr " << attr << " pattern '" << pattern << "' escape '"
-          << (escape ? escape : ' ') << "'";
+      const std::string what = "attr " + std::to_string(attr) + " pattern '" +
+                               pattern + "' escape '" +
+                               (escape ? escape : ' ') + "'";
+      EXPECT_EQ(
+          db.AnyTupleSatisfies(0, attr, ColumnPredicate::Like(pattern, escape)),
+          workloads::ScanConditionSatisfiable(db, 0, attr, like))
+          << what;
+      test_support::ExpectIndexAnswersAgree(
+          db, 0, attr, ColumnPredicate::Like(pattern, escape), what);
     } else {
       const char* op = kOps[rng() % std::size(kOps)];
       const storage::Value v = RandomValue(rng, kTypes[rng() % 4], true);
-      EXPECT_EQ(db.AnyTupleSatisfies(0, attr, op, v),
+      const std::string what = "attr " + std::to_string(attr) + " op " + op +
+                               " value " + v.ToSqlLiteral();
+      EXPECT_EQ(db.AnyTupleSatisfies(0, attr, ColumnPredicate::Compare(op, v)),
                 workloads::ScanConditionSatisfiable(db, 0, attr,
                                                     core::Condition{op, {v}}))
-          << "attr " << attr << " op " << op << " value " << v.ToSqlLiteral();
+          << what;
+      test_support::ExpectIndexAnswersAgree(
+          db, 0, attr, ColumnPredicate::Compare(op, v), what);
     }
+    // An IN list of the column's own class (duplicates likely) with NULLs
+    // and strays of other classes, and a BETWEEN whose bounds are drawn
+    // independently (low > high about half the time).
+    const catalog::ValueType own =
+        db.catalog().relation(0).attributes[attr].type;
+    std::vector<storage::Value> items;
+    const size_t n = list_rng() % 5;
+    for (size_t k = 0; k < n; ++k) {
+      items.push_back(RandomValue(
+          list_rng, list_rng() % 4 == 0 ? kTypes[list_rng() % 4] : own, true));
+    }
+    if (n > 0) items.push_back(items[list_rng() % n]);
+    const std::string in_what = "attr " + std::to_string(attr) + " IN of " +
+                                std::to_string(items.size());
+    EXPECT_EQ(db.AnyTupleSatisfies(0, attr, ColumnPredicate::In(items)),
+              workloads::ScanConditionSatisfiable(db, 0, attr,
+                                                  core::Condition{"in", items}))
+        << in_what;
+    test_support::ExpectIndexAnswersAgree(db, 0, attr,
+                                          ColumnPredicate::In(items), in_what);
+    const storage::Value low = RandomValue(list_rng, own, true);
+    const storage::Value high = RandomValue(list_rng, own, true);
+    test_support::ExpectIndexAnswersAgree(
+        db, 0, attr, ColumnPredicate::Between(low, high),
+        "attr " + std::to_string(attr) + " BETWEEN " + low.ToSqlLiteral() +
+            " AND " + high.ToSqlLiteral());
   }
 }
 
@@ -522,11 +563,11 @@ TEST(IndexPropertyTest, ConcurrentLazyIndexBuildIsConsistent) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (const Probe& p : probes) {
-        const bool got =
+        const bool got = db.AnyTupleSatisfies(
+            p.relation, p.attr,
             p.op.rfind("like:", 0) == 0
-                ? db.AnyStringMatchesLike(p.relation, p.attr, p.op.substr(5),
-                                          '!')
-                : db.AnyTupleSatisfies(p.relation, p.attr, p.op, p.value);
+                ? storage::ColumnPredicate::Like(p.op.substr(5), '!')
+                : storage::ColumnPredicate::Compare(p.op, p.value));
         if (got != p.want) mismatches.fetch_add(1);
       }
     });

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/relation_tree.h"
+#include "index_checks.h"
 #include "storage/database.h"
 #include "storage/value.h"
 #include "workloads/metrics.h"
@@ -195,19 +196,22 @@ TEST(ChunkedTableTest, ChunkStatsTrackMinMaxNullsAndDistinct) {
   EXPECT_EQ(names.null_count(), 2u);
   EXPECT_FALSE(names.all_null());
   // min/max pruning answers: ids live in [10, 12].
-  EXPECT_TRUE(ids.CanPrune("=", Value::Int(13)));
-  EXPECT_FALSE(ids.CanPrune("=", Value::Int(11)));
-  EXPECT_TRUE(ids.CanPrune("<", Value::Int(10)));
-  EXPECT_FALSE(ids.CanPrune("<", Value::Int(11)));
-  EXPECT_TRUE(ids.CanPrune(">", Value::Int(12)));
-  EXPECT_TRUE(ids.CanPruneBetween(Value::Int(20), Value::Int(30)));
-  EXPECT_FALSE(ids.CanPruneBetween(Value::Int(5), Value::Int(10)));
-  EXPECT_TRUE(ids.CanPruneIn({Value::Int(1), Value::Int(99)}));
-  EXPECT_FALSE(ids.CanPruneIn({Value::Int(1), Value::Int(10)}));
+  using P = ColumnPredicate;
+  EXPECT_TRUE(ids.CanPrune(P::Compare("=", Value::Int(13))));
+  EXPECT_FALSE(ids.CanPrune(P::Compare("=", Value::Int(11))));
+  EXPECT_TRUE(ids.CanPrune(P::Compare("<", Value::Int(10))));
+  EXPECT_FALSE(ids.CanPrune(P::Compare("<", Value::Int(11))));
+  EXPECT_TRUE(ids.CanPrune(P::Compare(">", Value::Int(12))));
+  EXPECT_TRUE(ids.CanPrune(P::Between(Value::Int(20), Value::Int(30))));
+  EXPECT_FALSE(ids.CanPrune(P::Between(Value::Int(5), Value::Int(10))));
+  EXPECT_TRUE(ids.CanPrune(P::In({Value::Int(1), Value::Int(99)})));
+  EXPECT_FALSE(ids.CanPrune(P::In({Value::Int(1), Value::Int(10)})));
   // Incomparable literals never prune (conservative).
-  EXPECT_FALSE(ids.CanPrune("=", Value::String("10")));
+  EXPECT_FALSE(ids.CanPrune(P::Compare("=", Value::String("10"))));
   // A NULL literal can match nothing under two-valued logic.
-  EXPECT_TRUE(ids.CanPrune("=", Value::Null_()));
+  EXPECT_TRUE(ids.CanPrune(P::Compare("=", Value::Null_())));
+  // Min/max say nothing about LIKE.
+  EXPECT_FALSE(names.CanPrune(P::Like("zz%", '\0')));
 }
 
 TEST(ChunkedTableTest, DistinctEstimateErrorBounds) {
@@ -271,18 +275,33 @@ TEST(DatabaseTest, AnyTupleSatisfies) {
   ASSERT_TRUE(db.Insert(0, {Value::Int(1), Value::String("James Cameron"),
                             Value::String("male")})
                   .ok());
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 1, "=", Value::String("James Cameron")));
-  EXPECT_FALSE(db.AnyTupleSatisfies(0, 1, "=", Value::String("Tom Hanks")));
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 0, ">", Value::Int(0)));
-  EXPECT_FALSE(db.AnyTupleSatisfies(0, 0, "<", Value::Int(1)));
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 0, "<=", Value::Int(1)));
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 0, ">=", Value::Int(1)));
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 0, "<>", Value::Int(7)));
-  // Type-incompatible comparisons are unsatisfied.
-  EXPECT_FALSE(db.AnyTupleSatisfies(0, 1, ">", Value::Int(5)));
+  auto sat = [&](int attr, const char* op, Value v) {
+    return db.AnyTupleSatisfies(0, attr, ColumnPredicate::Compare(op, v));
+  };
+  EXPECT_TRUE(sat(1, "=", Value::String("James Cameron")));
+  EXPECT_FALSE(sat(1, "=", Value::String("Tom Hanks")));
+  EXPECT_TRUE(sat(0, ">", Value::Int(0)));
+  EXPECT_FALSE(sat(0, "<", Value::Int(1)));
+  EXPECT_TRUE(sat(0, "<=", Value::Int(1)));
+  EXPECT_TRUE(sat(0, ">=", Value::Int(1)));
+  EXPECT_TRUE(sat(0, "<>", Value::Int(7)));
+  // Type-incompatible comparisons are unsatisfied — `<>` too, although the
+  // index (SQL semantics) keeps every row for it.
+  EXPECT_FALSE(sat(1, ">", Value::Int(5)));
+  EXPECT_FALSE(sat(1, "<>", Value::Int(5)));
+  EXPECT_EQ(db.ColumnIndexFor(0, 1)->Count(
+                ColumnPredicate::Compare("<>", Value::Int(5))),
+            1u);
+  // An IN list is one probe over the whole list.
+  EXPECT_TRUE(db.AnyTupleSatisfies(
+      0, 0,
+      ColumnPredicate::In({Value::Null_(), Value::Int(9), Value::Int(1)})));
+  EXPECT_FALSE(db.AnyTupleSatisfies(
+      0, 0, ColumnPredicate::In({Value::Null_(), Value::String("1")})));
   // Bad ordinals are unsatisfied rather than errors.
-  EXPECT_FALSE(db.AnyTupleSatisfies(0, 9, "=", Value::Int(1)));
-  EXPECT_FALSE(db.AnyTupleSatisfies(9, 0, "=", Value::Int(1)));
+  EXPECT_FALSE(sat(9, "=", Value::Int(1)));
+  EXPECT_FALSE(db.AnyTupleSatisfies(
+      9, 0, ColumnPredicate::Compare("=", Value::Int(1))));
 }
 
 TEST(ColumnIndexTest, IndexedProbesMatchScanAcrossOpsAndTypes) {
@@ -294,7 +313,7 @@ TEST(ColumnIndexTest, IndexedProbesMatchScanAcrossOpsAndTypes) {
                   {"b", ValueType::kBool}};
   r.primary_key = {0};
   ASSERT_TRUE(c.AddRelation(r).ok());
-  Database db(std::move(c));
+  Database db(std::move(c), /*chunk_capacity=*/2);
   ASSERT_TRUE(db.Insert(0, {Value::Int(1), Value::Double(1.5),
                             Value::Bool(true)}).ok());
   ASSERT_TRUE(db.Insert(0, {Value::Int(3), Value::Int(3),  // int in double col
@@ -310,10 +329,31 @@ TEST(ColumnIndexTest, IndexedProbesMatchScanAcrossOpsAndTypes) {
   for (int a = 0; a < 3; ++a) {
     for (const Value& v : probes) {
       for (const char* op : ops) {
-        EXPECT_EQ(db.AnyTupleSatisfies(0, a, op, v),
+        const std::string what = "attr " + std::to_string(a) + " op " + op +
+                                 " value " + v.ToSqlLiteral();
+        EXPECT_EQ(db.AnyTupleSatisfies(0, a, ColumnPredicate::Compare(op, v)),
                   workloads::ScanConditionSatisfiable(
                       db, 0, a, core::Condition{op, {v}}))
-            << "attr " << a << " op " << op << " value " << v.ToSqlLiteral();
+            << what;
+        test_support::ExpectIndexAnswersAgree(db, 0, a,
+                                         ColumnPredicate::Compare(op, v), what);
+      }
+    }
+    // IN lists with duplicates (1 and 1.0 share a range) and NULLs, and
+    // BETWEEN over every ordered pair of probes, low > high included.
+    test_support::ExpectIndexAnswersAgree(
+        db, 0, a,
+        ColumnPredicate::In({Value::Int(1), Value::Double(1.0), Value::Null_(),
+                             Value::Int(3), Value::Bool(true), Value::Int(3)}),
+        "IN attr " + std::to_string(a));
+    test_support::ExpectIndexAnswersAgree(db, 0, a, ColumnPredicate::In({}),
+                                     "empty IN attr " + std::to_string(a));
+    for (const Value& low : probes) {
+      for (const Value& high : probes) {
+        test_support::ExpectIndexAnswersAgree(
+            db, 0, a, ColumnPredicate::Between(low, high),
+            "attr " + std::to_string(a) + " BETWEEN " + low.ToSqlLiteral() +
+                " AND " + high.ToSqlLiteral());
       }
     }
   }
@@ -344,12 +384,13 @@ TEST(ColumnIndexTest, IndexedLikeMatchesScan) {
   for (const auto& cs : cases) {
     const core::Condition like{"like", {Value::String(cs.pattern),
                                         Value::String({cs.escape})}};
-    EXPECT_EQ(db.AnyStringMatchesLike(0, 1, cs.pattern, cs.escape),
+    EXPECT_EQ(db.AnyTupleSatisfies(
+                  0, 1, ColumnPredicate::Like(cs.pattern, cs.escape)),
               workloads::ScanConditionSatisfiable(db, 0, 1, like))
         << "pattern " << cs.pattern;
   }
   // Non-string columns have no string class to match.
-  EXPECT_FALSE(db.AnyStringMatchesLike(0, 0, "%", '\0'));
+  EXPECT_FALSE(db.AnyTupleSatisfies(0, 0, ColumnPredicate::Like("%", '\0')));
 }
 
 TEST(ColumnIndexTest, AppendInvalidatesIndex) {
@@ -357,13 +398,16 @@ TEST(ColumnIndexTest, AppendInvalidatesIndex) {
   ASSERT_TRUE(db.Insert(0, {Value::Int(1), Value::String("Ang Lee"),
                             Value::Null_()}).ok());
   // First probes build the column indexes.
-  EXPECT_FALSE(db.AnyTupleSatisfies(0, 1, "=", Value::String("Jane Campion")));
-  EXPECT_FALSE(db.AnyStringMatchesLike(0, 1, "%Campion", '\0'));
+  const auto campion =
+      ColumnPredicate::Compare("=", Value::String("Jane Campion"));
+  const auto like_campion = ColumnPredicate::Like("%Campion", '\0');
+  EXPECT_FALSE(db.AnyTupleSatisfies(0, 1, campion));
+  EXPECT_FALSE(db.AnyTupleSatisfies(0, 1, like_campion));
   // Appending must invalidate them (stamp mismatch -> lazy rebuild).
   ASSERT_TRUE(db.Insert(0, {Value::Int(2), Value::String("Jane Campion"),
                             Value::Null_()}).ok());
-  EXPECT_TRUE(db.AnyTupleSatisfies(0, 1, "=", Value::String("Jane Campion")));
-  EXPECT_TRUE(db.AnyStringMatchesLike(0, 1, "%Campion", '\0'));
+  EXPECT_TRUE(db.AnyTupleSatisfies(0, 1, campion));
+  EXPECT_TRUE(db.AnyTupleSatisfies(0, 1, like_campion));
   const ColumnIndexStats s = db.column_index_stats();
   EXPECT_EQ(s.builds, 2u);  // initial build + rebuild of the name column
   EXPECT_EQ(s.value_probes, 2u);
