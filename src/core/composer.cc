@@ -6,7 +6,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "obs/trace.h"
 #include "sql/printer.h"
 
 namespace sfsql::core {
@@ -46,11 +45,6 @@ ExprPtr ConjoinAll(std::vector<ExprPtr> conjuncts) {
 Result<sql::SelectPtr> SqlComposer::Compose(const sql::SelectStatement& stmt,
                                             const Extraction& extraction,
                                             const JoinNetwork& network) const {
-  obs::Tracer::Span span;
-  if (tracer_ != nullptr) {
-    span = tracer_->StartSpan("compose", parent_span_);
-    span.Attr("network_nodes", static_cast<long long>(network.size()));
-  }
   const catalog::Catalog& cat = graph_->catalog();
 
   // --- Step 2 groundwork: aliases for the network's relation instances. ---

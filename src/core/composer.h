@@ -10,10 +10,6 @@
 #include "core/relation_tree.h"
 #include "sql/ast.h"
 
-namespace sfsql::obs {
-class Tracer;
-}  // namespace sfsql::obs
-
 namespace sfsql::core {
 
 /// The Standard SQL Composer (§6.2): given one MTJN, rewrites the annotated
@@ -31,13 +27,6 @@ class SqlComposer {
               const std::vector<MappingSet>* mappings)
       : graph_(graph), mappings_(mappings) {}
 
-  /// Reports each Compose as a span ("compose", with the network's node count
-  /// and outcome) under `parent_span` of `tracer`. Null disables (default).
-  void set_tracer(obs::Tracer* tracer, int parent_span = -1) {
-    tracer_ = tracer;
-    parent_span_ = parent_span;
-  }
-
   /// Composes the full SQL statement for `network`. `stmt` must carry the
   /// rt_id/at_index annotations produced by ExtractRelationTrees, and
   /// `network` must be total for the extraction's relation trees.
@@ -48,8 +37,6 @@ class SqlComposer {
  private:
   const ExtendedViewGraph* graph_;
   const std::vector<MappingSet>* mappings_;
-  obs::Tracer* tracer_ = nullptr;
-  int parent_span_ = -1;
 };
 
 }  // namespace sfsql::core

@@ -887,7 +887,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   if (served_tier == 0) {
     if (timing) {
       sim_before = text::SimilarityCache::ThreadStats();
-      idx_before = storage::ColumnIndexManager::ThreadStats();
+      idx_before = storage::ColumnIndexCounters::ThreadStats();
       deep_stats = true;
     }
     // Taken after GetFull (whose miss increment therefore precedes it; the
@@ -974,7 +974,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
         static_cast<long long>(sim_after.misses - sim_before.misses);
     evictions_delta = sim_after.evictions - sim_before.evictions;
     const storage::ColumnIndexStats idx_after =
-        storage::ColumnIndexManager::ThreadStats();
+        storage::ColumnIndexCounters::ThreadStats();
     stats->sat_index_probes =
         static_cast<long long>((idx_after.value_probes + idx_after.like_probes) -
                                (idx_before.value_probes + idx_before.like_probes));

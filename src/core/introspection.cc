@@ -130,13 +130,14 @@ std::vector<Row> RelationRows(const storage::Database* db) {
   std::vector<Row> rows;
   if (db == nullptr) return rows;
   for (int r = 0; r < db->catalog().num_relations(); ++r) {
-    const storage::Table& table = db->table(r);
+    const std::shared_ptr<const storage::Table> pinned = db->Pin(r);
+    const storage::Table& table = *pinned;
     Row row;
     row.reserve(6);
     row.push_back(Value::Int(r));
     row.push_back(Value::String(db->catalog().relation(r).name));
     row.push_back(Value::Int(static_cast<int64_t>(table.num_attrs())));
-    row.push_back(Value::Int(static_cast<int64_t>(db->NumRows(r))));
+    row.push_back(Value::Int(static_cast<int64_t>(table.num_rows())));
     row.push_back(Value::Int(static_cast<int64_t>(table.num_chunks())));
     row.push_back(Value::Int(static_cast<int64_t>(db->RelationEpoch(r))));
     rows.push_back(std::move(row));
@@ -149,7 +150,8 @@ std::vector<Row> ChunkRows(const storage::Database* db) {
   if (db == nullptr) return rows;
   for (int r = 0; r < db->catalog().num_relations(); ++r) {
     const Relation& rel = db->catalog().relation(r);
-    const storage::Table& table = db->table(r);
+    const std::shared_ptr<const storage::Table> pinned = db->Pin(r);
+    const storage::Table& table = *pinned;
     for (size_t c = 0; c < table.num_chunks(); ++c) {
       const storage::Chunk& chunk = table.chunk(c);
       for (size_t a = 0; a < chunk.num_attrs(); ++a) {
@@ -182,7 +184,8 @@ std::vector<Row> ColumnStatsRows(const storage::Database* db) {
   if (db == nullptr) return rows;
   for (int r = 0; r < db->catalog().num_relations(); ++r) {
     const Relation& rel = db->catalog().relation(r);
-    const storage::Table& table = db->table(r);
+    const std::shared_ptr<const storage::Table> pinned = db->Pin(r);
+    const storage::Table& table = *pinned;
     for (size_t a = 0; a < table.num_attrs(); ++a) {
       const storage::ColumnStats stats = table.ColumnStatsFor(a);
       Row row;
@@ -220,7 +223,10 @@ std::vector<Row> IndexRows(const storage::Database* db) {
     row.push_back(Value::Int(static_cast<int64_t>(info.built_rows)));
     row.push_back(Value::Int(static_cast<int64_t>(info.num_distinct)));
     row.push_back(Value::Int(static_cast<int64_t>(info.num_distinct_strings)));
-    row.push_back(Value::Bool(info.built_rows != db->NumRows(info.relation_id)));
+    // An index covers exactly the version it was built over: stale only if
+    // an insert published a newer version since the listing pinned it.
+    row.push_back(Value::Bool(info.built_rows !=
+                              db->Pin(info.relation_id)->num_rows()));
     rows.push_back(std::move(row));
   }
   return rows;

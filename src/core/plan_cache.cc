@@ -377,12 +377,6 @@ std::shared_ptr<const ProbePlan> PlanCache::PeekProbePlan(
       Peek(MakeKey(kProbePrefix, canonical_key), nullptr));
 }
 
-std::shared_ptr<const TranslationPlan> PlanCache::PeekStructure(
-    std::string_view canonical_key, std::string_view signature) const {
-  return std::static_pointer_cast<const TranslationPlan>(
-      Peek(MakeKey(kStructurePrefix, canonical_key, signature), nullptr));
-}
-
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);

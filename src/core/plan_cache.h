@@ -185,8 +185,6 @@ class PlanCache {
       const std::vector<uint64_t>& current_epochs) const;
   std::shared_ptr<const ProbePlan> PeekProbePlan(
       std::string_view canonical_key) const;
-  std::shared_ptr<const TranslationPlan> PeekStructure(
-      std::string_view canonical_key, std::string_view signature) const;
 
   void Clear();
 

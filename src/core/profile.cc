@@ -105,7 +105,7 @@ void QueryProfile::WriteJson(obs::JsonWriter& w) const {
   }
   if (!spans.empty()) {
     w.Key("trace");
-    obs::Tracer::WriteForestJson(spans, w);
+    obs::WriteForestJson(spans, w);
   }
   w.EndObject();
 }

@@ -41,7 +41,7 @@ struct QueryProfile {
   /// block, the top-level block's access paths, rows returned, wall time.
   exec::ExecInfo exec;
 
-  /// Embedded trace (span forest, Tracer::WriteForestJson shape). Filled only
+  /// Embedded trace (span forest, obs::WriteForestJson shape). Filled only
   /// for pipeline runs — cache hits carry no phase provenance.
   std::vector<obs::SpanRecord> spans;
 

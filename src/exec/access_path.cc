@@ -202,11 +202,11 @@ constexpr double kMaxIndexSelectivity = 0.25;
 
 }  // namespace
 
-Result<BlockPlan> PlanBlock(const storage::Database& db,
+Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
                             const BoundBlock& block, const ExecConfig& config) {
   if (!block.error.ok()) return block.error;
   BlockPlan plan;
-  const catalog::Catalog& catalog = db.catalog();
+  const catalog::Catalog& catalog = snapshot.catalog();
 
   // Classify every conjunct by the FROM entries its bindings read.
   const size_t n = block.relation_ids.size();
@@ -215,7 +215,7 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
     tables[t].from_index = static_cast<int>(t);
     tables[t].relation_id = block.relation_ids[t];
     tables[t].binding_lower = block.bindings[t];
-    tables[t].table_rows = db.table(block.relation_ids[t]).num_rows();
+    tables[t].table_rows = snapshot.table(block.relation_ids[t]).num_rows();
   }
   std::vector<int> constants;  // table-independent conjuncts
   for (size_t ci = 0; ci < block.conjuncts.size(); ++ci) {
@@ -272,7 +272,7 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
   // row ids are collected only for a chosen IndexScan's one predicate.
   for (size_t t = 0; t < n; ++t) {
     TablePlan& tp = tables[t];
-    const storage::Table& table = db.table(tp.relation_id);
+    const storage::Table& table = snapshot.table(tp.relation_id);
     tp.chunks_total = table.num_chunks();
     tp.scan_rows = tp.table_rows;
     if (tp.sargable.empty()) {
@@ -305,8 +305,7 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
     const SargablePredicate* best = nullptr;
     if (surviving_rows > 0 || tp.table_rows == 0) {
       for (SargablePredicate& p : tp.sargable) {
-        p.estimated_rows =
-            db.ColumnIndexFor(tp.relation_id, p.attr_index)->Count(p.pred);
+        p.estimated_rows = table.Index(p.attr_index).Count(p.pred);
         if (best == nullptr || p.estimated_rows < best->estimated_rows) {
           best = &p;
         }
@@ -323,8 +322,7 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
     }
     tp.pushed.insert(tp.pushed.begin(), demoted.begin(), demoted.end());
     if (tp.index_scan) {
-      tp.row_ids =
-          db.ColumnIndexFor(tp.relation_id, best->attr_index)->Rows(best->pred);
+      tp.row_ids = table.Index(best->attr_index).Rows(best->pred);
       tp.estimated_rows = best->estimated_rows;
     } else {
       tp.estimated_rows =
@@ -348,7 +346,7 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
   }
   const bool reorder_ok = n > 1 && ReorderSafe(block);
   JoinOrderPlan cost =
-      PlanJoinOrder(db, tables, plan.equi_joins, config,
+      PlanJoinOrder(snapshot, tables, plan.equi_joins, config,
                     /*allow_reorder=*/reorder_ok,
                     /*allow_sort_merge=*/reorder_ok);
   // The fold also applies multi-table non-equi filters; discount each by the
@@ -393,14 +391,14 @@ Result<BlockPlan> PlanBlock(const storage::Database& db,
   return plan;
 }
 
-std::vector<TableAccessExplain> ExplainPlan(const storage::Database& db,
+std::vector<TableAccessExplain> ExplainPlan(const catalog::Catalog& catalog,
                                             const BlockPlan& plan) {
   std::vector<TableAccessExplain> out;
   out.reserve(plan.tables.size());
   for (const TablePlan& tp : plan.tables) {
     TableAccessExplain e;
     e.binding = tp.binding_lower;
-    e.relation = db.catalog().relation(tp.relation_id).name;
+    e.relation = catalog.relation(tp.relation_id).name;
     e.index_scan = tp.index_scan;
     e.index_join = tp.index_join_attr >= 0;
     e.index_predicates = tp.index_scan ? 1 : 0;

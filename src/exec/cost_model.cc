@@ -50,39 +50,32 @@ struct Entry {
 };
 
 /// Table-level NDV with a tiny per-(relation, attr) cache; ≥ 1 so it can sit
-/// in a denominator. A column with a freshly built column index answers with
-/// the index's exact distinct count — at 1M rows the chunk-sketch union
-/// saturates, and join columns are exactly the ones whose indexes get built
-/// (probe paths build them lazily), so the exact numbers are usually there
-/// by the second plan. Nothing is built here: only published indexes are
-/// snapshotted.
+/// in a denominator. A column whose index the pinned version already built
+/// answers with the index's exact distinct count — at 1M rows the
+/// chunk-sketch union saturates, and join columns are exactly the ones whose
+/// indexes get built (probe paths build them lazily), so the exact numbers
+/// are usually there by the second plan. Nothing is built here.
 class NdvCache {
  public:
-  explicit NdvCache(const storage::Database& db) : db_(db) {
-    for (const auto& info : db.BuiltColumnIndexes()) {
-      if (info.built_rows != db.table(info.relation_id).num_rows()) {
-        continue;  // stale: the table grew since the build
-      }
-      cache_.emplace((static_cast<int64_t>(info.relation_id) << 32) |
-                         info.attr_index,
-                     std::max(1.0, static_cast<double>(info.num_distinct)));
-    }
-  }
+  explicit NdvCache(const storage::Snapshot& snapshot) : snapshot_(snapshot) {}
 
   double Get(int relation_id, int attr) {
     const int64_t key = (static_cast<int64_t>(relation_id) << 32) | attr;
     auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
-    const storage::ColumnStats stats =
-        db_.table(relation_id).ColumnStatsFor(static_cast<size_t>(attr));
-    const double ndv =
-        std::max(1.0, static_cast<double>(stats.distinct_estimate));
+    const storage::Table& table = snapshot_.table(relation_id);
+    const storage::ColumnIndex* index = table.BuiltIndex(attr);
+    const size_t distinct =
+        index != nullptr
+            ? index->num_distinct()
+            : table.ColumnStatsFor(static_cast<size_t>(attr)).distinct_estimate;
+    const double ndv = std::max(1.0, static_cast<double>(distinct));
     cache_.emplace(key, ndv);
     return ndv;
   }
 
  private:
-  const storage::Database& db_;
+  const storage::Snapshot& snapshot_;
   std::unordered_map<int64_t, double> cache_;
 };
 
@@ -103,14 +96,15 @@ struct StepCandidate {
 
 class Planner {
  public:
-  Planner(const storage::Database& db, const std::vector<TablePlan>& tables,
+  Planner(const storage::Snapshot& snapshot,
+          const std::vector<TablePlan>& tables,
           const std::vector<PlannedEquiJoin>& edges, const ExecConfig& config,
           bool allow_sort_merge)
       : tables_(tables),
         edges_(edges),
         config_(config),
         allow_sort_merge_(allow_sort_merge),
-        ndv_(db) {
+        ndv_(snapshot) {
     base_rows_.reserve(tables.size());
     for (const TablePlan& tp : tables) {
       base_rows_.push_back(EstimateBaseRows(tp));
@@ -288,13 +282,13 @@ double EstimateBaseRows(const TablePlan& tp) {
   return est;
 }
 
-JoinOrderPlan PlanJoinOrder(const storage::Database& db,
+JoinOrderPlan PlanJoinOrder(const storage::Snapshot& snapshot,
                             const std::vector<TablePlan>& tables,
                             const std::vector<PlannedEquiJoin>& edges,
                             const ExecConfig& config, bool allow_reorder,
                             bool allow_sort_merge) {
   const int n = static_cast<int>(tables.size());
-  Planner planner(db, tables, edges, config, allow_sort_merge);
+  Planner planner(snapshot, tables, edges, config, allow_sort_merge);
   if (n == 1 || !allow_reorder) {
     // Fixed order: fold in the given order, still costing each step.
     Entry entry = planner.Initial(0);

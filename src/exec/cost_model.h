@@ -66,9 +66,9 @@ double EstimateBaseRows(const TablePlan& tp);
 /// order: tables[i].from_index == i) connected by `edges`. `allow_reorder`
 /// off forces the given order (algorithms and estimates are still
 /// computed); `allow_sort_merge` off removes sort-merge from the menu (the
-/// block is not provably emission-order-insensitive). The caller must hold
-/// Database::ReadLock() — NDV aggregation reads the chunk directories.
-JoinOrderPlan PlanJoinOrder(const storage::Database& db,
+/// block is not provably emission-order-insensitive). NDVs come from the
+/// versions `snapshot` pinned.
+JoinOrderPlan PlanJoinOrder(const storage::Snapshot& snapshot,
                             const std::vector<TablePlan>& tables,
                             const std::vector<PlannedEquiJoin>& edges,
                             const ExecConfig& config, bool allow_reorder,

@@ -102,6 +102,18 @@ Result<Value> IntArith(BinaryOp op, int64_t a, int64_t b) {
   return Value::Int(out);
 }
 
+/// Pins the versions of every relation some block of `binding` reads: the
+/// one database state the whole execution reads.
+storage::Snapshot PinRelations(const storage::Database& db,
+                               const Binding& binding) {
+  std::vector<int> read;
+  for (const auto& block : binding.blocks) {
+    read.insert(read.end(), block->relation_ids.begin(),
+                block->relation_ids.end());
+  }
+  return db.Pin(read);
+}
+
 // ---------------------------------------------------------------------------
 // Block executor
 // ---------------------------------------------------------------------------
@@ -114,10 +126,10 @@ class BlockExecutor {
   /// Non-null `pool` with config->exec_threads > 1 turns on the morsel-
   /// parallel operators in the planned fold; null or exec_threads == 1 is
   /// serial, bit-identical and thread-free.
-  BlockExecutor(const storage::Database* db, const ExecConfig* config,
+  BlockExecutor(const storage::Snapshot* snapshot, const ExecConfig* config,
                 const Binding& binding, ExecStats* stats,
                 ExecInfo* info = nullptr, TaskPool* pool = nullptr)
-      : db_(db),
+      : snapshot_(snapshot),
         config_(config),
         stats_(stats),
         info_(info),
@@ -132,11 +144,11 @@ class BlockExecutor {
   /// The block's access-path plan, planned on first use and cached for the
   /// rest of this execution: a correlated subquery reruns the same block
   /// many times, and plans are environment-independent (sargable operands
-  /// are literals). Cached row ids stay valid because one BlockExecutor
-  /// lives within one Database::ReadLock. EXPLAIN plans through here too.
+  /// are literals). Cached row ids stay valid because the snapshot one
+  /// BlockExecutor reads outlives it. EXPLAIN plans through here too.
   Result<const BlockPlan*> Plan(const BoundBlock& block) {
     std::optional<Result<BlockPlan>>& plan = plans_[block.id];
-    if (!plan.has_value()) plan = PlanBlock(*db_, block, *config_);
+    if (!plan.has_value()) plan = PlanBlock(*snapshot_, block, *config_);
     if (!plan->ok()) return plan->status();
     return &plan->value();
   }
@@ -496,9 +508,8 @@ class BlockExecutor {
   //    containing a subquery or star to the residual filter), so Eval never
   //    recurses into ExecuteBlock — and never mutates this object — from a
   //    worker thread;
-  //  * workers run strictly inside the Database::ReadLock the caller's
-  //    Execute holds (they never lock), so the staleness contract is the
-  //    serial one;
+  //  * workers read the versions the caller's Execute pinned, which stay
+  //    alive until the ParallelFor barrier has passed;
   //  * on error, the lowest-indexed failing morsel's status is returned —
   //    the same error serial execution would have hit first.
   Status RowLoop(size_t n, size_t grain,
@@ -539,7 +550,7 @@ class BlockExecutor {
     return pool_ != nullptr && config_->exec_threads > 1;
   }
 
-  const storage::Database* db_;
+  const storage::Snapshot* snapshot_;
   const ExecConfig* config_;
   ExecStats* stats_;
   ExecInfo* info_;
@@ -704,14 +715,13 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
     if (tp.join_algo == JoinAlgo::kIndexNestedLoop) {
       ++stats_->index_joins;
       stats_->pushed_predicates += tp.pushed.size();
-      const storage::ColumnIndex* idx =
-          db_->ColumnIndexFor(tp.relation_id, tp.index_join_attr);
+      const storage::ColumnIndex* idx = &table.Index(tp.index_join_attr);
       size_t probe_key = 0;
       while (keys[probe_key].new_attr != tp.index_join_attr) ++probe_key;
       // Probe morsels run in parallel over the accumulated tuples; per probe
       // the index returns ids ascending, so stitching morsels in order
       // reproduces the serial emission order exactly. `idx` was fetched above
-      // on this thread (ColumnIndexFor may lazily build under a mutex);
+      // on this thread (Table::Index may lazily build under a mutex);
       // workers only call its const read API.
       auto probe_index = [&](size_t b, size_t e, std::vector<uint32_t>& out,
                              ExecStats& st) -> Status {
@@ -942,11 +952,11 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
   SFSQL_ASSIGN_OR_RETURN(const BlockPlan* planned, Plan(block));
   const BlockPlan& plan = *planned;
   if (root && info_ != nullptr) {
-    info_->access_paths = ExplainPlan(*db_, plan);
+    info_->access_paths = ExplainPlan(snapshot_->catalog(), plan);
   }
   // The block's own frame goes last; every tuple loop below repoints it.
   std::vector<const storage::Table*> tables;
-  for (int rel : block.relation_ids) tables.push_back(&db_->table(rel));
+  for (int rel : block.relation_ids) tables.push_back(&snapshot_->table(rel));
   env.push_back(Frame{nullptr, tables.data(), nullptr});
   Frame& own = env.back();
   SFSQL_ASSIGN_OR_RETURN(std::vector<uint32_t> tuples,
@@ -994,7 +1004,7 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
   for (size_t i = 0; i < stmt.select_items.size(); ++i) {
     for (int f : block.select_items[i].star_entries) {
       for (const catalog::Attribute& a :
-           db_->catalog().relation(block.relation_ids[f]).attributes) {
+           snapshot_->catalog().relation(block.relation_ids[f]).attributes) {
         result.columns.push_back(StrCat(block.bindings[f], ".", a.name));
       }
     }
@@ -1219,15 +1229,10 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
   ExecStats stats;
   Result<QueryResult> out = QueryResult{};
   {
-    // Pin every table's row count for the whole execution: IndexScan row ids
-    // stay exactly valid (column_index.h staleness contract) and concurrent
-    // inserts wait instead of racing the row vectors.
-    auto lock = db_->ReadLock();
-    // Pool tasks spawned below run strictly within this lock scope (the
-    // ParallelFor barrier completes before the executor returns), so morsel
-    // workers see the same pinned row counts as the caller.
     const Binding binding = Bind(db_->catalog(), stmt);
-    BlockExecutor block(db_, &config_, binding, &stats, info, EffectivePool());
+    const storage::Snapshot snapshot = PinRelations(*db_, binding);
+    BlockExecutor block(&snapshot, &config_, binding, &stats, info,
+                        EffectivePool());
     out = block.ExecuteBlock(binding.root(), Env{});
   }
   const double seconds =
@@ -1291,13 +1296,13 @@ ExecStats Executor::stats() const {
 
 std::vector<TableAccessExplain> Executor::ExplainAccessPaths(
     const sql::SelectStatement& stmt) const {
-  auto lock = db_->ReadLock();
   const Binding binding = Bind(db_->catalog(), stmt);
+  const storage::Snapshot snapshot = PinRelations(*db_, binding);
   ExecStats unused;
-  BlockExecutor planner(db_, &config_, binding, &unused);
+  BlockExecutor planner(&snapshot, &config_, binding, &unused);
   Result<const BlockPlan*> plan = planner.Plan(binding.root());
   if (!plan.ok()) return {};
-  return ExplainPlan(*db_, **plan);
+  return ExplainPlan(db_->catalog(), **plan);
 }
 
 Result<QueryResult> Executor::ExecuteSql(std::string_view sql_text) {

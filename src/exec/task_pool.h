@@ -68,9 +68,9 @@ struct TaskPoolStats {
 ///    stats().nested_inline so tests can assert the rejection fired.
 ///  * ParallelFor provides the usual fork-join memory ordering: writes by
 ///    the caller before the call happen-before every body invocation, and
-///    writes by bodies happen-before ParallelFor's return. Pool tasks run
-///    under whatever locks the *caller* holds (e.g. Database::ReadLock held
-///    across Execute) — workers themselves never take engine locks.
+///    writes by bodies happen-before ParallelFor's return, so bodies may
+///    read whatever the caller keeps alive across the call — workers
+///    themselves never take engine locks.
 ///  * If any body throws, the first exception is captured and rethrown on
 ///    the calling thread after all morsels of the loop finish.
 ///

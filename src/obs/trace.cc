@@ -1,151 +1,8 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
 namespace sfsql::obs {
 
-void Tracer::Span::Attr(std::string_view key, std::string_view value) {
-  if (tracer_ != nullptr) tracer_->AddAttr(id_, key, std::string(value));
-}
-
-void Tracer::Span::Attr(std::string_view key, long long value) {
-  if (tracer_ != nullptr) tracer_->AddAttr(id_, key, std::to_string(value));
-}
-
-void Tracer::Span::Attr(std::string_view key, double value) {
-  if (tracer_ == nullptr) return;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  tracer_->AddAttr(id_, key, buf);
-}
-
-void Tracer::Span::End() {
-  if (tracer_ != nullptr) tracer_->EndSpan(id_);
-  tracer_ = nullptr;
-  id_ = -1;
-}
-
-Tracer::Span Tracer::StartSpan(std::string name, int parent_id) {
-  uint64_t now = clock_->NowNanos();
-  std::lock_guard<std::mutex> lock(mu_);
-  SpanRecord record;
-  record.id = static_cast<int>(spans_.size());
-  record.parent = parent_id;
-  record.name = std::move(name);
-  record.start_nanos = now;
-  spans_.push_back(std::move(record));
-  return Span(this, spans_.back().id);
-}
-
-int Tracer::AddCompleteSpan(
-    std::string name, int parent_id, uint64_t start_nanos, uint64_t end_nanos,
-    std::vector<std::pair<std::string, std::string>> attributes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SpanRecord record;
-  record.id = static_cast<int>(spans_.size());
-  record.parent = parent_id;
-  record.name = std::move(name);
-  record.start_nanos = start_nanos;
-  record.end_nanos = end_nanos;
-  record.attributes = std::move(attributes);
-  spans_.push_back(std::move(record));
-  return spans_.back().id;
-}
-
-void Tracer::EndSpan(int id) {
-  uint64_t now = clock_->NowNanos();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= 0 && id < static_cast<int>(spans_.size()) &&
-      spans_[id].end_nanos == 0) {
-    spans_[id].end_nanos = now;
-  }
-}
-
-void Tracer::AddAttr(int id, std::string_view key, std::string value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= 0 && id < static_cast<int>(spans_.size())) {
-    spans_[id].attributes.emplace_back(std::string(key), std::move(value));
-  }
-}
-
-std::vector<SpanRecord> Tracer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::string RenderSpanTree(const std::vector<SpanRecord>& spans) {
-  // Children in recording order (== start order: ids are assigned under the
-  // tracer lock as spans open).
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (const SpanRecord& s : spans) {
-    if (s.parent >= 0 && s.parent < static_cast<int>(spans.size())) {
-      children[s.parent].push_back(s.id);
-    } else {
-      roots.push_back(s.id);
-    }
-  }
-  std::string out;
-  auto render = [&](auto&& self, int id, const std::string& prefix,
-                    bool last) -> void {
-    const SpanRecord& s = spans[id];
-    out += prefix;
-    out += last ? "└─ " : "├─ ";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " (%.3f ms)", s.seconds() * 1e3);
-    out += s.name;
-    out += buf;
-    for (const auto& [k, v] : s.attributes) {
-      out += "  ";
-      out += k;
-      out += "=";
-      out += v;
-    }
-    out += '\n';
-    std::string child_prefix = prefix + (last ? "   " : "│  ");
-    for (size_t i = 0; i < children[id].size(); ++i) {
-      self(self, children[id][i], child_prefix,
-           i + 1 == children[id].size());
-    }
-  };
-  for (size_t i = 0; i < roots.size(); ++i) {
-    render(render, roots[i], "", i + 1 == roots.size());
-  }
-  return out;
-}
-
-std::string Tracer::RenderTree() const { return RenderSpanTree(Snapshot()); }
-
-void Tracer::WriteSpansJson(const std::vector<SpanRecord>& spans,
-                            JsonWriter& w) {
-  w.BeginArray();
-  for (const SpanRecord& s : spans) {
-    w.BeginObject();
-    w.KV("id", s.id);
-    w.KV("parent", s.parent);
-    w.KV("name", s.name);
-    w.KV("start_nanos", static_cast<unsigned long long>(s.start_nanos));
-    w.KV("end_nanos", static_cast<unsigned long long>(s.end_nanos));
-    w.KV("seconds", s.seconds());
-    if (!s.attributes.empty()) {
-      w.Key("attributes");
-      w.BeginObject();
-      for (const auto& [k, v] : s.attributes) w.KV(k, v);
-      w.EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-}
-
-void Tracer::WriteJson(JsonWriter& w) const {
-  WriteSpansJson(Snapshot(), w);
-}
-
-void Tracer::WriteForestJson(const std::vector<SpanRecord>& spans,
-                             JsonWriter& w) {
-  // Children in id order, which is start order (ids are assigned under the
-  // tracer lock as spans open) — matching RenderSpanTree.
+void WriteForestJson(const std::vector<SpanRecord>& spans, JsonWriter& w) {
   std::vector<std::vector<int>> children(spans.size());
   std::vector<int> roots;
   for (const SpanRecord& s : spans) {
@@ -179,10 +36,6 @@ void Tracer::WriteForestJson(const std::vector<SpanRecord>& spans,
   w.BeginArray();
   for (int r : roots) write(write, r);
   w.EndArray();
-}
-
-void Tracer::WriteForestJson(JsonWriter& w) const {
-  WriteForestJson(Snapshot(), w);
 }
 
 }  // namespace sfsql::obs

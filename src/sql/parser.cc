@@ -4,7 +4,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "obs/trace.h"
 #include "sql/lexer.h"
 
 namespace sfsql::sql {
@@ -437,16 +436,6 @@ Result<SelectPtr> ParseSelect(std::string_view input) {
   SFSQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
-}
-
-Result<SelectPtr> ParseSelect(std::string_view input, obs::Tracer* tracer,
-                              int parent_span) {
-  if (tracer == nullptr) return ParseSelect(input);
-  obs::Tracer::Span span = tracer->StartSpan("parse", parent_span);
-  span.Attr("input_bytes", static_cast<long long>(input.size()));
-  Result<SelectPtr> out = ParseSelect(input);
-  span.Attr("ok", out.ok() ? "true" : "false");
-  return out;
 }
 
 }  // namespace sfsql::sql

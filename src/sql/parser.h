@@ -6,10 +6,6 @@
 #include "common/result.h"
 #include "sql/ast.h"
 
-namespace sfsql::obs {
-class Tracer;
-}  // namespace sfsql::obs
-
 namespace sfsql::sql {
 
 /// Parses one (schema-free or full) SQL SELECT statement.
@@ -18,12 +14,6 @@ namespace sfsql::sql {
 /// populated; schema-free SQL may use `foo?`, `?x`, `?` name elements, omit FROM
 /// entirely, or mention relations outside FROM (§2.1). A trailing ';' is allowed.
 Result<SelectPtr> ParseSelect(std::string_view input);
-
-/// As above, reporting the parse as a span (named "parse", with input size and
-/// outcome attributes) under `parent_span` of `tracer`. A null tracer makes
-/// this identical to the plain overload.
-Result<SelectPtr> ParseSelect(std::string_view input, obs::Tracer* tracer,
-                              int parent_span = -1);
 
 }  // namespace sfsql::sql
 

@@ -262,16 +262,19 @@ Status DataGenerator::Populate(storage::Database* db, int rows_per_relation,
       rows = it->second;
     }
     rows *= scale;
-    // A self-referencing FK must see the rows inserted so far (its references
-    // point at earlier tuples of the same relation), so those relations keep
-    // the row-at-a-time path; everything else bulk-loads in one batch. The
-    // generated values are identical either way.
-    bool self_ref = false;
-    for (int f : fk_of_attr[r]) {
-      if (f >= 0 && cat.foreign_key(f).to_relation == r) self_ref = true;
-    }
     std::vector<Row> batch;
-    if (!self_ref) batch.reserve(rows);
+    batch.reserve(rows);
+    // Each FK attribute draws from its target's rows. A self-reference draws
+    // from the table's rows followed by the batch so far: the rows a
+    // row-at-a-time load would have inserted before it, so the whole
+    // relation still loads as one batch.
+    std::vector<std::shared_ptr<const storage::Table>> targets(
+        rel.attributes.size());
+    for (size_t a = 0; a < rel.attributes.size(); ++a) {
+      if (fk_of_attr[r][a] >= 0) {
+        targets[a] = db->Pin(cat.foreign_key(fk_of_attr[r][a]).to_relation);
+      }
+    }
     std::set<Row, bool (*)(const Row&, const Row&)> seen_keys(
         [](const Row& a, const Row& b) {
           for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -301,11 +304,16 @@ Status DataGenerator::Populate(storage::Database* db, int rows_per_relation,
           int f = fk_of_attr[r][a];
           if (f >= 0) {
             const catalog::ForeignKey& fk = cat.foreign_key(f);
-            const storage::Table& target = db->table(fk.to_relation);
-            if (target.num_rows() == 0) {
+            const storage::Table& target = *targets[a];
+            const size_t batched = fk.to_relation == r ? batch.size() : 0;
+            const size_t total = target.num_rows() + batched;
+            if (total == 0) {
               row[a] = Value::Null_();
+            } else if (const size_t pick = Next() % total;
+                       pick < target.num_rows()) {
+              row[a] = target.at(pick, fk.to_attribute);
             } else {
-              row[a] = target.at(Next() % target.num_rows(), fk.to_attribute);
+              row[a] = batch[pick - target.num_rows()][fk.to_attribute];
             }
           } else if (single_int_pk &&
                      static_cast<int>(a) == rel.primary_key[0]) {
@@ -325,15 +333,9 @@ Status DataGenerator::Populate(storage::Database* db, int rows_per_relation,
         if (attempt == 19) ok = false;  // saturated the key space
       }
       if (!ok) break;
-      if (self_ref) {
-        SFSQL_RETURN_IF_ERROR(db->Insert(r, std::move(row)));
-      } else {
-        batch.push_back(std::move(row));
-      }
+      batch.push_back(std::move(row));
     }
-    if (!self_ref) {
-      SFSQL_RETURN_IF_ERROR(db->InsertRows(r, std::move(batch)));
-    }
+    SFSQL_RETURN_IF_ERROR(db->InsertRows(r, std::move(batch)));
   }
   return Status::OK();
 }

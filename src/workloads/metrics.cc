@@ -288,8 +288,8 @@ bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,
   } else {
     probes.resize(std::min<size_t>(probes.size(), 1));  // compares values[0]
   }
-  const auto lock = db.ReadLock();
-  const storage::Table& table = db.table(relation_id);
+  const std::shared_ptr<const storage::Table> pinned = db.Pin(relation_id);
+  const storage::Table& table = *pinned;
   for (const storage::Value& probe : probes) {
     const auto compare =
         storage::ColumnPredicate::Compare(std::string(op), probe);

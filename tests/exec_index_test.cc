@@ -329,9 +329,8 @@ TEST(ExecIndexDifferentialTest, AllMovie43WorkloadQueries) {
 TEST(ExecIndexTest, CountsMatchCollectedRows) {
   using storage::ColumnPredicate;
   auto db = PlaygroundDb();
-  auto lock = db->ReadLock();
-  const storage::ColumnIndex* idx = db->ColumnIndexFor(0, 1);  // T1.i
-  ASSERT_NE(idx, nullptr);
+  const std::shared_ptr<const storage::Table> t1 = db->Pin(0);
+  const storage::ColumnIndex* idx = &t1->Index(1);  // T1.i
   std::vector<ColumnPredicate> preds;
   for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
     for (int64_t v : {-1, 0, 7, 49, 50, 100}) {
@@ -349,8 +348,7 @@ TEST(ExecIndexTest, CountsMatchCollectedRows) {
   }
   EXPECT_EQ(
       idx->Count(ColumnPredicate::Between(Value::Int(20), Value::Int(10))), 0u);
-  const storage::ColumnIndex* sidx = db->ColumnIndexFor(0, 3);  // T1.s
-  ASSERT_NE(sidx, nullptr);
+  const storage::ColumnIndex* sidx = &t1->Index(3);  // T1.s
   std::vector<uint32_t> like =
       sidx->Rows(ColumnPredicate::Like("alpha%", '\0'));
   for (size_t i = 1; i < like.size(); ++i) EXPECT_LT(like[i - 1], like[i]);
@@ -363,10 +361,10 @@ TEST(ExecIndexTest, IndexScanReadsOnlyItsSmallestCountPredicate) {
   size_t k_count = 0;
   size_t i_count = 0;
   {
-    auto lock = db->ReadLock();
-    k_count = db->ColumnIndexFor(0, 0)->Count(
+    const std::shared_ptr<const storage::Table> t1 = db->Pin(0);
+    k_count = t1->Index(0).Count(
         storage::ColumnPredicate::Between(Value::Int(10), Value::Int(29)));
-    i_count = db->ColumnIndexFor(0, 1)->Count(
+    i_count = t1->Index(1).Count(
         storage::ColumnPredicate::Compare("<", Value::Int(3)));
   }
   ASSERT_EQ(k_count, 20u);
@@ -507,9 +505,10 @@ TEST(ExecIndexTest, LimitBlocksJoinReorderButNotIndexScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: Execute holds Database::ReadLock for its whole duration, so a
-// racing InsertRows may only move results between whole-snapshot epochs.
-// Meaningful under any build; the TSan CI job runs it for data races.
+// Concurrency: each Execute pins one version per relation it reads, so a
+// racing InsertRows, which publishes a new version without waiting for the
+// readers, may only move results between whole-batch versions. Meaningful
+// under any build; the TSan CI job runs it for data races.
 
 TEST(ExecIndexStressTest, ExecuteRacingInsertSeesConsistentSnapshots) {
   auto db = PlaygroundDb();
@@ -550,8 +549,6 @@ TEST(ExecIndexStressTest, ExecuteRacingInsertSeesConsistentSnapshots) {
         auto j = ex.ExecuteSql(
             "SELECT T1.k FROM T1, T2 WHERE T1.k = T2.k AND T1.s = 'alpha'");
         if (!j.ok()) ++errors;
-        // Give the writer (exclusive lock) a window between executes.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }

@@ -187,12 +187,13 @@ TEST(ExecParallelDifferentialTest, ChunkScanRemainderMorsels) {
   }
 }
 
-// --- TSan stress: the staleness/locking contract under real concurrency ---
+// --- TSan stress: pinned table versions under real concurrency ---
 
 // Parallel Executes race InsertRows batches that cross chunk seals. Execute
-// holds Database::ReadLock for its whole run (pool tasks included), so every
-// query must see a consistent snapshot: the visible row count is one of the
-// batch boundaries, never a torn intermediate.
+// pins the table's version once and every pool task of the call reads it,
+// while each batch publishes a new version, so every query must see a
+// consistent snapshot: the visible row count is one of the batch
+// boundaries, never a torn intermediate.
 TEST(ExecParallelStressTest, ParallelExecuteRacesInsertsAcrossChunkSeal) {
   workloads::SchemaBuilder b;
   b.Rel("T", "k:int*, v:int");
@@ -222,7 +223,7 @@ TEST(ExecParallelStressTest, ParallelExecuteRacesInsertsAcrossChunkSeal) {
 
   TaskPool pool(3);
   // Fixed query count (not gated on the writer) so the readers always
-  // exercise the locking path, even when the scheduler runs them after the
+  // exercise the pinning path, even when the scheduler runs them after the
   // writer has drained.
   constexpr int kQueriesPerReader = 30;
   auto reader = [&] {

@@ -54,20 +54,17 @@ inline bool Keeps(const storage::Value& v, const storage::ColumnPredicate& p) {
   return false;
 }
 
-/// The column index's rows for `pred` on (relation, attr) equal a per-row
-/// scan with Keeps; its count is their number and its existence answer their
-/// non-emptiness; and no chunk holding one of them is pruned by the chunk
-/// statistics.
-inline void ExpectIndexAnswersAgree(const storage::Database& db, int relation,
-                                    int attr,
+/// The column index's rows for `pred` on column `attr` of the table version
+/// `table` equal a per-row scan with Keeps; its count is their number and
+/// its existence answer their non-emptiness; and no chunk holding one of
+/// them is pruned by the chunk statistics.
+inline void ExpectIndexAnswersAgree(const storage::Table& table, int attr,
                                     const storage::ColumnPredicate& pred,
                                     const std::string& what) {
-  const auto lock = db.ReadLock();
-  const storage::ColumnIndex* idx = db.ColumnIndexFor(relation, attr);
-  const std::vector<uint32_t> rows = idx->Rows(pred);
-  EXPECT_EQ(idx->Count(pred), rows.size()) << what;
-  EXPECT_EQ(idx->Exists(pred), !rows.empty()) << what;
-  const storage::Table& table = db.table(relation);
+  const storage::ColumnIndex& idx = table.Index(attr);
+  const std::vector<uint32_t> rows = idx.Rows(pred);
+  EXPECT_EQ(idx.Count(pred), rows.size()) << what;
+  EXPECT_EQ(idx.Exists(pred), !rows.empty()) << what;
   std::vector<uint32_t> want;
   for (uint32_t id = 0; id < table.num_rows(); ++id) {
     if (Keeps(table.at(id, attr), pred)) want.push_back(id);
@@ -80,6 +77,14 @@ inline void ExpectIndexAnswersAgree(const storage::Database& db, int relation,
       break;
     }
   }
+}
+
+/// As above, on the current version of `relation`, pinned for the check.
+inline void ExpectIndexAnswersAgree(const storage::Database& db, int relation,
+                                    int attr,
+                                    const storage::ColumnPredicate& pred,
+                                    const std::string& what) {
+  ExpectIndexAnswersAgree(*db.Pin(relation), attr, pred, what);
 }
 
 }  // namespace sfsql::test_support

@@ -196,57 +196,6 @@ TEST(ExportTest, JsonMatchesGoldenAndParses) {
   EXPECT_EQ(families->items.size(), 3u);
 }
 
-// --- Tracer on the fake clock -----------------------------------------------
-
-TEST(TracerTest, SpansNestAndMeasureOnFakeClock) {
-  FakeClock clock(1000);
-  Tracer tracer(&clock);
-  {
-    Tracer::Span root = tracer.StartSpan("translate");
-    root.Attr("query_bytes", 42LL);
-    clock.Advance(2'000'000);  // 2 ms
-    {
-      Tracer::Span child = tracer.StartSpan("parse", root.id());
-      clock.Advance(500'000);  // 0.5 ms
-    }
-    clock.Advance(1'000'000);
-  }
-  std::vector<SpanRecord> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "translate");
-  EXPECT_EQ(spans[0].parent, -1);
-  EXPECT_NEAR(spans[0].seconds(), 3.5e-3, 1e-12);
-  ASSERT_EQ(spans[0].attributes.size(), 1u);
-  EXPECT_EQ(spans[0].attributes[0].first, "query_bytes");
-  EXPECT_EQ(spans[0].attributes[0].second, "42");
-  EXPECT_EQ(spans[1].name, "parse");
-  EXPECT_EQ(spans[1].parent, spans[0].id);
-  EXPECT_NEAR(spans[1].seconds(), 0.5e-3, 1e-12);
-
-  std::string tree = tracer.RenderTree();
-  EXPECT_NE(tree.find("translate"), std::string::npos);
-  EXPECT_NE(tree.find("parse"), std::string::npos);
-}
-
-TEST(TracerTest, AddCompleteSpanAndMovedSpansAreSafe) {
-  FakeClock clock;
-  Tracer tracer(&clock);
-  int id = tracer.AddCompleteSpan("root", -1, 100, 200, {{"k", "v"}});
-  Tracer::Span moved;
-  {
-    Tracer::Span s = tracer.StartSpan("child", id);
-    moved = std::move(s);
-    // s is inactive after the move; its destructor must not double-end.
-    EXPECT_FALSE(s.active());  // NOLINT(bugprone-use-after-move)
-  }
-  moved.End();
-  std::vector<SpanRecord> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].start_nanos, 100u);
-  EXPECT_EQ(spans[0].end_nanos, 200u);
-  EXPECT_EQ(spans[1].parent, id);
-}
-
 // --- JsonWriter / ParseJson -------------------------------------------------
 
 TEST(JsonTest, WriterParserRoundTrip) {
@@ -413,32 +362,29 @@ TEST(MetricsRegistryTest, RegistrationConflictsAreCounted) {
 // --- Tracer span-forest JSON -------------------------------------------------
 
 TEST(TracerTest, ForestJsonMatchesGolden) {
-  FakeClock clock(1000);
-  Tracer tracer(&clock);
-  {
-    Tracer::Span root = tracer.StartSpan("translate");
-    root.Attr("query_bytes", 42LL);
-    clock.Advance(2'000'000);
-    {
-      Tracer::Span parse = tracer.StartSpan("parse", root.id());
-      clock.Advance(500'000);
-    }
-    {
-      Tracer::Span map = tracer.StartSpan("map", root.id());
-      clock.Advance(250'000);
-      {
-        Tracer::Span sim = tracer.StartSpan("similarity", map.id());
-        sim.Attr("pairs", 7LL);
-        clock.Advance(125'000);
-      }
-    }
-    clock.Advance(1'000'000);
-  }
+  auto span = [](int id, int parent, const char* name, uint64_t start,
+                 uint64_t end,
+                 std::vector<std::pair<std::string, std::string>> attrs) {
+    SpanRecord s;
+    s.id = id;
+    s.parent = parent;
+    s.name = name;
+    s.start_nanos = start;
+    s.end_nanos = end;
+    s.attributes = std::move(attrs);
+    return s;
+  };
   // A second root: the forest is an array, not a single tree.
-  tracer.AddCompleteSpan("flush", -1, 9'000'000, 9'500'000, {{"reason", "eof"}});
+  const std::vector<SpanRecord> spans = {
+      span(0, -1, "translate", 1000, 3'876'000, {{"query_bytes", "42"}}),
+      span(1, 0, "parse", 2'001'000, 2'501'000, {}),
+      span(2, 0, "map", 2'501'000, 2'876'000, {}),
+      span(3, 2, "similarity", 2'751'000, 2'876'000, {{"pairs", "7"}}),
+      span(4, -1, "flush", 9'000'000, 9'500'000, {{"reason", "eof"}}),
+  };
 
   JsonWriter w(/*pretty=*/true);
-  tracer.WriteForestJson(w);
+  WriteForestJson(spans, w);
   std::string json = w.TakeString() + "\n";
   ExpectMatchesGolden(json, "trace_forest.json");
 

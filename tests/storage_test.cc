@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/relation_tree.h"
@@ -156,6 +158,66 @@ TEST(DatabaseTest, RelationEpochsTrackOnlyWrittenRelations) {
   EXPECT_EQ(all[1], 1u);
 }
 
+// A pinned version is immutable: an insert on the same thread, across a
+// chunk seal, neither waits for the pin nor changes what the pin reads —
+// rows, chunk statistics, or the column indexes built over it.
+TEST(DatabaseTest, PinnedVersionIgnoresLaterInserts) {
+  Database db(MovieCatalog(), /*chunk_capacity=*/8);
+  auto person = [](int id) {
+    return Row{Value::Int(id), Value::String("p" + std::to_string(id % 4)),
+               id % 3 == 0 ? Value::Null_() : Value::String("x")};
+  };
+  std::vector<Row> first;
+  for (int id = 0; id < 6; ++id) first.push_back(person(id));
+  ASSERT_TRUE(db.InsertRows(0, std::move(first)).ok());
+
+  const std::shared_ptr<const Table> pinned = db.Pin(0);
+  using P = ColumnPredicate;
+  const std::vector<std::pair<int, P>> probes = {
+      {0, P::Compare("=", Value::Int(3))},
+      {0, P::Compare("<", Value::Int(200))},
+      {0, P::Between(Value::Int(2), Value::Int(110))},
+      {1, P::Like("p%", '\0')},
+      {1, P::In({Value::String("p1"), Value::String("p3")})},
+      {2, P::Compare("=", Value::String("x"))},
+  };
+  for (const auto& [attr, pred] : probes) (void)pinned->Index(attr).Count(pred);
+  const ColumnStats ids = pinned->ColumnStatsFor(0);
+  const ChunkStats open_ids = pinned->chunk(0).stats(0);
+
+  // 6 + 7 rows: seals chunk 0 and opens chunk 1, with the pin still held.
+  std::vector<Row> more;
+  for (int id = 100; id < 107; ++id) more.push_back(person(id));
+  ASSERT_TRUE(db.InsertRows(0, std::move(more)).ok());
+
+  EXPECT_EQ(pinned->num_rows(), 6u);
+  ASSERT_EQ(pinned->num_chunks(), 1u);
+  EXPECT_EQ(pinned->chunk(0).size(), 6u);
+  const ChunkStats& still = pinned->chunk(0).stats(0);
+  EXPECT_EQ(still.min().AsInt(), open_ids.min().AsInt());
+  EXPECT_EQ(still.max().AsInt(), 5);
+  EXPECT_EQ(still.non_null_count(), open_ids.non_null_count());
+  EXPECT_EQ(still.DistinctEstimate(), open_ids.DistinctEstimate());
+  const ColumnStats ids_after = pinned->ColumnStatsFor(0);
+  EXPECT_EQ(ids_after.rows, ids.rows);
+  EXPECT_EQ(ids_after.distinct_estimate, ids.distinct_estimate);
+  EXPECT_EQ(ids_after.max.AsInt(), ids.max.AsInt());
+  EXPECT_EQ(pinned->chunk(0).stats(2).null_count(), 2u);
+  for (const auto& [attr, pred] : probes) {
+    test_support::ExpectIndexAnswersAgree(*pinned, attr, pred, "pinned");
+  }
+  EXPECT_EQ(pinned->Index(0).Count(P::Compare("<", Value::Int(200))), 6u);
+
+  const std::shared_ptr<const Table> fresh = db.Pin(0);
+  EXPECT_EQ(fresh->num_rows(), 13u);
+  EXPECT_EQ(fresh->num_chunks(), 2u);
+  EXPECT_EQ(fresh->at(12, 0).AsInt(), 106);
+  EXPECT_EQ(fresh->Index(0).Count(P::Compare("<", Value::Int(200))), 13u);
+  for (const auto& [attr, pred] : probes) {
+    test_support::ExpectIndexAnswersAgree(*fresh, attr, pred, "fresh");
+  }
+}
+
 TEST(ChunkedTableTest, RowsSpanChunksAtExactBoundaries) {
   // A tiny chunk capacity exercises the chunk directory: row counts of 0,
   // capacity - 1, capacity, and capacity + 1 must all read back exactly.
@@ -289,7 +351,7 @@ TEST(DatabaseTest, AnyTupleSatisfies) {
   // index (SQL semantics) keeps every row for it.
   EXPECT_FALSE(sat(1, ">", Value::Int(5)));
   EXPECT_FALSE(sat(1, "<>", Value::Int(5)));
-  EXPECT_EQ(db.ColumnIndexFor(0, 1)->Count(
+  EXPECT_EQ(db.Pin(0)->Index(1).Count(
                 ColumnPredicate::Compare("<>", Value::Int(5))),
             1u);
   // An IN list is one probe over the whole list.

@@ -1,14 +1,17 @@
 // Concurrency stress: Engine::Translate racing Database::InsertRows on one
 // shared engine with every accelerator enabled (plan cache, mapping cache,
-// similarity cache, column indexes). Designed for the TSan CI configuration,
-// but the assertions are meaningful under any build:
+// similarity cache, column indexes). Each satisfiability probe pins the
+// current version of the one relation it reads, and the insert publishes a
+// new version (with no indexes built yet) without waiting for the probes.
+// Designed for the TSan CI configuration, but the assertions are meaningful
+// under any build:
 //
 //   * every translation observed during the race equals the pre-insert or the
 //     post-insert expectation (the insert flips exactly one attribute's
 //     satisfiability, so no probe interleaving can produce a third result),
 //   * after the writer quiesces, the shared engine serves the post-insert
 //     translation — no cache layer (plan cache tier-1/2, mapping cache,
-//     column index) may hold a stale answer.
+//     the column indexes of a superseded version) may hold a stale answer.
 //
 // A third test races two Translate loops with no writer and checks that each
 // call's TranslateStats count only that call's own lookups and probes.
