@@ -34,7 +34,6 @@ int main() {
   double sum_sf = 0, sum_gui = 0, sum_sql = 0;
   std::vector<double> translate_seconds;
   std::vector<double> phase_map, phase_generate;
-  long long cache_hits = 0, cache_misses = 0;
   for (const BenchQuery& q : TextbookQueries()) {
     int sf = *SchemaFreeInfoUnits(q.sfsql);
     int gui = *GuiInfoUnits(db->catalog(), q.gold_sql);
@@ -50,8 +49,6 @@ int main() {
                                 stats.compose_seconds);
     phase_map.push_back(stats.map_seconds);
     phase_generate.push_back(stats.generate_seconds);
-    cache_hits += stats.cache_hits;
-    cache_misses += stats.cache_misses;
     bool top1 = false, top10 = false;
     if (translations.ok()) {
       for (size_t i = 0; i < translations->size(); ++i) {
@@ -99,11 +96,6 @@ int main() {
   report.SetMetric("median_map_seconds", obs::BenchReport::Median(phase_map));
   report.SetMetric("median_generate_seconds",
                    obs::BenchReport::Median(phase_generate));
-  report.SetMetric("cache_hit_rate",
-                   cache_hits + cache_misses == 0
-                       ? 0.0
-                       : static_cast<double>(cache_hits) /
-                             static_cast<double>(cache_hits + cache_misses));
   RecordRunMetadata(&report, *db);
   (void)report.WriteFile();
   return correct1 == 17 ? 0 : 1;

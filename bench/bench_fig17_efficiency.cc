@@ -110,14 +110,15 @@ int main(int argc, char** argv) {
       if (!stmt.ok()) continue;
       auto extraction = core::ExtractRelationTrees(**stmt);
       if (!extraction.ok()) continue;
+      core::QueryNameProfiles names(mapper.config().qgram);
       std::vector<core::MappingSet> mappings;
       for (const core::RelationTree& rt : extraction->trees) {
-        mappings.push_back(mapper.Map(rt));
+        mappings.push_back(mapper.Map(rt, names));
         if (mappings.back().candidates.empty()) break;
       }
       if (mappings.size() != extraction->trees.size()) continue;
       auto graph = core::ExtendedViewGraph::Build(
-          *db, views, extraction->trees, mappings, mapper, gen_config);
+          *db, views, extraction->trees, mappings, mapper, names, gen_config);
       if (!graph.ok()) continue;
       core::MtjnGenerator generator(&*graph, gen_config);
 

@@ -99,13 +99,14 @@ void BM_TopKGeneration(benchmark::State& state) {
   core::ViewGraph views(&db->catalog());
   auto stmt = sql::ParseSelect(SophisticatedQueries()[0].sfsql);
   auto extraction = core::ExtractRelationTrees(**stmt);
+  core::QueryNameProfiles names(mapper.config().qgram);
   std::vector<core::MappingSet> mappings;
   for (const core::RelationTree& rt : extraction->trees) {
-    mappings.push_back(mapper.Map(rt));
+    mappings.push_back(mapper.Map(rt, names));
   }
   auto graph =
       core::ExtendedViewGraph::Build(*db, views, extraction->trees, mappings,
-                                     mapper, core::GeneratorConfig{});
+                                     mapper, names, core::GeneratorConfig{});
   core::MtjnGenerator generator(&*graph, core::GeneratorConfig{});
   for (auto _ : state) {
     benchmark::DoNotOptimize(generator.TopK(static_cast<int>(state.range(0))));

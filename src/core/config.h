@@ -87,17 +87,13 @@ struct EngineConfig {
   /// Morsel threads one Execute may use. 0 = inherit num_threads (the
   /// default); 1 = serial execution; N > 1 = up to N-way morsels.
   int exec_threads = 0;
-  /// Capacity (entries) of the engine's name-similarity memo. Similarity
-  /// scores are pure functions of (name, name, q), so the cache is exact;
-  /// 0 disables caching (used by benchmarks to reproduce the uncached
-  /// baseline). ~100 schema names x a few hundred distinct query tokens fit
-  /// comfortably in the default.
-  size_t similarity_cache_capacity = 1 << 16;
   /// Capacity (entries) of the engine's mapping memo: MAP(rt) keyed by the
-  /// relation tree's canonical printed form. Mapping is a pure function of the
-  /// tree and the (immutable) catalog, so the memo is exact; 0 disables it.
-  /// When full the memo is cleared wholesale — trees repeat across a workload
-  /// or not at all, so LRU bookkeeping buys nothing here.
+  /// relation tree's canonical printed form. Mapping reads the catalog and,
+  /// through the condition-satisfiability probes (§4.3), the stored data, so
+  /// each entry is stamped with the database epoch it was computed at and a
+  /// data change makes it stale; 0 disables the memo. When full the memo is
+  /// cleared wholesale — trees repeat across a workload or not at all, so
+  /// LRU bookkeeping buys nothing here.
   size_t mapping_cache_capacity = 1 << 12;
 
   // --- Cross-query translation plan cache (serving; see README) ---

@@ -57,10 +57,6 @@ struct PipelineMetrics {
           break;
       }
     }
-    cache_evictions = reg->GetCounter("sfsql_similarity_cache_evictions_total",
-                                      "Similarity-cache evictions");
-    cache_entries = reg->GetGauge("sfsql_similarity_cache_entries",
-                                  "Similarity-cache occupancy");
     static constexpr const char* kPlanLookupHelp =
         "Plan-cache lookups by tier and result";
     plan_full_hits =
@@ -112,8 +108,6 @@ struct PipelineMetrics {
   obs::Counter* counters[kNumTranslateCounters] = {};
   obs::Gauge* gauges[kNumTranslateCounters] = {};
   obs::Histogram* histograms[kNumTranslateCounters] = {};
-  obs::Counter* cache_evictions;
-  obs::Gauge* cache_entries;
   obs::Counter* plan_full_hits;
   obs::Counter* plan_full_misses;
   obs::Counter* plan_structure_hits;
@@ -246,9 +240,7 @@ SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
       metrics_(config_.metrics != nullptr
                    ? std::make_unique<PipelineMetrics>(config_.metrics)
                    : nullptr),
-      name_index_(SchemaNames(db->catalog()), config_.sim.qgram),
-      sim_cache_(config_.similarity_cache_capacity),
-      mapper_(db, config_.sim, &name_index_, &sim_cache_),
+      mapper_(db, config_.sim),
       views_(&db->catalog()),
       plan_cache_(config_.plan_cache_enabled && config_.plan_cache_capacity > 0
                       ? std::make_unique<PlanCache>(config_.plan_cache_capacity)
@@ -275,8 +267,9 @@ std::vector<PlanCacheEntry> SchemaFreeEngine::plan_cache_snapshot() const {
                                 : std::vector<PlanCacheEntry>{};
 }
 
-MappingSet SchemaFreeEngine::CachedMap(const RelationTree& rt) const {
-  if (config_.mapping_cache_capacity == 0) return mapper_.Map(rt);
+MappingSet SchemaFreeEngine::CachedMap(const RelationTree& rt,
+                                       QueryNameProfiles& names) const {
+  if (config_.mapping_cache_capacity == 0) return mapper_.Map(rt, names);
   const std::string key = rt.ToString();
   // Stamp entries with the epoch read *before* mapping: if an insert lands
   // while Map runs, the entry is already stale at birth and the stamp check
@@ -289,27 +282,17 @@ MappingSet SchemaFreeEngine::CachedMap(const RelationTree& rt) const {
       return it->second.second;
     }
   }
-  MappingSet ms = mapper_.Map(rt);
+  MappingSet ms = mapper_.Map(rt, names);
   std::lock_guard<std::mutex> lock(map_cache_mu_);
   if (map_cache_.size() >= config_.mapping_cache_capacity) map_cache_.clear();
   map_cache_.insert_or_assign(key, std::make_pair(epoch, ms));
   return ms;
 }
 
-std::vector<std::string> SchemaFreeEngine::SchemaNames(
-    const catalog::Catalog& catalog) {
-  std::vector<std::string> names;
-  for (int r = 0; r < catalog.num_relations(); ++r) {
-    const catalog::Relation& rel = catalog.relation(r);
-    names.push_back(rel.name);
-    for (const auto& attr : rel.attributes) names.push_back(attr.name);
-  }
-  return names;
-}
-
 void SchemaFreeEngine::ConsolidateTrees(sql::SelectStatement& stmt,
                                         Extraction& extraction,
-                                        std::vector<MappingSet>& mappings) const {
+                                        std::vector<MappingSet>& mappings,
+                                        QueryNameProfiles& names) const {
   const int n = static_cast<int>(extraction.trees.size());
   if (n <= 1) return;
 
@@ -442,7 +425,7 @@ void SchemaFreeEngine::ConsolidateTrees(sql::SelectStatement& stmt,
   extraction.trees = std::move(merged);
   mappings.clear();
   for (const RelationTree& rt : extraction.trees) {
-    mappings.push_back(CachedMap(rt));
+    mappings.push_back(CachedMap(rt, names));
   }
 }
 
@@ -463,8 +446,9 @@ Status SchemaFreeEngine::AddView(View view) {
   return views_.AddView(std::move(view)).status();
 }
 
-ViewGraph SchemaFreeEngine::ViewsForQuery(
-    const Extraction& extraction, const std::vector<MappingSet>& mappings) const {
+ViewGraph SchemaFreeEngine::ViewsForQuery(const Extraction& extraction,
+                                          const std::vector<MappingSet>& mappings,
+                                          QueryNameProfiles& names) const {
   ViewGraph combined = views_;
   if (extraction.join_specs.empty()) return combined;
 
@@ -512,20 +496,17 @@ ViewGraph SchemaFreeEngine::ViewsForQuery(
       int rb = view.relations[pb];
       // Choose the foreign key between ra and rb whose attribute names agree
       // best with what the user wrote.
+      const text::NameProfile* left = names.Get(spec->left_attr);
+      const text::NameProfile* right = names.Get(spec->right_attr);
       int best_fk = -1;
       bool best_a_is_from = true;
       double best_score = -1.0;
       for (int f : cat.EdgesBetween(ra, rb)) {
         const catalog::ForeignKey& fk = cat.foreign_key(f);
-        auto attr_name = [&](int rel, int attr) -> const std::string& {
-          return cat.relation(rel).attributes[attr].name;
-        };
         if (fk.from_relation == ra) {
           double score =
-              mapper_.NameSimilarity(spec->left_attr,
-                                     attr_name(ra, fk.from_attribute)) +
-              mapper_.NameSimilarity(spec->right_attr,
-                                     attr_name(rb, fk.to_attribute));
+              mapper_.AttributeNameSimilarity(left, ra, fk.from_attribute) +
+              mapper_.AttributeNameSimilarity(right, rb, fk.to_attribute);
           if (score > best_score) {
             best_score = score;
             best_fk = f;
@@ -534,10 +515,8 @@ ViewGraph SchemaFreeEngine::ViewsForQuery(
         }
         if (fk.from_relation == rb) {
           double score =
-              mapper_.NameSimilarity(spec->right_attr,
-                                     attr_name(rb, fk.from_attribute)) +
-              mapper_.NameSimilarity(spec->left_attr,
-                                     attr_name(ra, fk.to_attribute));
+              mapper_.AttributeNameSimilarity(right, rb, fk.from_attribute) +
+              mapper_.AttributeNameSimilarity(left, ra, fk.to_attribute);
           if (score > best_score) {
             best_score = score;
             best_fk = f;
@@ -563,7 +542,8 @@ ViewGraph SchemaFreeEngine::ViewsForQuery(
 }
 
 Status SchemaFreeEngine::TranslateSubqueries(
-    sql::SelectStatement& stmt, const std::vector<std::string>& bindings) const {
+    sql::SelectStatement& stmt, const std::vector<std::string>& bindings,
+    QueryNameProfiles& names) const {
   // The composed outer block's FROM bindings become visible to inner blocks.
   std::vector<std::string> local = bindings;
   std::map<std::string, int> scope;  // binding -> relation id
@@ -587,10 +567,11 @@ Status SchemaFreeEngine::TranslateSubqueries(
         auto it = scope.find(ToLower(e.relation.name));
         if (it != scope.end()) {
           const catalog::Relation& rel = db_->catalog().relation(it->second);
+          const text::NameProfile* guess = names.Get(e.attribute);
           double best = -1.0;
           int best_attr = -1;
           for (int a = 0; a < static_cast<int>(rel.attributes.size()); ++a) {
-            double s = mapper_.NameSimilarity(e.attribute, rel.attributes[a].name);
+            double s = mapper_.AttributeNameSimilarity(guess, it->second, a);
             if (s > best) {
               best = s;
               best_attr = a;
@@ -608,7 +589,8 @@ Status SchemaFreeEngine::TranslateSubqueries(
     };
     sql::ForEachTopLevelExpr(*sub, [&](ExprPtr& e) { fix(*e); });
 
-    Result<std::vector<Translation>> inner = TranslateStatement(*sub, local, 1);
+    Result<std::vector<Translation>> inner =
+        TranslateStatement(*sub, local, 1, names);
     if (!inner.ok()) {
       status = inner.status();
       return;
@@ -624,7 +606,8 @@ Status SchemaFreeEngine::TranslateSubqueries(
 
 Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
     sql::SelectStatement& stmt, const std::vector<std::string>& outer_bindings,
-    int k, TranslateStats* stats, TranslationExplain* explain) const {
+    int k, QueryNameProfiles& names, TranslateStats* stats,
+    TranslationExplain* explain) const {
   PhaseTimer timer(config_.clock, stats != nullptr);
   SFSQL_ASSIGN_OR_RETURN(Extraction extraction,
                          ExtractRelationTrees(stmt, outer_bindings));
@@ -633,7 +616,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
     // No schema content in this block (e.g. SELECT 1+1).
     Translation t;
     t.statement = stmt.Clone();
-    SFSQL_RETURN_IF_ERROR(TranslateSubqueries(*t.statement, outer_bindings));
+    SFSQL_RETURN_IF_ERROR(
+        TranslateSubqueries(*t.statement, outer_bindings, names));
     t.sql = sql::PrintSelect(*t.statement);
     t.weight = 1.0;
     std::vector<Translation> out;
@@ -644,7 +628,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
   std::vector<MappingSet> mappings;
   mappings.reserve(extraction.trees.size());
   for (const RelationTree& rt : extraction.trees) {
-    MappingSet ms = CachedMap(rt);
+    MappingSet ms = CachedMap(rt, names);
     if (ms.candidates.empty()) {
       return Status::NotFound(
           StrCat("no relation matches '", rt.ToString(), "'"));
@@ -652,13 +636,13 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
     mappings.push_back(std::move(ms));
   }
 
-  ConsolidateTrees(stmt, extraction, mappings);
+  ConsolidateTrees(stmt, extraction, mappings, names);
   if (stats != nullptr) timer.Lap(&stats->map_seconds);
 
   // Mapping provenance (post-consolidation, the trees the generator will
-  // see). Attribute similarities are recomputed through the mapper — the
-  // scores were just computed, so this hits the similarity cache and costs
-  // (and perturbs the cache counters by) only the lookups.
+  // see). Attribute similarities are recomputed through the mapper over the
+  // names already profiled; the recomputation's satisfiability probes count
+  // in the call's probe counters like any other.
   const catalog::Catalog& cat = db_->catalog();
   if (explain != nullptr) {
     explain->trees.clear();
@@ -683,7 +667,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
           int ignored = -1;
           ea.similarity =
               mapper_.AttributeSimilarity(rt.attributes[a], m.relation_id,
-                                          &ignored);
+                                          names, &ignored);
           ec.attributes.push_back(std::move(ea));
         }
         et.candidates.push_back(std::move(ec));
@@ -692,11 +676,11 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
     }
   }
 
-  ViewGraph query_views = ViewsForQuery(extraction, mappings);
+  ViewGraph query_views = ViewsForQuery(extraction, mappings, names);
   SFSQL_ASSIGN_OR_RETURN(
       ExtendedViewGraph graph,
       ExtendedViewGraph::Build(*db_, query_views, extraction.trees, mappings,
-                               mapper_, config_.gen));
+                               mapper_, names, config_.gen));
   if (stats != nullptr) timer.Lap(&stats->graph_seconds);
 
   MtjnGenerator generator(&graph, config_.gen);
@@ -741,7 +725,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
     if (!composed.ok()) continue;  // e.g. an attribute tree with no match here
     Translation t;
     t.statement = std::move(*composed);
-    Status sub = TranslateSubqueries(*t.statement, outer_bindings);
+    Status sub = TranslateSubqueries(*t.statement, outer_bindings, names);
     if (!sub.ok()) return sub;
     t.sql = sql::PrintSelect(*t.statement);
     t.weight = scored.weight;
@@ -778,41 +762,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateExplained(
   return TranslateImpl(sfsql, k, nullptr, explain);
 }
 
-namespace {
-
-/// Synthesizes the pipeline phase breakdown as a span forest (one "translate"
-/// root with the five phases as children, laid out back to back from the
-/// call's start). Only pipeline runs get spans — cache hits skip the phases
-/// and carry no provenance worth a trace.
-std::vector<obs::SpanRecord> PhaseSpans(uint64_t start_nanos,
-                                        double total_seconds,
-                                        const TranslateStats& stats) {
-  std::vector<obs::SpanRecord> spans;
-  spans.reserve(6);
-  obs::SpanRecord root;
-  root.id = 0;
-  root.parent = -1;
-  root.name = "translate";
-  root.start_nanos = start_nanos;
-  root.end_nanos = start_nanos + obs::SecondsToNanos(total_seconds);
-  spans.push_back(std::move(root));
-  uint64_t at = start_nanos;
-  for (const TranslateCounter& c : kTranslateCounters) {
-    if (!c.is_phase()) continue;
-    obs::SpanRecord s;
-    s.id = static_cast<int64_t>(spans.size());
-    s.parent = 0;
-    s.name = c.label_value;
-    s.start_nanos = at;
-    at += obs::SecondsToNanos(c.Value(stats));
-    s.end_nanos = at;
-    spans.push_back(std::move(s));
-  }
-  return spans;
-}
-
-}  // namespace
-
 Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     std::string_view sfsql, int k, TranslateStats* stats,
     TranslationExplain* explain, QueryProfile* profile_out) const {
@@ -842,12 +791,11 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
 
   const bool timing = stats != nullptr;
   const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
-  // The similarity and index counters are the calling thread's own tallies:
-  // the whole call runs on this thread, so their differences are exactly
-  // this call's work. Snapshots are deferred until the tier-2 lookup has
-  // missed: a tier-2 hit runs neither the similarity machinery nor
-  // satisfiability probes, so its differences are zero by construction.
-  text::SimilarityCache::Stats sim_before;
+  // The index counters are the calling thread's own tallies: the whole call
+  // runs on this thread, so their differences are exactly this call's work.
+  // The snapshot is deferred until the tier-2 lookup has missed: a tier-2
+  // hit runs no satisfiability probes, so its differences are zero by
+  // construction.
   storage::ColumnIndexStats idx_before;
   PlanCacheStats plan_before;
   bool deep_stats = false;
@@ -886,7 +834,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
 
   if (served_tier == 0) {
     if (timing) {
-      sim_before = text::SimilarityCache::ThreadStats();
       idx_before = storage::ColumnIndexCounters::ThreadStats();
       deep_stats = true;
     }
@@ -925,7 +872,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     }
 
     if (served_tier == 0) {
-      out = stmt.ok() ? TranslateStatement(**stmt, {}, k, stats, explain)
+      QueryNameProfiles names(config_.sim.qgram);
+      out = stmt.ok() ? TranslateStatement(**stmt, {}, k, names, stats, explain)
                       : Result<std::vector<Translation>>(stmt.status());
       if (cache != nullptr && out.ok() && have_canonical &&
           db_->epoch() == epoch0) {
@@ -962,17 +910,10 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   }
 
   double total_seconds = 0.0;
-  uint64_t evictions_delta = 0;
   if (timing) {
     total_seconds = obs::NanosToSeconds(clock->NowNanos() - start_nanos);
   }
   if (deep_stats) {
-    const text::SimilarityCache::Stats sim_after =
-        text::SimilarityCache::ThreadStats();
-    stats->cache_hits = static_cast<long long>(sim_after.hits - sim_before.hits);
-    stats->cache_misses =
-        static_cast<long long>(sim_after.misses - sim_before.misses);
-    evictions_delta = sim_after.evictions - sim_before.evictions;
     const storage::ColumnIndexStats idx_after =
         storage::ColumnIndexCounters::ThreadStats();
     stats->sat_index_probes =
@@ -1024,11 +965,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     if (!out.ok()) m.translate_errors->Increment();
     m.translate_seconds->Observe(total_seconds);
     m.Publish(*stats, served_tier == 0);
-    m.cache_evictions->Increment(evictions_delta);
-    // The gauge only moves when the pipeline ran; hits leave the cache as-is.
-    if (deep_stats) {
-      m.cache_entries->Set(static_cast<double>(sim_cache_.stats().entries));
-    }
     if (plan_metrics) {
       if (served_tier == 2) {
         // A tier-2 hit moves exactly one counter, known locally; diffing the
@@ -1091,12 +1027,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     prof.latency_seconds = total_seconds;
     prof.translate = *stats;
     prof.translations = out.ok() ? static_cast<long long>(out->size()) : 0;
-    if (served_tier == 0) {
-      // Phase spans only for pipeline runs: hits skip the phases, and
-      // keeping the hit path span-free is what holds capture under the
-      // serving overhead budget.
-      prof.spans = PhaseSpans(start_nanos, total_seconds, *stats);
-    }
     if (profile_out != nullptr) {
       *profile_out = std::move(prof);
     } else {

@@ -79,9 +79,6 @@ class SchemaFreeEngine {
   void ClearViews();
   const ViewGraph& view_graph() const { return views_; }
   const RelationTreeMapper& mapper() const { return mapper_; }
-  /// The engine's name-similarity memo (for its hit/miss/eviction counters; a
-  /// capacity of 0 in EngineConfig makes it a counting pass-through).
-  const text::SimilarityCache& similarity_cache() const { return sim_cache_; }
   /// Lookup/eviction/occupancy counters of the translation plan cache
   /// (all-zero when EngineConfig::plan_cache_enabled is false).
   PlanCacheStats plan_cache_stats() const;
@@ -91,8 +88,6 @@ class SchemaFreeEngine {
   /// The engine's resolved configuration (introspection reads the profile
   /// store and thresholds from here).
   const EngineConfig& config() const { return config_; }
-  /// Precomputed profiles of every relation and attribute name in the catalog.
-  const text::SchemaNameIndex& name_index() const { return name_index_; }
   /// The engine-owned work-stealing pool execution morsels run on; null when
   /// execution is serial (max(num_threads, exec_threads) <= 1). Feeds
   /// sys_pool and serve_driver stats.
@@ -105,8 +100,7 @@ class SchemaFreeEngine {
                                              int k) const;
 
   /// As above, but additionally fills `*stats` with the phase timings, the
-  /// generator's counters, and the similarity-cache hit/miss deltas of this
-  /// call.
+  /// generator's counters, and the probe and index counters of this call.
   Result<std::vector<Translation>> Translate(std::string_view sfsql, int k,
                                              TranslateStats* stats) const;
 
@@ -127,18 +121,14 @@ class SchemaFreeEngine {
   Result<exec::QueryResult> Execute(std::string_view sfsql) const;
 
  private:
-  /// Every relation and attribute name of the catalog (the strings the mapper
-  /// compares every query token against).
-  static std::vector<std::string> SchemaNames(const catalog::Catalog& catalog);
-
   /// Memoized MAP(rt): delegates to mapper_.Map and caches the result keyed by
   /// the tree's canonical printed form (NameRef kinds, conditions and LIKE
   /// escapes all round-trip through ToString, so equal keys imply equal
   /// mappings). Disabled when config_.mapping_cache_capacity == 0.
-  MappingSet CachedMap(const RelationTree& rt) const;
+  MappingSet CachedMap(const RelationTree& rt, QueryNameProfiles& names) const;
 
   /// Shared body of Translate / TranslateExplained: parse + outer-block
-  /// translation + cache-delta accounting + metrics publishing + profile
+  /// translation + counter accounting + metrics publishing + profile
   /// capture + slow log. When EngineConfig::profiles is set (and the call is
   /// not an EXPLAIN), the call's QueryProfile is recorded as kind
   /// "translate" — unless `profile_out` is non-null, in which case the
@@ -149,9 +139,12 @@ class SchemaFreeEngine {
       TranslationExplain* explain,
       QueryProfile* profile_out = nullptr) const;
 
+  /// Translates one block (and, through TranslateSubqueries, its inner
+  /// blocks). `names` holds the call's query-name profiles, shared by every
+  /// block and every scorer.
   Result<std::vector<Translation>> TranslateStatement(
       sql::SelectStatement& stmt, const std::vector<std::string>& outer_bindings,
-      int k, TranslateStats* stats = nullptr,
+      int k, QueryNameProfiles& names, TranslateStats* stats = nullptr,
       TranslationExplain* explain = nullptr) const;
 
   /// Merges relation trees that clearly denote the same relation instance:
@@ -163,18 +156,21 @@ class SchemaFreeEngine {
   /// touched — Fig. 2's director_name? must stay a second Person. Rewrites the
   /// statement's annotations and recomputes the affected mappings.
   void ConsolidateTrees(sql::SelectStatement& stmt, Extraction& extraction,
-                        std::vector<MappingSet>& mappings) const;
+                        std::vector<MappingSet>& mappings,
+                        QueryNameProfiles& names) const;
 
   /// Translates every subquery of `stmt` in place (best interpretation),
   /// with `bindings` naming the enclosing blocks' FROM bindings.
   Status TranslateSubqueries(sql::SelectStatement& stmt,
-                             const std::vector<std::string>& bindings) const;
+                             const std::vector<std::string>& bindings,
+                             QueryNameProfiles& names) const;
 
   /// Turns the user's partial join path fragments into per-query views over
   /// the top-mapped relations, returning a ViewGraph that also contains all
   /// persistent views.
   ViewGraph ViewsForQuery(const Extraction& extraction,
-                          const std::vector<MappingSet>& mappings) const;
+                          const std::vector<MappingSet>& mappings,
+                          QueryNameProfiles& names) const;
 
   const storage::Database* db_;
   EngineConfig config_;
@@ -191,11 +187,6 @@ class SchemaFreeEngine {
   /// Null when config_.metrics is null (metrics off). Resolved once at
   /// construction so Translate never touches the registry's lock.
   std::unique_ptr<PipelineMetrics> metrics_;
-  /// Declared before mapper_, which holds pointers into both. The cache is
-  /// mutable because memoization is not observable through the similarity
-  /// scores (and SimilarityCache is internally synchronized).
-  text::SchemaNameIndex name_index_;
-  mutable text::SimilarityCache sim_cache_;
   RelationTreeMapper mapper_;
   ViewGraph views_;
   /// Memoized MAP(rt) results (see CachedMap). Guarded by map_cache_mu_ so a

@@ -36,8 +36,6 @@ std::string TranslationExplain::RenderTree() const {
          Ms(stats.map_seconds) + ", graph " + Ms(stats.graph_seconds) +
          ", generate " + Ms(stats.generate_seconds) + ", compose " +
          Ms(stats.compose_seconds) + "\n";
-  out += "├─ similarity cache: " + std::to_string(stats.cache_hits) +
-         " hit(s), " + std::to_string(stats.cache_misses) + " miss(es)\n";
   out += "├─ plan cache: " +
          (plan_cache_outcome.empty() ? std::string("disabled")
                                      : plan_cache_outcome);
@@ -140,12 +138,6 @@ std::string TranslationExplain::ToJson(bool pretty,
     if (c.is_phase()) w.KV(StrCat(c.label_value, "_seconds"), c.Value(stats));
   }
   w.KV("total_seconds", total_seconds);
-  w.EndObject();
-
-  w.Key("similarity_cache");
-  w.BeginObject();
-  w.KV("hits", stats.cache_hits);
-  w.KV("misses", stats.cache_misses);
   w.EndObject();
 
   w.Key("cache");

@@ -60,8 +60,8 @@ struct TranslationExplain {
   bool ok = false;
   std::string error;  ///< status message when !ok
 
-  /// The call's counters: phase wall times, similarity-cache and
-  /// satisfiability deltas, and the generator's merged counters. The
+  /// The call's counters: phase wall times, satisfiability and index
+  /// deltas, and the generator's merged counters. The
   /// documents below render only the deterministic ones (index build wall
   /// time comes from the steady clock, not the injected one).
   TranslateStats stats;

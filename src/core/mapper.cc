@@ -8,58 +8,93 @@
 
 namespace sfsql::core {
 
-double RelationTreeMapper::CachedNameSimilarity(std::string_view a,
-                                                std::string_view b) const {
-  auto compute = [&] {
-    // Schema-side names hit the precomputed index; everything else (query
-    // tokens, stripped remainders) is profiled on the fly. The index is only
-    // trusted when it was built for our q-gram size.
-    const text::NameProfile* pa =
-        index_ != nullptr && index_->q() == config_.qgram ? index_->Find(a)
-                                                          : nullptr;
-    const text::NameProfile* pb =
-        index_ != nullptr && index_->q() == config_.qgram ? index_->Find(b)
-                                                          : nullptr;
-    text::NameProfile local_a, local_b;
-    if (pa == nullptr) {
-      local_a = text::BuildNameProfile(a, config_.qgram);
-      pa = &local_a;
-    }
-    if (pb == nullptr) {
-      local_b = text::BuildNameProfile(b, config_.qgram);
-      pb = &local_b;
-    }
-    return text::SchemaNameSimilarity(*pa, *pb);
-  };
-  if (cache_ != nullptr) return cache_->GetOrCompute(a, b, config_.qgram, compute);
-  return compute();
+namespace {
+
+/// `words` joined by '_', without those in `drop`.
+std::string WordsWithout(const std::vector<std::string>& words,
+                         const std::vector<std::string>& drop) {
+  std::vector<std::string> kept;
+  for (const std::string& w : words) {
+    if (std::find(drop.begin(), drop.end(), w) == drop.end()) kept.push_back(w);
+  }
+  return Join(kept, "_");
 }
 
-double RelationTreeMapper::NameSimilarity(const sql::NameRef& guess,
-                                          std::string_view actual) const {
-  if (guess.has_name_hint()) {
-    return CachedNameSimilarity(guess.name, actual);
+}  // namespace
+
+const text::NameProfile& QueryNameProfiles::Get(std::string_view name) {
+  for (const std::unique_ptr<Entry>& e : entries_) {
+    if (e->name == name) return e->profile;
   }
+  entries_.push_back(std::make_unique<Entry>(
+      Entry{std::string(name), text::BuildNameProfile(name, q_)}));
+  return entries_.back()->profile;
+}
+
+RelationTreeMapper::RelationTreeMapper(const storage::Database* db,
+                                       SimilarityConfig config)
+    : db_(db), config_(config) {
+  const catalog::Catalog& cat = db_->catalog();
+  const int q = config_.qgram;
+  relation_names_.reserve(cat.num_relations());
+  attribute_names_.resize(cat.num_relations());
+  attribute_remainders_.resize(cat.num_relations());
+  for (int r = 0; r < cat.num_relations(); ++r) {
+    const catalog::Relation& rel = cat.relation(r);
+    relation_names_.push_back(text::BuildNameProfile(rel.name, q));
+    const std::vector<std::string>& rel_words = relation_names_.back().words;
+    for (const catalog::Attribute& attr : rel.attributes) {
+      attribute_names_[r].push_back(text::BuildNameProfile(attr.name, q));
+      attribute_remainders_[r].push_back(text::BuildNameProfile(
+          WordsWithout(attribute_names_[r].back().words, rel_words), q));
+    }
+  }
+}
+
+double RelationTreeMapper::RelationNameSimilarity(
+    const text::NameProfile* guess, int relation_id) const {
   // ?x and ? carry no name information: neutral small default, letting the
   // condition-satisfaction factor and the join structure disambiguate.
-  return config_.kdef;
+  if (guess == nullptr) return config_.kdef;
+  return text::SchemaNameSimilarity(*guess, relation_names_[relation_id]);
+}
+
+double RelationTreeMapper::AttributeNameSimilarity(
+    const text::NameProfile* guess, int relation_id, int attribute) const {
+  if (guess == nullptr) return config_.kdef;
+  return text::SchemaNameSimilarity(*guess,
+                                    attribute_names_[relation_id][attribute]);
+}
+
+const text::NameProfile* RelationTreeMapper::QualifiedRemainder(
+    const text::NameProfile& guess, int relation_id,
+    QueryNameProfiles& names) const {
+  const std::string remainder =
+      WordsWithout(guess.words, relation_names_[relation_id].words);
+  if (remainder.empty() || remainder == guess.lower) return nullptr;
+  return &names.Get(remainder);
+}
+
+double RelationTreeMapper::RemainderSimilarity(
+    const text::NameProfile& remainder, int relation_id, int attribute) const {
+  const text::NameProfile& attr = attribute_remainders_[relation_id][attribute];
+  return attr.lower.empty() ? 0.0 : text::SchemaNameSimilarity(remainder, attr);
 }
 
 double RelationTreeMapper::RootSimilarity(const RelationTree& rt,
-                                          int relation_id) const {
+                                          int relation_id,
+                                          QueryNameProfiles& names) const {
   const catalog::Catalog& cat = db_->catalog();
-  const catalog::Relation& rel = cat.relation(relation_id);
 
   auto root_sim_for_name = [&](const sql::NameRef& name) {
-    double s = NameSimilarity(name, rel.name);
-    if (name.has_name_hint()) {
+    const text::NameProfile* guess = names.Get(name);
+    double s = RelationNameSimilarity(guess, relation_id);
+    if (guess != nullptr) {
       // Normalization tolerance: the guessed name may actually be the name of
       // a relation adjacent to R (§4.2), e.g. actor?.name? -> Person.name via
       // the Actor-Person FK. Sim' = k_ref * Sim.
       for (const catalog::SchemaEdge& e : cat.Neighbors(relation_id)) {
-        const catalog::Relation& neighbor = cat.relation(e.neighbor);
-        double via = config_.kref * NameSimilarity(name, neighbor.name);
-        s = std::max(s, via);
+        s = std::max(s, config_.kref * RelationNameSimilarity(guess, e.neighbor));
       }
     }
     return s;
@@ -130,32 +165,15 @@ bool TypeCompatible(const Condition& cond, catalog::ValueType attr_type) {
 
 }  // namespace
 
-namespace {
-
-/// Drops the relation's own name words from an identifier: users habitually
-/// qualify attribute guesses with the entity name ("movie_title"), and schemas
-/// do the same in key columns ("movie_id"). Comparing the stripped remainders
-/// ("title" vs "id"/"title") breaks exactly those ties.
-std::string StripRelationWords(std::string_view name,
-                               const std::vector<std::string>& relation_words) {
-  std::vector<std::string> kept;
-  for (const std::string& w : SplitIdentifierWords(name)) {
-    bool in_relation = false;
-    for (const std::string& rw : relation_words) {
-      if (w == rw) in_relation = true;
-    }
-    if (!in_relation) kept.push_back(w);
-  }
-  return Join(kept, "_");
-}
-
-}  // namespace
-
 double RelationTreeMapper::AttributeSimilarity(const AttributeTree& at,
                                                int relation_id,
+                                               QueryNameProfiles& names,
                                                int* best_attribute) const {
   const catalog::Relation& rel = db_->catalog().relation(relation_id);
-  const std::vector<std::string> rel_words = SplitIdentifierWords(rel.name);
+  const text::NameProfile* guess = names.Get(at.name);
+  const text::NameProfile* remainder =
+      guess != nullptr ? QualifiedRemainder(*guess, relation_id, names)
+                       : nullptr;
   // Each condition becomes its probe predicate once, not once per attribute.
   std::vector<storage::ColumnPredicate> probes;
   probes.reserve(at.conditions.size());
@@ -165,19 +183,9 @@ double RelationTreeMapper::AttributeSimilarity(const AttributeTree& at,
   double best = 0.0;
   int best_idx = -1;
   for (int i = 0; i < static_cast<int>(rel.attributes.size()); ++i) {
-    double raw = NameSimilarity(at.name, rel.attributes[i].name);
-    if (at.name.has_name_hint()) {
-      std::string stripped_guess = StripRelationWords(at.name.name, rel_words);
-      std::string stripped_attr =
-          StripRelationWords(rel.attributes[i].name, rel_words);
-      // Only when the guess itself carried the relation qualifier: otherwise
-      // a bare "year" would be inflated against every stripped "*_year".
-      bool guess_was_qualified =
-          !stripped_guess.empty() &&
-          !EqualsIgnoreCase(stripped_guess, ToLower(at.name.name));
-      if (guess_was_qualified && !stripped_attr.empty()) {
-        raw = std::max(raw, CachedNameSimilarity(stripped_guess, stripped_attr));
-      }
+    double raw = AttributeNameSimilarity(guess, relation_id, i);
+    if (remainder != nullptr) {
+      raw = std::max(raw, RemainderSimilarity(*remainder, relation_id, i));
     }
     // Floor the name similarity at k_def: a compound guess like
     // "produce_company" shares no q-grams with "name", yet a satisfiable
@@ -206,27 +214,24 @@ double RelationTreeMapper::AttributeSimilarity(const AttributeTree& at,
   return best;
 }
 
-double RelationTreeMapper::Similarity(const RelationTree& rt,
-                                      int relation_id) const {
-  double sim = RootSimilarity(rt, relation_id);
-  for (const AttributeTree& at : rt.attributes) {
-    sim *= AttributeSimilarity(at, relation_id, nullptr);
-  }
-  return sim;
+MappingSet RelationTreeMapper::Map(const RelationTree& rt) const {
+  QueryNameProfiles names(config_.qgram);
+  return Map(rt, names);
 }
 
-MappingSet RelationTreeMapper::Map(const RelationTree& rt) const {
+MappingSet RelationTreeMapper::Map(const RelationTree& rt,
+                                   QueryNameProfiles& names) const {
   const catalog::Catalog& cat = db_->catalog();
   std::vector<RelationMapping> all;
   all.reserve(cat.num_relations());
   for (int r = 0; r < cat.num_relations(); ++r) {
     RelationMapping m;
     m.relation_id = r;
-    m.similarity = RootSimilarity(rt, r);
+    m.similarity = RootSimilarity(rt, r, names);
     m.attribute_bindings.reserve(rt.attributes.size());
     for (const AttributeTree& at : rt.attributes) {
       int best = -1;
-      m.similarity *= AttributeSimilarity(at, r, &best);
+      m.similarity *= AttributeSimilarity(at, r, names, &best);
       m.attribute_bindings.push_back(best);
     }
     all.push_back(std::move(m));

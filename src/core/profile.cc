@@ -103,10 +103,6 @@ void QueryProfile::WriteJson(obs::JsonWriter& w) const {
     }
     w.EndArray();
   }
-  if (!spans.empty()) {
-    w.Key("trace");
-    obs::WriteForestJson(spans, w);
-  }
   w.EndObject();
 }
 

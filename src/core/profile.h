@@ -11,7 +11,6 @@
 #include "core/translate_stats.h"
 #include "exec/executor.h"
 #include "obs/json.h"
-#include "obs/trace.h"
 #include "storage/value.h"
 
 namespace sfsql::core {
@@ -40,10 +39,6 @@ struct QueryProfile {
   /// What the run phase did (execute only): its counters over every executed
   /// block, the top-level block's access paths, rows returned, wall time.
   exec::ExecInfo exec;
-
-  /// Embedded trace (span forest, obs::WriteForestJson shape). Filled only
-  /// for pipeline runs — cache hits carry no phase provenance.
-  std::vector<obs::SpanRecord> spans;
 
   void WriteJson(obs::JsonWriter& w) const;
 };

@@ -10,12 +10,12 @@
 
 namespace sfsql::core {
 
-/// Wall-clock phase breakdown and cache counters for one Translate call.
+/// Wall-clock phase breakdown and work counters for one Translate call.
 /// Phases cover the outermost block; subquery translation (always k = 1) is
-/// folded into compose_seconds. Cache, probe and index counters count the
-/// call's own work: a Translate runs entirely on its caller's thread, and the
-/// similarity cache and column indexes keep a per-thread tally beside their
-/// shared totals, so concurrent calls never see each other's lookups.
+/// folded into compose_seconds. Probe and index counters count the call's
+/// own work: a Translate runs entirely on its caller's thread, and the column
+/// indexes keep a per-thread tally beside their shared totals, so concurrent
+/// calls never see each other's probes.
 /// kTranslateCounters below is the one definition of every
 /// counter here except the plan-cache outcome: metrics, EXPLAIN, query
 /// profiles and sys_queries derive from it.
@@ -25,8 +25,8 @@ struct TranslateStats {
   double graph_seconds = 0.0;     ///< query views + extended view graph build
   double generate_seconds = 0.0;  ///< top-k MTJN generation
   double compose_seconds = 0.0;   ///< SQL composition, subqueries, printing
-  long long cache_hits = 0;       ///< similarity-cache hits during the call
-  long long cache_misses = 0;     ///< similarity-cache misses during the call
+  long long cache_hits = 0;       ///< always 0; kept as perfbench reads it
+  long long cache_misses = 0;     ///< always 0; kept as perfbench reads it
   GeneratorStats generator;       ///< counters/timings from the MTJN generator
 
   // Condition-satisfiability work of the call (§4.3).
@@ -103,12 +103,6 @@ inline constexpr TranslateCounter kTranslateCounters[] = {
      &GeneratorStats::pruned},
     {"gen_emitted", "sfsql_generator_emitted_total", obs::MetricType::kCounter,
      "MTJNs reaching a result set (pre-dedup)", &GeneratorStats::emitted},
-    {"sim_cache_hits", "sfsql_similarity_cache_hits_total",
-     obs::MetricType::kCounter, "Similarity-cache hits",
-     &TranslateStats::cache_hits},
-    {"sim_cache_misses", "sfsql_similarity_cache_misses_total",
-     obs::MetricType::kCounter, "Similarity-cache misses",
-     &TranslateStats::cache_misses},
     {"sat_index_probes", kProbeFamily, obs::MetricType::kCounter, kProbeHelp,
      &TranslateStats::sat_index_probes, "path", "index"},
     {"index_builds", "sfsql_column_index_builds_total",

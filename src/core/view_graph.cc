@@ -205,9 +205,10 @@ std::vector<const sql::NameRef*> EffectiveNames(const RelationTree& rt) {
 
 }  // namespace
 
-double ExtendedViewGraph::EdgeWeight(const XNode& u, const XNode& v, int fk_id,
-                                     const std::vector<RelationTree>& trees,
-                                     const RelationTreeMapper& mapper) const {
+double ExtendedViewGraph::EdgeWeight(
+    const XNode& u, const XNode& v, int fk_id,
+    const std::vector<std::vector<const sql::NameRef*>>& guesses,
+    const RelationTreeMapper& mapper, QueryNameProfiles& names) const {
   const SimilarityConfig& cfg = mapper.config();
   // Junction edges (FK inside the owner's primary key) start at c; plain
   // reference FKs start at c_reference.
@@ -221,8 +222,7 @@ double ExtendedViewGraph::EdgeWeight(const XNode& u, const XNode& v, int fk_id,
   auto consider = [&](const XNode& with_rt, const XNode& other) {
     if (with_rt.rt_id < 0) return;
     const catalog::Relation& own_rel = catalog_->relation(with_rt.relation_id);
-    const catalog::Relation& other_rel = catalog_->relation(other.relation_id);
-    for (const sql::NameRef* name : EffectiveNames(trees[with_rt.rt_id])) {
+    for (const sql::NameRef* name : guesses[with_rt.rt_id]) {
       // An *exact* (user-asserted) name that names its bound relation carries
       // no "the user had a different schema in mind" signal, so it must not
       // strengthen edges toward similarly-named neighbors (an exact Course
@@ -231,7 +231,8 @@ double ExtendedViewGraph::EdgeWeight(const XNode& u, const XNode& v, int fk_id,
       if (name->exact() && EqualsIgnoreCase(name->name, own_rel.name)) continue;
       // Sim' = k_ref * Sim (§4.2); high similarity between rt's guesses and the
       // *other* endpoint's relation name strengthens the connection (§5.2).
-      double sim = cfg.kref * mapper.NameSimilarity(*name, other_rel.name);
+      double sim = cfg.kref * mapper.RelationNameSimilarity(
+                                  names.Get(*name), other.relation_id);
       boost = std::max(boost, sim);
     }
   };
@@ -244,7 +245,7 @@ Result<ExtendedViewGraph> ExtendedViewGraph::Build(
     const storage::Database& db, const ViewGraph& views,
     const std::vector<RelationTree>& trees,
     const std::vector<MappingSet>& mappings, const RelationTreeMapper& mapper,
-    const GeneratorConfig& gen_config) {
+    QueryNameProfiles& names, const GeneratorConfig& gen_config) {
   if (trees.size() != mappings.size()) {
     return Status::InvalidArgument("one mapping set required per relation tree");
   }
@@ -291,6 +292,9 @@ Result<ExtendedViewGraph> ExtendedViewGraph::Build(
   }
 
   // Edges: every FK lifts to all node pairs of its endpoint relations.
+  std::vector<std::vector<const sql::NameRef*>> guesses;
+  guesses.reserve(trees.size());
+  for (const RelationTree& rt : trees) guesses.push_back(EffectiveNames(rt));
   g.adjacency_.assign(g.num_nodes(), {});
   std::map<std::tuple<int, int, int, int>, int> edge_index;  // (a,b,fk,fk_side)
   for (int f = 0; f < cat.num_foreign_keys(); ++f) {
@@ -303,7 +307,8 @@ Result<ExtendedViewGraph> ExtendedViewGraph::Build(
         e.b = v;
         e.fk_id = f;
         e.a_is_fk_side = true;
-        e.weight = g.EdgeWeight(g.nodes_[u], g.nodes_[v], f, trees, mapper);
+        e.weight =
+            g.EdgeWeight(g.nodes_[u], g.nodes_[v], f, guesses, mapper, names);
         int id = static_cast<int>(g.edges_.size());
         auto key = std::make_tuple(std::min(u, v), std::max(u, v), f, u);
         if (edge_index.count(key) > 0) continue;

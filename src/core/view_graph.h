@@ -115,12 +115,14 @@ struct XView {
 class ExtendedViewGraph {
  public:
   /// Builds the graph from the query's relation trees and their mapping sets.
-  /// `mapper` supplies the name similarities used for edge enhancement.
+  /// `mapper` supplies the name similarities used for edge enhancement, over
+  /// the query's name profiles in `names`.
   static Result<ExtendedViewGraph> Build(const storage::Database& db,
                                          const ViewGraph& views,
                                          const std::vector<RelationTree>& trees,
                                          const std::vector<MappingSet>& mappings,
                                          const RelationTreeMapper& mapper,
+                                         QueryNameProfiles& names,
                                          const GeneratorConfig& gen_config);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -155,9 +157,12 @@ class ExtendedViewGraph {
  private:
   ExtendedViewGraph() = default;
 
+  /// §5.2 weight of the edge u-v over `fk_id`; `guesses` holds each relation
+  /// tree's name guesses (EffectiveNames in view_graph.cc).
   double EdgeWeight(const XNode& u, const XNode& v, int fk_id,
-                    const std::vector<RelationTree>& trees,
-                    const RelationTreeMapper& mapper) const;
+                    const std::vector<std::vector<const sql::NameRef*>>& guesses,
+                    const RelationTreeMapper& mapper,
+                    QueryNameProfiles& names) const;
   void ComputeAllPairs();
 
   const catalog::Catalog* catalog_ = nullptr;

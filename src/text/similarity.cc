@@ -7,21 +7,6 @@
 
 namespace sfsql::text {
 
-std::set<std::string> QGrams(std::string_view s, int q) {
-  std::set<std::string> grams;
-  if (s.empty() || q <= 0) return grams;
-  std::string padded;
-  padded.reserve(s.size() + 2 * (q - 1));
-  padded.append(q - 1, kQGramPad);
-  padded += ToLower(s);
-  padded.append(q - 1, kQGramPad);
-  if (static_cast<int>(padded.size()) < q) return grams;
-  for (size_t i = 0; i + q <= padded.size(); ++i) {
-    grams.insert(padded.substr(i, q));
-  }
-  return grams;
-}
-
 std::vector<std::string> LiteralNGrams(std::string_view s, int n) {
   std::vector<std::string> grams;
   if (n <= 0 || s.size() < static_cast<size_t>(n)) return grams;
@@ -34,13 +19,25 @@ std::vector<std::string> LiteralNGrams(std::string_view s, int n) {
   return grams;
 }
 
-double GramSetJaccard(const std::set<std::string>& a,
-                      const std::set<std::string>& b) {
+GramSet QGrams(std::string_view s, int q) {
+  if (s.empty() || q <= 0) return {};
+  std::string padded;
+  padded.reserve(s.size() + 2 * (q - 1));
+  padded.append(q - 1, kQGramPad);
+  padded += ToLower(s);
+  padded.append(q - 1, kQGramPad);
+  return LiteralNGrams(padded, q);
+}
+
+double GramSetJaccard(const GramSet& a, const GramSet& b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   size_t intersection = 0;
-  for (const std::string& g : a) {
-    if (b.count(g) > 0) ++intersection;
+  for (auto i = a.begin(), j = b.begin(); i != a.end() && j != b.end();) {
+    const int c = i->compare(*j);
+    if (c == 0) ++intersection;
+    if (c <= 0) ++i;
+    if (c >= 0) ++j;
   }
   size_t unions = a.size() + b.size() - intersection;
   return static_cast<double>(intersection) / static_cast<double>(unions);
@@ -81,7 +78,6 @@ double EditSimilarity(std::string_view a, std::string_view b) {
 
 NameProfile BuildNameProfile(std::string_view name, int q) {
   NameProfile p;
-  p.q = q;
   p.lower = ToLower(name);
   p.words = SplitIdentifierWords(name);
   p.grams = QGrams(name, q);

@@ -1,7 +1,6 @@
 #ifndef SFSQL_TEXT_SIMILARITY_H_
 #define SFSQL_TEXT_SIMILARITY_H_
 
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,10 +14,14 @@ namespace sfsql::text {
 /// with their own padding.)
 inline constexpr char kQGramPad = '\x1F';
 
-/// Multiset-free q-gram set of `s` (lower-cased, padded with `q-1` leading and
+/// A set of q-grams: sorted ascending, without duplicates, so two sets
+/// intersect in one merge pass.
+using GramSet = std::vector<std::string>;
+
+/// Distinct q-grams of `s` (lower-cased, padded with `q-1` leading and
 /// trailing kQGramPad markers, the classic scheme). Empty input yields an
 /// empty set.
-std::set<std::string> QGrams(std::string_view s, int q);
+GramSet QGrams(std::string_view s, int q);
 
 /// Distinct contiguous n-grams of `s`, case-preserving and unpadded (unlike
 /// QGrams, which lower-cases and pads for the similarity measure). This is the
@@ -40,23 +43,21 @@ int EditDistance(std::string_view a, std::string_view b);
 double EditSimilarity(std::string_view a, std::string_view b);
 
 /// Everything SchemaNameSimilarity needs to know about one name, computed
-/// once. SchemaNameIndex precomputes these for every schema-element name so
-/// the mapper's hot loop never re-lowercases, re-splits, or re-builds q-gram
-/// sets (see schema_name_index.h).
+/// once. The mapper profiles every schema-element name at construction and
+/// each query name once per Translate, so its scoring loops never
+/// re-lowercase, re-split, or re-build q-gram sets.
 struct NameProfile {
-  std::string lower;                            ///< lower-cased full name
-  std::vector<std::string> words;               ///< identifier word split
-  std::set<std::string> grams;                  ///< q-grams of the full name
-  std::vector<std::set<std::string>> word_grams;  ///< q-grams per word
-  int q = 3;
+  std::string lower;               ///< lower-cased full name
+  std::vector<std::string> words;  ///< identifier word split
+  GramSet grams;                   ///< q-grams of the full name
+  std::vector<GramSet> word_grams;  ///< q-grams per word
 };
 
 /// Builds the profile of `name` for q-gram size `q`.
 NameProfile BuildNameProfile(std::string_view name, int q = 3);
 
 /// Jaccard between two precomputed gram sets (1.0 when both empty).
-double GramSetJaccard(const std::set<std::string>& a,
-                      const std::set<std::string>& b);
+double GramSetJaccard(const GramSet& a, const GramSet& b);
 
 /// Word-aware schema-name similarity used throughout the mapper: the maximum of
 /// (a) q-gram Jaccard on the whole (lower-cased) names and (b) the best Jaccard
@@ -67,7 +68,7 @@ double GramSetJaccard(const std::set<std::string>& a,
 double SchemaNameSimilarity(std::string_view a, std::string_view b, int q = 3);
 
 /// Profile-based overload; bit-identical to the string version (the string
-/// version delegates here), so cached/indexed and direct paths cannot drift.
+/// version delegates here), so profiled and direct paths cannot drift.
 double SchemaNameSimilarity(const NameProfile& a, const NameProfile& b);
 
 }  // namespace sfsql::text

@@ -209,13 +209,14 @@ TEST_F(MapperTest, RootSimilarityUsesNeighbors) {
   RelationTree rt;
   rt.id = 0;
   rt.relation = sql::NameRef::Vague("actor");
-  double direct = mapper_.RootSimilarity(rt, Rel("Actor"));
-  double via_neighbor = mapper_.RootSimilarity(rt, Rel("Person"));
+  QueryNameProfiles names(mapper_.config().qgram);
+  double direct = mapper_.RootSimilarity(rt, Rel("Actor"), names);
+  double via_neighbor = mapper_.RootSimilarity(rt, Rel("Person"), names);
   EXPECT_DOUBLE_EQ(direct, 1.0);
   // Person is adjacent to Actor: k_ref * 1.0.
   EXPECT_DOUBLE_EQ(via_neighbor, 0.7);
   // Company is two hops away: only the default.
-  EXPECT_LT(mapper_.RootSimilarity(rt, Rel("Company")), 0.7);
+  EXPECT_LT(mapper_.RootSimilarity(rt, Rel("Company"), names), 0.7);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,8 +276,9 @@ class GraphTest : public MapperTest {
     auto extraction = ExtractRelationTrees(*stmt_);
     ASSERT_TRUE(extraction.ok());
     extraction_ = std::move(*extraction);
+    QueryNameProfiles names(mapper_.config().qgram);
     for (const RelationTree& rt : extraction_.trees) {
-      mappings_.push_back(mapper_.Map(rt));
+      mappings_.push_back(mapper_.Map(rt, names));
     }
     views_ = std::make_unique<ViewGraph>(&db_->catalog());
     if (with_view) {
@@ -290,8 +292,9 @@ class GraphTest : public MapperTest {
       ASSERT_TRUE(view.ok());
       ASSERT_TRUE(views_->AddView(std::move(*view)).ok());
     }
-    auto graph = ExtendedViewGraph::Build(*db_, *views_, extraction_.trees,
-                                          mappings_, mapper_, GeneratorConfig{});
+    auto graph =
+        ExtendedViewGraph::Build(*db_, *views_, extraction_.trees, mappings_,
+                                 mapper_, names, GeneratorConfig{});
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = std::make_unique<ExtendedViewGraph>(std::move(*graph));
   }

@@ -3,12 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "core/plan_cache.h"
 #include "exec/executor.h"
+#include "sql/parser.h"
 #include "storage/database.h"
+#include "text/similarity.h"
+#include "workloads/course.h"
+#include "workloads/deriver.h"
 #include "workloads/movie43.h"
 #include "workloads/movie6.h"
 
@@ -204,6 +214,123 @@ TEST_F(EndToEndTest, ClearViewsResets) {
 }
 
 // ---------------------------------------------------------------------------
+// Name similarity: the mapper's profiled scores against the string oracle
+// ---------------------------------------------------------------------------
+
+/// Every distinct name hint of `sfsql`, subqueries included.
+std::set<std::string> NameHints(const std::string& sfsql) {
+  std::set<std::string> out;
+  auto stmt = sql::ParseSelect(sfsql);
+  EXPECT_TRUE(stmt.ok()) << sfsql;
+  if (!stmt.ok()) return out;
+  auto add = [&](const sql::NameRef& n) {
+    if (n.has_name_hint()) out.insert(n.name);
+  };
+  std::function<void(sql::SelectStatement&)> block =
+      [&](sql::SelectStatement& s) {
+        for (const sql::TableRef& t : s.from) add(t.relation);
+        std::function<void(sql::Expr&)> walk = [&](sql::Expr& e) {
+          add(e.relation);
+          add(e.attribute);
+          if (e.subquery) block(*e.subquery);
+          if (e.lhs) walk(*e.lhs);
+          if (e.rhs) walk(*e.rhs);
+          for (sql::ExprPtr& a : e.args) walk(*a);
+        };
+        sql::ForEachTopLevelExpr(s, [&](sql::ExprPtr& e) { walk(*e); });
+      };
+  block(**stmt);
+  return out;
+}
+
+/// `name` without the words of `relation`, the way §4.3's tie-break strips
+/// qualified names: identifier words joined by '_'.
+std::string StripWords(const std::string& name, const std::string& relation) {
+  const std::vector<std::string> drop = SplitIdentifierWords(relation);
+  std::vector<std::string> kept;
+  for (const std::string& w : SplitIdentifierWords(name)) {
+    if (std::find(drop.begin(), drop.end(), w) == drop.end()) kept.push_back(w);
+  }
+  return Join(kept, "_");
+}
+
+/// Checks every score the mapper gives `guesses` against
+/// text::SchemaNameSimilarity on the plain strings, bit for bit; returns how
+/// many qualified remainders were compared.
+int ExpectScoresMatchOracle(const storage::Database& db,
+                            const std::set<std::string>& guesses) {
+  const core::SimilarityConfig config;
+  const core::RelationTreeMapper mapper(&db, config);
+  core::QueryNameProfiles names(config.qgram);
+  const catalog::Catalog& cat = db.catalog();
+  int remainders = 0;
+  for (int r = 0; r < cat.num_relations(); ++r) {
+    EXPECT_EQ(mapper.RelationNameSimilarity(nullptr, r), config.kdef);
+  }
+  for (const std::string& g : guesses) {
+    const text::NameProfile& guess = names.Get(g);
+    for (int r = 0; r < cat.num_relations(); ++r) {
+      const catalog::Relation& rel = cat.relation(r);
+      EXPECT_EQ(mapper.RelationNameSimilarity(&guess, r),
+                text::SchemaNameSimilarity(g, rel.name, config.qgram))
+          << g << " vs " << rel.name;
+      const std::string stripped = StripWords(g, rel.name);
+      const bool qualified = !stripped.empty() && stripped != ToLower(g);
+      const text::NameProfile* remainder =
+          mapper.QualifiedRemainder(guess, r, names);
+      EXPECT_EQ(remainder != nullptr, qualified) << g << " in " << rel.name;
+      for (int a = 0; a < static_cast<int>(rel.attributes.size()); ++a) {
+        const std::string& attr = rel.attributes[a].name;
+        EXPECT_EQ(mapper.AttributeNameSimilarity(&guess, r, a),
+                  text::SchemaNameSimilarity(g, attr, config.qgram))
+            << g << " vs " << rel.name << "." << attr;
+        if (remainder == nullptr) continue;
+        ++remainders;
+        const std::string stripped_attr = StripWords(attr, rel.name);
+        EXPECT_EQ(mapper.RemainderSimilarity(*remainder, r, a),
+                  stripped_attr.empty()
+                      ? 0.0
+                      : text::SchemaNameSimilarity(stripped, stripped_attr,
+                                                   config.qgram))
+            << stripped << " vs " << stripped_attr << " (" << g << " vs "
+            << rel.name << "." << attr << ")";
+      }
+    }
+  }
+  return remainders;
+}
+
+TEST(NameOracleTest, MapperScoresEqualSchemaNameSimilarity) {
+  std::set<std::string> movie_guesses;
+  auto add = [](std::set<std::string>* to, const std::string& sfsql) {
+    const std::set<std::string> hints = NameHints(sfsql);
+    to->insert(hints.begin(), hints.end());
+  };
+  for (const workloads::BenchQuery& q : workloads::TextbookQueries()) {
+    add(&movie_guesses, q.sfsql);
+  }
+  for (const workloads::BenchQuery& q : workloads::SophisticatedQueries()) {
+    add(&movie_guesses, q.sfsql);
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (const std::string& v : workloads::UserVariants(i)) {
+      add(&movie_guesses, v);
+    }
+  }
+  auto movie = workloads::BuildMovie43(42, 30);
+  EXPECT_GT(ExpectScoresMatchOracle(*movie, movie_guesses), 0);
+
+  auto course = workloads::BuildCourse53();
+  std::set<std::string> course_guesses;
+  for (const workloads::CourseQuery& q : workloads::CourseQueries()) {
+    auto sf = workloads::DeriveSchemaFree(course->catalog(), q.gold_sql53);
+    ASSERT_TRUE(sf.ok()) << q.id << ": " << sf.status().ToString();
+    add(&course_guesses, *sf);
+  }
+  EXPECT_GT(ExpectScoresMatchOracle(*course, course_guesses), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Determinism across database rebuilds
 // ---------------------------------------------------------------------------
 
@@ -221,14 +348,12 @@ TEST(DeterminismTest, SameSeedSameTranslations) {
 }
 
 TEST(DeterminismTest, CacheConfigsDoNotChangeTranslations) {
-  // The similarity and mapping caches memoize pure functions, so an engine
-  // with them on must emit exactly the same SQL, weights, and order as one
-  // with them off.
+  // The mapping memo is exact for an unchanged database, so an engine with it
+  // on must emit exactly the same SQL, weights, and order as one with it off.
   auto db = workloads::BuildMovie43(42, 60);
   core::EngineConfig plain;
-  plain.similarity_cache_capacity = 0;
   plain.mapping_cache_capacity = 0;
-  core::EngineConfig cached;  // defaults: caches on
+  core::EngineConfig cached;  // defaults: memo on
   core::SchemaFreeEngine e_plain(db.get(), plain);
   core::SchemaFreeEngine e_cached(db.get(), cached);
   for (const workloads::BenchQuery& q : workloads::SophisticatedQueries()) {
@@ -245,9 +370,9 @@ TEST(DeterminismTest, CacheConfigsDoNotChangeTranslations) {
 
 TEST(TranslateStatsTest, PhaseTimingsAndCacheCountersArePopulated) {
   auto db = workloads::BuildMovie43(42, 60);
-  // Plan cache off: this test asserts on the *pipeline's* cache counters, so
-  // the repeat call must run the pipeline again instead of being served from
-  // the plan cache.
+  // Plan cache off: this test asserts on the *pipeline's* phases, so the
+  // repeat call must run the pipeline again instead of being served from the
+  // plan cache.
   core::EngineConfig config;
   config.plan_cache_enabled = false;
   core::SchemaFreeEngine engine(db.get(), config);
@@ -261,20 +386,15 @@ TEST(TranslateStatsTest, PhaseTimingsAndCacheCountersArePopulated) {
   EXPECT_GT(first.generator.pushed, 0);
   EXPECT_GE(first.map_seconds, 0.0);
   EXPECT_GT(first.generate_seconds, 0.0);
-  EXPECT_GT(first.cache_misses, 0);  // cold cache: every pair is computed
 
   core::TranslateStats second;
   auto r2 = engine.Translate(q, 5, &second);
   ASSERT_TRUE(r2.ok());
-  EXPECT_GT(second.cache_hits, 0);       // warm cache
-  EXPECT_EQ(second.cache_misses, 0);     // identical query: nothing new
   ASSERT_EQ(r1->size(), r2->size());
   for (size_t i = 0; i < r1->size(); ++i) {
     EXPECT_EQ((*r1)[i].sql, (*r2)[i].sql);
     EXPECT_EQ((*r1)[i].weight, (*r2)[i].weight);
   }
-  EXPECT_GT(engine.similarity_cache().stats().hits, 0u);
-  EXPECT_GT(engine.name_index().size(), 0u);
 }
 
 TEST(PlanCacheTest, ServedTierCountersAndBitIdenticalResults) {

@@ -23,7 +23,6 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sfsql::obs {
 namespace {
@@ -359,55 +358,6 @@ TEST(MetricsRegistryTest, RegistrationConflictsAreCounted) {
             std::string::npos);
 }
 
-// --- Tracer span-forest JSON -------------------------------------------------
-
-TEST(TracerTest, ForestJsonMatchesGolden) {
-  auto span = [](int id, int parent, const char* name, uint64_t start,
-                 uint64_t end,
-                 std::vector<std::pair<std::string, std::string>> attrs) {
-    SpanRecord s;
-    s.id = id;
-    s.parent = parent;
-    s.name = name;
-    s.start_nanos = start;
-    s.end_nanos = end;
-    s.attributes = std::move(attrs);
-    return s;
-  };
-  // A second root: the forest is an array, not a single tree.
-  const std::vector<SpanRecord> spans = {
-      span(0, -1, "translate", 1000, 3'876'000, {{"query_bytes", "42"}}),
-      span(1, 0, "parse", 2'001'000, 2'501'000, {}),
-      span(2, 0, "map", 2'501'000, 2'876'000, {}),
-      span(3, 2, "similarity", 2'751'000, 2'876'000, {{"pairs", "7"}}),
-      span(4, -1, "flush", 9'000'000, 9'500'000, {{"reason", "eof"}}),
-  };
-
-  JsonWriter w(/*pretty=*/true);
-  WriteForestJson(spans, w);
-  std::string json = w.TakeString() + "\n";
-  ExpectMatchesGolden(json, "trace_forest.json");
-
-  // The golden is also structurally valid: two roots, nested children.
-  auto parsed = ParseJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_TRUE(parsed->is_array());
-  ASSERT_EQ(parsed->items.size(), 2u);
-  const JsonValue& root = parsed->items[0];
-  EXPECT_EQ(root.Find("name")->string, "translate");
-  const JsonValue* children = root.Find("children");
-  ASSERT_TRUE(children != nullptr && children->is_array());
-  ASSERT_EQ(children->items.size(), 2u);
-  EXPECT_EQ(children->items[1].Find("name")->string, "map");
-  ASSERT_NE(children->items[1].Find("children"), nullptr);
-  EXPECT_EQ(children->items[1]
-                .Find("children")
-                ->items[0]
-                .Find("name")
-                ->string,
-            "similarity");
-}
-
 // --- QueryProfileStore -------------------------------------------------------
 
 using core::QueryProfile;
@@ -473,8 +423,6 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   translate.translate.map_seconds = 0.001;
   translate.translate.sat_index_probes = 5;
   translate.translate.generator.pushed = 12;
-  translate.spans = {{0, -1, "translate", 1'000'000, 3'000'000, {}},
-                     {1, 0, "parse", 1'000'000, 1'500'000, {{"bytes", "23"}}}};
   store.Record(std::move(translate));
 
   QueryProfile execute = DemoProfile(5'000'000, "SELECT * FROM movies");
@@ -510,7 +458,6 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   ASSERT_TRUE(profiles != nullptr && profiles->is_array());
   ASSERT_EQ(profiles->items.size(), 3u);
   EXPECT_EQ(profiles->items[0].Find("fingerprint")->string, "deadbeef");
-  ASSERT_NE(profiles->items[0].Find("trace"), nullptr);
   EXPECT_EQ(profiles->items[1].Find("kind")->string, "execute");
   ASSERT_NE(profiles->items[1].Find("access_paths"), nullptr);
   EXPECT_EQ(profiles->items[2].Find("error")->string,

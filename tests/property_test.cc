@@ -76,16 +76,17 @@ TEST(GeneratorPropertyTest, TopKMatchesOracleOnRandomSchemas) {
     auto extraction = core::ExtractRelationTrees(**stmt);
     ASSERT_TRUE(extraction.ok());
     core::RelationTreeMapper mapper(&db, core::SimilarityConfig{});
+    core::QueryNameProfiles names(mapper.config().qgram);
     std::vector<core::MappingSet> mappings;
     for (const core::RelationTree& rt : extraction->trees) {
-      mappings.push_back(mapper.Map(rt));
+      mappings.push_back(mapper.Map(rt, names));
       ASSERT_FALSE(mappings.back().candidates.empty());
     }
     core::ViewGraph views(&db.catalog());
     core::GeneratorConfig config;
     config.max_jn_nodes = n + 1;
-    auto graph = core::ExtendedViewGraph::Build(db, views, extraction->trees,
-                                                mappings, mapper, config);
+    auto graph = core::ExtendedViewGraph::Build(
+        db, views, extraction->trees, mappings, mapper, names, config);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     core::MtjnGenerator generator(&*graph, config);
 
@@ -166,13 +167,15 @@ TEST(GeneratorPropertyTest, PotentialUpperBoundsDescendantsOnPaths) {
   auto extraction = core::ExtractRelationTrees(**stmt);
   ASSERT_TRUE(extraction.ok());
   core::RelationTreeMapper mapper(db.get(), core::SimilarityConfig{});
+  core::QueryNameProfiles names(mapper.config().qgram);
   std::vector<core::MappingSet> mappings;
   for (const core::RelationTree& rt : extraction->trees) {
-    mappings.push_back(mapper.Map(rt));
+    mappings.push_back(mapper.Map(rt, names));
   }
   core::ViewGraph views(&db->catalog());
-  auto graph = core::ExtendedViewGraph::Build(
-      *db, views, extraction->trees, mappings, mapper, core::GeneratorConfig{});
+  auto graph = core::ExtendedViewGraph::Build(*db, views, extraction->trees,
+                                              mappings, mapper, names,
+                                              core::GeneratorConfig{});
   ASSERT_TRUE(graph.ok());
   core::MtjnGenerator generator(&*graph, core::GeneratorConfig{});
   auto best = generator.TopK(1);
@@ -193,13 +196,15 @@ TEST(SignaturePropertyTest, ConstructionOrderInvariance) {
   auto extraction = core::ExtractRelationTrees(**stmt);
   ASSERT_TRUE(extraction.ok());
   core::RelationTreeMapper mapper(db.get(), core::SimilarityConfig{});
+  core::QueryNameProfiles names(mapper.config().qgram);
   std::vector<core::MappingSet> mappings;
   for (const core::RelationTree& rt : extraction->trees) {
-    mappings.push_back(mapper.Map(rt));
+    mappings.push_back(mapper.Map(rt, names));
   }
   core::ViewGraph views(&db->catalog());
-  auto graph = core::ExtendedViewGraph::Build(
-      *db, views, extraction->trees, mappings, mapper, core::GeneratorConfig{});
+  auto graph = core::ExtendedViewGraph::Build(*db, views, extraction->trees,
+                                              mappings, mapper, names,
+                                              core::GeneratorConfig{});
   ASSERT_TRUE(graph.ok());
 
   int person = -1, movie = -1, actor = -1;

@@ -5,22 +5,25 @@
 #include <string>
 #include <vector>
 
-#include "text/schema_name_index.h"
 #include "text/similarity.h"
-#include "text/similarity_cache.h"
 
 namespace sfsql::text {
 namespace {
+
+bool Contains(const GramSet& grams, const std::string& gram) {
+  return std::binary_search(grams.begin(), grams.end(), gram);
+}
 
 TEST(QGramsTest, BasicTrigramsWithPadding) {
   auto grams = QGrams("ab", 3);
   // padded: "PPabPP" -> PPa, Pab, abP, bPP  (P = the out-of-band pad sentinel)
   const std::string p(1, kQGramPad);
   EXPECT_EQ(grams.size(), 4u);
-  EXPECT_TRUE(grams.count(p + p + "a"));
-  EXPECT_TRUE(grams.count(p + "ab"));
-  EXPECT_TRUE(grams.count("ab" + p));
-  EXPECT_TRUE(grams.count("b" + p + p));
+  EXPECT_TRUE(std::is_sorted(grams.begin(), grams.end()));
+  EXPECT_TRUE(Contains(grams, p + p + "a"));
+  EXPECT_TRUE(Contains(grams, p + "ab"));
+  EXPECT_TRUE(Contains(grams, "ab" + p));
+  EXPECT_TRUE(Contains(grams, "b" + p + p));
 }
 
 TEST(QGramsTest, PadSentinelIsOutOfBand) {
@@ -45,6 +48,7 @@ TEST(QGramsTest, EmptyAndDegenerate) {
   EXPECT_TRUE(QGrams("", 3).empty());
   EXPECT_TRUE(QGrams("abc", 0).empty());
   EXPECT_EQ(QGrams("a", 1).size(), 1u);
+  EXPECT_EQ(QGrams("aaaa", 3).size(), 5u);  // "aaa" occurs twice, kept once
 }
 
 TEST(QGramsTest, CaseInsensitive) {
@@ -65,6 +69,8 @@ TEST(QGramJaccardTest, SimilarStringsScoreBetween) {
   double s = QGramJaccard("director", "directors");
   EXPECT_GT(s, 0.5);
   EXPECT_LT(s, 1.0);
+  // 10 and 11 padded trigrams, 8 of them shared.
+  EXPECT_DOUBLE_EQ(s, 8.0 / 13.0);
 }
 
 TEST(QGramJaccardTest, Symmetry) {
@@ -112,8 +118,8 @@ TEST(SchemaNameSimilarityTest, UnrelatedNamesScoreLow) {
 }
 
 TEST(NameProfileTest, ProfileOverloadMatchesStringOverload) {
-  // The memoized hot path scores precomputed profiles; it must be
-  // bit-identical to the string entry point for every pair.
+  // The mapper scores precomputed profiles; they must be bit-identical to
+  // the string entry point for every pair.
   const std::vector<std::string> pool = {
       "Movie",        "movie_title",    "director_name", "Person",
       "produce_company", "Company",     "actor?",        "a",
@@ -126,85 +132,6 @@ TEST(NameProfileTest, ProfileOverloadMatchesStringOverload) {
           << "pair: '" << a << "' vs '" << b << "'";
     }
   }
-}
-
-TEST(SchemaNameIndexTest, FindIsCaseInsensitiveAndStable) {
-  SchemaNameIndex index({"Movie", "director_name", "Movie"}, 3);
-  EXPECT_EQ(index.size(), 2u);  // duplicate collapses
-  EXPECT_EQ(index.q(), 3);
-  const NameProfile* p = index.Find("movie");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p, index.Find("MOVIE"));  // same entry, stable address
-  EXPECT_EQ(p->lower, "movie");
-  EXPECT_EQ(index.Find("title"), nullptr);
-}
-
-TEST(SimilarityCacheTest, HitsAndMissesAreCounted) {
-  SimilarityCache cache(16);
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    return 0.25;
-  };
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("movie", "Movie", 3, compute), 0.25);
-  // Symmetric + case-insensitive key: all of these hit the first entry.
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("Movie", "movie", 3, compute), 0.25);
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("MOVIE", "MOVIE", 3, compute), 0.25);
-  EXPECT_EQ(computed, 1);
-  SimilarityCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-
-  // A different q is a different key.
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("movie", "Movie", 2, compute), 0.25);
-  EXPECT_EQ(computed, 2);
-
-  double v = 0.0;
-  EXPECT_TRUE(cache.Lookup("mOvIe", "MoViE", 3, &v));
-  EXPECT_DOUBLE_EQ(v, 0.25);
-  EXPECT_FALSE(cache.Lookup("movie", "title", 3, &v));
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.Lookup("movie", "Movie", 3, &v));
-}
-
-TEST(SimilarityCacheTest, EvictsLeastRecentlyUsed) {
-  // One shard so the LRU order is fully observable; capacity two entries.
-  SimilarityCache cache(/*capacity=*/2, /*num_shards=*/1);
-  auto value = [](double v) { return [v] { return v; }; };
-  cache.GetOrCompute("a", "b", 3, value(1.0));
-  cache.GetOrCompute("c", "d", 3, value(2.0));
-  cache.GetOrCompute("a", "b", 3, value(-1.0));  // refresh (a, b)
-  cache.GetOrCompute("e", "f", 3, value(3.0));   // evicts (c, d)
-
-  double v = 0.0;
-  EXPECT_TRUE(cache.Lookup("a", "b", 3, &v));
-  EXPECT_DOUBLE_EQ(v, 1.0);
-  EXPECT_FALSE(cache.Lookup("c", "d", 3, &v));
-  EXPECT_TRUE(cache.Lookup("e", "f", 3, &v));
-  SimilarityCache::Stats s = cache.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 2u);
-}
-
-TEST(SimilarityCacheTest, ZeroCapacityIsACountingPassThrough) {
-  SimilarityCache cache(0);
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    return 0.5;
-  };
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("a", "b", 3, compute), 0.5);
-  EXPECT_DOUBLE_EQ(cache.GetOrCompute("a", "b", 3, compute), 0.5);
-  EXPECT_EQ(computed, 2);  // nothing is stored
-  SimilarityCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 0u);
-  double v = 0.0;
-  EXPECT_FALSE(cache.Lookup("a", "b", 3, &v));
 }
 
 }  // namespace

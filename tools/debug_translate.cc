@@ -1,5 +1,5 @@
 // Reads one schema-free query from stdin and prints its top-k translations
-// with the per-phase timing / cache / generator statistics of the call.
+// with the per-phase timing and generator statistics of the call.
 // Usage: debug_translate [k] < query.txt
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +31,5 @@ int main(int argc, char** argv) {
       stats.generator.roots, stats.generator.pushed, stats.generator.popped,
       stats.generator.expansions, stats.generator.pruned,
       stats.generator.emitted, stats.generator.truncated ? " (truncated)" : "");
-  std::printf("similarity cache: %lld hits, %lld misses\n", stats.cache_hits,
-              stats.cache_misses);
   return 0;
 }
