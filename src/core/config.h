@@ -112,41 +112,36 @@ struct EngineConfig {
 
   // --- Observability (src/obs) ---
 
-  /// Metrics registry the engine publishes into (translate counters, phase
-  /// histograms, generator counters, cache gauges; see README
-  /// "Observability" for the full list). Null disables metrics entirely: no
-  /// handles are registered and the hot path runs no instrumentation code.
-  /// The registry must outlive the engine.
+  /// Metrics registry the engine publishes every call's QueryProfile into
+  /// (translate and execute counters, phase histograms, generator counters,
+  /// plan-cache series; see README "Observability" for the full list). Null
+  /// disables metrics entirely: no handles are registered and the hot path
+  /// runs no instrumentation code. The registry must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Time source for every phase timer, span, and the slow-translation log.
+  /// Time source for every phase timer and every QueryProfile latency.
   /// Null = std::chrono::steady_clock; tests inject obs::FakeClock for
   /// deterministic timings (also copied into gen.clock at construction).
   const obs::Clock* clock = nullptr;
 
-  /// Translations whose end-to-end wall time exceeds this threshold dump
-  /// their EXPLAIN trace (candidates, pruning, per-phase timings) through
-  /// `slow_log_sink`. 0 disables (the default). Arming the slow log makes
-  /// every Translate collect stats and provenance, so it costs a few percent
-  /// even for fast queries — meant for debugging and canary deployments.
-  double slow_translate_threshold_ms = 0.0;
-
-  /// Destination for slow-translation EXPLAIN dumps; unset = stderr. Also
-  /// receives the slow-execute JSON lines (below).
+  /// Destination of the slow log; unset = stderr.
   std::function<void(const std::string&)> slow_log_sink;
 
-  /// Executions (the run phase of SchemaFreeEngine::Execute) slower than this
-  /// emit one structured JSON line (event "slow_execute") to `slow_log_sink`
-  /// — the execution counterpart of slow_translate_threshold_ms. <= 0
-  /// disables (the default). Copied into the executor's ExecConfig.
+  /// Slow log: an Execute whose QueryProfile latency (translate + execute)
+  /// reaches this many milliseconds writes that record's one-line JSON
+  /// (QueryProfile::WriteJson) to `slow_log_sink`. Translate calls never
+  /// log; their records are in the profile ring. <= 0 disables (the
+  /// default). ExecConfig's fields of the same names are inert; they remain
+  /// only because the frozen perfbench harness still sets them.
   double slow_execute_threshold_ms = 0.0;
 
   /// Always-on query profile sink: when set, every Translate/Execute call
-  /// records a QueryProfile (statement, cache tier, phase timings, access
-  /// paths, rows/chunks counters) into this bounded ring. Designed to stay
-  /// within a few percent of serving throughput (see bench_serving's
-  /// profiling on/off section); null disables capture entirely. Must outlive
-  /// the engine. Queryable as the sys_queries relation (core/introspection).
+  /// (not TranslateExplained) records its QueryProfile (statement, cache
+  /// tier, phase timings, access paths, rows/chunks counters) into this
+  /// bounded ring. Designed to stay within a few percent of serving
+  /// throughput (see bench_serving's profiling on/off section); null
+  /// disables capture entirely. Must outlive the engine. Queryable as the
+  /// sys_queries relation (core/introspection).
   QueryProfileStore* profiles = nullptr;
 };
 

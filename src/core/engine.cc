@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <optional>
 
@@ -24,17 +23,15 @@ using sql::Expr;
 using sql::ExprKind;
 using sql::ExprPtr;
 
-/// Handles into the registry's translate families, resolved once at engine
-/// construction so the per-query path is pure lock-free atomic writes.
+/// Handles into the registry's translate and execute families, resolved once
+/// at engine construction so publishing a record is pure lock-free atomic
+/// writes.
 struct PipelineMetrics {
   explicit PipelineMetrics(obs::MetricsRegistry* reg) {
     translate_total =
         reg->GetCounter("sfsql_translate_total", "Translate calls");
     translate_errors = reg->GetCounter("sfsql_translate_errors_total",
                                        "Translate calls that returned an error");
-    slow_translations = reg->GetCounter(
-        "sfsql_slow_translations_total",
-        "Translations exceeding EngineConfig::slow_translate_threshold_ms");
     translate_seconds = reg->GetHistogram(
         "sfsql_translate_seconds", "End-to-end Translate wall time",
         obs::LatencyBuckets());
@@ -57,38 +54,40 @@ struct PipelineMetrics {
           break;
       }
     }
-    static constexpr const char* kPlanLookupHelp =
-        "Plan-cache lookups by tier and result";
-    plan_full_hits =
-        reg->GetCounter("sfsql_plan_cache_lookups_total", kPlanLookupHelp,
-                        obs::Labels{{"tier", "full"}, {"result", "hit"}});
-    plan_full_misses =
-        reg->GetCounter("sfsql_plan_cache_lookups_total", kPlanLookupHelp,
-                        obs::Labels{{"tier", "full"}, {"result", "miss"}});
-    plan_structure_hits =
-        reg->GetCounter("sfsql_plan_cache_lookups_total", kPlanLookupHelp,
-                        obs::Labels{{"tier", "structure"}, {"result", "hit"}});
-    plan_structure_misses =
-        reg->GetCounter("sfsql_plan_cache_lookups_total", kPlanLookupHelp,
-                        obs::Labels{{"tier", "structure"}, {"result", "miss"}});
-    static constexpr const char* kPlanEvictionHelp =
-        "Plan-cache entries dropped, by reason";
-    plan_evictions_lru =
-        reg->GetCounter("sfsql_plan_cache_evictions_total", kPlanEvictionHelp,
-                        obs::Labels{{"reason", "lru"}});
-    plan_evictions_stale =
-        reg->GetCounter("sfsql_plan_cache_evictions_total", kPlanEvictionHelp,
-                        obs::Labels{{"reason", "stale_epoch"}});
-    plan_entries =
-        reg->GetGauge("sfsql_plan_cache_entries", "Plan-cache occupancy");
+    execute_total =
+        reg->GetCounter("sfsql_execute_total", "Executed SELECT statements");
+    execute_errors = reg->GetCounter("sfsql_execute_errors_total",
+                                     "Executions that returned an error");
+    execute_rows =
+        reg->GetCounter("sfsql_execute_rows_total", "Result rows materialized");
+    execute_seconds = reg->GetHistogram(
+        "sfsql_execute_seconds", "Execution wall time", obs::LatencyBuckets());
+    for (size_t i = 0; i < exec::kNumExecCounters; ++i) {
+      exec_counters[i] = reg->GetCounter(
+          StrCat("sfsql_exec_", exec::kExecCounters[i].name, "_total"),
+          exec::kExecCounters[i].help);
+    }
   }
 
-  /// Publishes one call's TranslateStats. Phase histograms describe pipeline
-  /// runs only: cache hits skip the phases, and observing their zeros would
-  /// distort the distributions and slow the serving hot path.
-  void Publish(const TranslateStats& stats, bool pipeline_ran) {
-    for (size_t i = 0; i < kNumTranslateCounters; ++i) {
-      const double v = kTranslateCounters[i].Value(stats);
+  /// Publishes one call's record. An Execute record publishes its translate
+  /// part like a Translate call, and its run phase only when the translation
+  /// succeeded (the only way it yields translations). Phase histograms
+  /// describe pipeline runs only: cache hits skip the phases, and observing
+  /// their zeros would distort the distributions and slow the serving hot
+  /// path.
+  void Publish(const QueryProfile& p) {
+    const bool executed =
+        p.kind == CallKind::kExecute && p.translations > 0;
+    translate_total->Increment();
+    if (!p.ok && !executed) translate_errors->Increment();
+    translate_seconds->Observe(p.latency_seconds - p.exec.seconds);
+    const bool pipeline_ran =
+        p.cache_tier == CacheTier::kMiss || p.cache_tier == CacheTier::kOff;
+    // A tier-2 hit probes nothing and runs no phase: its counters are zero.
+    const size_t num_counters =
+        p.cache_tier == CacheTier::kTier2 ? 0 : kNumTranslateCounters;
+    for (size_t i = 0; i < num_counters; ++i) {
+      const double v = kTranslateCounters[i].Value(p.translate);
       if (counters[i] != nullptr) {
         counters[i]->Increment(static_cast<uint64_t>(v));
       } else if (gauges[i] != nullptr) {
@@ -97,24 +96,33 @@ struct PipelineMetrics {
         histograms[i]->Observe(v);
       }
     }
+    if (!executed) return;
+    execute_total->Increment();
+    execute_seconds->Observe(p.exec.seconds);
+    if (p.ok) {
+      execute_rows->Increment(p.exec.rows_returned);
+    } else {
+      execute_errors->Increment();
+    }
+    for (size_t i = 0; i < exec::kNumExecCounters; ++i) {
+      exec_counters[i]->Increment(p.exec.stats.*exec::kExecCounters[i].field);
+    }
   }
 
   obs::Counter* translate_total;
   obs::Counter* translate_errors;
-  obs::Counter* slow_translations;
   obs::Histogram* translate_seconds;
   /// Per-counter handles, parallel to kTranslateCounters (the one matching
   /// the counter's metric type is set).
   obs::Counter* counters[kNumTranslateCounters] = {};
   obs::Gauge* gauges[kNumTranslateCounters] = {};
   obs::Histogram* histograms[kNumTranslateCounters] = {};
-  obs::Counter* plan_full_hits;
-  obs::Counter* plan_full_misses;
-  obs::Counter* plan_structure_hits;
-  obs::Counter* plan_structure_misses;
-  obs::Counter* plan_evictions_lru;
-  obs::Counter* plan_evictions_stale;
-  obs::Gauge* plan_entries;
+  obs::Counter* execute_total;
+  obs::Counter* execute_errors;
+  obs::Counter* execute_rows;
+  obs::Histogram* execute_seconds;
+  /// Parallel to exec::kExecCounters.
+  obs::Counter* exec_counters[exec::kNumExecCounters] = {};
 };
 
 namespace {
@@ -156,13 +164,6 @@ RelationStamp StampForPlan(const TranslationPlan& plan,
     if (stamp_all || read[r]) stamp.emplace_back(static_cast<int>(r), epochs[r]);
   }
   return stamp;
-}
-
-std::string HexFingerprint(uint64_t fp) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
 }
 
 /// Walks every expression of a block (not descending into subqueries) and
@@ -213,13 +214,11 @@ EngineConfig ResolveConfig(EngineConfig config) {
   return config;
 }
 
-/// The engine's one executor configuration: its slow log, clock and thread
-/// count, running morsels on the engine's pool.
+/// The engine's one executor configuration: its clock and thread count,
+/// running morsels on the engine's pool.
 exec::ExecConfig EngineExecConfig(const EngineConfig& config,
                                   exec::TaskPool* pool) {
   exec::ExecConfig exec_config;
-  exec_config.slow_execute_threshold_ms = config.slow_execute_threshold_ms;
-  exec_config.slow_log_sink = config.slow_log_sink;
   exec_config.clock = config.clock;
   exec_config.exec_threads = config.exec_threads;
   exec_config.pool = pool;
@@ -243,9 +242,9 @@ SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
       mapper_(db, config_.sim),
       views_(&db->catalog()),
       plan_cache_(config_.plan_cache_enabled && config_.plan_cache_capacity > 0
-                      ? std::make_unique<PlanCache>(config_.plan_cache_capacity)
+                      ? std::make_unique<PlanCache>(config_.plan_cache_capacity,
+                                                    config_.metrics)
                       : nullptr) {
-  executor_.EnableMetrics(config_.metrics, config_.clock);
   if (pool_ != nullptr && config_.metrics != nullptr) {
     pool_->EnableMetrics(config_.metrics);
   }
@@ -640,9 +639,7 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
   if (stats != nullptr) timer.Lap(&stats->map_seconds);
 
   // Mapping provenance (post-consolidation, the trees the generator will
-  // see). Attribute similarities are recomputed through the mapper over the
-  // names already profiled; the recomputation's satisfiability probes count
-  // in the call's probe counters like any other.
+  // see), read from the mapping pass itself.
   const catalog::Catalog& cat = db_->catalog();
   if (explain != nullptr) {
     explain->trees.clear();
@@ -659,15 +656,11 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
         for (size_t a = 0; a < rt.attributes.size(); ++a) {
           ExplainAttribute ea;
           ea.query_name = rt.attributes[a].ToString();
-          int bound = a < m.attribute_bindings.size() ? m.attribute_bindings[a]
-                                                      : -1;
+          const int bound = m.attribute_bindings[a];
           if (bound >= 0) {
             ea.bound_name = cat.relation(m.relation_id).attributes[bound].name;
           }
-          int ignored = -1;
-          ea.similarity =
-              mapper_.AttributeSimilarity(rt.attributes[a], m.relation_id,
-                                          names, &ignored);
+          ea.similarity = m.attribute_similarities[a];
           ec.attributes.push_back(std::move(ea));
         }
         et.candidates.push_back(std::move(ec));
@@ -749,47 +742,39 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
 
 Result<std::vector<Translation>> SchemaFreeEngine::Translate(
     std::string_view sfsql, int k) const {
-  return TranslateImpl(sfsql, k, nullptr, nullptr);
+  return Translate(sfsql, k, nullptr);
 }
 
 Result<std::vector<Translation>> SchemaFreeEngine::Translate(
     std::string_view sfsql, int k, TranslateStats* stats) const {
-  return TranslateImpl(sfsql, k, stats, nullptr);
+  if (stats == nullptr && metrics_ == nullptr && config_.profiles == nullptr) {
+    return TranslateImpl(sfsql, k, nullptr, nullptr);
+  }
+  QueryProfile record;
+  Result<std::vector<Translation>> out =
+      TranslateImpl(sfsql, k, &record, nullptr);
+  if (stats != nullptr) *stats = record.translate;
+  Publish(std::move(record));
+  return out;
 }
 
 Result<std::vector<Translation>> SchemaFreeEngine::TranslateExplained(
     std::string_view sfsql, int k, TranslationExplain* explain) const {
-  return TranslateImpl(sfsql, k, nullptr, explain);
+  // An EXPLAIN call is tooling, not workload: its record is never published.
+  QueryProfile record;
+  return TranslateImpl(sfsql, k, &record, explain);
 }
 
 Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
-    std::string_view sfsql, int k, TranslateStats* stats,
-    TranslationExplain* explain, QueryProfile* profile_out) const {
-  // EXPLAIN callers get full pipeline provenance, so the plan cache is
-  // bypassed for them (read-only peeks fill the EXPLAIN `cache` block).
-  const bool caller_explain = explain != nullptr;
-  const bool slow_armed = config_.slow_translate_threshold_ms > 0.0;
-  // An armed slow log needs the provenance of *every* call (whether a call is
-  // slow is only known at the end); metrics and EXPLAIN both need the stats.
-  TranslationExplain slow_explain;
-  if (explain == nullptr && slow_armed) explain = &slow_explain;
-  // Profile capture needs the stats too (phase timings, sat counters); an
-  // EXPLAIN call is tooling, not workload, so it is never profiled.
-  const bool profiling = config_.profiles != nullptr && !caller_explain;
-  TranslateStats local_stats;
-  if (stats == nullptr &&
-      (explain != nullptr || metrics_ != nullptr || profiling)) {
-    stats = &local_stats;
-  }
-
-  if (stats != nullptr) *stats = TranslateStats{};
+    std::string_view sfsql, int k, QueryProfile* record,
+    TranslationExplain* explain) const {
+  TranslateStats* stats = record != nullptr ? &record->translate : nullptr;
   if (explain != nullptr) {
     *explain = TranslationExplain{};
     explain->query = std::string(sfsql);
     explain->k = k;
   }
 
-  const bool timing = stats != nullptr;
   const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
   // The index counters are the calling thread's own tallies: the whole call
   // runs on this thread, so their differences are exactly this call's work.
@@ -797,13 +782,12 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   // hit runs no satisfiability probes, so its differences are zero by
   // construction.
   storage::ColumnIndexStats idx_before;
-  PlanCacheStats plan_before;
-  bool deep_stats = false;
-  const bool plan_metrics = metrics_ != nullptr && plan_cache_ != nullptr;
-  const uint64_t start_nanos = timing ? clock->NowNanos() : 0;
+  const uint64_t start_nanos = record != nullptr ? clock->NowNanos() : 0;
 
   // --- Plan-cache fast path ---
-  PlanCache* cache = (plan_cache_ != nullptr && !caller_explain && k > 0)
+  // EXPLAIN callers get full pipeline provenance, so the plan cache is
+  // bypassed for them (read-only peeks fill the EXPLAIN `cache` block).
+  PlanCache* cache = (plan_cache_ != nullptr && explain == nullptr && k > 0)
                          ? plan_cache_.get()
                          : nullptr;
   // The epochs observed before any lookup or probe. Entries are only read and
@@ -815,7 +799,10 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   const uint64_t epoch0 = db_->epoch();
   const std::vector<uint64_t> epochs0 = db_->RelationEpochs();
   std::string full_key;
-  int served_tier = 0;  // 2 / 1 / 0 = pipeline ran (or cache off / bypassed)
+  CacheTier tier = cache != nullptr ? CacheTier::kMiss : CacheTier::kOff;
+  // The plan for this exact statement that served or was built by the call;
+  // the record's statement points into it.
+  std::shared_ptr<const TranslationPlan> full_plan;
   Result<std::vector<Translation>> out = std::vector<Translation>{};
   sql::CanonicalQuery canonical;
   bool have_canonical = false;
@@ -825,27 +812,22 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
 
   if (cache != nullptr) {
     full_key = StrCat(k, ':', sfsql);
-    if (std::shared_ptr<const TranslationPlan> plan =
-            cache->GetFull(full_key, epochs0)) {
-      out = MaterializePlan(*plan, nullptr);
-      served_tier = 2;
+    full_plan = cache->GetFull(full_key, epochs0);
+    if (full_plan != nullptr) {
+      out = MaterializePlan(*full_plan, nullptr);
+      tier = CacheTier::kTier2;
     }
   }
 
-  if (served_tier == 0) {
-    if (timing) {
+  if (tier != CacheTier::kTier2) {
+    if (stats != nullptr) {
       idx_before = storage::ColumnIndexCounters::ThreadStats();
-      deep_stats = true;
     }
-    // Taken after GetFull (whose miss increment therefore precedes it; the
-    // epilogue compensates) so a tier-2 hit — the dominant serving path —
-    // never reads the cache-wide counters other threads are writing.
-    if (plan_metrics && cache != nullptr) plan_before = plan_cache_->stats();
-    PhaseTimer timer(config_.clock, timing);
+    PhaseTimer timer(config_.clock, stats != nullptr);
     Result<sql::SelectPtr> stmt = sql::ParseSelect(sfsql);
-    if (timing) timer.Lap(&stats->parse_seconds);
+    if (stats != nullptr) timer.Lap(&stats->parse_seconds);
 
-    if (stmt.ok() && (cache != nullptr || caller_explain)) {
+    if (stmt.ok() && (cache != nullptr || explain != nullptr)) {
       canonical = sql::Canonicalize(**stmt);
       have_canonical = true;
       canonical_key = StrCat(k, ':', canonical.text);
@@ -860,18 +842,18 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
           // Tier-1 hit: substitute this query's literals into the cached
           // structure. Promote the exact text to tier 2 unless the data
           // moved while the signature was being probed.
-          std::shared_ptr<const TranslationPlan> full =
-              SubstitutePlan(*structure, canonical.literals);
+          full_plan = SubstitutePlan(sfsql, *structure, canonical.literals);
           if (db_->epoch() == epoch0) {
-            cache->PutFull(full_key, StampForPlan(*full, epochs0), full);
+            cache->PutFull(full_key, StampForPlan(*full_plan, epochs0),
+                           full_plan);
           }
-          out = MaterializePlan(*full, nullptr);
-          served_tier = 1;
+          out = MaterializePlan(*full_plan, nullptr);
+          tier = CacheTier::kTier1;
         }
       }
     }
 
-    if (served_tier == 0) {
+    if (tier != CacheTier::kTier1) {
       QueryNameProfiles names(config_.sim.qgram);
       out = stmt.ok() ? TranslateStatement(**stmt, {}, k, names, stats, explain)
                       : Result<std::vector<Translation>>(stmt.status());
@@ -880,9 +862,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
         // Fill both tiers. Skipped when the epoch moved during the pipeline —
         // such a run may mix pre- and post-insert probe answers and is not
         // guaranteed valid for any single epoch. Errors are never cached.
-        std::shared_ptr<const TranslationPlan> plan =
-            BuildTranslationPlan(*out, canonical.literals);
-        cache->PutFull(full_key, StampForPlan(*plan, epochs0), plan);
+        full_plan = BuildTranslationPlan(sfsql, *out, canonical.literals);
+        cache->PutFull(full_key, StampForPlan(*full_plan, epochs0), full_plan);
         if (probe_plan == nullptr) {
           if (std::optional<ProbePlan> built =
                   BuildProbePlan(*canonical.statement)) {
@@ -896,52 +877,57 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
                 ComputeProbeSignature(*probe_plan, canonical.literals, *db_);
           }
           if (db_->epoch() == epoch0) {
-            cache->PutStructure(canonical_key, signature, plan);
+            cache->PutStructure(canonical_key, signature, full_plan);
           }
         }
       }
     }
   }
 
-  if (stats != nullptr && cache != nullptr) {
-    stats->plan_tier2_hits = served_tier == 2 ? 1 : 0;
-    stats->plan_tier1_hits = served_tier == 1 ? 1 : 0;
-    stats->plan_misses = served_tier == 0 ? 1 : 0;
+  if (record != nullptr) {
+    record->latency_seconds =
+        obs::NanosToSeconds(clock->NowNanos() - start_nanos);
+    record->start_nanos = start_nanos;
+    if (full_plan != nullptr) {
+      const std::string* text = &full_plan->statement;
+      record->statement =
+          std::shared_ptr<const std::string>(std::move(full_plan), text);
+    } else {
+      record->statement = std::make_shared<const std::string>(sfsql);
+    }
+    if (have_canonical) record->fingerprint = canonical.fingerprint;
+    record->ok = out.ok();
+    if (!out.ok()) record->error = out.status().message();
+    record->cache_tier = tier;
+    record->translations = out.ok() ? static_cast<long long>(out->size()) : 0;
+    if (cache != nullptr) {
+      stats->plan_tier2_hits = tier == CacheTier::kTier2 ? 1 : 0;
+      stats->plan_tier1_hits = tier == CacheTier::kTier1 ? 1 : 0;
+      stats->plan_misses = tier == CacheTier::kMiss ? 1 : 0;
+    }
+    if (tier != CacheTier::kTier2) {
+      const storage::ColumnIndexStats idx_after =
+          storage::ColumnIndexCounters::ThreadStats();
+      stats->sat_index_probes = static_cast<long long>(
+          (idx_after.value_probes + idx_after.like_probes) -
+          (idx_before.value_probes + idx_before.like_probes));
+      stats->index_builds =
+          static_cast<long long>(idx_after.builds - idx_before.builds);
+      stats->index_build_seconds =
+          idx_after.build_seconds - idx_before.build_seconds;
+      stats->like_candidates_verified =
+          static_cast<long long>(idx_after.like_candidates_verified -
+                                 idx_before.like_candidates_verified);
+    }
   }
 
-  double total_seconds = 0.0;
-  if (timing) {
-    total_seconds = obs::NanosToSeconds(clock->NowNanos() - start_nanos);
-  }
-  if (deep_stats) {
-    const storage::ColumnIndexStats idx_after =
-        storage::ColumnIndexCounters::ThreadStats();
-    stats->sat_index_probes =
-        static_cast<long long>((idx_after.value_probes + idx_after.like_probes) -
-                               (idx_before.value_probes + idx_before.like_probes));
-    stats->index_builds =
-        static_cast<long long>(idx_after.builds - idx_before.builds);
-    stats->index_build_seconds =
-        idx_after.build_seconds - idx_before.build_seconds;
-    stats->like_candidates_verified =
-        static_cast<long long>(idx_after.like_candidates_verified -
-                               idx_before.like_candidates_verified);
-  }
   if (explain != nullptr) {
     explain->plan_cache_enabled = plan_cache_ != nullptr;
-    if (plan_cache_ == nullptr) {
-      explain->plan_cache_outcome = "disabled";
-    } else if (caller_explain) {
-      explain->plan_cache_outcome = "bypass";
-    } else {
-      explain->plan_cache_outcome = served_tier == 2   ? "tier2_hit"
-                                    : served_tier == 1 ? "tier1_hit"
-                                                       : "miss";
-    }
+    explain->plan_cache_outcome = plan_cache_ == nullptr ? "disabled" : "bypass";
     if (have_canonical) {
       explain->canonical_text = canonical.text;
       explain->canonical_fingerprint = HexFingerprint(canonical.fingerprint);
-      if (plan_cache_ != nullptr && caller_explain) {
+      if (plan_cache_ != nullptr) {
         explain->plan_cache_tier2_present =
             plan_cache_->PeekFull(StrCat(k, ':', sfsql), epochs0) != nullptr;
         explain->plan_cache_probe_plan_present =
@@ -950,87 +936,13 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     }
     explain->ok = out.ok();
     if (!out.ok()) explain->error = out.status().message();
-    explain->stats = *stats;
-    explain->total_seconds = total_seconds;
-  }
-  if (caller_explain && out.ok() && !out->empty()) {
-    // Execution access paths of the top-1 translation: what the index-aware
-    // executor would do with it (plans only — nothing is executed).
-    explain->execution = executor_.ExplainAccessPaths(*(*out)[0].statement);
-  }
-
-  if (metrics_ != nullptr) {
-    PipelineMetrics& m = *metrics_;
-    m.translate_total->Increment();
-    if (!out.ok()) m.translate_errors->Increment();
-    m.translate_seconds->Observe(total_seconds);
-    m.Publish(*stats, served_tier == 0);
-    if (plan_metrics) {
-      if (served_tier == 2) {
-        // A tier-2 hit moves exactly one counter, known locally; diffing the
-        // cache-wide stats here would put two reads of contended atomics on
-        // the hottest serving path. The entries gauge keeps its last value —
-        // a hit cannot change the occupancy.
-        m.plan_full_hits->Increment();
-      } else if (cache != nullptr) {
-        const PlanCacheStats plan_after = plan_cache_->stats();
-        m.plan_full_hits->Increment(plan_after.full_hits -
-                                    plan_before.full_hits);
-        // +1: this call's own GetFull miss landed before the deferred
-        // snapshot was taken.
-        m.plan_full_misses->Increment(plan_after.full_misses -
-                                      plan_before.full_misses + 1);
-        m.plan_structure_hits->Increment(plan_after.structure_hits -
-                                         plan_before.structure_hits);
-        m.plan_structure_misses->Increment(plan_after.structure_misses -
-                                           plan_before.structure_misses);
-        m.plan_evictions_lru->Increment(plan_after.lru_evictions -
-                                        plan_before.lru_evictions);
-        m.plan_evictions_stale->Increment(plan_after.stale_evictions -
-                                          plan_before.stale_evictions);
-        m.plan_entries->Set(static_cast<double>(plan_after.entries));
-      }
-      // Cache bypassed (EXPLAIN, k <= 0): the call touched no plan state.
-    }
-  }
-
-  // Cache hits skip the slow log: they carry no pipeline provenance, and a
-  // served-from-cache call is never the one worth debugging.
-  if (slow_armed && served_tier == 0 &&
-      total_seconds * 1e3 >= config_.slow_translate_threshold_ms) {
-    if (metrics_ != nullptr) metrics_->slow_translations->Increment();
-    std::string dump =
-        StrCat("slow translation: ", total_seconds * 1e3, " ms >= ",
-               config_.slow_translate_threshold_ms, " ms threshold\n",
-               explain->RenderTree());
-    if (config_.slow_log_sink) {
-      config_.slow_log_sink(dump);
-    } else {
-      std::cerr << dump;
-    }
-  }
-
-  if (profiling) {
-    QueryProfile prof;
-    prof.start_nanos = start_nanos;
-    prof.kind = "translate";
-    prof.statement = std::string(sfsql);
-    if (have_canonical) {
-      prof.fingerprint = HexFingerprint(canonical.fingerprint);
-    }
-    prof.ok = out.ok();
-    if (!out.ok()) prof.error = out.status().message();
-    prof.cache_tier = cache == nullptr ? "off"
-                      : served_tier == 2 ? "tier2"
-                      : served_tier == 1 ? "tier1"
-                                         : "miss";
-    prof.latency_seconds = total_seconds;
-    prof.translate = *stats;
-    prof.translations = out.ok() ? static_cast<long long>(out->size()) : 0;
-    if (profile_out != nullptr) {
-      *profile_out = std::move(prof);
-    } else {
-      config_.profiles->Record(std::move(prof));
+    explain->stats = record->translate;
+    explain->total_seconds = record->latency_seconds;
+    if (out.ok() && !out->empty()) {
+      // Execution access paths of the top-1 translation: what the
+      // index-aware executor would do with it (plans only — nothing is
+      // executed).
+      explain->execution = executor_.ExplainAccessPaths(*(*out)[0].statement);
     }
   }
   return out;
@@ -1044,29 +956,54 @@ Result<Translation> SchemaFreeEngine::TranslateBest(
 
 Result<exec::QueryResult> SchemaFreeEngine::Execute(
     std::string_view sfsql) const {
-  const bool profiling = config_.profiles != nullptr;
-  QueryProfile prof;
+  std::optional<QueryProfile> record;
+  if (metrics_ != nullptr || config_.profiles != nullptr ||
+      config_.slow_execute_threshold_ms > 0.0) {
+    record.emplace().kind = CallKind::kExecute;
+  }
+  QueryProfile* rec = record ? &*record : nullptr;
   Result<std::vector<Translation>> translations =
-      TranslateImpl(sfsql, 1, nullptr, nullptr, profiling ? &prof : nullptr);
-  if (profiling) prof.kind = "execute";
-  if (!translations.ok()) {
-    if (profiling) config_.profiles->Record(std::move(prof));
-    return translations.status();
-  }
-  Translation best = std::move(translations->front());
-
-  exec::ExecInfo info;
+      TranslateImpl(sfsql, 1, rec, nullptr);
   Result<exec::QueryResult> result =
-      executor_.Execute(*best.statement, profiling ? &info : nullptr);
-
-  if (profiling) {
-    prof.ok = result.ok();
-    if (!result.ok()) prof.error = result.status().message();
-    prof.latency_seconds += info.seconds;
-    prof.exec = std::move(info);
-    config_.profiles->Record(std::move(prof));
+      translations.ok()
+          ? executor_.Execute(*translations->front().statement,
+                              rec != nullptr ? &rec->exec : nullptr)
+          : Result<exec::QueryResult>(translations.status());
+  if (rec == nullptr) return result;
+  if (translations.ok()) {
+    rec->ok = result.ok();
+    if (!result.ok()) rec->error = result.status().message();
+    rec->latency_seconds += rec->exec.seconds;
   }
+  Publish(std::move(*rec));
   return result;
+}
+
+void SchemaFreeEngine::Publish(QueryProfile&& record) const {
+  if (metrics_ != nullptr) metrics_->Publish(record);
+  const double threshold_ms = config_.slow_execute_threshold_ms;
+  const bool slow = record.kind == CallKind::kExecute && threshold_ms > 0.0 &&
+                    record.latency_seconds * 1e3 >= threshold_ms;
+  if (!slow) {
+    if (config_.profiles != nullptr) {
+      config_.profiles->Record(std::move(record));
+    }
+    return;
+  }
+  // Slow calls are rare: the ring gets a copy, so the logged line carries the
+  // id the ring assigned.
+  if (config_.profiles != nullptr) {
+    record.id = config_.profiles->Record(QueryProfile(record));
+  }
+  obs::JsonWriter w(/*pretty=*/false);
+  record.WriteJson(w);
+  std::string line = w.TakeString();
+  line += '\n';
+  if (config_.slow_log_sink) {
+    config_.slow_log_sink(line);
+  } else {
+    std::fputs(line.c_str(), stderr);
+  }
 }
 
 }  // namespace sfsql::core

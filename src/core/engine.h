@@ -23,9 +23,10 @@
 
 namespace sfsql::core {
 
-/// Pre-resolved metric handles for the translate pipeline (engine.cc); exists
-/// only when EngineConfig::metrics is set, so a metrics-off engine carries a
-/// null pointer and runs zero instrumentation code.
+/// Pre-resolved metric handles for the translate and execute families
+/// (engine.cc); exists only when EngineConfig::metrics is set, so a
+/// metrics-off engine carries a null pointer and runs zero instrumentation
+/// code.
 struct PipelineMetrics;
 
 struct QueryProfile;    // core/profile.h
@@ -99,8 +100,9 @@ class SchemaFreeEngine {
   Result<std::vector<Translation>> Translate(std::string_view sfsql,
                                              int k) const;
 
-  /// As above, but additionally fills `*stats` with the phase timings, the
-  /// generator's counters, and the probe and index counters of this call.
+  /// As above, but additionally fills `*stats` (when non-null) with the phase
+  /// timings, the generator's counters, and the probe and index counters of
+  /// this call: the `translate` part of the call's QueryProfile.
   Result<std::vector<Translation>> Translate(std::string_view sfsql, int k,
                                              TranslateStats* stats) const;
 
@@ -127,17 +129,21 @@ class SchemaFreeEngine {
   /// mappings). Disabled when config_.mapping_cache_capacity == 0.
   MappingSet CachedMap(const RelationTree& rt, QueryNameProfiles& names) const;
 
-  /// Shared body of Translate / TranslateExplained: parse + outer-block
-  /// translation + counter accounting + metrics publishing + profile
-  /// capture + slow log. When EngineConfig::profiles is set (and the call is
-  /// not an EXPLAIN), the call's QueryProfile is recorded as kind
-  /// "translate" — unless `profile_out` is non-null, in which case the
-  /// profile is handed to the caller instead (Execute extends it with the
-  /// run phase and records it once, as kind "execute").
+  /// Shared body of Translate / TranslateExplained / Execute: plan cache,
+  /// parse and outer-block translation. A non-null `record` (the caller's)
+  /// receives the call's translate part: timings and counters, statement,
+  /// fingerprint, cache tier, outcome and latency; null reads no clock and
+  /// counts nothing. A non-null `explain` (which needs a `record`) bypasses
+  /// the plan cache and collects full provenance.
   Result<std::vector<Translation>> TranslateImpl(
-      std::string_view sfsql, int k, TranslateStats* stats,
-      TranslationExplain* explain,
-      QueryProfile* profile_out = nullptr) const;
+      std::string_view sfsql, int k, QueryProfile* record,
+      TranslationExplain* explain) const;
+
+  /// The one publish path of a finished call record: the metrics registry,
+  /// the profile ring (EngineConfig::profiles) and, for an Execute at or over
+  /// EngineConfig::slow_execute_threshold_ms, one JSON line to the slow log.
+  /// Each sink is skipped when unset.
+  void Publish(QueryProfile&& record) const;
 
   /// Translates one block (and, through TranslateSubqueries, its inner
   /// blocks). `names` holds the call's query-name profiles, shared by every
@@ -180,12 +186,12 @@ class SchemaFreeEngine {
   /// Declared before everything that may reference it so it is destroyed
   /// last (after all users are gone).
   std::unique_ptr<exec::TaskPool> pool_;
-  /// Runs every Execute and plans EXPLAIN's access paths. Configured and
-  /// metered once here; Execute is safe to call concurrently (its counters
-  /// are atomics). Declared after pool_, which it borrows.
+  /// Runs every Execute and plans EXPLAIN's access paths. Configured once
+  /// here; Execute is safe to call concurrently (its counters are atomics).
+  /// Declared after pool_, which it borrows.
   mutable exec::Executor executor_;
   /// Null when config_.metrics is null (metrics off). Resolved once at
-  /// construction so Translate never touches the registry's lock.
+  /// construction so Publish never touches the registry's lock.
   std::unique_ptr<PipelineMetrics> metrics_;
   RelationTreeMapper mapper_;
   ViewGraph views_;

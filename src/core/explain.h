@@ -90,8 +90,8 @@ struct TranslationExplain {
   /// there are no results or the top-1 statement fails to plan.
   std::vector<exec::TableAccessExplain> execution;
 
-  /// Indented tree rendering (what tools/explain_translate prints to stderr
-  /// and what the slow-translation log emits).
+  /// Indented tree rendering (what tools/explain_translate prints to
+  /// stderr).
   std::string RenderTree() const;
 
   /// JSON document; `double_precision` is the %g significant-digit count

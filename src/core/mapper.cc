@@ -229,10 +229,13 @@ MappingSet RelationTreeMapper::Map(const RelationTree& rt,
     m.relation_id = r;
     m.similarity = RootSimilarity(rt, r, names);
     m.attribute_bindings.reserve(rt.attributes.size());
+    m.attribute_similarities.reserve(rt.attributes.size());
     for (const AttributeTree& at : rt.attributes) {
       int best = -1;
-      m.similarity *= AttributeSimilarity(at, r, names, &best);
+      const double sim = AttributeSimilarity(at, r, names, &best);
+      m.similarity *= sim;
       m.attribute_bindings.push_back(best);
+      m.attribute_similarities.push_back(sim);
     }
     all.push_back(std::move(m));
   }

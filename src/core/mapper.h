@@ -21,6 +21,9 @@ struct RelationMapping {
   /// Parallel to RelationTree::attributes: the best-matching attribute ordinal
   /// in `relation_id` for each attribute tree (-1 if the relation has none).
   std::vector<int> attribute_bindings;
+  /// Parallel to attribute_bindings: each attribute tree's similarity to its
+  /// binding (the factor it contributed to `similarity`), kept for EXPLAIN.
+  std::vector<double> attribute_similarities;
 };
 
 /// MAP(rt): candidates above the relative threshold, best first (Definition 1).

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "sql/printer.h"
 
 namespace sfsql::core {
@@ -158,9 +159,10 @@ std::string ComputeProbeSignature(const ProbePlan& plan,
 }
 
 std::shared_ptr<const TranslationPlan> BuildTranslationPlan(
-    const std::vector<Translation>& translations,
+    std::string_view statement, const std::vector<Translation>& translations,
     const std::vector<storage::Value>& literals) {
   auto plan = std::make_shared<TranslationPlan>();
+  plan->statement = std::string(statement);
   plan->translations.reserve(translations.size());
   for (const Translation& t : translations) {
     CachedTranslation ct;
@@ -232,8 +234,10 @@ std::vector<Translation> MaterializePlan(
 }
 
 std::shared_ptr<const TranslationPlan> SubstitutePlan(
-    const TranslationPlan& plan, const std::vector<storage::Value>& literals) {
+    std::string_view statement, const TranslationPlan& plan,
+    const std::vector<storage::Value>& literals) {
   auto out = std::make_shared<TranslationPlan>();
+  out->statement = std::string(statement);
   out->translations.reserve(plan.translations.size());
   for (const CachedTranslation& ct : plan.translations) {
     CachedTranslation nt;
@@ -247,11 +251,46 @@ std::shared_ptr<const TranslationPlan> SubstitutePlan(
   return out;
 }
 
-PlanCache::PlanCache(size_t capacity, size_t num_shards)
+PlanCache::PlanCache(size_t capacity, obs::MetricsRegistry* metrics,
+                     size_t num_shards)
     : capacity_(capacity),
       per_shard_capacity_(
           std::max<size_t>(1, capacity / std::max<size_t>(1, num_shards))),
-      shards_(std::max<size_t>(1, num_shards)) {}
+      shards_(std::max<size_t>(1, num_shards)) {
+  if (metrics == nullptr) return;
+  static constexpr const char* kLookupHelp =
+      "Plan-cache lookups by tier and result";
+  auto lookups = [&](const char* tier, const char* result) {
+    return metrics->GetCounter("sfsql_plan_cache_lookups_total", kLookupHelp,
+                               obs::Labels{{"tier", tier}, {"result", result}});
+  };
+  full_hits_.metric = lookups("full", "hit");
+  full_misses_.metric = lookups("full", "miss");
+  structure_hits_.metric = lookups("structure", "hit");
+  structure_misses_.metric = lookups("structure", "miss");
+  static constexpr const char* kEvictionHelp =
+      "Plan-cache entries dropped, by reason";
+  lru_evictions_.metric =
+      metrics->GetCounter("sfsql_plan_cache_evictions_total", kEvictionHelp,
+                          obs::Labels{{"reason", "lru"}});
+  stale_evictions_.metric =
+      metrics->GetCounter("sfsql_plan_cache_evictions_total", kEvictionHelp,
+                          obs::Labels{{"reason", "stale_epoch"}});
+  entries_metric_ =
+      metrics->GetGauge("sfsql_plan_cache_entries", "Plan-cache occupancy");
+}
+
+void PlanCache::Tally::Add() {
+  count.fetch_add(1, std::memory_order_relaxed);
+  if (metric != nullptr) metric->Increment();
+}
+
+void PlanCache::AddEntries(long long delta) {
+  const size_t now =
+      entries_.fetch_add(static_cast<size_t>(delta), std::memory_order_relaxed) +
+      static_cast<size_t>(delta);
+  if (entries_metric_ != nullptr) entries_metric_->Set(static_cast<double>(now));
+}
 
 PlanCache::Shard& PlanCache::ShardFor(std::string_view key) const {
   return shards_[sql::FingerprintBytes(key) % shards_.size()];
@@ -259,7 +298,7 @@ PlanCache::Shard& PlanCache::ShardFor(std::string_view key) const {
 
 std::shared_ptr<const void> PlanCache::Get(
     std::string_view key, const std::vector<uint64_t>* current_epochs,
-    std::atomic<uint64_t>* hits, std::atomic<uint64_t>* misses) {
+    Tally* hits, Tally* misses) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<const void> value;
   {
@@ -271,8 +310,8 @@ std::shared_ptr<const void> PlanCache::Get(
         // Stale tier-2 entry: drop it so the slot is free for the refill.
         shard.lru.erase(it->second);
         shard.index.erase(it);
-        stale_evictions_.fetch_add(1, std::memory_order_relaxed);
-        entries_.fetch_sub(1, std::memory_order_relaxed);
+        stale_evictions_.Add();
+        AddEntries(-1);
       } else {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         value = it->second->second.value;
@@ -280,9 +319,9 @@ std::shared_ptr<const void> PlanCache::Get(
     }
   }
   if (value != nullptr) {
-    if (hits) hits->fetch_add(1, std::memory_order_relaxed);
+    if (hits) hits->Add();
   } else {
-    if (misses) misses->fetch_add(1, std::memory_order_relaxed);
+    if (misses) misses->Add();
   }
   return value;
 }
@@ -303,13 +342,13 @@ void PlanCache::Put(std::string_view key, RelationStamp stamp,
                           Entry{std::move(stamp), std::move(value)});
   shard.index.emplace(std::string_view(shard.lru.front().first),
                       shard.lru.begin());
-  entries_.fetch_add(1, std::memory_order_relaxed);
+  AddEntries(1);
   if (shard.lru.size() > per_shard_capacity_) {
     evicted = std::move(shard.lru.back().second.value);
     shard.index.erase(std::string_view(shard.lru.back().first));
     shard.lru.pop_back();
-    lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-    entries_.fetch_sub(1, std::memory_order_relaxed);
+    lru_evictions_.Add();
+    AddEntries(-1);
   }
 }
 
@@ -380,7 +419,7 @@ std::shared_ptr<const ProbePlan> PlanCache::PeekProbePlan(
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    entries_.fetch_sub(shard.lru.size(), std::memory_order_relaxed);
+    AddEntries(-static_cast<long long>(shard.lru.size()));
     shard.index.clear();
     shard.lru.clear();
   }
@@ -388,15 +427,12 @@ void PlanCache::Clear() {
 
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats s;
-  s.full_hits = full_hits_.load(std::memory_order_relaxed);
-  s.full_misses = full_misses_.load(std::memory_order_relaxed);
-  s.structure_hits = structure_hits_.load(std::memory_order_relaxed);
-  s.structure_misses = structure_misses_.load(std::memory_order_relaxed);
-  s.stale_evictions = stale_evictions_.load(std::memory_order_relaxed);
-  s.lru_evictions = lru_evictions_.load(std::memory_order_relaxed);
-  // Lock-free: the entry count is maintained at insert/evict. stats() runs
-  // twice per metered translate, so walking the shard mutexes here would put
-  // cross-thread contention on the serving hot path.
+  s.full_hits = full_hits_.value();
+  s.full_misses = full_misses_.value();
+  s.structure_hits = structure_hits_.value();
+  s.structure_misses = structure_misses_.value();
+  s.stale_evictions = stale_evictions_.value();
+  s.lru_evictions = lru_evictions_.value();
   s.entries = entries_.load(std::memory_order_relaxed);
   return s;
 }

@@ -17,11 +17,17 @@
 #include "core/relation_tree.h"
 #include "sql/canonicalize.h"
 
+namespace sfsql::obs {
+class Counter;
+class Gauge;
+class MetricsRegistry;
+}  // namespace sfsql::obs
+
 namespace sfsql::core {
 
 /// Lookup / occupancy counters of the plan cache, cumulative over its
-/// lifetime. The engine publishes per-call deltas into TranslateStats and the
-/// metrics registry.
+/// lifetime. Each is also a metric series when the cache is metered (see
+/// PlanCache).
 struct PlanCacheStats {
   uint64_t full_hits = 0;        ///< tier-2 hits (exact statement + epoch)
   uint64_t full_misses = 0;      ///< tier-2 misses (absent or stale epoch)
@@ -49,6 +55,9 @@ struct CachedTranslation {
 /// A complete ranked translation list for one (statement, k). Immutable once
 /// published; shared_ptr lets lookups escape the shard lock before cloning.
 struct TranslationPlan {
+  /// The schema-free text the list was built for. A call's QueryProfile
+  /// points here instead of copying the text.
+  std::string statement;
   std::vector<CachedTranslation> translations;
 };
 
@@ -95,11 +104,11 @@ std::string ComputeProbeSignature(const ProbePlan& plan,
                                   const std::vector<storage::Value>& literals,
                                   const storage::Database& db);
 
-/// Builds the cacheable form of a ranked translation list: statements are
-/// deep-cloned and each literal is matched back to the query literal slot it
-/// was copied from (by type and value; -1 when structural).
+/// Builds the cacheable form of `statement`'s ranked translation list:
+/// statements are deep-cloned and each literal is matched back to the query
+/// literal slot it was copied from (by type and value; -1 when structural).
 std::shared_ptr<const TranslationPlan> BuildTranslationPlan(
-    const std::vector<Translation>& translations,
+    std::string_view statement, const std::vector<Translation>& translations,
     const std::vector<storage::Value>& literals);
 
 /// Instantiates a cached plan: clones every statement and, when `literals` is
@@ -111,10 +120,11 @@ std::vector<Translation> MaterializePlan(
     const std::vector<storage::Value>* literals);
 
 /// As MaterializePlan with literals, but returns the substituted list as a new
-/// immutable plan (used to promote a tier-1 hit into a tier-2 entry for the
-/// exact statement text).
+/// immutable plan for `statement` (used to promote a tier-1 hit into a tier-2
+/// entry for the exact statement text).
 std::shared_ptr<const TranslationPlan> SubstitutePlan(
-    const TranslationPlan& plan, const std::vector<storage::Value>& literals);
+    std::string_view statement, const TranslationPlan& plan,
+    const std::vector<storage::Value>& literals);
 
 /// Per-relation epoch stamp of a tier-2 entry: (relation id, relation epoch
 /// observed while the entry was computed), sorted by relation id. An entry is
@@ -150,11 +160,18 @@ struct PlanCacheEntry {
 ///
 /// View-graph changes are not versioned here — the owning engine clears the
 /// cache when its views change (AddView / ClearViews).
+///
+/// With a metrics registry, every counter of PlanCacheStats is also written,
+/// where it changes, to its series: sfsql_plan_cache_lookups_total{tier,
+/// result}, sfsql_plan_cache_evictions_total{reason} and the
+/// sfsql_plan_cache_entries gauge.
 class PlanCache {
  public:
   /// `capacity` bounds the total entry count across the three key spaces;
-  /// 0 disables storage (every lookup misses, puts are dropped).
-  explicit PlanCache(size_t capacity, size_t num_shards = 8);
+  /// 0 disables storage (every lookup misses, puts are dropped). Null
+  /// `metrics` leaves the cache unmetered.
+  explicit PlanCache(size_t capacity, obs::MetricsRegistry* metrics = nullptr,
+                     size_t num_shards = 8);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -212,13 +229,20 @@ class PlanCache {
         index;  ///< views into the list-owned key strings
   };
 
+  /// One cumulative counter and, when metered, its metric series.
+  struct Tally {
+    std::atomic<uint64_t> count{0};
+    obs::Counter* metric = nullptr;
+    void Add();
+    uint64_t value() const { return count.load(std::memory_order_relaxed); }
+  };
+
   Shard& ShardFor(std::string_view key) const;
   /// Shared lookup: returns the entry's value on a hit (promoting it), null
   /// otherwise. `current_epochs` non-null enforces the tier-2 stamp.
   std::shared_ptr<const void> Get(std::string_view key,
                                   const std::vector<uint64_t>* current_epochs,
-                                  std::atomic<uint64_t>* hits,
-                                  std::atomic<uint64_t>* misses);
+                                  Tally* hits, Tally* misses);
   void Put(std::string_view key, RelationStamp stamp,
            std::shared_ptr<const void> value);
   std::shared_ptr<const void> Peek(
@@ -228,16 +252,18 @@ class PlanCache {
   size_t capacity_;
   size_t per_shard_capacity_;
   mutable std::vector<Shard> shards_;
-  mutable std::atomic<uint64_t> full_hits_{0};
-  mutable std::atomic<uint64_t> full_misses_{0};
-  mutable std::atomic<uint64_t> structure_hits_{0};
-  mutable std::atomic<uint64_t> structure_misses_{0};
-  mutable std::atomic<uint64_t> stale_evictions_{0};
-  mutable std::atomic<uint64_t> lru_evictions_{0};
+  Tally full_hits_;
+  Tally full_misses_;
+  Tally structure_hits_;
+  Tally structure_misses_;
+  Tally stale_evictions_;
+  Tally lru_evictions_;
   /// Live entry count across all shards, maintained at insert/evict so
-  /// stats() never touches a shard mutex — it runs on the serving hot path
-  /// (per-translate metric deltas).
-  mutable std::atomic<size_t> entries_{0};
+  /// stats() never touches a shard mutex.
+  std::atomic<size_t> entries_{0};
+  obs::Gauge* entries_metric_ = nullptr;
+  /// Adds `delta` to entries_ and mirrors the count into entries_metric_.
+  void AddEntries(long long delta);
 };
 
 }  // namespace sfsql::core

@@ -1,12 +1,29 @@
 #include "core/profile.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace sfsql::core {
+
+const char* CallKindName(CallKind kind) {
+  return kind == CallKind::kExecute ? "execute" : "translate";
+}
+
+const char* CacheTierName(CacheTier tier) {
+  static constexpr const char* kNames[] = {"off", "miss", "tier1", "tier2"};
+  return kNames[static_cast<size_t>(tier)];
+}
+
+std::string HexFingerprint(uint64_t fp) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
 
 const std::vector<ProfileColumn>& ProfileColumns() {
   using catalog::ValueType;
@@ -18,9 +35,10 @@ const std::vector<ProfileColumn>& ProfileColumns() {
     constexpr ValueType kString = ValueType::kString;
     auto to_int = [](auto v) { return Value::Int(static_cast<int64_t>(v)); };
     auto ms = [](double seconds) { return Value::Double(seconds * 1e3); };
-    auto text = [](const char* name, std::string P::*field) {
-      return ProfileColumn{
-          name, kString, [=](const P& p) { return Value::String(p.*field); }};
+    auto text = [](const char* name, auto render) {
+      return ProfileColumn{name, kString, [=](const P& p) {
+                             return Value::String(std::string(render(p)));
+                           }};
     };
     // Chunks of the top-level block's planned tables, summed as EXPLAIN
     // shows them.
@@ -37,12 +55,17 @@ const std::vector<ProfileColumn>& ProfileColumns() {
         {"id", kInt, [=](const P& p) { return to_int(p.id); }},
         {"start_nanos", kInt,
          [=](const P& p) { return to_int(p.start_nanos); }},
-        text("kind", &P::kind),
-        text("statement", &P::statement),
-        text("fingerprint", &P::fingerprint),
+        text("kind", [](const P& p) { return CallKindName(p.kind); }),
+        text("statement",
+             [](const P& p) { return p.statement ? *p.statement : ""; }),
+        text("fingerprint",
+             [](const P& p) {
+               return p.fingerprint ? HexFingerprint(*p.fingerprint) : "";
+             }),
         {"ok", ValueType::kBool, [](const P& p) { return Value::Bool(p.ok); }},
-        text("error", &P::error),
-        text("cache_tier", &P::cache_tier),
+        text("error", [](const P& p) { return p.error; }),
+        text("cache_tier",
+             [](const P& p) { return CacheTierName(p.cache_tier); }),
         {"latency_ms", kDouble,
          [=](const P& p) { return ms(p.latency_seconds); }},
         {"execute_ms", kDouble, [=](const P& p) { return ms(p.exec.seconds); }},
@@ -117,9 +140,10 @@ QueryProfileStore::QueryProfileStore(size_t capacity, size_t num_shards)
   }
 }
 
-void QueryProfileStore::Record(QueryProfile&& profile) {
+uint64_t QueryProfileStore::Record(QueryProfile&& profile) {
   constexpr auto kRelaxed = std::memory_order_relaxed;
-  profile.id = next_id_.fetch_add(1, kRelaxed) + 1;
+  const uint64_t id = next_id_.fetch_add(1, kRelaxed) + 1;
+  profile.id = id;
   Shard& shard = shards_[obs::ThisThreadShard() % num_shards_];
   const uint64_t idx =
       shard.cursor.fetch_add(1, kRelaxed) % shard.slots.size();
@@ -127,14 +151,23 @@ void QueryProfileStore::Record(QueryProfile&& profile) {
   if (slot.lock.test_and_set(std::memory_order_acquire)) {
     // Someone is copying (or wrapped onto) this slot right now. Dropping is
     // cheaper than waiting — capture must never stall the serving path.
-    dropped_.fetch_add(1, kRelaxed);
-    return;
+    shard.dropped.fetch_add(1, kRelaxed);
+    return id;
   }
-  if (slot.filled) dropped_.fetch_add(1, kRelaxed);  // ring overwrite
+  if (slot.filled) shard.dropped.fetch_add(1, kRelaxed);  // ring overwrite
   slot.filled = true;
   slot.value = std::move(profile);
   slot.lock.clear(std::memory_order_release);
-  recorded_.fetch_add(1, kRelaxed);
+  shard.recorded.fetch_add(1, kRelaxed);
+  return id;
+}
+
+uint64_t QueryProfileStore::Sum(std::atomic<uint64_t> Shard::*tally) const {
+  uint64_t total = 0;
+  for (size_t s = 0; s < num_shards_; ++s) {
+    total += (shards_[s].*tally).load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<QueryProfile> QueryProfileStore::Snapshot() const {

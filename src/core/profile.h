@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,21 +16,42 @@
 
 namespace sfsql::core {
 
-/// One query's end-to-end profile record: what the engine did for one
-/// Translate or Execute call. Captured always-on into a QueryProfileStore
-/// (EngineConfig::profiles) by the engine, its only producer; exported as
-/// JSON and queryable through the sys_queries virtual relation
-/// (core/introspection).
+/// What kind of engine call a QueryProfile records.
+enum class CallKind : uint8_t { kTranslate, kExecute };
+
+/// How the translation plan cache served a call: off (disabled, or bypassed
+/// for k <= 0), a pipeline run (miss), a literal substitution into a cached
+/// structure (tier 1) or the exact statement (tier 2).
+enum class CacheTier : uint8_t { kOff, kMiss, kTier1, kTier2 };
+
+/// The rendered names ("translate", "tier2", ...) that sys_queries, the
+/// profile JSON and sfsql_top read.
+const char* CallKindName(CallKind kind);
+const char* CacheTierName(CacheTier tier);
+/// A canonical-structure fingerprint as 16 lowercase hex digits.
+std::string HexFingerprint(uint64_t fingerprint);
+
+/// The one record of one Translate or Execute call. The engine fills it while
+/// the call runs (the translate part first, then Execute adds `exec`) and
+/// publishes it once: into the metrics registry, the QueryProfileStore ring
+/// (EngineConfig::profiles) and, for a slow Execute, the slow log. Only the
+/// error message is a string; every other text field is rendered when the
+/// record is read (ProfileColumns), so sys_queries, the profile JSON and
+/// sfsql_top see the same text.
 struct QueryProfile {
   uint64_t id = 0;           ///< global claim order, 1-based (store-assigned)
   uint64_t start_nanos = 0;  ///< clock reading when the call began
-  std::string kind;          ///< "translate" | "execute"
-  std::string statement;     ///< the schema-free text as submitted
-  std::string fingerprint;   ///< canonical-structure hex fingerprint ("" when
-                             ///< the call never canonicalized, e.g. tier-2 hits)
+  CallKind kind = CallKind::kTranslate;
+  /// The schema-free text as submitted. When the plan cache holds a plan for
+  /// it, this points into that plan instead of copying the text (so a record
+  /// in the ring keeps its plan alive until the slot is overwritten).
+  std::shared_ptr<const std::string> statement;
+  /// Canonical-structure fingerprint (absent when the call never
+  /// canonicalized, e.g. tier-2 hits); rendered as 16 hex digits.
+  std::optional<uint64_t> fingerprint;
   bool ok = true;
-  std::string error;       ///< status message when !ok
-  std::string cache_tier;  ///< "tier2" | "tier1" | "miss" | "off"
+  std::string error;  ///< status message when !ok
+  CacheTier cache_tier = CacheTier::kOff;
   double latency_seconds = 0.0;  ///< end-to-end (translate + execute)
   long long translations = 0;    ///< ranked candidates returned
 
@@ -81,17 +103,17 @@ class QueryProfileStore {
   QueryProfileStore(const QueryProfileStore&) = delete;
   QueryProfileStore& operator=(const QueryProfileStore&) = delete;
 
-  /// Stores `profile`, assigning its global id. Wait-free for writers up to
-  /// the slot try-lock; never blocks.
-  void Record(QueryProfile&& profile);
+  /// Stores `profile`, assigning and returning its global id. Wait-free for
+  /// writers up to the slot try-lock; never blocks.
+  uint64_t Record(QueryProfile&& profile);
 
   /// All currently live records, ascending id order.
   std::vector<QueryProfile> Snapshot() const;
 
-  uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
+  uint64_t recorded() const { return Sum(&Shard::recorded); }
   /// Records lost: overwritten by ring wrap-around or skipped under slot
   /// contention. The serving bench reports this as profile_ring_dropped.
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  uint64_t dropped() const { return Sum(&Shard::dropped); }
   size_t capacity() const { return capacity_; }
 
   /// {"capacity": .., "recorded": .., "dropped": .., "profiles": [..]}.
@@ -104,17 +126,22 @@ class QueryProfileStore {
     bool filled = false;
     QueryProfile value;
   };
+  /// A writer touches only its own shard's line: the cursor and the two
+  /// tallies sit beside it (the readers sum them), so the one atomic all
+  /// writers share is next_id_.
   struct alignas(64) Shard {
     std::atomic<uint64_t> cursor{0};
+    std::atomic<uint64_t> recorded{0};
+    std::atomic<uint64_t> dropped{0};
     std::vector<Slot> slots;
   };
+
+  uint64_t Sum(std::atomic<uint64_t> Shard::*tally) const;
 
   size_t capacity_;
   size_t num_shards_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<uint64_t> next_id_{0};
-  std::atomic<uint64_t> recorded_{0};
-  mutable std::atomic<uint64_t> dropped_{0};
 };
 
 }  // namespace sfsql::core

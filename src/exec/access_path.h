@@ -42,13 +42,14 @@ struct ExecConfig {
   /// (where the block is reorder-safe), regardless of cost. Exercises the
   /// operator on NULL and duplicate keys in the differential suites.
   bool force_sort_merge = false;
-  /// Executions slower than this emit one structured JSON line (event
-  /// "slow_execute") to `slow_log_sink` (stderr when unset) — the execution
-  /// counterpart of EngineConfig::slow_translate_threshold_ms. <= 0 disables.
+  /// Inert: the executor reads neither. The slow log is the engine's
+  /// (EngineConfig::slow_execute_threshold_ms / slow_log_sink), a filter over
+  /// its per-call QueryProfile. Both stay only because the frozen end-to-end
+  /// benchmark harness (perfbench) still sets them.
   double slow_execute_threshold_ms = 0.0;
   std::function<void(const std::string&)> slow_log_sink;
-  /// Clock for slow-execute timing and the profile latency when no metrics
-  /// registry supplies one (tests inject a FakeClock). Null = steady clock.
+  /// Clock for ExecInfo::seconds (tests inject a FakeClock). Null = steady
+  /// clock.
   const obs::Clock* clock = nullptr;
   /// Intra-query parallelism: threads the planned fold may use for its
   /// morsel loops (scan + pushed filter, hash-join build/probe, index
@@ -71,8 +72,8 @@ struct ExecConfig {
 /// Per-execution access-path counters, accumulated across every block run
 /// (a correlated subquery counts once per outer row it runs for, an
 /// uncorrelated one once per execution). kExecCounters below is their one definition: metrics, the
-/// executor's cumulative totals, bench keys and slow-execute lines all
-/// derive from it.
+/// executor's cumulative totals, query profiles and bench keys all derive
+/// from it.
 struct ExecStats {
   uint64_t index_scans = 0;
   uint64_t table_scans = 0;

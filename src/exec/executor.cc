@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -14,8 +13,6 @@
 #include "exec/like.h"
 #include "exec/task_pool.h"
 #include "obs/clock.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 
@@ -1193,39 +1190,10 @@ TaskPool* Executor::EffectivePool() {
   return owned_pool_.get();
 }
 
-void Executor::EnableMetrics(obs::MetricsRegistry* registry,
-                             const obs::Clock* clock) {
-  if (registry == nullptr) {
-    clock_ = nullptr;
-    execute_total_ = execute_errors_ = execute_rows_ = nullptr;
-    execute_seconds_ = nullptr;
-    for (obs::Counter*& m : counter_metrics_) m = nullptr;
-    return;
-  }
-  clock_ = obs::ClockOrSteady(clock);
-  execute_total_ = registry->GetCounter("sfsql_execute_total",
-                                        "Executed SELECT statements");
-  execute_errors_ = registry->GetCounter("sfsql_execute_errors_total",
-                                         "Executions that returned an error");
-  execute_rows_ = registry->GetCounter("sfsql_execute_rows_total",
-                                       "Result rows materialized");
-  execute_seconds_ = registry->GetHistogram(
-      "sfsql_execute_seconds", "Execution wall time", obs::LatencyBuckets());
-  for (size_t i = 0; i < kNumExecCounters; ++i) {
-    counter_metrics_[i] = registry->GetCounter(
-        StrCat("sfsql_exec_", kExecCounters[i].name, "_total"),
-        kExecCounters[i].help);
-  }
-}
-
 Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
                                       ExecInfo* info) {
-  const bool slow_armed = config_.slow_execute_threshold_ms > 0.0;
-  const bool timing =
-      execute_seconds_ != nullptr || info != nullptr || slow_armed;
-  const obs::Clock* clock =
-      clock_ != nullptr ? clock_ : obs::ClockOrSteady(config_.clock);
-  const uint64_t start = timing ? clock->NowNanos() : 0;
+  const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
+  const uint64_t start = info != nullptr ? clock->NowNanos() : 0;
   ExecStats stats;
   Result<QueryResult> out = QueryResult{};
   {
@@ -1235,53 +1203,14 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
                         EffectivePool());
     out = block.ExecuteBlock(binding.root(), Env{});
   }
-  const double seconds =
-      timing ? obs::NanosToSeconds(clock->NowNanos() - start) : 0.0;
   for (size_t i = 0; i < kNumExecCounters; ++i) {
     totals_[i].fetch_add(stats.*kExecCounters[i].field,
                          std::memory_order_relaxed);
   }
-  if (execute_seconds_ != nullptr) {
-    execute_seconds_->Observe(seconds);
-    execute_total_->Increment();
-    if (out.ok()) {
-      execute_rows_->Increment(out->rows.size());
-    } else {
-      execute_errors_->Increment();
-    }
-    for (size_t i = 0; i < kNumExecCounters; ++i) {
-      counter_metrics_[i]->Increment(stats.*kExecCounters[i].field);
-    }
-  }
   if (info != nullptr) {
     info->stats = stats;
     info->rows_returned = out.ok() ? out->rows.size() : 0;
-    info->seconds = seconds;
-  }
-  if (slow_armed && seconds * 1e3 >= config_.slow_execute_threshold_ms) {
-    // One structured line per event, machine-parseable (unlike the slow
-    // translate dump, there is no span tree to render — the stats are the
-    // whole story).
-    obs::JsonWriter w(/*pretty=*/false);
-    w.BeginObject();
-    w.KV("event", "slow_execute");
-    w.KV("ms", seconds * 1e3);
-    w.KV("threshold_ms", config_.slow_execute_threshold_ms);
-    w.KV("sql", sql::PrintSelect(stmt));
-    w.KV("ok", out.ok());
-    w.KV("rows_returned",
-         static_cast<unsigned long long>(out.ok() ? out->rows.size() : 0));
-    for (const ExecCounter& c : kExecCounters) {
-      w.KV(c.name, static_cast<unsigned long long>(stats.*c.field));
-    }
-    w.EndObject();
-    std::string line = w.TakeString();
-    line += '\n';
-    if (config_.slow_log_sink) {
-      config_.slow_log_sink(line);
-    } else {
-      std::fputs(line.c_str(), stderr);
-    }
+    info->seconds = obs::NanosToSeconds(clock->NowNanos() - start);
   }
   return out;
 }

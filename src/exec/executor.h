@@ -12,13 +12,6 @@
 #include "sql/ast.h"
 #include "storage/database.h"
 
-namespace sfsql::obs {
-class Clock;
-class Counter;
-class Histogram;
-class MetricsRegistry;
-}  // namespace sfsql::obs
-
 namespace sfsql::exec {
 
 /// A materialized query result: column labels plus rows.
@@ -105,18 +98,10 @@ class Executor {
 
   const ExecConfig& config() const { return config_; }
 
-  /// Publishes per-execution metrics into `registry`:
-  ///   sfsql_execute_total, sfsql_execute_errors_total,
-  ///   sfsql_execute_seconds (histogram), sfsql_execute_rows_total, and
-  ///   sfsql_exec_<name>_total for every counter in kExecCounters.
-  /// Null `registry` (the default state) disables metrics entirely; `clock`
-  /// overrides the steady clock for the latency histogram (tests).
-  void EnableMetrics(obs::MetricsRegistry* registry,
-                     const obs::Clock* clock = nullptr);
-
   /// Runs `stmt` and materializes the result. Non-null `info` additionally
-  /// reports this call's stats, latency, result cardinality, and the
-  /// top-level block's access paths (for query profiles).
+  /// reports this call's stats, latency (on ExecConfig::clock), result
+  /// cardinality, and the top-level block's access paths; the engine adds
+  /// them to the call's QueryProfile, which is what it publishes.
   Result<QueryResult> Execute(const sql::SelectStatement& stmt,
                               ExecInfo* info = nullptr);
 
@@ -144,13 +129,7 @@ class Executor {
   ExecConfig config_;
   std::mutex pool_mu_;  ///< guards owned_pool_ creation (concurrent Executes)
   std::unique_ptr<TaskPool> owned_pool_;
-  const obs::Clock* clock_ = nullptr;
-  obs::Counter* execute_total_ = nullptr;
-  obs::Counter* execute_errors_ = nullptr;
-  obs::Counter* execute_rows_ = nullptr;
-  obs::Histogram* execute_seconds_ = nullptr;
-  /// Per-counter metrics and cumulative totals, parallel to kExecCounters.
-  obs::Counter* counter_metrics_[kNumExecCounters] = {};
+  /// Cumulative totals, parallel to kExecCounters.
   std::atomic<uint64_t> totals_[kNumExecCounters] = {};
 };
 

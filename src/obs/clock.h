@@ -7,7 +7,7 @@
 namespace sfsql::obs {
 
 /// Time source for every wall-clock measurement in the observability layer
-/// (phase timers, the slow-translation log, bench reports). Injectable
+/// (phase timers, query-profile latencies, bench reports). Injectable
 /// so tests — and the EXPLAIN golden files — run on a deterministic clock.
 class Clock {
  public:

@@ -3,7 +3,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/engine.h"
+#include "core/profile.h"
 #include "exec/executor.h"
 #include "exec/like.h"
 #include "obs/clock.h"
@@ -387,71 +390,94 @@ TEST_F(ExecutorTest, LikeEscapeClause) {
   EXPECT_EQ(r.rows.size(), 4u);
 }
 
-// --- Slow-execute log (fake clock) ------------------------------------------
+// --- Slow log: a filter over the engine's per-call record (fake clock) ----
+
+core::EngineConfig SlowLogConfig(const obs::Clock* clock, double threshold_ms,
+                                 std::vector<std::string>* lines) {
+  core::EngineConfig config;
+  config.clock = clock;
+  config.slow_execute_threshold_ms = threshold_ms;
+  config.slow_log_sink = [lines](const std::string& line) {
+    lines->push_back(line);
+  };
+  return config;
+}
 
 TEST(SlowExecuteTest, EmitsOneStructuredLineAboveThreshold) {
   auto db = MovieDb();
-  // Every NowNanos reading advances 3 ms, so the two reads bracketing the
-  // execution measure exactly 3 ms — above a 1 ms threshold.
-  obs::FakeClock clock(0, /*auto_advance_nanos=*/3'000'000);
-  std::string captured;
-  ExecConfig config;
-  config.slow_execute_threshold_ms = 1.0;
-  config.slow_log_sink = [&captured](const std::string& line) {
-    captured += line;
-  };
-  config.clock = &clock;
-  Executor exec(db.get(), config);
+  // Every clock reading advances 1 ms, so an Execute "takes" several ms of
+  // fake time: over a 1 ms threshold.
+  obs::FakeClock clock(0, /*auto_advance_nanos=*/1'000'000);
+  std::vector<std::string> lines;
+  core::QueryProfileStore profiles;
+  core::EngineConfig config = SlowLogConfig(&clock, 1.0, &lines);
+  config.profiles = &profiles;
+  core::SchemaFreeEngine engine(db.get(), config);
 
-  auto r = exec.ExecuteSql("SELECT name FROM Person WHERE gender = 'male'");
+  auto r = engine.Execute("SELECT name FROM Person WHERE gender = 'male'");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_FALSE(captured.empty());
-  EXPECT_EQ(captured.back(), '\n');
-
-  auto parsed = obs::ParseJson(captured);
+  ASSERT_EQ(lines.size(), 1u);
+  ASSERT_EQ(lines[0].back(), '\n');
+  auto parsed = obs::ParseJson(lines[0]);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Find("event")->string, "slow_execute");
-  EXPECT_DOUBLE_EQ(parsed->Find("ms")->number, 3.0);
-  EXPECT_DOUBLE_EQ(parsed->Find("threshold_ms")->number, 1.0);
-  EXPECT_NE(parsed->Find("sql")->string.find("SELECT"), std::string::npos);
-  EXPECT_TRUE(parsed->Find("ok")->boolean);
+  EXPECT_EQ(parsed->Find("kind")->string, "execute");
+  EXPECT_GE(parsed->Find("latency_ms")->number, 1.0);
   EXPECT_DOUBLE_EQ(parsed->Find("rows_returned")->number, 3.0);
-  EXPECT_GT(parsed->Find("rows_scanned")->number, 0.0);
+  EXPECT_GT(parsed->Find("exec_rows_scanned")->number, 0.0);
+
+  // The line is the call's record as the ring holds it, in its one-line JSON.
+  const std::vector<core::QueryProfile> captured = profiles.Snapshot();
+  ASSERT_EQ(captured.size(), 1u);
+  obs::JsonWriter w(/*pretty=*/false);
+  captured[0].WriteJson(w);
+  EXPECT_EQ(lines[0], w.TakeString() + "\n");
 }
 
 TEST(SlowExecuteTest, FastExecutionsAndDisabledThresholdStaySilent) {
   auto db = MovieDb();
-  obs::FakeClock clock(0, /*auto_advance_nanos=*/3'000'000);
-  std::string captured;
-  ExecConfig config;
-  config.slow_execute_threshold_ms = 10.0;  // above the fake 3 ms
-  config.slow_log_sink = [&captured](const std::string& line) {
-    captured += line;
-  };
-  config.clock = &clock;
-  Executor slow_armed(db.get(), config);
-  ASSERT_TRUE(slow_armed.ExecuteSql("SELECT name FROM Person").ok());
-  EXPECT_TRUE(captured.empty());
+  std::vector<std::string> lines;
+  obs::FakeClock fast(0, /*auto_advance_nanos=*/1'000);  // 1 µs per reading
+  core::SchemaFreeEngine below(db.get(), SlowLogConfig(&fast, 10.0, &lines));
+  ASSERT_TRUE(below.Execute("SELECT name FROM Person").ok());
 
-  config.slow_execute_threshold_ms = 0.0;  // disabled entirely
-  Executor disarmed(db.get(), config);
-  ASSERT_TRUE(disarmed.ExecuteSql("SELECT name FROM Person").ok());
-  EXPECT_TRUE(captured.empty());
+  obs::FakeClock slow(0, /*auto_advance_nanos=*/1'000'000);
+  core::SchemaFreeEngine disarmed(db.get(), SlowLogConfig(&slow, 0.0, &lines));
+  ASSERT_TRUE(disarmed.Execute("SELECT name FROM Person").ok());
+  EXPECT_TRUE(lines.empty());
+}
+
+TEST(SlowExecuteTest, TranslationsNeverLog) {
+  auto db = MovieDb();
+  std::vector<std::string> lines;
+  obs::FakeClock slow(0, /*auto_advance_nanos=*/1'000'000);
+  core::SchemaFreeEngine engine(db.get(), SlowLogConfig(&slow, 1.0, &lines));
+  core::TranslateStats stats;
+  ASSERT_TRUE(engine.Translate("SELECT name FROM Person", 3).ok());
+  ASSERT_TRUE(engine.Translate("SELECT title FROM Movie", 3, &stats).ok());
+  EXPECT_GT(stats.parse_seconds, 0.0);  // the calls did run on the slow clock
+  EXPECT_TRUE(lines.empty());
 }
 
 // --- Counter descriptors ----------------------------------------------------
 
+// The engine publishes the sfsql_exec_* series from the same record its
+// profile ring keeps: each series equals the recorded ExecStats field.
 TEST(ExecCountersTest, EveryDescriptorRegistersOneMetricMatchingStats) {
   auto db = MovieDb();
   obs::MetricsRegistry registry;
-  Executor exec(db.get());
-  exec.EnableMetrics(&registry);
-  auto r = exec.ExecuteSql(
+  core::QueryProfileStore profiles;
+  core::EngineConfig config;
+  config.metrics = &registry;
+  config.profiles = &profiles;
+  core::SchemaFreeEngine engine(db.get(), config);
+  auto r = engine.Execute(
       "SELECT Movie.title FROM Person, Actor, Movie "
       "WHERE Person.person_id = Actor.person_id "
       "AND Actor.movie_id = Movie.movie_id AND Person.gender = 'female'");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const ExecStats stats = exec.stats();
+  const std::vector<core::QueryProfile> captured = profiles.Snapshot();
+  ASSERT_EQ(captured.size(), 1u);
+  const ExecStats& stats = captured[0].exec.stats;
   EXPECT_GT(stats.rows_scanned, 0u);
 
   std::map<std::string, std::vector<uint64_t>> exported;  // family -> values

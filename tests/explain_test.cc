@@ -1,7 +1,7 @@
 // Tests for translation EXPLAIN provenance (core/explain.h, engine
-// TranslateExplained), the slow-translation log, and the generator's per-root
-// timing aggregation — all on injected fake clocks so every timing in the
-// assertions and the golden file is deterministic.
+// TranslateExplained) and the generator's per-root timing aggregation — all
+// on injected fake clocks so every timing in the assertions and the golden
+// file is deterministic.
 //
 // Golden files live in tests/goldens/; regenerate after an intentional format
 // change with:  SFSQL_REGEN_GOLDENS=1 ./test_explain
@@ -142,41 +142,26 @@ TEST(ExplainTest, FailedParseKeepsErrorProvenance) {
   EXPECT_TRUE(explain.results.empty());
 }
 
-TEST(SlowLogTest, ThresholdCrossingDumpsExplainToSink) {
+// EXPLAIN reads its provenance from the one mapping pass, so it probes
+// satisfiability exactly as often as the Translate it explains.
+TEST(ExplainTest, ProbesAsOftenAsTranslate) {
+  constexpr const char* kProbeQuery =
+      "SELECT title? WHERE director_name? = 'James Cameron' AND year? > 1990";
   auto db = BuildMovie43();
   core::EngineConfig config;
-  // Every clock reading advances 1 ms, so a translation "takes" several ms of
-  // fake time — far over the 1 ms threshold.
-  obs::FakeClock clock(0, 1'000'000);
-  config.clock = &clock;
-  config.slow_translate_threshold_ms = 1.0;
-  std::vector<std::string> dumps;
-  config.slow_log_sink = [&dumps](const std::string& s) {
-    dumps.push_back(s);
-  };
-  SchemaFreeEngine engine(db.get(), config);
+  config.plan_cache_enabled = false;
+  config.mapping_cache_capacity = 0;
 
-  auto result = engine.Translate(kQuery, 3);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(dumps.size(), 1u);
-  EXPECT_NE(dumps[0].find("slow translation"), std::string::npos);
-  // The dump embeds the EXPLAIN tree: candidates and phases are visible.
-  EXPECT_NE(dumps[0].find("Movie"), std::string::npos);
-  EXPECT_NE(dumps[0].find("phases"), std::string::npos);
-}
-
-TEST(SlowLogTest, FastTranslationsStayQuiet) {
-  auto db = BuildMovie43();
-  core::EngineConfig config;
-  obs::FakeClock clock(0, 1'000);  // 1 µs per reading: everything is "fast"
-  config.clock = &clock;
-  config.slow_translate_threshold_ms = 1000.0;
-  int dumps = 0;
-  config.slow_log_sink = [&dumps](const std::string&) { ++dumps; };
-  SchemaFreeEngine engine(db.get(), config);
-
-  ASSERT_TRUE(engine.Translate(kQuery, 3).ok());
-  EXPECT_EQ(dumps, 0);
+  core::TranslateStats translated;
+  ASSERT_TRUE(SchemaFreeEngine(db.get(), config)
+                  .Translate(kProbeQuery, 3, &translated)
+                  .ok());
+  TranslationExplain explain;
+  ASSERT_TRUE(SchemaFreeEngine(db.get(), config)
+                  .TranslateExplained(kProbeQuery, 3, &explain)
+                  .ok());
+  EXPECT_GT(translated.sat_index_probes, 0);
+  EXPECT_EQ(explain.stats.sat_index_probes, translated.sat_index_probes);
 }
 
 TEST(GeneratorTimingTest, RootSecondsSumAndMaxAggregateDeterministically) {

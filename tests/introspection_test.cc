@@ -89,9 +89,9 @@ TEST_F(IntrospectionTest, SysQueriesRowsMatchCapturedProfiles) {
   // The ground truth, straight from the store.
   std::vector<core::QueryProfile> captured = profiles_.Snapshot();
   ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0].kind, "execute");
-  EXPECT_EQ(captured[0].cache_tier, "miss");
-  EXPECT_EQ(captured[1].cache_tier, "tier2");
+  EXPECT_EQ(captured[0].kind, core::CallKind::kExecute);
+  EXPECT_EQ(captured[0].cache_tier, core::CacheTier::kMiss);
+  EXPECT_EQ(captured[1].cache_tier, core::CacheTier::kTier2);
   EXPECT_FALSE(captured[1].exec.access_paths.empty());
   EXPECT_GT(captured[0].exec.stats.rows_scanned, 0u);
 
@@ -106,7 +106,7 @@ TEST_F(IntrospectionTest, SysQueriesRowsMatchCapturedProfiles) {
     const core::QueryProfile& p = captured[i];
     const storage::Row& row = r->rows[i];
     EXPECT_EQ(row[0].AsInt(), static_cast<int64_t>(p.id));
-    EXPECT_EQ(row[1].AsString(), p.cache_tier);
+    EXPECT_EQ(row[1].AsString(), core::CacheTierName(p.cache_tier));
     EXPECT_EQ(row[2].AsInt(),
               static_cast<int64_t>(p.exec.stats.rows_scanned));
     // "binding:relation:access" per table — the access kind must be one the
@@ -341,7 +341,8 @@ TEST(TranslateCountersTest, EveryDescriptorDrivesMetricsProfilesAndSysQueries) {
 
   const std::vector<core::QueryProfile> captured = profiles.Snapshot();
   ASSERT_EQ(captured.size(), 2u);
-  ASSERT_EQ(captured[1].cache_tier, "miss");  // both ran the pipeline
+  // Both ran the pipeline.
+  ASSERT_EQ(captured[1].cache_tier, core::CacheTier::kMiss);
   EXPECT_GT(stats.generator.pushed, 0);
   EXPECT_GT(stats.sat_index_probes, 0);
 

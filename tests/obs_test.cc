@@ -366,9 +366,9 @@ using core::QueryProfileStore;
 QueryProfile DemoProfile(uint64_t start_nanos, const char* statement) {
   QueryProfile p;
   p.start_nanos = start_nanos;
-  p.kind = "translate";
-  p.statement = statement;
-  p.cache_tier = "miss";
+  p.kind = core::CallKind::kTranslate;
+  p.statement = std::make_shared<const std::string>(statement);
+  p.cache_tier = core::CacheTier::kMiss;
   p.latency_seconds = 0.002;
   p.translate.parse_seconds = 0.0005;
   p.translations = 3;
@@ -387,9 +387,9 @@ TEST(QueryProfileStoreTest, AssignsIdsAndSnapshotsInOrder) {
   EXPECT_EQ(got[0].id, 1u);
   EXPECT_EQ(got[1].id, 2u);
   EXPECT_EQ(got[2].id, 3u);
-  EXPECT_EQ(got[0].statement, "a");
-  EXPECT_EQ(got[2].statement, "c");
-  EXPECT_EQ(got[0].cache_tier, "miss");
+  EXPECT_EQ(*got[0].statement, "a");
+  EXPECT_EQ(*got[2].statement, "c");
+  EXPECT_EQ(got[0].cache_tier, core::CacheTier::kMiss);
   EXPECT_EQ(got[0].translations, 3);
 }
 
@@ -419,15 +419,15 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   QueryProfileStore store(/*capacity=*/4, /*num_shards=*/1);
 
   QueryProfile translate = DemoProfile(1'000'000, "SELECT name FROM people");
-  translate.fingerprint = "deadbeef";
+  translate.fingerprint = 0xdeadbeef;
   translate.translate.map_seconds = 0.001;
   translate.translate.sat_index_probes = 5;
   translate.translate.generator.pushed = 12;
   store.Record(std::move(translate));
 
   QueryProfile execute = DemoProfile(5'000'000, "SELECT * FROM movies");
-  execute.kind = "execute";
-  execute.cache_tier = "tier2";
+  execute.kind = core::CallKind::kExecute;
+  execute.cache_tier = core::CacheTier::kTier2;
   execute.translate.parse_seconds = 0.0;
   execute.translations = 1;
   execute.exec.seconds = 0.0007;
@@ -457,7 +457,8 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   const JsonValue* profiles = parsed->Find("profiles");
   ASSERT_TRUE(profiles != nullptr && profiles->is_array());
   ASSERT_EQ(profiles->items.size(), 3u);
-  EXPECT_EQ(profiles->items[0].Find("fingerprint")->string, "deadbeef");
+  EXPECT_EQ(profiles->items[0].Find("fingerprint")->string,
+            "00000000deadbeef");
   EXPECT_EQ(profiles->items[1].Find("kind")->string, "execute");
   ASSERT_NE(profiles->items[1].Find("access_paths"), nullptr);
   EXPECT_EQ(profiles->items[2].Find("error")->string,

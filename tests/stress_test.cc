@@ -14,18 +14,25 @@
 //     the column indexes of a superseded version) may hold a stale answer.
 //
 // A third test races two Translate loops with no writer and checks that each
-// call's TranslateStats count only that call's own lookups and probes.
+// call's TranslateStats count only that call's own lookups and probes. A
+// fourth publishes call records from several serving threads into every
+// sink at once.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/plan_cache.h"
+#include "core/profile.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 #include "workloads/movie43.h"
 
@@ -224,6 +231,71 @@ TEST(TranslateCountersStressTest, ConcurrentCallsCountOnlyTheirOwnWork) {
   done.store(true, std::memory_order_release);
   other.join();
   EXPECT_EQ(mismatches, 0);
+}
+
+// Serving threads publish their Execute records into one metrics registry,
+// one profile ring and the slow log at once, while a reader snapshots the
+// ring and a tiny plan cache evicts the plans that ring records point into.
+TEST(PublishStressTest, ConcurrentExecutesReachEverySinkOnce) {
+  auto db = workloads::BuildMovie43(42, 30);
+  obs::MetricsRegistry registry;
+  core::QueryProfileStore profiles(/*capacity=*/64);
+  std::mutex lines_mu;
+  long long lines = 0;
+  core::EngineConfig config;
+  config.metrics = &registry;
+  config.profiles = &profiles;
+  config.plan_cache_capacity = 8;
+  config.slow_execute_threshold_ms = 1e-9;  // every Execute is slow
+  config.slow_log_sink = [&](const std::string&) {
+    std::lock_guard<std::mutex> lock(lines_mu);
+    ++lines;
+  };
+  core::SchemaFreeEngine engine(db.get(), config);
+  const std::vector<std::string> queries = {
+      "SELECT title? WHERE year? > 2000",
+      "SELECT title? WHERE genre? = 'Drama'",
+      "SELECT title? WHERE director_name? = 'James Cameron'",
+      "SELECT title? WHERE actor_name? = 'Kate Winslet'",
+      "SELECT name? WHERE title? LIKE '%Titanic%' AND year? > 1990",
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 30;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (const core::QueryProfile& p : profiles.Snapshot()) {
+        ASSERT_NE(p.statement, nullptr);
+        EXPECT_NE(std::find(queries.begin(), queries.end(), *p.statement),
+                  queries.end());
+      }
+    }
+  });
+  std::vector<std::thread> servers;
+  for (int t = 0; t < kThreads; ++t) {
+    servers.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        auto r = engine.Execute(queries[(t + i) % queries.size()]);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+      }
+    });
+  }
+  for (std::thread& s : servers) s.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const long long total = kThreads * kCalls;
+  EXPECT_EQ(lines, total);
+  EXPECT_EQ(registry
+                .GetCounter("sfsql_execute_total",
+                            "Executed SELECT statements")
+                ->Value(),
+            static_cast<uint64_t>(total));
+  // Every record reached the ring or was counted as dropped there.
+  EXPECT_GE(profiles.recorded() + profiles.dropped(),
+            static_cast<uint64_t>(total));
+  EXPECT_GT(engine.plan_cache_stats().lru_evictions, 0u);
 }
 
 }  // namespace
