@@ -45,6 +45,10 @@ struct SimilarityConfig {
   double type_mismatch_penalty = 0.3;
 };
 
+/// Largest join network the generators can build: a network keeps one bit
+/// per node in a 64-bit mask.
+inline constexpr int kMaxJnNodes = 64;
+
 /// Knobs of the top-k MTJN generators (§6).
 struct GeneratorConfig {
   /// Exponent applied to a view's edge-weight product (Definition 5 uses 0.5).
@@ -54,7 +58,8 @@ struct GeneratorConfig {
   /// like k/3 plain edges at count 1, less as the pattern recurs). Ablated in bench_ablation.
   double view_weight_exponent = 0.3333;
   /// Hard cap on join-network size (number of relation nodes); plays the role
-  /// of the size threshold customary in schema-based keyword search.
+  /// of the size threshold customary in schema-based keyword search. At most
+  /// kMaxJnNodes (ExtendedViewGraph::Build rejects more).
   int max_jn_nodes = 12;
   /// Safety cap on expansions *per root-relation search*; a root's search
   /// stops (reporting what it has) if exceeded. Per-root rather than global so

@@ -12,12 +12,12 @@ namespace sfsql::core {
 
 /// One relation instance in a join network. The same extended-graph node may
 /// appear as several instances (bare intermediates can repeat); rt-mapped
-/// nodes appear at most once per network.
+/// nodes appear at most once per network. A node's children are the later
+/// nodes whose `parent` it is, in index order — which is insertion order.
 struct JnNode {
   int xnode = -1;
-  int parent = -1;            ///< tree-node index, -1 for the root
-  int parent_edge = -1;       ///< XEdge id connecting to the parent
-  std::vector<int> children;  ///< tree-node indices, in insertion order
+  int parent = -1;       ///< tree-node index (below this node's), -1 for the root
+  int parent_edge = -1;  ///< XEdge id connecting to the parent
 };
 
 /// A candidate join network (Definition 2): a rooted tree over extended-graph
@@ -27,7 +27,8 @@ struct JnNode {
 ///  * one-instance-per-relation-tree,
 ///  * the construction weight (edge products, views contributing their
 ///    Definition 5 weight, node mapping factors when enabled), and
-///  * the rightmost expansion path used by the §6.1 legality test.
+///  * the rightmost marks used by the §6.1 legality test, one bit per node.
+/// A network holds at most kMaxJnNodes nodes.
 class JoinNetwork {
  public:
   /// A network of a single node. `include_factor` folds the node's mapping
@@ -41,12 +42,9 @@ class JoinNetwork {
   double weight() const { return weight_; }
   uint64_t rt_mask() const { return rt_mask_; }
 
-  /// Tree-node indices currently allowed to expand under the §6.1 legality
-  /// test (the rightmost-marked nodes).
-  const std::vector<int>& rightmost_path() const { return rightmost_path_; }
-
-  /// True if tree node `t` is rightmost-marked (may legally expand).
-  bool IsRightmost(int t) const { return rightmost_[t]; }
+  /// True if tree node `t` is rightmost-marked (may legally expand under the
+  /// §6.1 legality test).
+  bool IsRightmost(int t) const { return (rightmost_mask_ >> t) & 1; }
 
   /// True once every relation tree of the query is covered.
   bool IsTotal() const {
@@ -87,22 +85,27 @@ class JoinNetwork {
   std::string ToString() const;
 
  private:
+  /// Bit t set when tree node t has a child.
+  uint64_t InnerMask() const;
   /// True if tree node `t` already uses foreign key `fk` on its FK side.
   bool FkSlotUsed(int t, int fk) const;
-  /// Applies the §6.1 marking rules after an expansion: new nodes become
-  /// rightmost, old nodes left of the expansion frontier are frozen.
-  void MarkAfterExpansion(const std::vector<int>& new_nodes);
-  const View& ViewStructure(int xview_id) const;
+  /// Appends a node for `xnode` under tree node `parent`, folding its mapping
+  /// factor into the weight when it carries a relation tree.
+  void AddNode(int xnode, int parent, int parent_edge);
+  /// Applies the §6.1 marking rules after an expansion added the nodes from
+  /// `first_new` on: new nodes become rightmost, old nodes left of the
+  /// expansion frontier are frozen.
+  void MarkAfterExpansion(int first_new);
+  void Render(int t, std::string* out) const;
 
   const ExtendedViewGraph* graph_ = nullptr;
   int num_rts_ = 0;
   bool include_factor_ = true;
   std::vector<JnNode> nodes_;
-  std::vector<bool> rightmost_;   ///< per tree node, parallel to nodes_
-  std::vector<int> rightmost_path_;
   double weight_ = 1.0;
   uint64_t rt_mask_ = 0;
-  int last_view_label_ = -1;  ///< labels of added views must increase
+  uint64_t rightmost_mask_ = 1;  ///< bit t: tree node t is rightmost-marked
+  int last_view_label_ = -1;     ///< labels of added views must increase
 };
 
 }  // namespace sfsql::core

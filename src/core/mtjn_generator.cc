@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -29,39 +28,50 @@ struct QueueCompare {
   }
 };
 
-/// Result accumulator: top-k by weight, deduplicated by canonical signature
-/// keeping the best construction weight (Definition 7).
+/// The Definition 7 accumulator: results deduplicated by canonical signature,
+/// keeping the best construction weight, with the kth best weight kept up to
+/// date as results arrive. Each root's search fills one, and the cross-root
+/// merge folds them, in rank order, into another.
 class TopKResults {
  public:
   explicit TopKResults(int k) : k_(k) {}
 
-  void Add(const JoinNetwork& jn) {
-    std::string sig = jn.CanonicalSignature();
-    auto it = by_signature_.find(sig);
-    if (it == by_signature_.end()) {
-      by_signature_.emplace(std::move(sig), jn);
-    } else if (jn.weight() > it->second.weight()) {
-      it->second = jn;
-    }
+  void Add(const JoinNetwork& jn) { Add(jn.CanonicalSignature(), jn); }
+
+  /// Folds every result of `other` into this one.
+  void Merge(TopKResults&& other) {
+    for (auto& [sig, jn] : other.by_signature_) Add(sig, std::move(jn));
   }
 
   /// Weight of the kth best result, 0 if fewer than k exist yet (k <= 0 means
   /// "no bound": never prune).
-  double KthWeight() const {
-    if (k_ <= 0 || static_cast<int>(by_signature_.size()) < k_) return 0.0;
-    std::vector<double> weights;
-    weights.reserve(by_signature_.size());
-    for (const auto& [sig, jn] : by_signature_) weights.push_back(jn.weight());
-    std::nth_element(weights.begin(), weights.begin() + (k_ - 1), weights.end(),
-                     std::greater<double>());
-    return weights[k_ - 1];
+  double KthWeight() const { return kth_weight_; }
+
+  const std::map<std::string, JoinNetwork>& by_signature() const {
+    return by_signature_;
   }
 
-  std::map<std::string, JoinNetwork>& by_signature() { return by_signature_; }
-
  private:
+  void Add(const std::string& sig, JoinNetwork jn) {
+    auto [it, inserted] = by_signature_.try_emplace(sig, std::move(jn));
+    if (!inserted) {
+      if (jn.weight() <= it->second.weight()) return;
+      it->second = std::move(jn);
+    }
+    if (k_ <= 0 || static_cast<int>(by_signature_.size()) < k_) return;
+    std::vector<double> weights;
+    weights.reserve(by_signature_.size());
+    for (const auto& [s, network] : by_signature_) {
+      weights.push_back(network.weight());
+    }
+    std::nth_element(weights.begin(), weights.begin() + (k_ - 1), weights.end(),
+                     std::greater<double>());
+    kth_weight_ = weights[k_ - 1];
+  }
+
   int k_;
   std::map<std::string, JoinNetwork> by_signature_;
+  double kth_weight_ = 0.0;
 };
 
 double Seconds(const obs::Clock& clock, uint64_t since_nanos) {
@@ -179,8 +189,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
   // graph). `initial_bound` is a weight known to be no greater than the final
   // global kth weight; anything strictly below it can never enter the top k.
   auto search_root = [&](size_t rank_index, double initial_bound,
-                         GeneratorStats& rst, double& final_bound)
-      -> std::map<std::string, JoinNetwork> {
+                         GeneratorStats& rst, double& final_bound) {
     const int root = ranked[rank_index].second;
     std::set<int> banned;
     for (size_t j = 0; j < rank_index; ++j) banned.insert(ranked[j].second);
@@ -192,7 +201,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
       ++rst.emitted;
       results.Add(seed);
       final_bound = std::max(initial_bound, results.KthWeight());
-      return std::move(results.by_signature());
+      return results;
     }
 
     auto contains_banned_new = [&](const JoinNetwork& before,
@@ -203,19 +212,24 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
       return false;
     };
 
+    // A binary max-heap on QueueCompare; popping moves the entry out.
     long long seq = 0;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>, QueueCompare> queue;
-    queue.push(QueueEntry{pruning ? ranked[rank_index].first : seed.weight(),
-                          seq++, std::move(seed)});
-    ++rst.pushed;
+    std::vector<QueueEntry> queue;
+    auto push = [&](double priority, JoinNetwork jn) {
+      queue.push_back(QueueEntry{priority, seq++, std::move(jn)});
+      std::push_heap(queue.begin(), queue.end(), QueueCompare{});
+      ++rst.pushed;
+    };
+    push(pruning ? ranked[rank_index].first : seed.weight(), std::move(seed));
 
     while (!queue.empty()) {
       if (rst.expansions > config_.max_expansions) {
         rst.truncated = true;
         break;
       }
-      QueueEntry entry = queue.top();
-      queue.pop();
+      std::pop_heap(queue.begin(), queue.end(), QueueCompare{});
+      QueueEntry entry = std::move(queue.back());
+      queue.pop_back();
       ++rst.popped;
       // The priority upper-bounds every descendant: once it falls *strictly*
       // below the pruning bound, neither it nor anything left in the queue
@@ -248,8 +262,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
             ++rst.pruned;
             return;
           }
-          queue.push(QueueEntry{priority, seq++, std::move(*expanded)});
-          ++rst.pushed;
+          push(priority, std::move(*expanded));
         };
 
         for (int edge_id : graph_->EdgesOf(xnode)) {
@@ -266,17 +279,18 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
       }
     }
     final_bound = std::max(initial_bound, results.KthWeight());
-    return std::move(results.by_signature());
+    return results;
   };
 
   uint64_t search_start = clock.NowNanos();
-  std::vector<std::map<std::string, JoinNetwork>> outcomes(ranked.size());
   std::vector<RootSearchTrace> root_traces(ranked.size());
+  TopKResults merged(k);
 
   // The best-ranked root searches first with no outside bound; its kth weight
   // is a floor on the final global kth weight (its results all pool into the
   // merge), so it seeds every later root's pruning bound. The clock reads
-  // bracket only each root's search, so per-root times are additive.
+  // bracket only each root's search, so per-root times are additive. Each
+  // root's results then fold into the merge in rank order.
   double bound0 = 0.0;
   for (size_t i = 0; i < ranked.size(); ++i) {
     RootSearchTrace& rt = root_traces[i];
@@ -284,40 +298,21 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
     rt.potential = ranked[i].first;
     rt.initial_bound = bound0;
     rt.start_nanos = clock.NowNanos();
-    outcomes[i] = search_root(i, bound0, rt.stats, rt.final_bound);
+    TopKResults results = search_root(i, bound0, rt.stats, rt.final_bound);
     rt.end_nanos = clock.NowNanos();
-    if (i == 0 && k >= 1 && static_cast<int>(outcomes[0].size()) >= k) {
-      std::vector<double> weights;
-      weights.reserve(outcomes[0].size());
-      for (const auto& [sig, jn] : outcomes[0]) weights.push_back(jn.weight());
-      std::nth_element(weights.begin(), weights.begin() + (k - 1),
-                       weights.end(), std::greater<double>());
-      bound0 = weights[k - 1];
-    }
-  }
+    if (i == 0) bound0 = results.KthWeight();
+    merged.Merge(std::move(results));
 
-  // Merge per-root results in rank order: canonical-signature dedup keeping
-  // the best construction weight, exactly as a shared accumulator would.
-  std::map<std::string, JoinNetwork> merged;
-  for (size_t i = 0; i < ranked.size(); ++i) {
-    const GeneratorStats& rst = root_traces[i].stats;
+    const GeneratorStats& rst = rt.stats;
     st.pushed += rst.pushed;
     st.popped += rst.popped;
     st.expansions += rst.expansions;
     st.pruned += rst.pruned;
     st.emitted += rst.emitted;
     st.truncated = st.truncated || rst.truncated;
-    const double root_secs = root_traces[i].seconds();
+    const double root_secs = rt.seconds();
     st.root_seconds_sum += root_secs;
     st.root_seconds_max = std::max(st.root_seconds_max, root_secs);
-    for (auto& [sig, jn] : outcomes[i]) {
-      auto it = merged.find(sig);
-      if (it == merged.end()) {
-        merged.emplace(sig, std::move(jn));
-      } else if (jn.weight() > it->second.weight()) {
-        it->second = std::move(jn);
-      }
-    }
   }
   st.roots = static_cast<int>(ranked.size());
   st.search_seconds = Seconds(clock, search_start);
@@ -325,7 +320,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
     trace->seed_bound = bound0;
     trace->roots = std::move(root_traces);
   }
-  return TakeTopK(merged, k);
+  return TakeTopK(merged.by_signature(), k);
 }
 
 std::vector<ScoredNetwork> MtjnGenerator::TopK(int k, GeneratorStats* stats,

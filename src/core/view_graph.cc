@@ -252,6 +252,11 @@ Result<ExtendedViewGraph> ExtendedViewGraph::Build(
   if (trees.size() > 62) {
     return Status::InvalidArgument("too many relation trees (max 62)");
   }
+  if (gen_config.max_jn_nodes > kMaxJnNodes) {
+    return Status::InvalidArgument(
+        StrCat("max_jn_nodes ", gen_config.max_jn_nodes, " exceeds ",
+               kMaxJnNodes));
+  }
   ExtendedViewGraph g;
   g.catalog_ = &db.catalog();
   g.num_rts_ = static_cast<int>(trees.size());

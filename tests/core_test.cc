@@ -430,6 +430,23 @@ TEST_F(GraphTest, TopKOfZeroIsEmptyNotACrash) {
   EXPECT_FALSE(generator.TopK(-1).empty());  // "all", like EnumerateAll
 }
 
+// A network keeps one rightmost bit per node in a 64-bit mask, so the graph
+// refuses a node cap it could not represent.
+TEST_F(GraphTest, NodeCapAboveMaskWidthIsRejected) {
+  BuildGraph(/*with_view=*/false);
+  auto build = [&](int max_jn_nodes) {
+    GeneratorConfig config;
+    config.max_jn_nodes = max_jn_nodes;
+    QueryNameProfiles names(mapper_.config().qgram);
+    return ExtendedViewGraph::Build(*db_, *views_, extraction_.trees,
+                                    mappings_, mapper_, names, config);
+  };
+  auto too_wide = build(65);
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(build(64).ok());
+}
+
 TEST_F(GraphTest, AllStrategiesAgreeOnTopNetwork) {
   BuildGraph(/*with_view=*/false);
   MtjnGenerator generator(graph_.get(), GeneratorConfig{});
