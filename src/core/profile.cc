@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
 
 namespace sfsql::core {
 
@@ -129,61 +128,49 @@ void QueryProfile::WriteJson(obs::JsonWriter& w) const {
   w.EndObject();
 }
 
-QueryProfileStore::QueryProfileStore(size_t capacity, size_t num_shards)
-    : capacity_(0), num_shards_(num_shards == 0 ? 1 : num_shards) {
-  if (capacity == 0) capacity = 1;
-  const size_t per_shard = (capacity + num_shards_ - 1) / num_shards_;
-  capacity_ = per_shard * num_shards_;
-  shards_ = std::make_unique<Shard[]>(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    shards_[s].slots = std::vector<Slot>(per_shard);
-  }
-}
+QueryProfileStore::QueryProfileStore(size_t capacity)
+    : slots_(std::max<size_t>(capacity, 1)) {}
 
 uint64_t QueryProfileStore::Record(QueryProfile&& profile) {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  const uint64_t id = next_id_.fetch_add(1, kRelaxed) + 1;
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   profile.id = id;
-  Shard& shard = shards_[obs::ThisThreadShard() % num_shards_];
-  const uint64_t idx =
-      shard.cursor.fetch_add(1, kRelaxed) % shard.slots.size();
-  Slot& slot = shard.slots[idx];
+  Slot& slot = slots_[(id - 1) % slots_.size()];
   if (slot.lock.test_and_set(std::memory_order_acquire)) {
     // Someone is copying (or wrapped onto) this slot right now. Dropping is
     // cheaper than waiting — capture must never stall the serving path.
-    shard.dropped.fetch_add(1, kRelaxed);
+    skipped_.fetch_add(1, std::memory_order_relaxed);
     return id;
   }
-  if (slot.filled) shard.dropped.fetch_add(1, kRelaxed);  // ring overwrite
   slot.filled = true;
   slot.value = std::move(profile);
   slot.lock.clear(std::memory_order_release);
-  shard.recorded.fetch_add(1, kRelaxed);
   return id;
 }
 
-uint64_t QueryProfileStore::Sum(std::atomic<uint64_t> Shard::*tally) const {
-  uint64_t total = 0;
-  for (size_t s = 0; s < num_shards_; ++s) {
-    total += (shards_[s].*tally).load(std::memory_order_relaxed);
+template <typename F>
+void QueryProfileStore::ForEachLocked(F f) const {
+  for (const Slot& slot : slots_) {
+    // Spin-acquire: writers hold the flag only for one move, so this is
+    // bounded; a blocked writer meanwhile drops instead of waiting on us.
+    while (slot.lock.test_and_set(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    f(slot);
+    slot.lock.clear(std::memory_order_release);
   }
-  return total;
+}
+
+uint64_t QueryProfileStore::dropped() const {
+  uint64_t live = 0;
+  ForEachLocked([&](const Slot& slot) { live += slot.filled; });
+  return next_id_.load(std::memory_order_relaxed) - live;
 }
 
 std::vector<QueryProfile> QueryProfileStore::Snapshot() const {
   std::vector<QueryProfile> out;
-  for (size_t s = 0; s < num_shards_; ++s) {
-    const Shard& shard = shards_[s];
-    for (const Slot& slot : shard.slots) {
-      // Spin-acquire: writers hold the flag only for one move, so this is
-      // bounded; a blocked writer meanwhile drops instead of waiting on us.
-      while (slot.lock.test_and_set(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      if (slot.filled) out.push_back(slot.value);
-      slot.lock.clear(std::memory_order_release);
-    }
-  }
+  ForEachLocked([&](const Slot& slot) {
+    if (slot.filled) out.push_back(slot.value);
+  });
   std::sort(out.begin(), out.end(),
             [](const QueryProfile& a, const QueryProfile& b) {
               return a.id < b.id;
@@ -194,7 +181,7 @@ std::vector<QueryProfile> QueryProfileStore::Snapshot() const {
 void QueryProfileStore::WriteJson(obs::JsonWriter& w) const {
   const std::vector<QueryProfile> profiles = Snapshot();
   w.BeginObject();
-  w.KV("capacity", static_cast<unsigned long long>(capacity_));
+  w.KV("capacity", static_cast<unsigned long long>(capacity()));
   w.KV("recorded", static_cast<unsigned long long>(recorded()));
   w.KV("dropped", static_cast<unsigned long long>(dropped()));
   w.Key("profiles");

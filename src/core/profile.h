@@ -79,26 +79,24 @@ struct ProfileColumn {
 /// (as exec_<name>).
 const std::vector<ProfileColumn>& ProfileColumns();
 
-/// Bounded, sharded ring buffer of QueryProfile records — the always-on
-/// profile sink behind EngineConfig::profiles.
+/// Bounded ring buffer of QueryProfile records — the always-on profile sink
+/// behind EngineConfig::profiles.
 ///
-/// Writers never block and never wait on each other: a writer claims a slot
-/// with one relaxed fetch_add on its shard's cursor (shards are picked by the
-/// caller's thread, the obs metric-shard assignment, so serving threads
-/// rarely share a cursor cache line), takes the slot's try-lock, and moves
-/// the record in. The only lock hold is the move itself; if the try-lock is
-/// already taken (a reader copying the slot, or a wrapped-around writer), the
-/// record is dropped and counted rather than waited for — capture must never
-/// add latency to the serving path. Old records are overwritten ring-style;
-/// every overwrite and contention skip increments dropped().
+/// Writers never block and never wait on each other: a writer draws its
+/// record's id with one relaxed fetch_add, which also picks its slot
+/// ((id - 1) mod capacity), takes the slot's try-lock, and moves the record
+/// in. The only lock hold is the move itself; if the try-lock is already
+/// taken (a reader copying the slot, or a wrapped-around writer), the record
+/// is dropped and counted rather than waited for — capture must never add
+/// latency to the serving path. Old records are overwritten ring-style;
+/// dropped() counts both.
 ///
-/// Readers (Snapshot / WriteJson) spin-acquire each slot briefly to copy it;
+/// Readers (Snapshot / WriteJson / dropped) spin-acquire each slot briefly;
 /// they are expected to be rare (periodic stats snapshots, sys_queries).
 class QueryProfileStore {
  public:
-  /// `capacity` is the total record bound across all shards (rounded up to a
-  /// multiple of `num_shards`).
-  explicit QueryProfileStore(size_t capacity = 4096, size_t num_shards = 8);
+  /// `capacity` is the record bound (at least 1).
+  explicit QueryProfileStore(size_t capacity = 4096);
 
   QueryProfileStore(const QueryProfileStore&) = delete;
   QueryProfileStore& operator=(const QueryProfileStore&) = delete;
@@ -110,11 +108,16 @@ class QueryProfileStore {
   /// All currently live records, ascending id order.
   std::vector<QueryProfile> Snapshot() const;
 
-  uint64_t recorded() const { return Sum(&Shard::recorded); }
+  /// Records stored: Record calls less those skipped under slot contention.
+  uint64_t recorded() const {
+    return next_id_.load(std::memory_order_relaxed) -
+           skipped_.load(std::memory_order_relaxed);
+  }
   /// Records lost: overwritten by ring wrap-around or skipped under slot
-  /// contention. The serving bench reports this as profile_ring_dropped.
-  uint64_t dropped() const { return Sum(&Shard::dropped); }
-  size_t capacity() const { return capacity_; }
+  /// contention — every Record call whose record is not live. The serving
+  /// bench reports this as profile_ring_dropped.
+  uint64_t dropped() const;
+  size_t capacity() const { return slots_.size(); }
 
   /// {"capacity": .., "recorded": .., "dropped": .., "profiles": [..]}.
   void WriteJson(obs::JsonWriter& w) const;
@@ -126,22 +129,14 @@ class QueryProfileStore {
     bool filled = false;
     QueryProfile value;
   };
-  /// A writer touches only its own shard's line: the cursor and the two
-  /// tallies sit beside it (the readers sum them), so the one atomic all
-  /// writers share is next_id_.
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> cursor{0};
-    std::atomic<uint64_t> recorded{0};
-    std::atomic<uint64_t> dropped{0};
-    std::vector<Slot> slots;
-  };
 
-  uint64_t Sum(std::atomic<uint64_t> Shard::*tally) const;
+  /// Calls `f(slot)` for every slot under its lock.
+  template <typename F>
+  void ForEachLocked(F f) const;
 
-  size_t capacity_;
-  size_t num_shards_;
-  std::unique_ptr<Shard[]> shards_;
+  std::vector<Slot> slots_;
   std::atomic<uint64_t> next_id_{0};
+  std::atomic<uint64_t> skipped_{0};  ///< contention skips (rare)
 };
 
 }  // namespace sfsql::core

@@ -376,7 +376,7 @@ QueryProfile DemoProfile(uint64_t start_nanos, const char* statement) {
 }
 
 TEST(QueryProfileStoreTest, AssignsIdsAndSnapshotsInOrder) {
-  QueryProfileStore store(/*capacity=*/8, /*num_shards=*/1);
+  QueryProfileStore store(/*capacity=*/8);
   store.Record(DemoProfile(100, "a"));
   store.Record(DemoProfile(200, "b"));
   store.Record(DemoProfile(300, "c"));
@@ -394,7 +394,7 @@ TEST(QueryProfileStoreTest, AssignsIdsAndSnapshotsInOrder) {
 }
 
 TEST(QueryProfileStoreTest, RingWrapsOverwritingOldestAndCountsDrops) {
-  QueryProfileStore store(/*capacity=*/4, /*num_shards=*/1);
+  QueryProfileStore store(/*capacity=*/4);
   for (int i = 0; i < 6; ++i) {
     store.Record(DemoProfile(100 * (i + 1), "q"));
   }
@@ -406,17 +406,17 @@ TEST(QueryProfileStoreTest, RingWrapsOverwritingOldestAndCountsDrops) {
   EXPECT_EQ(got.back().id, 6u);
 }
 
-TEST(QueryProfileStoreTest, CapacityRoundsUpToShardMultiple) {
-  QueryProfileStore store(/*capacity=*/10, /*num_shards=*/4);
-  EXPECT_EQ(store.capacity(), 12u);  // 3 slots per shard
-  QueryProfileStore tiny(/*capacity=*/0, /*num_shards=*/0);
-  EXPECT_EQ(tiny.capacity(), 1u);  // degenerate arguments stay usable
+TEST(QueryProfileStoreTest, CapacityIsExactAndAtLeastOne) {
+  QueryProfileStore store(/*capacity=*/10);
+  EXPECT_EQ(store.capacity(), 10u);
+  QueryProfileStore tiny(/*capacity=*/0);
+  EXPECT_EQ(tiny.capacity(), 1u);  // a degenerate capacity stays usable
   tiny.Record(DemoProfile(1, "only"));
   EXPECT_EQ(tiny.Snapshot().size(), 1u);
 }
 
 TEST(QueryProfileStoreTest, JsonMatchesGolden) {
-  QueryProfileStore store(/*capacity=*/4, /*num_shards=*/1);
+  QueryProfileStore store(/*capacity=*/4);
 
   QueryProfile translate = DemoProfile(1'000'000, "SELECT name FROM people");
   translate.fingerprint = 0xdeadbeef;
@@ -437,7 +437,7 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
   execute.exec.access_paths = {{.binding = "m", .relation = "Movie",
                                 .index_scan = true, .table_rows = 120,
                                 .estimated_rows = 9, .chunks_total = 4,
-                                .chunks_pruned = 2}};
+                                .chunks_pruned = 2, .join_algo = ""}};
   store.Record(std::move(execute));
 
   QueryProfile failed = DemoProfile(9'000'000, "SELECT FROM nothing");
@@ -465,8 +465,27 @@ TEST(QueryProfileStoreTest, JsonMatchesGolden) {
             "no relation matches 'nothing'");
 }
 
+// Slots follow record ids, not writer threads, so a ring with room for every
+// record keeps them all however few threads write.
+TEST(QueryProfileStoreTest, FewWritersFillTheWholeRing) {
+  QueryProfileStore store(/*capacity=*/4096);
+  constexpr int kPerThread = 1'500;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&store] {
+      for (int i = 0; i < kPerThread; ++i) {
+        store.Record(DemoProfile(i, "few"));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(store.Snapshot().size(), 2u * kPerThread);
+  EXPECT_EQ(store.recorded(), 2u * kPerThread);
+  EXPECT_EQ(store.dropped(), 0u);
+}
+
 TEST(QueryProfileStoreTest, ConcurrentRecordsNeitherBlockNorCorrupt) {
-  QueryProfileStore store(/*capacity=*/64, /*num_shards=*/8);
+  QueryProfileStore store(/*capacity=*/64);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2'000;
   std::vector<std::thread> workers;
@@ -479,12 +498,13 @@ TEST(QueryProfileStoreTest, ConcurrentRecordsNeitherBlockNorCorrupt) {
   }
   for (std::thread& w : workers) w.join();
   const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
-  // recorded + contention-skips == total; overwrite-drops are a subset of
-  // dropped, so dropped >= recorded - capacity.
+  // recorded + contention-skips == total, and every record that is not
+  // live was dropped.
   EXPECT_LE(store.recorded(), total);
   EXPECT_GE(store.recorded() + store.dropped(), total);
   std::vector<QueryProfile> got = store.Snapshot();
   EXPECT_LE(got.size(), store.capacity());
+  EXPECT_EQ(got.size() + store.dropped(), total);
   for (size_t i = 1; i < got.size(); ++i) {
     EXPECT_LT(got[i - 1].id, got[i].id);  // Snapshot sorts by id
   }
