@@ -218,7 +218,9 @@ TEST_F(IntrospectionTest, SysColumnStatsAggregateAcrossChunks) {
       EXPECT_DOUBLE_EQ(null_fraction,
                        static_cast<double>(nulls) / static_cast<double>(rows));
     }
-    if (non_null > 0) EXPECT_GE(ndv, 1) << row[0].AsString();
+    if (non_null > 0) {
+      EXPECT_GE(ndv, 1) << row[0].AsString();
+    }
   }
 
   // Cross-check one concrete column against ground truth: Person.person_id is

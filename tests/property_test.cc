@@ -135,7 +135,9 @@ TEST(GeneratorPropertyTest, TopKMatchesOracleOnRandomSchemas) {
     for (size_t i = 0; i < ours.size(); ++i) {
       EXPECT_GT(ours[i].weight, 0.0);
       EXPECT_LE(ours[i].weight, 1.0 + 1e-12);
-      if (i > 0) EXPECT_LE(ours[i].weight, ours[i - 1].weight + 1e-12);
+      if (i > 0) {
+        EXPECT_LE(ours[i].weight, ours[i - 1].weight + 1e-12);
+      }
     }
     // The whole top-k matches the oracle's prefix, modulo last-ulp weight
     // differences from differing construction orders; equal-weight groups may
