@@ -284,7 +284,7 @@ std::vector<std::string> JoinWorkload() {
 // Scan- and join-heavy queries where intra-query parallelism has room to
 // work: every query touches the 1M-row fact table, either as a morsel-wise
 // chunk scan, as a hash-join probe side, or through index nested-loop probe
-// morsels.
+// morsels, and the last two fold a column aggregate over its tuples.
 std::vector<std::string> ParallelWorkload() {
   return {
       // Full fact-table scans with residual predicates.
@@ -300,6 +300,11 @@ std::vector<std::string> ParallelWorkload() {
       "SELECT COUNT(*) FROM Orders, Customer "
       "WHERE Orders.customer_id = Customer.customer_id "
       "AND Customer.city = 'Kyoto'",
+      // The composer's shape: an aggregate over a column, folded per morsel
+      // (a pushed filter on the fact table; a join reading the fact side).
+      "SELECT COUNT(Orders.order_id) FROM Orders WHERE quantity > 3",
+      "SELECT SUM(Orders.quantity) FROM Orders, Store "
+      "WHERE Orders.store_id = Store.store_id AND Store.city = 'Oslo'",
   };
 }
 

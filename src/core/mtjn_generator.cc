@@ -166,7 +166,13 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
   if (trace != nullptr) *trace = GeneratorTrace{};
   const obs::Clock& clock = *obs::ClockOrSteady(config_.clock);
 
-  if (k == 0 || graph_->num_rts() == 0) return {};
+  // Every node of a network maps at most one relation tree, so a query with
+  // more trees than max_jn_nodes can yield no network: answer it before any
+  // search rather than at the expansion cap.
+  if (k == 0 || graph_->num_rts() == 0 ||
+      graph_->num_rts() > config_.max_jn_nodes) {
+    return {};
+  }
 
   const bool legality = strategy != Strategy::kRegular;
   const bool pruning = strategy == Strategy::kOurs;

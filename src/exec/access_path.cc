@@ -195,6 +195,20 @@ std::optional<SargablePredicate> TryExtractSargable(
   return std::nullopt;
 }
 
+/// True if every operand of `pred` lies in its column's declared class (a
+/// LIKE: the column holds strings), so that evaluating it could raise no
+/// error on any row and its ValueFilter keeps the rows the interpreter keeps.
+bool KernelSafe(const storage::ColumnPredicate& pred,
+                catalog::ValueType declared) {
+  if (pred.kind == storage::ColumnPredicate::Kind::kLike) {
+    return declared == catalog::ValueType::kString;
+  }
+  return std::all_of(pred.values.begin(), pred.values.end(),
+                     [&](const Value& v) {
+                       return storage::InDeclaredClass(declared, v);
+                     });
+}
+
 /// An IndexScan is chosen only when its predicate keeps at most this
 /// fraction of the table; above it, the scan's sequential pass wins over
 /// materializing a row-id list.
@@ -316,9 +330,20 @@ Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
                      static_cast<double>(best->estimated_rows) <=
                          kMaxIndexSelectivity *
                              static_cast<double>(tp.table_rows));
+    const catalog::Relation& relation = catalog.relation(tp.relation_id);
     std::vector<int> demoted;
-    for (const SargablePredicate& p : tp.sargable) {
-      if (!tp.index_scan || &p != best) demoted.push_back(p.conjunct);
+    for (const bool kernel : {true, false}) {
+      for (const SargablePredicate& p : tp.sargable) {
+        if ((tp.index_scan && &p == best) ||
+            KernelSafe(p.pred, relation.attributes[p.attr_index].type) !=
+                kernel) {
+          continue;
+        }
+        demoted.push_back(p.conjunct);
+        if (kernel) {
+          tp.kernels.push_back({p.attr_index, storage::ValueFilter(p.pred)});
+        }
+      }
     }
     tp.pushed.insert(tp.pushed.begin(), demoted.begin(), demoted.end());
     if (tp.index_scan) {

@@ -51,17 +51,21 @@ struct ExecConfig {
   /// Clock for ExecInfo::seconds (tests inject a FakeClock). Null = steady
   /// clock.
   const obs::Clock* clock = nullptr;
-  /// Intra-query parallelism: threads the planned fold may use for its
-  /// morsel loops (scan + pushed filter, hash-join build/probe, index
-  /// nested-loop probes). 1 = serial and thread-free. Values above 1 run on
-  /// `pool` (the Executor lazily creates a private pool of exec_threads - 1
-  /// workers when none is wired in); the pool's worker count, not this
-  /// number, caps the actual fan-out. Results are bit-identical at every
-  /// setting: morsel outputs are stitched in morsel order.
+  /// Intra-query parallelism: threads the executor may use for its morsel
+  /// loops (scan + pushed filter, hash-join build/probe, index nested-loop
+  /// probes, the GROUP BY keying pass and the aggregate folds). 1 = serial
+  /// and thread-free. Values above 1 run on `pool` (the Executor lazily
+  /// creates a private pool of exec_threads - 1 workers when none is wired
+  /// in); the pool's worker count, not this number, caps the actual
+  /// fan-out. Results are bit-identical at every setting: morsel outputs are
+  /// stitched, and partial groups and aggregate states merged, in morsel
+  /// order.
   int exec_threads = 1;
-  /// Rows per morsel for the parallel loops. 0 = 4096. Scans round this up
-  /// to whole chunks, so any grain at or below the table's chunk_capacity
-  /// means one chunk per morsel. Correctness is grain-independent.
+  /// Rows (or tuples) per morsel for the parallel loops. 0 = 4096. Scans
+  /// round this up to whole chunks, so any grain at or below the table's
+  /// chunk_capacity means one chunk per morsel. Serial grouping and
+  /// aggregate folds run the same morsels inline. Correctness is
+  /// grain-independent.
   size_t morsel_grain = 0;
   /// Shared work-stealing pool the morsel loops run on (borrowed — the
   /// engine owns one and hands it to every Execute). Null with
@@ -139,6 +143,13 @@ struct SargablePredicate {
   size_t estimated_rows = 0;  ///< exact match count from the column index
 };
 
+/// A pushed sargable conjunct run as a chunk kernel: its predicate's
+/// per-value rule over one column.
+struct PushedKernel {
+  int attr_index = -1;
+  storage::ValueFilter filter;
+};
+
 /// Access path for one FROM entry.
 struct TablePlan {
   int from_index = -1;  ///< position in the statement's FROM list
@@ -152,9 +163,17 @@ struct TablePlan {
   /// estimate.
   std::vector<SargablePredicate> sargable;
   /// Conjunct indices evaluated once per base row, below the join: every
-  /// sargable conjunct but an IndexScan's own (first, in conjunct order),
-  /// then the ones the index cannot answer.
+  /// sargable conjunct but an IndexScan's own (first, in conjunct order,
+  /// the kernels ahead of the rest), then the ones the index cannot answer.
   std::vector<int> pushed;
+  /// The first kernels.size() entries of `pushed`, as chunk kernels: the
+  /// sargable conjuncts whose operands lie in their column's declared class
+  /// (see storage::ValueFilter). Scans narrow each chunk's selection vector
+  /// by them and evaluate only the rest of `pushed`, row by row. No
+  /// sargable conjunct can raise an error, so running the kernels first
+  /// changes no row's outcome, and every conjunct that can still runs after
+  /// all of them, in conjunct order.
+  std::vector<PushedKernel> kernels;
   /// Per-chunk prune verdicts from the chunk statistics, computed at plan
   /// time *before* any index is consulted; 1 = no row of the chunk can pass
   /// the sargable conjuncts. Empty when the table has no sargable conjuncts.

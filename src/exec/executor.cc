@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,11 +36,22 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// One group of an aggregating block. Its group row is `key` (the GROUP BY
-/// values) followed by `aggregates`, each computed on first use.
+/// values) followed by `aggregates`, each computed on first use. Its tuples,
+/// first-seen first, are `rows`; a global aggregate's one group lists none
+/// and reads the whole join fold output in place: `count` tuples of `width`
+/// ids from `all`.
 struct Group {
   Row key;
-  std::vector<const uint32_t*> rows;  ///< its tuples, first-seen first
+  std::vector<const uint32_t*> rows;
+  const uint32_t* all = nullptr;
+  size_t count = 0;
+  size_t width = 0;
   std::vector<std::optional<Value>> aggregates;
+
+  size_t size() const { return all != nullptr ? count : rows.size(); }
+  const uint32_t* tuple(size_t i) const {
+    return all != nullptr ? all + i * width : rows[i];
+  }
 };
 
 /// One block's current tuple as its bound expressions read it. A tuple is
@@ -98,6 +110,160 @@ Result<Value> IntArith(BinaryOp op, int64_t a, int64_t b) {
   if (overflow) return IntegerOverflow();
   return Value::Int(out);
 }
+
+/// True if no node of `b` is a subquery, so evaluating it never reenters
+/// ExecuteBlock and a pool worker may run it (see RowLoop).
+bool SubqueryFree(const BoundExpr& b) {
+  if (b.subquery != nullptr) return false;
+  if (b.lhs && !SubqueryFree(*b.lhs)) return false;
+  if (b.rhs && !SubqueryFree(*b.rhs)) return false;
+  return std::all_of(b.args.begin(), b.args.end(), SubqueryFree);
+}
+
+/// True if `b` is a bound column ref, which ColumnAt reads in place.
+bool InPlace(const BoundExpr& b) {
+  return b.group_slot < 0 && b.expr->kind == ExprKind::kColumnRef &&
+         b.error.ok();
+}
+
+/// The value bound column ref `b` reads under `env`, in place in its chunk
+/// (NULL in an empty group's frame).
+const Value& ColumnAt(const BoundExpr& b, const Env& env) {
+  static const Value kNull;
+  const Frame& f = env[b.level];
+  if (f.ids == nullptr) return kNull;
+  return f.tables[b.from]->at(f.ids[b.from], b.attr);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate folds
+// ---------------------------------------------------------------------------
+
+enum class AggFn { kCount, kSum, kAvg, kMin, kMax };
+
+/// The function of an aggregate call (the binder only slots the five).
+AggFn AggFnOf(const std::string& name) {
+  if (EqualsIgnoreCase(name, "count")) return AggFn::kCount;
+  if (EqualsIgnoreCase(name, "sum")) return AggFn::kSum;
+  if (EqualsIgnoreCase(name, "min")) return AggFn::kMin;
+  if (EqualsIgnoreCase(name, "max")) return AggFn::kMax;
+  return AggFn::kAvg;
+}
+
+/// Integers up to this magnitude are exact as doubles: an integer AVG whose
+/// values and running sums stay inside it has the exact sum as its double
+/// sum, whatever the order of addition.
+constexpr __int128 kExactDouble = __int128{1} << 53;
+
+/// One aggregate's fold over a run of a group's tuples: a morsel's partial
+/// state, or the one in-order pass. Partials merge in morsel order into the
+/// serial state: counts add, the first-seen extreme wins under strict
+/// comparison, and an integer sum is exact in 128 bits with its lowest and
+/// highest running prefix, which tell an int64 overflow (SUM) and an
+/// inexact double sum (AVG) just as the serial prefixes would. Only the
+/// double sum `dsum` depends on the order of addition: a partial stops at
+/// the first value that needs it (`reorder`), and the caller runs the
+/// in-order pass instead.
+struct AggState {
+  int64_t n = 0;  ///< non-NULL values (under DISTINCT, distinct ones)
+  Value best;     ///< MIN / MAX
+  bool non_numeric = false;  ///< SUM / AVG: reported after every Eval error
+  bool all_int = true;
+  bool wide = false;  ///< AVG: an integer beyond kExactDouble
+  __int128 sum = 0;
+  __int128 low = 0;   ///< lowest running prefix of `sum`
+  __int128 high = 0;  ///< highest running prefix of `sum`
+  double dsum = 0;    ///< in-order double sum
+  bool reorder = false;
+  std::unordered_set<Row, RowHash, RowEq> seen;  ///< DISTINCT
+
+  void Add(const Value& v, AggFn fn, bool distinct, bool in_order) {
+    if (v.is_null()) return;
+    if (distinct && !seen.insert(Row{v}).second) return;
+    if (++n == 1 && (fn == AggFn::kMin || fn == AggFn::kMax)) {
+      best = v;
+      return;
+    }
+    switch (fn) {
+      case AggFn::kCount:
+        return;
+      case AggFn::kMin:
+        if (v.Compare(best) < 0) best = v;
+        return;
+      case AggFn::kMax:
+        if (v.Compare(best) > 0) best = v;
+        return;
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        break;
+    }
+    if (!v.is_numeric()) {
+      non_numeric = true;
+      return;
+    }
+    dsum += v.AsDouble();
+    if (!v.is_int()) {
+      all_int = false;
+      reorder = !in_order;
+      return;
+    }
+    const int64_t i = v.AsInt();
+    sum += i;
+    low = std::min(low, sum);
+    high = std::max(high, sum);
+    if (fn == AggFn::kAvg && (i > kExactDouble || i < -kExactDouble)) {
+      wide = true;
+      reorder = !in_order;
+    }
+  }
+
+  /// Folds in the partial of the run right after this state's.
+  void Merge(const AggState& later, AggFn fn) {
+    if (later.n == 0) return;
+    if (n == 0 || (fn == AggFn::kMin && later.best.Compare(best) < 0) ||
+        (fn == AggFn::kMax && later.best.Compare(best) > 0)) {
+      best = later.best;
+    }
+    n += later.n;
+    non_numeric = non_numeric || later.non_numeric;
+    all_int = all_int && later.all_int;
+    wide = wide || later.wide;
+    low = std::min(low, sum + later.low);
+    high = std::max(high, sum + later.high);
+    sum += later.sum;
+  }
+
+  /// True if an integer AVG's double sum equals its exact sum.
+  bool ExactAvg() const {
+    return all_int && !wide && low >= -kExactDouble && high <= kExactDouble;
+  }
+
+  /// True if the result reads `dsum`, which merged partials do not give.
+  bool NeedsInOrder(AggFn fn) const {
+    if (n == 0 || non_numeric) return false;
+    return (fn == AggFn::kSum && !all_int) ||
+           (fn == AggFn::kAvg && !ExactAvg());
+  }
+
+  Result<Value> Finish(AggFn fn, const std::string& name) const {
+    if (fn == AggFn::kCount) return Value::Int(n);
+    if (n == 0) return Value::Null_();
+    if (fn == AggFn::kMin || fn == AggFn::kMax) return best;
+    if (non_numeric) {
+      return Status::TypeError(StrCat(ToLower(name), " needs numeric values"));
+    }
+    if (fn == AggFn::kSum) {
+      if (!all_int) return Value::Double(dsum);
+      if (low < std::numeric_limits<int64_t>::min() ||
+          high > std::numeric_limits<int64_t>::max()) {
+        return IntegerOverflow();
+      }
+      return Value::Int(static_cast<int64_t>(sum));
+    }
+    const double total = ExactAvg() ? static_cast<double>(sum) : dsum;
+    return Value::Double(total / static_cast<double>(n));
+  }
+};
 
 /// Pins the versions of every relation some block of `binding` reads: the
 /// one database state the whole execution reads.
@@ -159,12 +325,9 @@ class BlockExecutor {
     switch (e.kind) {
       case ExprKind::kLiteral:
         return e.literal;
-      case ExprKind::kColumnRef: {
+      case ExprKind::kColumnRef:
         if (!b.error.ok()) return b.error;
-        const Frame& f = env[b.level];
-        if (f.ids == nullptr) return Value::Null_();
-        return f.tables[b.from]->at(f.ids[b.from], b.attr);
-      }
+        return ColumnAt(b, env);
       case ExprKind::kStar:
         return Status::ExecutionError("'*' is only valid in SELECT or COUNT(*)");
       case ExprKind::kUnary: {
@@ -358,9 +521,14 @@ class BlockExecutor {
         StrCat("unknown function '", e.function_name, "'"));
   }
 
-  /// The aggregate `b` over `group`, folded in one pass: its argument runs
-  /// once per tuple of the group, in the group's own frame. Only DISTINCT
-  /// keeps the values it has seen.
+  /// The aggregate `b` over `group`. Its argument runs once per tuple in
+  /// the group's own frame, and a column ref is read in place. The tuples
+  /// fold in morsels of Grain() into partial AggStates merged in morsel
+  /// order: on the pool when parallelism is on and the argument is
+  /// subquery-free, inline otherwise. What partials cannot give runs the one
+  /// in-order pass: DISTINCT, an argument with a subquery, and a SUM or AVG
+  /// whose result is its double sum. The error returned is the one the
+  /// in-order pass meets first.
   Result<Value> ComputeAggregate(const BoundExpr& b, const Group& group,
                                  const Env& env) {
     const Expr& call = *b.expr;
@@ -369,56 +537,62 @@ class BlockExecutor {
       return Status::ExecutionError(
           StrCat("aggregate '", name, "' takes one argument"));
     }
-    const bool count = EqualsIgnoreCase(name, "count");
-    if (count && call.args[0]->kind == ExprKind::kStar) {
-      return Value::Int(static_cast<int64_t>(group.rows.size()));
+    const AggFn fn = AggFnOf(name);
+    if (fn == AggFn::kCount && call.args[0]->kind == ExprKind::kStar) {
+      return Value::Int(static_cast<int64_t>(group.size()));
     }
-    const bool min = EqualsIgnoreCase(name, "min");
-    const bool max = EqualsIgnoreCase(name, "max");
+    const size_t n = group.size();
+    const bool in_order = call.distinct || !SubqueryFree(b.args[0]);
+    const size_t grain = in_order ? std::max<size_t>(1, n) : Grain();
+    const size_t morsels = std::max<size_t>(1, (n + grain - 1) / grain);
+    std::vector<AggState> parts(morsels);
+    std::vector<Status> statuses(morsels);
+    ForMorsels(n, grain, !in_order, [&](size_t m, size_t lo, size_t hi) {
+      statuses[m] =
+          FoldAggregate(b, fn, group, lo, hi, env, morsels == 1, parts[m]);
+      return statuses[m].ok() && !parts[m].reorder;
+    });
+    bool redo = false;
+    for (size_t m = 0; m < morsels && !redo; ++m) {
+      redo = parts[m].reorder;
+      if (!redo && !statuses[m].ok()) return statuses[m];
+    }
+    AggState total;
+    if (morsels == 1) {
+      total = std::move(parts[0]);
+    } else if (!redo) {
+      for (const AggState& part : parts) total.Merge(part, fn);
+      redo = total.NeedsInOrder(fn);
+    }
+    if (redo) {
+      total = AggState{};
+      SFSQL_RETURN_IF_ERROR(FoldAggregate(b, fn, group, 0, n, env,
+                                          /*in_order=*/true, total));
+    }
+    return total.Finish(fn, name);
+  }
+
+  /// Folds tuples [begin, end) of `group` into `st`, stopping early once a
+  /// partial (not `in_order`) meets a value only the in-order pass sums.
+  Status FoldAggregate(const BoundExpr& b, AggFn fn, const Group& group,
+                       size_t begin, size_t end, const Env& env,
+                       bool in_order, AggState& st) {
+    const BoundExpr& arg = b.args[0];
+    const bool distinct = b.expr->distinct;
+    const bool in_place = InPlace(arg);
     Env row_env = env;
     Frame& own = row_env[b.level];
     own.group = nullptr;
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    int64_t n = 0;  // non-NULL (and, under DISTINCT, unique) values
-    Value best;     // min / max
-    bool all_int = true;
-    bool int_overflow = false;
-    bool non_numeric = false;  // sum / avg: reported after every Eval error
-    double dsum = 0;
-    int64_t isum = 0;
-    for (const uint32_t* ids : group.rows) {
-      own.ids = ids;
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], row_env));
-      if (v.is_null()) continue;
-      if (call.distinct && !seen.insert(Row{v}).second) continue;
-      if (++n == 1 && (min || max)) {
-        best = std::move(v);
-      } else if (min || max) {
-        const int cmp = v.Compare(best);
-        if ((min && cmp < 0) || (max && cmp > 0)) best = std::move(v);
-      } else if (!count) {
-        if (!v.is_numeric()) {
-          non_numeric = true;
-          continue;
-        }
-        if (!v.is_int()) all_int = false;
-        dsum += v.AsDouble();
-        if (v.is_int() && __builtin_add_overflow(isum, v.AsInt(), &isum)) {
-          int_overflow = true;
-        }
+    for (size_t i = begin; i < end && !st.reorder; ++i) {
+      own.ids = group.tuple(i);
+      if (in_place) {
+        st.Add(ColumnAt(arg, row_env), fn, distinct, in_order);
+        continue;
       }
+      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(arg, row_env));
+      st.Add(v, fn, distinct, in_order);
     }
-    if (count) return Value::Int(n);
-    if (n == 0) return Value::Null_();
-    if (min || max) return best;
-    if (non_numeric) {
-      return Status::TypeError(StrCat(ToLower(name), " needs numeric values"));
-    }
-    if (EqualsIgnoreCase(name, "sum")) {
-      if (all_int && int_overflow) return IntegerOverflow();
-      return all_int ? Value::Int(isum) : Value::Double(dsum);
-    }
-    return Value::Double(dsum / static_cast<double>(n));
+    return Status::OK();
   }
 
   /// A group slot's value: a GROUP BY key, or an aggregate computed on its
@@ -462,18 +636,63 @@ class BlockExecutor {
     Env env;
   };
 
-  /// True if base row `id` of `tp`'s table passes its pushed conjuncts. They
-  /// read that one FROM entry only, so they run against the id parked in
-  /// `m`'s scratch tuple instead of once per joined tuple.
+  /// True if base row `id` of `tp`'s table passes its pushed conjuncts: the
+  /// kernels' rules on its values, then the rest. They read that one FROM
+  /// entry only, so they run against the id parked in `m`'s scratch tuple
+  /// instead of once per joined tuple.
   Result<bool> PassesPushed(const BoundBlock& block, const TablePlan& tp,
                             uint32_t id, MorselEnv& m) {
+    const storage::Table& table = *m.env.back().tables[tp.from_index];
+    for (const PushedKernel& k : tp.kernels) {
+      if (!k.filter.Keeps(table.at(id, k.attr_index))) return false;
+    }
+    return PassesEvaluated(block, tp, id, m);
+  }
+
+  /// PassesPushed without the kernels: Eval of the rest of `tp.pushed`.
+  Result<bool> PassesEvaluated(const BoundBlock& block, const TablePlan& tp,
+                               uint32_t id, MorselEnv& m) {
     m.ids[tp.from_index] = id;
-    for (int ci : tp.pushed) {
-      SFSQL_ASSIGN_OR_RETURN(Value v, Eval(block.conjuncts[ci].expr, m.env));
+    for (size_t i = tp.kernels.size(); i < tp.pushed.size(); ++i) {
+      SFSQL_ASSIGN_OR_RETURN(
+          Value v, Eval(block.conjuncts[tp.pushed[i]].expr, m.env));
       if (!Truthy(v)) return false;
     }
     return true;
   }
+
+  /// Appends to `out`, ascending, the ids `first + sel[i]` of one chunk's
+  /// candidate rows (`sel`: ascending offsets in `chunk`) that pass `tp`'s
+  /// pushed conjuncts: each kernel narrows `sel` over its column, then the
+  /// rest run row by row on the survivors.
+  Status FilterChunk(const BoundBlock& block, const TablePlan& tp,
+                     const storage::Chunk& chunk, uint32_t first,
+                     std::vector<uint32_t>& sel, MorselEnv& m,
+                     std::vector<uint32_t>& out) {
+    size_t n = sel.size();
+    for (const PushedKernel& k : tp.kernels) {
+      n = k.filter.Narrow(chunk.column(k.attr_index), sel.data(), n);
+    }
+    const bool evaluated = tp.kernels.size() < tp.pushed.size();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = first + sel[i];
+      if (evaluated) {
+        SFSQL_ASSIGN_OR_RETURN(bool ok, PassesEvaluated(block, tp, id, m));
+        if (!ok) continue;
+      }
+      out.push_back(id);
+    }
+    return Status::OK();
+  }
+
+  /// Groups `tuples` (the block's own, TupleWidth(block) ids each) by the
+  /// GROUP BY keys into `groups`, listing each new group in `order`. Morsels
+  /// of Grain() tuples key into maps of their own, merged in morsel order,
+  /// so the group order and each group's tuple order are the serial ones.
+  Status GroupTuples(const BoundBlock& block,
+                     const std::vector<uint32_t>& tuples, const Env& env,
+                     std::unordered_map<Row, Group, RowHash, RowEq>& groups,
+                     std::vector<Group*>& order);
 
   /// The ids of `tp`'s base rows that pass its pushed conjuncts, ascending.
   /// An IndexScan starts from the plan's row ids (its one index predicate
@@ -496,15 +715,18 @@ class BlockExecutor {
   // [0, n) and append body's output ids in range order". RowLoop runs that
   // shape on the task pool when parallelism is on and the input is big
   // enough, and as one plain call otherwise — so exec_threads == 1 never
-  // touches a thread. Parallel invariants:
+  // touches a thread. The grouping pass and the aggregate folds run on
+  // ForMorsels below, into per-morsel maps and partial states. Parallel
+  // invariants:
   //  * outputs and stats go to per-morsel slots, stitched/merged in morsel
   //    order after the barrier — results are bit-identical to serial and no
   //    hot-path counter is shared between workers;
-  //  * bodies only evaluate planner-pushed conjuncts and join filters, which
-  //    are subquery-free by construction (the planner routes any conjunct
-  //    containing a subquery or star to the residual filter), so Eval never
-  //    recurses into ExecuteBlock — and never mutates this object — from a
-  //    worker thread;
+  //  * bodies only evaluate subquery-free expressions: planner-pushed
+  //    conjuncts and join filters are so by construction (the planner
+  //    routes any conjunct containing a subquery or star to the residual
+  //    filter), and GROUP BY keys and aggregate arguments fan out only when
+  //    SubqueryFree says so. So Eval never recurses into ExecuteBlock — and
+  //    never mutates this object — from a worker thread;
   //  * workers read the versions the caller's Execute pinned, which stay
   //    alive until the ParallelFor barrier has passed;
   //  * on error, the lowest-indexed failing morsel's status is returned —
@@ -521,10 +743,11 @@ class BlockExecutor {
     std::vector<std::vector<uint32_t>> outs(morsels);
     std::vector<Status> statuses(morsels);
     std::vector<ExecStats> deltas(morsels);
-    pool_->ParallelFor(n, grain, [&](size_t b, size_t e) {
-      const size_t m = b / grain;
-      statuses[m] = body(b, e, outs[m], deltas[m]);
-    });
+    ForMorsels(n, grain, /*parallel_ok=*/true,
+               [&](size_t m, size_t b, size_t e) {
+                 statuses[m] = body(b, e, outs[m], deltas[m]);
+                 return true;
+               });
     for (const Status& s : statuses) {
       if (!s.ok()) return s;
     }
@@ -536,6 +759,24 @@ class BlockExecutor {
       MergeStats(*stats_, deltas[m]);
     }
     return Status::OK();
+  }
+
+  /// Runs body(m, begin, end) over the morsels of [0, n), the m-th being
+  /// [m * grain, min(n, (m + 1) * grain)): on the pool when parallelism is
+  /// on, `parallel_ok` holds and there are several morsels; inline in
+  /// morsel order otherwise, stopping after the first body that returns
+  /// false. Bodies write only their own morsel's slots.
+  void ForMorsels(size_t n, size_t grain, bool parallel_ok,
+                  const std::function<bool(size_t, size_t, size_t)>& body) {
+    if (ParallelEnabled() && parallel_ok && n > grain) {
+      pool_->ParallelFor(n, grain, [&](size_t b, size_t e) {
+        body(b / grain, b, e);
+      });
+      return;
+    }
+    for (size_t b = 0; b < n; b += grain) {
+      if (!body(b / grain, b, std::min(n, b + grain))) return;
+    }
   }
 
   /// Morsel size for the parallel row loops (scans round up to chunks).
@@ -563,6 +804,7 @@ Result<std::vector<uint32_t>> BlockExecutor::ScanBase(const BoundBlock& block,
                                                       const Env& env) {
   const storage::Table& table = *env.back().tables[tp.from_index];
   const size_t width = TupleWidth(block);
+  const size_t capacity = table.chunk_capacity();
   std::vector<uint32_t> base;
   if (tp.index_scan) {
     ++stats_->index_scans;
@@ -570,13 +812,20 @@ Result<std::vector<uint32_t>> BlockExecutor::ScanBase(const BoundBlock& block,
     if (tp.pushed.empty()) {
       base = tp.row_ids;
     } else {
+      // The morsel's ids filter one chunk run at a time.
       auto scan_ids = [&](size_t b, size_t e, std::vector<uint32_t>& out,
                           ExecStats&) -> Status {
         MorselEnv m(env, width);
-        for (size_t i = b; i < e; ++i) {
-          SFSQL_ASSIGN_OR_RETURN(bool ok,
-                                 PassesPushed(block, tp, tp.row_ids[i], m));
-          if (ok) out.push_back(tp.row_ids[i]);
+        std::vector<uint32_t> sel;
+        for (size_t i = b; i < e;) {
+          const size_t c = tp.row_ids[i] / capacity;
+          const auto first = static_cast<uint32_t>(c * capacity);
+          sel.clear();
+          for (; i < e && tp.row_ids[i] / capacity == c; ++i) {
+            sel.push_back(tp.row_ids[i] - first);
+          }
+          SFSQL_RETURN_IF_ERROR(
+              FilterChunk(block, tp, table.chunk(c), first, sel, m, out));
         }
         return Status::OK();
       };
@@ -591,32 +840,97 @@ Result<std::vector<uint32_t>> BlockExecutor::ScanBase(const BoundBlock& block,
     auto scan_chunks = [&](size_t cb, size_t ce, std::vector<uint32_t>& out,
                            ExecStats& st) -> Status {
       MorselEnv m(env, width);
+      std::vector<uint32_t> sel;
       for (size_t c = cb; c < ce; ++c) {
         if (c < tp.pruned_chunks.size() && tp.pruned_chunks[c]) {
           ++st.chunks_pruned;
           continue;
         }
-        const size_t first = c * table.chunk_capacity();
-        const size_t end = first + table.chunk(c).size();
-        st.rows_scanned += end - first;
-        for (auto id = static_cast<uint32_t>(first); id < end; ++id) {
-          if (!tp.pushed.empty()) {
-            SFSQL_ASSIGN_OR_RETURN(bool ok, PassesPushed(block, tp, id, m));
-            if (!ok) continue;
+        const storage::Chunk& chunk = table.chunk(c);
+        const auto first = static_cast<uint32_t>(c * capacity);
+        st.rows_scanned += chunk.size();
+        if (tp.pushed.empty()) {
+          for (uint32_t id = first; id < first + chunk.size(); ++id) {
+            out.push_back(id);
           }
-          out.push_back(id);
+          continue;
         }
+        sel.resize(chunk.size());
+        std::iota(sel.begin(), sel.end(), 0);
+        SFSQL_RETURN_IF_ERROR(
+            FilterChunk(block, tp, chunk, first, sel, m, out));
       }
       return Status::OK();
     };
-    const size_t chunks_per_morsel =
-        std::max<size_t>(1, Grain() / table.chunk_capacity());
+    const size_t chunks_per_morsel = std::max<size_t>(1, Grain() / capacity);
     SFSQL_RETURN_IF_ERROR(
         RowLoop(table.num_chunks(), chunks_per_morsel, scan_chunks, base));
   }
   stats_->rows_pruned += table.num_rows() - base.size();
   stats_->pushed_predicates += tp.pushed.size() + (tp.index_scan ? 1 : 0);
   return base;
+}
+
+Status BlockExecutor::GroupTuples(
+    const BoundBlock& block, const std::vector<uint32_t>& tuples,
+    const Env& env, std::unordered_map<Row, Group, RowHash, RowEq>& groups,
+    std::vector<Group*>& order) {
+  using TupleLists =
+      std::unordered_map<Row, std::vector<const uint32_t*>, RowHash, RowEq>;
+  struct MorselGroups {
+    TupleLists lists;
+    std::vector<TupleLists::value_type*> order;  // first-seen
+  };
+  const size_t width = TupleWidth(block);
+  const size_t n = tuples.size() / width;
+  const size_t grain = Grain();
+  const bool parallel_ok = std::all_of(block.group_by.begin(),
+                                       block.group_by.end(), SubqueryFree);
+  std::vector<MorselGroups> parts((n + grain - 1) / grain);
+  std::vector<Status> statuses(parts.size());
+  auto key_morsel = [&](size_t m, size_t lo, size_t hi) -> Status {
+    MorselGroups& my = parts[m];
+    Env key_env = env;
+    Frame& own = key_env.back();
+    Row key(block.group_by.size());
+    for (size_t i = lo; i < hi; ++i) {
+      own.ids = tuples.data() + i * width;
+      for (size_t k = 0; k < key.size(); ++k) {
+        const BoundExpr& g = block.group_by[k];
+        if (InPlace(g)) {
+          key[k] = ColumnAt(g, key_env);
+        } else {
+          SFSQL_ASSIGN_OR_RETURN(key[k], Eval(g, key_env));
+        }
+      }
+      auto [it, fresh] = my.lists.try_emplace(key);
+      if (fresh) my.order.push_back(&*it);
+      it->second.push_back(own.ids);
+    }
+    return Status::OK();
+  };
+  ForMorsels(n, grain, parallel_ok, [&](size_t m, size_t lo, size_t hi) {
+    statuses[m] = key_morsel(m, lo, hi);
+    return statuses[m].ok();
+  });
+  for (const Status& s : statuses) SFSQL_RETURN_IF_ERROR(s);
+  for (MorselGroups& part : parts) {
+    for (TupleLists::value_type* list : part.order) {
+      auto [it, fresh] = groups.try_emplace(list->first);
+      Group& group = it->second;
+      if (fresh) {
+        group.key = list->first;
+        order.push_back(&group);
+      }
+      if (group.rows.empty()) {
+        group.rows = std::move(list->second);
+      } else {
+        group.rows.insert(group.rows.end(), list->second.begin(),
+                          list->second.end());
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
@@ -875,40 +1189,32 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       auto fresh_key = [&](uint32_t id, Row& key) {
         for (size_t k = 0; k < keys.size(); ++k) key[k] = fresh(id, keys[k]);
       };
-      auto for_morsels = [&](size_t total, size_t step,
-                             const std::function<void(size_t, size_t)>& body) {
-        if (parallel) {
-          pool_->ParallelFor(total, step, body);
-        } else {
-          body(0, total);
-        }
-      };
       const size_t bmorsels =
           std::max<size_t>(1, (base.size() + grain - 1) / grain);
       std::vector<std::vector<std::vector<uint32_t>>> parts(
           bmorsels, std::vector<std::vector<uint32_t>>(partitions));
-      for_morsels(base.size(), grain, [&](size_t b, size_t e) {
-        std::vector<std::vector<uint32_t>>& my = parts[b / grain];
-        Row key(keys.size());
-        for (size_t i = b; i < e; ++i) {
-          if (fresh_null(base[i])) continue;
-          fresh_key(base[i], key);
-          my[partition_of(key)].push_back(base[i]);
-        }
-      });
+      ForMorsels(base.size(), grain, parallel,
+                 [&](size_t m, size_t b, size_t e) {
+                   Row key(keys.size());
+                   for (size_t i = b; i < e; ++i) {
+                     if (fresh_null(base[i])) continue;
+                     fresh_key(base[i], key);
+                     parts[m][partition_of(key)].push_back(base[i]);
+                   }
+                   return true;
+                 });
       std::vector<BuildMap> build(partitions);
-      for_morsels(partitions, 1, [&](size_t pb, size_t pe) {
+      ForMorsels(partitions, 1, parallel, [&](size_t p, size_t, size_t) {
         Row key(keys.size());
-        for (size_t p = pb; p < pe; ++p) {
-          for (size_t m = 0; m < bmorsels; ++m) {
-            for (uint32_t id : parts[m][p]) {
-              fresh_key(id, key);
-              auto it = build[p].find(key);
-              if (it == build[p].end()) it = build[p].try_emplace(key).first;
-              it->second.push_back(id);
-            }
+        for (size_t m = 0; m < bmorsels; ++m) {
+          for (uint32_t id : parts[m][p]) {
+            fresh_key(id, key);
+            auto it = build[p].find(key);
+            if (it == build[p].end()) it = build[p].try_emplace(key).first;
+            it->second.push_back(id);
           }
         }
+        return true;
       });
       auto probe_body = [&](size_t b, size_t e, std::vector<uint32_t>& out,
                             ExecStats&) -> Status {
@@ -1057,33 +1363,18 @@ Result<QueryResult> BlockExecutor::ExecuteBlock(const BoundBlock& block,
     std::vector<Group*> group_order;  // first-seen order
     if (block.group_by.empty()) {
       Group& all = groups[Row{}];
-      all.rows.reserve(tuples.size() / width);
-      for (size_t at = 0; at < tuples.size(); at += width) {
-        all.rows.push_back(tuples.data() + at);
-      }
+      all.all = tuples.data();
+      all.count = tuples.size() / width;
+      all.width = width;
       group_order.push_back(&all);
     } else {
-      Row key;
-      for (size_t at = 0; at < tuples.size(); at += width) {
-        own.ids = tuples.data() + at;
-        key.clear();
-        for (const BoundExpr& g : block.group_by) {
-          SFSQL_ASSIGN_OR_RETURN(Value v, Eval(g, env));
-          key.push_back(std::move(v));
-        }
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          it = groups.try_emplace(key).first;
-          it->second.key = key;
-          group_order.push_back(&it->second);
-        }
-        it->second.rows.push_back(own.ids);
-      }
+      SFSQL_RETURN_IF_ERROR(
+          GroupTuples(block, tuples, env, groups, group_order));
     }
 
     for (Group* group : group_order) {
       group->aggregates.resize(block.aggregate_calls.size());
-      own = Frame{group->rows.empty() ? nullptr : group->rows[0],
+      own = Frame{group->size() == 0 ? nullptr : group->tuple(0),
                   tables.data(), group};
       if (block.having) {
         SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*block.having, env));

@@ -1,6 +1,8 @@
 #ifndef SFSQL_STORAGE_PREDICATE_H_
 #define SFSQL_STORAGE_PREDICATE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@ namespace sfsql::storage {
 ///  * kBetween: low <= value <= high in the Value::Compare total order (no
 ///    class check, like the executor's BETWEEN; low > high keeps nothing);
 ///  * kLike: string values matching the pattern (exec::LikeMatch).
+/// ValueFilter below is these rules, value by value.
 struct ColumnPredicate {
   enum class Kind { kCompare, kIn, kBetween, kLike };
 
@@ -60,6 +63,54 @@ struct ColumnPredicate {
     p.escape = escape;
     return p;
   }
+};
+
+/// A ColumnPredicate decoded once into the per-value rules above: Keeps(v)
+/// is true for exactly the values they keep, and Narrow applies them to a
+/// selection vector over one chunk column. Neither can fail. The executor's
+/// interpreter raises "cannot compare" on an inequality across type classes,
+/// so it runs a filter only where every operand lies in the column's
+/// declared class (InDeclaredClass): there the two keep the same rows.
+class ValueFilter {
+ public:
+  explicit ValueFilter(const ColumnPredicate& pred);
+
+  bool Keeps(const Value& v) const;
+
+  /// Keeps those of the `n` ascending offsets in `sel` whose `column` value
+  /// passes, compacted to the front in order; returns how many.
+  size_t Narrow(const std::vector<Value>& column, uint32_t* sel,
+                size_t n) const;
+
+ private:
+  enum class Op { kNone, kEq, kNe, kLt, kLe, kGt, kGe, kIn, kBetween, kLike };
+
+  /// Calls fn(keep) with the operator's per-value rule, so Keeps and Narrow
+  /// share one rule per operator and Narrow's loop has no dispatch in it.
+  template <typename Fn>
+  auto Dispatch(Fn&& fn) const;
+
+  /// Runs `keep` over `sel` with the operator already dispatched.
+  template <typename Keep>
+  static size_t NarrowBy(const std::vector<Value>& column, uint32_t* sel,
+                         size_t n, Keep keep);
+
+  /// v.Compare(literal) into `cmp` when `v` is non-null and in the
+  /// literal's type class; false otherwise (an inequality keeps nothing
+  /// there). An int against an int literal skips Value::Compare.
+  bool Ordered(const Value& v, int* cmp) const;
+  bool Equal(const Value& v) const;
+  bool InList(const Value& v) const;
+  bool InRange(const Value& v) const;
+  bool Like(const Value& v) const;
+
+  Op op_ = Op::kNone;
+  /// kEq..kGe: {literal}; kIn: the non-null items; kBetween: {low, high}.
+  std::vector<Value> values_;
+  bool int_literal_ = false;  ///< kEq..kGe with an int literal
+  int64_t literal_int_ = 0;
+  std::string pattern_;
+  char escape_ = '\0';
 };
 
 }  // namespace sfsql::storage

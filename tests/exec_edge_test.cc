@@ -371,5 +371,114 @@ TEST_F(ExecEdgeTest, UncorrelatedSubqueriesRunOncePerExecute) {
   EXPECT_EQ(correlated.stats().table_scans, 8u);
 }
 
+// Pushed single-column predicates over a table of 4-row chunks, so every
+// scan crosses chunk boundaries; NULLs sit in every column. The scans keep
+// the rows per-row evaluation keeps and raise the errors it raises.
+class PushedFilterEdgeTest : public ::testing::Test {
+ protected:
+  PushedFilterEdgeTest() {
+    workloads::SchemaBuilder b;
+    b.Rel("T", "k:int*, quantity:int, name:str");
+    db_ = std::make_unique<Database>(b.Build(), /*chunk_capacity=*/4);
+    const char* names[] = {"a_1", "ab", "a%", "a_x", "b_1"};
+    std::vector<storage::Row> rows;
+    for (int64_t k = 0; k < 30; ++k) {
+      rows.push_back(
+          {Value::Int(k), k % 6 == 5 ? Value::Null_() : Value::Int(k % 6),
+           k % 7 == 6 ? Value::Null_() : Value::String(names[k % 5])});
+    }
+    EXPECT_TRUE(db_->InsertRows(0, std::move(rows)).ok());
+  }
+
+  /// The `k`s of the rows `where` keeps, in scan order.
+  std::vector<int64_t> Keys(const std::string& where) {
+    Executor executor(db_.get());
+    auto r = executor.ExecuteSql("SELECT k FROM T WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+    std::vector<int64_t> keys;
+    if (!r.ok()) return keys;
+    for (const storage::Row& row : r->rows) keys.push_back(row[0].AsInt());
+    return keys;
+  }
+
+  /// The `k`s of the rows whose quantity (NULL: nullopt) passes `keep`.
+  template <typename Keep>
+  std::vector<int64_t> Expected(Keep keep) {
+    std::vector<int64_t> keys;
+    for (int64_t k = 0; k < 30; ++k) {
+      if (k % 6 != 5 && keep(k % 6)) keys.push_back(k);
+    }
+    return keys;
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(PushedFilterEdgeTest, InequalityAgainstAnotherClassIsATypeError) {
+  Executor executor(db_.get());
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT k FROM T WHERE quantity > 'abc'",
+       "cannot compare int64 with string"},
+      {"SELECT k FROM T WHERE k >= 0 AND quantity > 'abc'",
+       "cannot compare int64 with string"},
+      {"SELECT k FROM T WHERE 'abc' <= quantity",
+       "cannot compare string with int64"},
+  };
+  for (const auto& [sql, message] : cases) {
+    auto r = executor.ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << sql;
+    EXPECT_EQ(r.status().message(), message) << sql;
+  }
+}
+
+TEST_F(PushedFilterEdgeTest, EqualityAgainstAnotherClassNeverErrors) {
+  EXPECT_TRUE(Keys("quantity = 'abc'").empty());
+  EXPECT_EQ(Keys("quantity <> 'abc'"), Expected([](int64_t) { return true; }));
+  EXPECT_EQ(Keys("k >= 0 AND quantity <> 'abc'"),
+            Expected([](int64_t) { return true; }));
+}
+
+TEST_F(PushedFilterEdgeTest, NullRowsAreNeverKept) {
+  EXPECT_EQ(Keys("quantity > 0"), Expected([](int64_t q) { return q > 0; }));
+  EXPECT_EQ(Keys("quantity <> 3"), Expected([](int64_t q) { return q != 3; }));
+  const std::vector<int64_t> below20 = {0,  1,  2,  3,  4,  6,  7,  8, 9,
+                                        10, 12, 13, 14, 15, 16, 18, 19};
+  EXPECT_EQ(Keys("quantity >= 0 AND k < 20"), below20);
+  EXPECT_EQ(Keys("name LIKE '%'").size(), 30u - 4u);  // k = 6, 13, 20, 27
+  EXPECT_TRUE(Keys("quantity = NULL").empty());
+}
+
+TEST_F(PushedFilterEdgeTest, EmptyBetweenKeepsNothing) {
+  EXPECT_TRUE(Keys("quantity BETWEEN 5 AND 1").empty());
+  EXPECT_TRUE(Keys("k >= 0 AND quantity BETWEEN 5 AND 1").empty());
+  EXPECT_EQ(Keys("quantity BETWEEN 1 AND 3"),
+            Expected([](int64_t q) { return q >= 1 && q <= 3; }));
+}
+
+TEST_F(PushedFilterEdgeTest, InListHoldingNull) {
+  EXPECT_EQ(Keys("quantity IN (1, NULL, 3)"),
+            Expected([](int64_t q) { return q == 1 || q == 3; }));
+  EXPECT_EQ(Keys("k >= 0 AND quantity IN (NULL, 2, 4, 0)"),
+            Expected([](int64_t q) { return q % 2 == 0; }));
+  EXPECT_TRUE(Keys("quantity IN (NULL)").empty());
+}
+
+TEST_F(PushedFilterEdgeTest, LikeWithEscapeOnAStringColumn) {
+  // 'a_1' (k % 5 == 0) and 'a_x' (k % 5 == 3) start with a literal "a_";
+  // 'ab' and 'a%' would match an unescaped '_'.
+  std::vector<int64_t> expected;
+  for (int64_t k = 0; k < 30; ++k) {
+    if (k % 7 != 6 && (k % 5 == 0 || k % 5 == 3)) expected.push_back(k);
+  }
+  EXPECT_EQ(Keys("name LIKE 'a!_%' ESCAPE '!'"), expected);
+  EXPECT_EQ(Keys("k >= 0 AND name LIKE 'a!_%' ESCAPE '!'"), expected);
+  std::vector<int64_t> percent;
+  for (int64_t k = 0; k < 30; ++k) {
+    if (k % 7 != 6 && k % 5 == 2) percent.push_back(k);
+  }
+  EXPECT_EQ(Keys("name LIKE 'a!%' ESCAPE '!'"), percent);
+}
+
 }  // namespace
 }  // namespace sfsql::exec

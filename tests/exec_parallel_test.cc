@@ -33,7 +33,8 @@ using storage::Row;
 using storage::Value;
 
 // Exact (ordered) result equality — the parallel executor's contract is
-// bit-identity with serial, which SameRows (multiset) would under-test.
+// bit-identity with serial, which SameRows (multiset) would under-test. Values
+// match in type too: int 2 and double 2.0 are Equal but not the same answer.
 ::testing::AssertionResult ExactlySame(const QueryResult& serial,
                                        const QueryResult& parallel) {
   if (serial.columns != parallel.columns) {
@@ -49,7 +50,8 @@ using storage::Value;
       return ::testing::AssertionFailure() << "row " << i << " width differs";
     }
     for (size_t j = 0; j < serial.rows[i].size(); ++j) {
-      if (!serial.rows[i][j].Equals(parallel.rows[i][j])) {
+      if (!serial.rows[i][j].Equals(parallel.rows[i][j]) ||
+          serial.rows[i][j].type() != parallel.rows[i][j].type()) {
         return ::testing::AssertionFailure()
                << "row " << i << " col " << j << ": serial "
                << serial.rows[i][j].ToString() << " vs parallel "
@@ -60,10 +62,10 @@ using storage::Value;
   return ::testing::AssertionSuccess();
 }
 
-// Runs `sql` serially and under every parallel thread count with a randomized
-// morsel grain, requiring bit-identical outcomes throughout. Small random
-// grains force fan-out even on small tables, and odd grains exercise
-// remainder morsels.
+// Runs `sql` serially at the default grain, then serially and under every
+// parallel thread count with a randomized morsel grain, requiring
+// bit-identical outcomes throughout. Small random grains force fan-out even
+// on small tables, and odd grains exercise remainder morsels.
 void ExpectParallelMatchesSerial(const Database* db, const std::string& sql,
                                  TaskPool* pool, std::mt19937_64& rng) {
   ExecConfig serial_cfg;
@@ -71,7 +73,7 @@ void ExpectParallelMatchesSerial(const Database* db, const std::string& sql,
   Executor serial(db, serial_cfg);
   Result<QueryResult> baseline = serial.ExecuteSql(sql);
 
-  for (int threads : {2, 4, 7}) {
+  for (int threads : {1, 2, 4, 7}) {
     ExecConfig cfg;
     cfg.exec_threads = threads;
     cfg.pool = pool;
@@ -184,6 +186,131 @@ TEST(ExecParallelDifferentialTest, ChunkScanRemainderMorsels) {
                         "SELECT COUNT(*) FROM T WHERE v < 5",
                         "SELECT s FROM T WHERE k >= 1500 AND k < 2999"}) {
     ExpectParallelMatchesSerial(db.get(), q, &pool, rng);
+  }
+}
+
+// --- Aggregate folds: partial states merged in morsel order ---
+
+// A small star with NULLs in every column: F's int `q`, double-declared `x`
+// (holding ints and doubles whose sums depend on the order of addition),
+// string `s`, and int `w` beyond 2^53; O's `v` overflows int64 in running
+// prefixes that come back in range.
+std::unique_ptr<Database> BuildFoldDb() {
+  workloads::SchemaBuilder b;
+  b.Rel("D", "d_id:int*, name:str");
+  b.Rel("F", "id:int*, d_id:int, q:int, x:double, s:str, w:int");
+  b.Rel("O", "id:int*, grp:int, v:int");
+  b.Fk("F.d_id", "D.d_id");
+  auto db = std::make_unique<Database>(b.Build(), /*chunk_capacity=*/64);
+  std::vector<Row> dims;
+  for (int i = 0; i < 40; ++i) {
+    dims.push_back({Value::Int(i), Value::String("d" + std::to_string(i % 9))});
+  }
+  EXPECT_TRUE(db->InsertRows(0, std::move(dims)).ok());
+  const Value xs[] = {Value::Double(1e16), Value::Double(1.0),
+                      Value::Double(-1e16), Value::Double(0.1),
+                      Value::Int(2),        Value::Double(2.0),
+                      Value::Double(-3.25), Value::Double(1e-3)};
+  std::vector<Row> facts;
+  for (int64_t i = 0; i < 3000; ++i) {
+    const int64_t sign = i % 4 < 2 ? 1 : -1;
+    facts.push_back(
+        {Value::Int(i), i % 13 == 0 ? Value::Null_() : Value::Int(i % 40),
+         i % 7 == 0 ? Value::Null_() : Value::Int((i * 37) % 11 - 3),
+         i % 5 == 0 ? Value::Null_() : xs[i % 8],
+         i % 3 == 0 ? Value::Null_()
+                    : Value::String("s" + std::to_string(i % 17)),
+         Value::Int(sign * ((int64_t{1} << 54) + i))});
+  }
+  EXPECT_TRUE(db->InsertRows(1, std::move(facts)).ok());
+  // Group 0 (ids < 1000) overflows across spread-out rows, group 1 in
+  // adjacent ones; both sum to 0 in the end. Group 2 stays small.
+  constexpr int64_t kBig = 4000000000000000000;
+  std::vector<Row> spikes;
+  for (int64_t i = 0; i < 2000; ++i) {
+    int64_t v = i % 10;
+    if (i == 100 || i == 400 || i == 700 || (i >= 1500 && i < 1503)) v = kBig;
+    if (i == 800 || i == 900 || i == 950 || (i >= 1503 && i < 1506)) v = -kBig;
+    const int64_t grp = i < 1000 ? 0 : (i < 1800 ? 1 : 2);
+    spikes.push_back({Value::Int(i), Value::Int(grp), Value::Int(v)});
+  }
+  EXPECT_TRUE(db->InsertRows(2, std::move(spikes)).ok());
+  return db;
+}
+
+TEST(ExecParallelDifferentialTest, AggregateFoldsMatchSerial) {
+  auto db = BuildFoldDb();
+  const char* kQueries[] = {
+      // COUNT over NULLs.
+      "SELECT COUNT(q), COUNT(x), COUNT(s), COUNT(*) FROM F",
+      // Integer SUM / AVG, including values beyond 2^53.
+      "SELECT SUM(q), AVG(q), SUM(w), AVG(w) FROM F",
+      // Double SUM / AVG whose result depends on the order of addition.
+      "SELECT SUM(x), AVG(x) FROM F",
+      "SELECT SUM(x) FROM F WHERE id < 200",
+      // MIN / MAX over int 2 and double 2.0 ties: the first seen wins.
+      "SELECT MIN(x), MAX(x) FROM F WHERE x > 1 AND x < 3",
+      "SELECT MIN(q), MAX(q), MIN(s), MAX(s) FROM F",
+      // Integer SUM overflowing in an early morsel, in a later one, and in
+      // a prefix no single morsel's partial leaves int64 on.
+      "SELECT SUM(v) FROM O",
+      "SELECT SUM(v) FROM O WHERE id < 1000",
+      "SELECT SUM(v) FROM O WHERE id >= 1000",
+      "SELECT grp, SUM(v) FROM O GROUP BY grp",
+      "SELECT AVG(v), COUNT(v) FROM O WHERE id < 1000",
+      // DISTINCT.
+      "SELECT COUNT(DISTINCT q), SUM(DISTINCT x), AVG(DISTINCT q) FROM F",
+      // SUM over strings: the same TypeError.
+      "SELECT SUM(s) FROM F",
+      "SELECT d_id, AVG(s) FROM F GROUP BY d_id",
+      // HAVING drops the groups whose SUM would overflow.
+      "SELECT grp, SUM(v) FROM O GROUP BY grp HAVING MIN(id) >= 1800",
+      // Over 1,000 groups in first-seen order.
+      "SELECT (id * 7) % 1201, COUNT(*), SUM(q) FROM F "
+      "GROUP BY (id * 7) % 1201",
+      // Argument expressions.
+      "SELECT SUM(q * 2), AVG(q * 2), MAX(x * 2) FROM F",
+      "SELECT d_id, SUM(q * 2), MIN(x) FROM F GROUP BY d_id",
+      // An argument holding a subquery folds in one in-order pass.
+      "SELECT SUM(q + (SELECT MIN(d_id) FROM D)) FROM F",
+      // Correlated subqueries whose aggregates read an outer column.
+      "SELECT D.d_id, (SELECT MAX(F.x * D.d_id) FROM F "
+      "WHERE F.d_id = D.d_id) FROM D",
+      "SELECT D.name FROM D WHERE (SELECT SUM(F.q + D.d_id) FROM F "
+      "WHERE F.d_id = D.d_id) > 20",
+      // Joined: the fold reads its column from the fact side of each tuple.
+      "SELECT D.name, COUNT(F.q), SUM(F.x) FROM F, D "
+      "WHERE F.d_id = D.d_id GROUP BY D.name",
+  };
+  // The serial answers the differential runs hold the folds to.
+  Executor serial(db.get());
+  auto overflow = serial.ExecuteSql("SELECT SUM(v) FROM O WHERE id < 1000");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().message(), "integer overflow");
+  auto strings = serial.ExecuteSql("SELECT SUM(s) FROM F");
+  ASSERT_FALSE(strings.ok());
+  EXPECT_EQ(strings.status().message(), "sum needs numeric values");
+  auto kept = serial.ExecuteSql(
+      "SELECT grp, SUM(v) FROM O GROUP BY grp HAVING MIN(id) >= 1800");
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  ASSERT_EQ(kept->rows.size(), 1u);
+  EXPECT_EQ(kept->rows[0][0].AsInt(), 2);
+  auto ties =
+      serial.ExecuteSql("SELECT MIN(x), MAX(x) FROM F WHERE x > 1 AND x < 3");
+  ASSERT_TRUE(ties.ok()) << ties.status().ToString();
+  EXPECT_TRUE(ties->rows[0][0].is_int());
+  EXPECT_TRUE(ties->rows[0][1].is_int());
+  auto groups = serial.ExecuteSql(
+      "SELECT (id * 7) % 1201, COUNT(*) FROM F GROUP BY (id * 7) % 1201");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups->rows.size(), 1201u);
+
+  TaskPool pool(6);
+  std::mt19937_64 rng(2024);
+  for (const char* q : kQueries) {
+    for (int round = 0; round < 3; ++round) {
+      ExpectParallelMatchesSerial(db.get(), q, &pool, rng);
+    }
   }
 }
 

@@ -397,6 +397,31 @@ TEST(TranslateStatsTest, PhaseTimingsAndCacheCountersArePopulated) {
   }
 }
 
+// A network node maps at most one relation tree, so 13 trees cannot fit the
+// default 12-node cap: the generator answers before it searches any root.
+TEST(TranslateStatsTest, TooManyRelationTreesFailBeforeTheSearch) {
+  auto db = workloads::BuildMovie43(42);
+  core::EngineConfig config;
+  config.plan_cache_enabled = false;
+  core::SchemaFreeEngine engine(db.get(), config);
+  std::string q = "SELECT ";
+  for (int i = 1; i <= 13; ++i) {
+    if (i > 1) q += ", ";
+    q += "zq" + std::to_string(i) + "x?." + std::string(1, 'a' + i - 1) + "?";
+  }
+  ASSERT_GT(config.gen.max_jn_nodes, 0);
+  ASSERT_LT(config.gen.max_jn_nodes, 13);
+
+  core::TranslateStats stats;
+  auto r = engine.Translate(q, 10, &stats);
+  ASSERT_FALSE(r.ok()) << q;
+  EXPECT_EQ(r.status().message(),
+            "no join network connects the query's relation trees");
+  EXPECT_EQ(stats.generator.expansions, 0);
+  EXPECT_EQ(stats.generator.popped, 0);
+  EXPECT_EQ(stats.generator.roots, 0);
+}
+
 TEST(PlanCacheTest, ServedTierCountersAndBitIdenticalResults) {
   auto db = workloads::BuildMovie43(42, 30);
   core::SchemaFreeEngine engine(db.get());
