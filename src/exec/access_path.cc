@@ -86,32 +86,37 @@ std::optional<Value> LiteralOf(const Expr& e) {
   return std::nullopt;
 }
 
-const char* CompareOpString(BinaryOp op) {
+using PredOp = storage::ColumnPredicate::Op;
+
+/// The column-predicate operator of comparison `op`; kNone for any other.
+PredOp CompareOp(BinaryOp op) {
   switch (op) {
-    case BinaryOp::kEq: return "=";
-    case BinaryOp::kNe: return "<>";
-    case BinaryOp::kLt: return "<";
-    case BinaryOp::kLe: return "<=";
-    case BinaryOp::kGt: return ">";
-    case BinaryOp::kGe: return ">=";
-    default: return nullptr;
+    case BinaryOp::kEq: return PredOp::kEq;
+    case BinaryOp::kNe: return PredOp::kNe;
+    case BinaryOp::kLt: return PredOp::kLt;
+    case BinaryOp::kLe: return PredOp::kLe;
+    case BinaryOp::kGt: return PredOp::kGt;
+    case BinaryOp::kGe: return PredOp::kGe;
+    default: return PredOp::kNone;
   }
 }
 
 /// `lit op col` rewritten as `col op' lit`.
-const char* FlipOp(const char* op) {
-  if (op[0] == '<' && op[1] == '\0') return ">";
-  if (op[0] == '>' && op[1] == '\0') return "<";
-  if (op[0] == '<' && op[1] == '=') return ">=";
-  if (op[0] == '>' && op[1] == '=') return "<=";
-  return op;  // = and <> are symmetric
+PredOp FlipOp(PredOp op) {
+  switch (op) {
+    case PredOp::kLt: return PredOp::kGt;
+    case PredOp::kGt: return PredOp::kLt;
+    case PredOp::kLe: return PredOp::kGe;
+    case PredOp::kGe: return PredOp::kLe;
+    default: return op;  // = and <> are symmetric
+  }
 }
 
 /// An always-empty sargable predicate ("col = NULL" shape): both the count
 /// and row-id paths return nothing, matching two-valued-logic scans.
 SargablePredicate EmptyPredicate(int conjunct, int attr) {
   return {conjunct, attr,
-          storage::ColumnPredicate::Compare("=", Value::Null_())};
+          storage::ColumnPredicate::Compare(PredOp::kEq, Value::Null_())};
 }
 
 /// Tries to turn a local conjunct that reads one table, whose relation is
@@ -144,8 +149,8 @@ std::optional<SargablePredicate> TryExtractSargable(
                                        LikeEscapeChar(c.like_escape))};
   }
   if (c.kind == ExprKind::kBinary) {
-    const char* op = CompareOpString(c.bop);
-    if (op == nullptr || !c.lhs || !c.rhs) return std::nullopt;
+    PredOp op = CompareOp(c.bop);
+    if (op == PredOp::kNone || !c.lhs || !c.rhs) return std::nullopt;
     int attr = -1;
     std::optional<Value> lit;
     if (resolve(*b.lhs, &attr)) {
@@ -156,8 +161,7 @@ std::optional<SargablePredicate> TryExtractSargable(
     }
     if (!lit.has_value()) return std::nullopt;
     if (lit->is_null()) return EmptyPredicate(conjunct, attr);
-    const bool equality = op[0] == '=' || (op[0] == '<' && op[1] == '>');
-    if (!equality) {
+    if (op != PredOp::kEq && op != PredOp::kNe) {
       // Inequalities type-error on incomparable operands; only push them to
       // the index when the scan could not have errored.
       if (!storage::InDeclaredClass(relation.attributes[attr].type, *lit)) {
@@ -200,7 +204,7 @@ std::optional<SargablePredicate> TryExtractSargable(
 /// error on any row and its ValueFilter keeps the rows the interpreter keeps.
 bool KernelSafe(const storage::ColumnPredicate& pred,
                 catalog::ValueType declared) {
-  if (pred.kind == storage::ColumnPredicate::Kind::kLike) {
+  if (pred.op == PredOp::kLike) {
     return declared == catalog::ValueType::kString;
   }
   return std::all_of(pred.values.begin(), pred.values.end(),
@@ -232,6 +236,8 @@ Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
     tables[t].table_rows = snapshot.table(block.relation_ids[t]).num_rows();
   }
   std::vector<int> constants;  // table-independent conjuncts
+  std::vector<PlannedEquiJoin> equi_joins;
+  std::vector<int> join_filters;  // other multi-table conjuncts
   for (size_t ci = 0; ci < block.conjuncts.size(); ++ci) {
     const BoundConjunct& c = block.conjuncts[ci];
     const std::vector<int>& used = c.tables;
@@ -264,19 +270,11 @@ Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
         e.expr->bop == BinaryOp::kEq &&
         e.lhs->expr->kind == ExprKind::kColumnRef &&
         e.rhs->expr->kind == ExprKind::kColumnRef) {
-      PlannedEquiJoin edge;
-      edge.conjunct = static_cast<int>(ci);
-      edge.left_from = e.lhs->from;
-      edge.left_attr = e.lhs->attr;
-      edge.right_from = e.rhs->from;
-      edge.right_attr = e.rhs->attr;
-      plan.equi_joins.push_back(edge);
+      equi_joins.push_back(
+          {e.lhs->from, e.lhs->attr, e.rhs->from, e.rhs->attr});
       continue;
     }
-    PlannedJoinFilter filter;
-    filter.conjunct = static_cast<int>(ci);
-    filter.tables = used;
-    plan.join_filters.push_back(std::move(filter));
+    join_filters.push_back(static_cast<int>(ci));
   }
 
   // Access path per table. Chunk-statistics pruning runs FIRST — a chunk
@@ -371,20 +369,23 @@ Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
   }
   const bool reorder_ok = n > 1 && ReorderSafe(block);
   JoinOrderPlan cost =
-      PlanJoinOrder(snapshot, tables, plan.equi_joins, config,
+      PlanJoinOrder(snapshot, tables, equi_joins, config,
                     /*allow_reorder=*/reorder_ok,
                     /*allow_sort_merge=*/reorder_ok);
   // The fold also applies multi-table non-equi filters; discount each by the
   // default selectivity so the block-level output estimate (the q-error
   // numerator) accounts for them.
   plan.estimated_output_rows = cost.output_rows;
-  for (size_t i = 0; i < plan.join_filters.size(); ++i) {
+  for (size_t i = 0; i < join_filters.size(); ++i) {
     plan.estimated_output_rows /= 3.0;
   }
+  std::vector<int> step_of(n);  // FROM position -> fold step
   plan.tables.reserve(n);
   for (size_t t = 0; t < n; ++t) {
+    step_of[cost.order[t]] = static_cast<int>(t);
     TablePlan& tp = plan.tables.emplace_back(std::move(tables[cost.order[t]]));
     tp.join_algo = cost.steps[t].algo;
+    tp.presorted = cost.steps[t].presorted;
     tp.est_rows_cumulative = cost.steps[t].rows;
     tp.est_cost_cumulative = cost.steps[t].cost;
   }
@@ -392,27 +393,28 @@ Result<BlockPlan> PlanBlock(const storage::Snapshot& snapshot,
   // first (cheapest) table's base rows.
   for (int ci : constants) plan.tables[0].pushed.push_back(ci);
 
-  // Mark index nested-loop join candidates: a table without an IndexScan that
-  // joins to an earlier fold step through an equi edge can be answered by
-  // probing its column index per accumulated join key instead of scanning.
-  // The probe column is the first such edge's attribute on this table; the
-  // executor verifies any further edges per probed row.
-  std::vector<int> step_of(n, -1);
-  for (size_t t = 0; t < n; ++t) step_of[plan.tables[t].from_index] = t;
-  for (size_t t = 1; t < n; ++t) {
-    TablePlan& tp = plan.tables[t];
-    if (tp.index_scan) continue;
-    for (const PlannedEquiJoin& e : plan.equi_joins) {
-      const int ts = static_cast<int>(t);
-      if (step_of[e.left_from] == ts && step_of[e.right_from] < ts) {
-        tp.index_join_attr = e.left_attr;
-      } else if (step_of[e.right_from] == ts && step_of[e.left_from] < ts) {
-        tp.index_join_attr = e.right_attr;
-      }
-      if (tp.index_join_attr >= 0) break;
+  // Each equi edge keys the step placing its later side, and each join filter
+  // runs at the step placing its last table. Edges are visited in the order
+  // the cost model read them, so keys[0] is the column it costed an index
+  // nested-loop probe on.
+  for (const PlannedEquiJoin& e : equi_joins) {
+    const int left = step_of[e.left_from];
+    const int right = step_of[e.right_from];
+    if (left > right) {
+      plan.tables[left].keys.push_back(
+          {e.right_from, e.right_attr, e.left_attr});
+    } else {
+      plan.tables[right].keys.push_back(
+          {e.left_from, e.left_attr, e.right_attr});
     }
   }
-
+  for (int ci : join_filters) {
+    int last = 0;
+    for (int from : block.conjuncts[ci].tables) {
+      last = std::max(last, step_of[from]);
+    }
+    plan.tables[last].join_filters.push_back(ci);
+  }
   return plan;
 }
 
@@ -425,7 +427,7 @@ std::vector<TableAccessExplain> ExplainPlan(const catalog::Catalog& catalog,
     e.binding = tp.binding_lower;
     e.relation = catalog.relation(tp.relation_id).name;
     e.index_scan = tp.index_scan;
-    e.index_join = tp.index_join_attr >= 0;
+    e.index_join = !tp.index_scan && !tp.keys.empty();
     e.index_predicates = tp.index_scan ? 1 : 0;
     e.pushed_predicates = static_cast<int>(tp.pushed.size());
     e.table_rows = tp.table_rows;

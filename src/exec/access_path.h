@@ -53,13 +53,12 @@ struct ExecConfig {
   const obs::Clock* clock = nullptr;
   /// Intra-query parallelism: threads the executor may use for its morsel
   /// loops (scan + pushed filter, hash-join build/probe, index nested-loop
-  /// probes, the GROUP BY keying pass and the aggregate folds). 1 = serial
-  /// and thread-free. Values above 1 run on `pool` (the Executor lazily
-  /// creates a private pool of exec_threads - 1 workers when none is wired
-  /// in); the pool's worker count, not this number, caps the actual
-  /// fan-out. Results are bit-identical at every setting: morsel outputs are
-  /// stitched, and partial groups and aggregate states merged, in morsel
-  /// order.
+  /// probes, the GROUP BY keying pass and the aggregate folds). Morsels run
+  /// in parallel iff this is above 1 and `pool` is set; otherwise execution
+  /// is serial and thread-free. The pool's worker count, not this number,
+  /// caps the actual fan-out. Results are bit-identical at every setting:
+  /// morsel outputs are stitched, and partial groups and aggregate states
+  /// merged, in morsel order.
   int exec_threads = 1;
   /// Rows (or tuples) per morsel for the parallel loops. 0 = 4096. Scans
   /// round this up to whole chunks, so any grain at or below the table's
@@ -68,8 +67,8 @@ struct ExecConfig {
   /// grain-independent.
   size_t morsel_grain = 0;
   /// Shared work-stealing pool the morsel loops run on (borrowed — the
-  /// engine owns one and hands it to every Execute). Null with
-  /// exec_threads > 1: the Executor creates its own.
+  /// engine owns one and hands it to every Execute). Null: serial, whatever
+  /// exec_threads says.
   TaskPool* pool = nullptr;
 };
 
@@ -150,7 +149,15 @@ struct PushedKernel {
   storage::ValueFilter filter;
 };
 
-/// Access path for one FROM entry.
+/// One equi-join key of a fold step: a column of an already placed FROM
+/// entry against a column of the table the step places.
+struct JoinKey {
+  int placed_from = -1;  ///< FROM position of the placed side
+  int placed_attr = -1;  ///< its attribute
+  int attr = -1;         ///< attribute of the table the step places
+};
+
+/// Access path for one FROM entry, and the fold step that places it.
 struct TablePlan {
   int from_index = -1;  ///< position in the statement's FROM list
   int relation_id = -1;
@@ -191,37 +198,37 @@ struct TablePlan {
   /// statistics pass pruned (equals table_rows when nothing was prunable).
   size_t scan_rows = 0;
   double selectivity = 1.0;   ///< estimated_rows / table_rows
-  /// Attribute eligible for an index nested-loop join: this table has no
-  /// IndexScan, but joins to an earlier fold step through `attr = attr` on
-  /// this column, so the executor may probe the column index once per
-  /// accumulated row instead of scanning. -1 when ineligible; whether the
-  /// probe runs is the cost model's `join_algo` choice.
-  int index_join_attr = -1;
-  /// Join algorithm for the fold step that places this table, chosen by the
-  /// cost model. kNone only at the first fold step (nothing to join against
-  /// yet).
+  /// The fold step placing this table, written once by PlanBlock after the
+  /// cost model picked the order; the executor and EXPLAIN only read it.
+  /// Its algorithm, chosen by the cost model: kNone only at the first fold
+  /// step (nothing to join against yet), kNestedLoop exactly when a later
+  /// step has no keys.
   JoinAlgo join_algo = JoinAlgo::kNone;
+  /// Equi-join keys against earlier fold steps, in equi-join order.
+  /// keys[0].attr is the index nested-loop probe column; the probe verifies
+  /// the others per probed row.
+  std::vector<JoinKey> keys;
+  /// Multi-table conjuncts that are not equi keys and whose last table this
+  /// step places, ascending: evaluated on each combined tuple.
+  std::vector<int> join_filters;
+  /// Sort-merge only: the accumulated tuples are already sorted by the keys'
+  /// placed columns (an earlier sort-merge step on exactly those columns;
+  /// every other algorithm keeps that order), so their sort is skipped.
+  bool presorted = false;
   /// Cost model estimates for EXPLAIN and q-error reporting: cumulative
   /// estimated rows and cost after this table's fold step.
   double est_rows_cumulative = -1.0;
   double est_cost_cumulative = -1.0;
 };
 
-/// col = col conjunct across two FROM entries — a hash-join key edge,
-/// applied at the fold step where the later side is placed.
+/// col = col conjunct across two FROM entries: an equi-join edge, the cost
+/// model's input. PlanBlock turns each into a JoinKey of the fold step where
+/// its later side is placed.
 struct PlannedEquiJoin {
-  int conjunct = -1;
   int left_from = -1;
   int left_attr = -1;
   int right_from = -1;
   int right_attr = -1;
-};
-
-/// Multi-table conjunct that is not an equi-key: evaluated on the combined
-/// row at the fold step where its last table is placed.
-struct PlannedJoinFilter {
-  int conjunct = -1;
-  std::vector<int> tables;  ///< FROM positions referenced
 };
 
 /// The access-path plan of one query block (no tables when it has no FROM).
@@ -230,8 +237,6 @@ struct BlockPlan {
   /// filter); the q-error denominator.
   double estimated_output_rows = -1.0;
   std::vector<TablePlan> tables;  ///< in join (fold) order
-  std::vector<PlannedEquiJoin> equi_joins;
-  std::vector<PlannedJoinFilter> join_filters;
   std::vector<int> residual;  ///< post-join filter conjuncts, ascending
 };
 
@@ -241,7 +246,9 @@ struct TableAccessExplain {
   std::string binding;
   std::string relation;
   bool index_scan = false;
-  bool index_join = false;  ///< eligible for an index nested-loop join
+  /// No IndexScan and equi keys against an earlier fold step: eligible for
+  /// an index nested-loop join (join_algo says whether one runs).
+  bool index_join = false;
   int index_predicates = 0;   ///< conjuncts answered by the index (0 or 1)
   int pushed_predicates = 0;  ///< conjuncts evaluated per base row
   size_t table_rows = 0;
@@ -266,8 +273,9 @@ struct TableAccessExplain {
 /// FROM entries their bindings read into per-table sargable and pushed
 /// predicates, equi-join edges, join filters and the residual, probes the
 /// column indexes for exact cardinality estimates, picks IndexScan vs Scan
-/// per table, and lets the cost model choose the fold order (when safe) and
-/// each step's join algorithm. Every block plans, including one without
+/// per table, lets the cost model choose the fold order (when safe) and
+/// each step's join algorithm, and then writes each table's fold step: its
+/// keys, join filters and presort. Every block plans, including one without
 /// FROM; the only error is the block's bind error (an unresolved or unknown
 /// FROM relation, a duplicate binding). Row ids, chunk verdicts and counts
 /// all read the versions `snapshot` pinned, so the plan holds for as long as

@@ -91,6 +91,7 @@ struct StepCandidate {
   JoinAlgo algo = JoinAlgo::kNone;
   double step_cost = 0.0;
   double rows_out = 0.0;
+  bool presorted = false;
   SortSig sig;
 };
 
@@ -114,7 +115,7 @@ class Planner {
   double base_rows(int t) const { return base_rows_[t]; }
 
   /// Edges joining table `t` to the tables in `mask`, in equi-join order
-  /// (the executor builds its key list in the same order).
+  /// (PlanBlock writes the step's keys in the same order).
   std::vector<EdgeView> EdgesTo(int t, uint32_t mask) const {
     std::vector<EdgeView> out;
     for (const PlannedEquiJoin& e : edges_) {
@@ -167,10 +168,10 @@ class Planner {
                      kHashProbeRow * entry.rows + kOutRow * rows_out;
     best.sig = entry.sig;
 
-    // Index nested-loop join: same eligibility rule as the executor (no
-    // IndexScan on this table — its sargable conjuncts, if any, were demoted
+    // Index nested-loop join: same eligibility rule as EXPLAIN's index_join
+    // (no IndexScan on this table — its sargable conjuncts, if any, were demoted
     // to per-row evaluation, which the probe path applies). The probe column
-    // is the first edge's attribute, matching the index_join_attr marking.
+    // is the first edge's attribute, the step's keys[0].
     if (!tp.index_scan && tp.table_rows > 0) {
       const double ndv_probe = ndv_.Get(tp.relation_id, edges[0].t_attr);
       const double probed =
@@ -199,6 +200,7 @@ class Planner {
       if (config_.force_sort_merge || cost < best.step_cost) {
         best.algo = JoinAlgo::kSortMerge;
         best.step_cost = cost;
+        best.presorted = presorted;
         best.sig = keycols;
       }
     }
@@ -214,7 +216,8 @@ class Planner {
     next.order = entry.order;
     next.order.push_back(t);
     next.steps = entry.steps;
-    next.steps.push_back(JoinStepEstimate{step.algo, next.rows, next.cost});
+    next.steps.push_back(
+        JoinStepEstimate{step.algo, next.rows, next.cost, step.presorted});
     next.sig = std::move(step.sig);
     return next;
   }

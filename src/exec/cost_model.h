@@ -30,8 +30,8 @@ namespace sfsql::exec {
 ///
 /// Per fold step the model costs three algorithms and keeps the cheapest:
 /// hash join (build new side, probe accumulated), index nested-loop join
-/// (probe the join column's index per accumulated row; only for tables
-/// without an IndexScan, mirroring the executor's eligibility rule), and
+/// (probe the index of the step's first key column per accumulated row;
+/// only for tables without an IndexScan), and
 /// sort-merge (sort both sides by the key columns, skip the accumulated
 /// side's sort when it is already sorted by them). Sort-merge changes the
 /// emission order, so it is only offered when the block is reorder-safe.
@@ -46,6 +46,9 @@ struct JoinStepEstimate {
   JoinAlgo algo = JoinAlgo::kNone;
   double rows = 0.0;  ///< cumulative estimated rows after this step
   double cost = 0.0;  ///< cumulative estimated cost after this step
+  /// kSortMerge only: the accumulated side is already sorted by the step's
+  /// key columns, so its sort is skipped (and not costed).
+  bool presorted = false;
 };
 
 /// The chosen fold order (indices into the input `tables` vector) plus the

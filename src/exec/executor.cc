@@ -940,26 +940,9 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
   const size_t width = TupleWidth(block);
   const storage::Table* const* tables = env.back().tables;
 
-  // Fold in plan order — equi edges key the join, join filters run at the
-  // step where their last table is placed.
-  std::vector<int> step_of(n, -1);  // FROM position -> fold step
-  for (size_t t = 0; t < n; ++t) {
-    step_of[plan.tables[t].from_index] = static_cast<int>(t);
-  }
-  std::vector<std::vector<const BoundExpr*>> step_filters(n);
-  for (const PlannedJoinFilter& f : plan.join_filters) {
-    int last = 0;
-    for (int tab : f.tables) last = std::max(last, step_of[tab]);
-    step_filters[last].push_back(&block.conjuncts[f.conjunct].expr);
-  }
-
+  // Fold in plan order. Each step reads its keys, join filters, algorithm
+  // and presort from its TablePlan; the planner decided them all.
   std::vector<uint32_t> acc(width, 0);  // fold identity: one tuple
-  // The (FROM entry, attribute) columns the accumulated tuples are currently
-  // sorted by (the output of a sort-merge step). Hash, index nested-loop, and
-  // nested-loop steps all iterate the accumulated side in order and emit
-  // per-tuple blocks, so they preserve it; a later sort-merge on exactly
-  // these columns can skip its accumulated-side sort.
-  std::vector<std::pair<int, int>> sorted_cols;
   for (size_t t = 0; t < n; ++t) {
     const TablePlan& tp = plan.tables[t];
     const int from = tp.from_index;
@@ -967,30 +950,16 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
     const size_t count = acc.size() / width;
     auto tuple = [&](size_t i) { return acc.data() + i * width; };
 
-    struct EquiKey {
-      int from;      // placed FROM entry
-      int attr;      // its attribute
-      int new_attr;  // attribute of the table this step places
-    };
-    std::vector<EquiKey> keys;
-    for (const PlannedEquiJoin& e : plan.equi_joins) {
-      const int ts = static_cast<int>(t);
-      if (step_of[e.left_from] == ts && step_of[e.right_from] < ts) {
-        keys.push_back(EquiKey{e.right_from, e.right_attr, e.left_attr});
-      } else if (step_of[e.right_from] == ts && step_of[e.left_from] < ts) {
-        keys.push_back(EquiKey{e.left_from, e.left_attr, e.right_attr});
-      }
-    }
-    auto placed = [&](const uint32_t* tup, const EquiKey& k) -> const Value& {
-      return tables[k.from]->at(tup[k.from], k.attr);
+    const std::vector<JoinKey>& keys = tp.keys;
+    auto placed = [&](const uint32_t* tup, const JoinKey& k) -> const Value& {
+      return tables[k.placed_from]->at(tup[k.placed_from], k.placed_attr);
     };
     auto placed_null = [&](const uint32_t* tup) {
-      for (const EquiKey& k : keys) {
+      for (const JoinKey& k : keys) {
         if (placed(tup, k).is_null()) return true;
       }
       return false;
     };
-    const std::vector<const BoundExpr*>& filters = step_filters[t];
 
     std::vector<uint32_t> joined;
     // Appends `tup` extended by `id` at this step's FROM entry to `out` if
@@ -1004,8 +973,9 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       out.insert(out.end(), tup, tup + width);
       out[at + from] = id;
       join_env.back().ids = out.data() + at;
-      for (const BoundExpr* p : filters) {
-        SFSQL_ASSIGN_OR_RETURN(Value v, Eval(*p, join_env));
+      for (int ci : tp.join_filters) {
+        SFSQL_ASSIGN_OR_RETURN(Value v,
+                               Eval(block.conjuncts[ci].expr, join_env));
         if (!Truthy(v)) {
           out.resize(at);
           break;
@@ -1018,17 +988,15 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
     // Index nested-loop join (the cost model's pick when the accumulated side
     // is small relative to the table): probe the join column's index once
     // per accumulated tuple instead of scanning + hash-building the whole
-    // table. The cost model only picks it for tables the planner marked with
-    // an index_join_attr. Probe row ids come back ascending, so emission order
+    // table. The probe column is keys[0]; the other keys are verified per
+    // probed row. Probe row ids come back ascending, so emission order
     // matches the hash join exactly (per accumulated tuple, matches in table
     // order). `=` probes use Value::Compare equality, which coincides with
     // the hash join's Equals for non-nulls.
     if (tp.join_algo == JoinAlgo::kIndexNestedLoop) {
       ++stats_->index_joins;
       stats_->pushed_predicates += tp.pushed.size();
-      const storage::ColumnIndex* idx = &table.Index(tp.index_join_attr);
-      size_t probe_key = 0;
-      while (keys[probe_key].new_attr != tp.index_join_attr) ++probe_key;
+      const storage::ColumnIndex* idx = &table.Index(keys[0].attr);
       // Probe morsels run in parallel over the accumulated tuples; per probe
       // the index returns ids ascending, so stitching morsels in order
       // reproduces the serial emission order exactly. `idx` was fetched above
@@ -1038,17 +1006,17 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
                              ExecStats& st) -> Status {
         MorselEnv m(env, width);
         Env join_env = env;
-        auto eq = storage::ColumnPredicate::Compare("=", Value::Null_());
+        auto eq = storage::ColumnPredicate::Compare(
+            storage::ColumnPredicate::Op::kEq, Value::Null_());
         for (size_t ri = b; ri < e; ++ri) {
           const uint32_t* tup = tuple(ri);
           if (placed_null(tup)) continue;
-          eq.values[0] = placed(tup, keys[probe_key]);
+          eq.values[0] = placed(tup, keys[0]);
           for (uint32_t id : idx->Rows(eq)) {
             ++st.rows_scanned;
             bool match = true;
-            for (size_t k = 0; k < keys.size() && match; ++k) {
-              if (k == probe_key) continue;
-              const Value& v = table.at(id, keys[k].new_attr);
+            for (size_t k = 1; k < keys.size() && match; ++k) {
+              const Value& v = table.at(id, keys[k].attr);
               match = !v.is_null() && v.Equals(placed(tup, keys[k]));
             }
             if (!match) continue;
@@ -1078,16 +1046,16 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       for (size_t i = 0; i < base.size(); ++i) acc[i * width + from] = base[i];
       continue;
     }
-    auto fresh = [&](uint32_t id, const EquiKey& k) -> const Value& {
-      return table.at(id, k.new_attr);
+    auto fresh = [&](uint32_t id, const JoinKey& k) -> const Value& {
+      return table.at(id, k.attr);
     };
     auto fresh_null = [&](uint32_t id) {
-      for (const EquiKey& k : keys) {
+      for (const JoinKey& k : keys) {
         if (fresh(id, k).is_null()) return true;
       }
       return false;
     };
-    if (!keys.empty() && tp.join_algo == JoinAlgo::kSortMerge) {
+    if (tp.join_algo == JoinAlgo::kSortMerge) {
       // Sort-merge join: order both sides by the key columns and walk equal-
       // key groups with two pointers. Value::Compare is a total order whose
       // zero coincides with the hash join's key equality (int/double coerce
@@ -1096,9 +1064,6 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       // Output emits in key order — the planner only chooses this operator
       // for reorder-safe blocks.
       ++stats_->sort_merge_joins;
-      std::vector<std::pair<int, int>> left_cols;
-      left_cols.reserve(keys.size());
-      for (const EquiKey& k : keys) left_cols.emplace_back(k.from, k.attr);
       std::vector<uint32_t> lidx;  // accumulated tuple indices
       lidx.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
@@ -1110,21 +1075,21 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
         if (!fresh_null(id)) ridx.push_back(id);
       }
       auto cmp_lr = [&](uint32_t l, uint32_t r) {
-        for (const EquiKey& k : keys) {
+        for (const JoinKey& k : keys) {
           int c = placed(tuple(l), k).Compare(fresh(r, k));
           if (c != 0) return c;
         }
         return 0;
       };
       auto cmp_ll = [&](uint32_t a, uint32_t b) {
-        for (const EquiKey& k : keys) {
+        for (const JoinKey& k : keys) {
           int c = placed(tuple(a), k).Compare(placed(tuple(b), k));
           if (c != 0) return c;
         }
         return 0;
       };
       auto cmp_rr = [&](uint32_t a, uint32_t b) {
-        for (const EquiKey& k : keys) {
+        for (const JoinKey& k : keys) {
           int c = fresh(a, k).Compare(fresh(b, k));
           if (c != 0) return c;
         }
@@ -1133,7 +1098,7 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       // The accumulated side skips its sort when a previous sort-merge left
       // it ordered by exactly these columns (the "sorted output reusable"
       // case the cost model rewards).
-      if (sorted_cols == left_cols) {
+      if (tp.presorted) {
         ++stats_->merge_sorts_skipped;
       } else {
         std::stable_sort(lidx.begin(), lidx.end(),
@@ -1163,8 +1128,7 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
           ri = re;
         }
       }
-      sorted_cols = std::move(left_cols);
-    } else if (!keys.empty()) {
+    } else if (tp.join_algo == JoinAlgo::kHash) {
       // Hash join: build on the new (filtered) table, probe with the
       // accumulated tuples. NULL keys never join. In parallel, workers slice
       // the build side into per-morsel per-partition id lists, then each
@@ -1468,19 +1432,6 @@ Executor::Executor(const storage::Database* db) : db_(db) {}
 Executor::Executor(const storage::Database* db, const ExecConfig& config)
     : db_(db), config_(config) {}
 
-Executor::~Executor() = default;
-
-TaskPool* Executor::EffectivePool() {
-  if (config_.exec_threads <= 1) return nullptr;
-  if (config_.pool != nullptr) return config_.pool;
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (owned_pool_ == nullptr) {
-    owned_pool_ =
-        std::make_unique<TaskPool>(static_cast<size_t>(config_.exec_threads) - 1);
-  }
-  return owned_pool_.get();
-}
-
 Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
                                       ExecInfo* info) {
   const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
@@ -1491,7 +1442,7 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
     const Binding binding = Bind(db_->catalog(), stmt);
     const storage::Snapshot snapshot = PinRelations(*db_, binding);
     BlockExecutor block(&snapshot, &config_, binding, &stats, info,
-                        EffectivePool());
+                        config_.pool);
     out = block.ExecuteBlock(binding.root(), Env{});
   }
   for (size_t i = 0; i < kNumExecCounters; ++i) {

@@ -2,8 +2,6 @@
 #define SFSQL_EXEC_EXECUTOR_H_
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,8 +45,7 @@ struct ExecInfo {
 /// `Database`. This is the RDBMS substrate of the paper's architecture (Fig. 3):
 /// the Standard SQL Composer's output runs here.
 ///
-/// Supported: multi-table FROM with comma joins (hash joins are used for
-/// equi-join predicates, nested loops otherwise), WHERE with AND/OR/NOT,
+/// Supported: multi-table FROM with comma joins, WHERE with AND/OR/NOT,
 /// comparisons, arithmetic, LIKE, BETWEEN, IN (list and subquery), EXISTS,
 /// scalar subqueries (all subqueries may be correlated), aggregation
 /// (COUNT/SUM/AVG/MIN/MAX with DISTINCT), GROUP BY, HAVING, ORDER BY,
@@ -78,7 +75,11 @@ struct ExecInfo {
 /// (exec/access_path) routes sargable WHERE conjuncts through the per-column
 /// indexes and chunk statistics and pushes per-table predicates below the
 /// join, and the cost model (exec/cost_model) orders the fold and picks each
-/// step's join algorithm (hash, index nested-loop, sort-merge, nested-loop).
+/// step's join algorithm: a hash join or a sort-merge join on the step's
+/// equi keys, an index nested-loop join probing the column index of its
+/// first key, or a nested loop when the step has no keys. The planner writes
+/// each step once on its TablePlan (algorithm, keys, join filters, whether
+/// a sort-merge input is presorted); the fold only reads those steps.
 /// The fold is late-materialized: a tuple is one row id per FROM entry,
 /// stored flat, and scans emit base row ids. Every expression after the scan
 /// (join filters, the residual filter, grouping, aggregates, projection)
@@ -94,7 +95,6 @@ class Executor {
  public:
   explicit Executor(const storage::Database* db);
   Executor(const storage::Database* db, const ExecConfig& config);
-  ~Executor();
 
   const ExecConfig& config() const { return config_; }
 
@@ -120,15 +120,8 @@ class Executor {
       const sql::SelectStatement& stmt) const;
 
  private:
-  /// The pool morsel loops run on: config_.pool when wired (the engine's
-  /// shared pool), else a lazily created private pool of exec_threads - 1
-  /// workers; null when exec_threads <= 1 (no threads ever spawned).
-  TaskPool* EffectivePool();
-
   const storage::Database* db_;
   ExecConfig config_;
-  std::mutex pool_mu_;  ///< guards owned_pool_ creation (concurrent Executes)
-  std::unique_ptr<TaskPool> owned_pool_;
   /// Cumulative totals, parallel to kExecCounters.
   std::atomic<uint64_t> totals_[kNumExecCounters] = {};
 };

@@ -78,18 +78,18 @@ CanonicalQuery Canonicalize(const SelectStatement& stmt) {
   out.statement = stmt.Clone();
   ForEachLiteral(*out.statement, [&](Expr& e) {
     const int slot = static_cast<int>(out.literals.size());
-    storage::Value placeholder;
-    if (e.literal.is_string()) {
-      placeholder = storage::Value::String("$" + std::to_string(slot));
-    } else if (e.literal.is_int()) {
-      placeholder = storage::Value::Int(slot);
-    } else if (e.literal.is_double()) {
-      placeholder = storage::Value::Double(slot + 0.5);
-    } else {
+    if (!e.literal.is_string() && !e.literal.is_numeric()) {
       return;  // bools and NULLs stay structural
     }
     out.literals.push_back(std::move(e.literal));
-    e.literal = std::move(placeholder);
+    const storage::Value& literal = out.literals.back();
+    if (literal.is_string()) {
+      e.literal = storage::Value::String("$" + std::to_string(slot));
+    } else if (literal.is_int()) {
+      e.literal = storage::Value::Int(slot);
+    } else {
+      e.literal = storage::Value::Double(slot + 0.5);
+    }
   });
   out.text = PrintSelect(*out.statement);
   out.fingerprint = FingerprintBytes(out.text);

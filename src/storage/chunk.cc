@@ -37,43 +37,45 @@ size_t ChunkStats::DistinctEstimate() const {
 }
 
 bool ChunkStats::CanPrune(const ColumnPredicate& pred) const {
+  using Op = ColumnPredicate::Op;
   if (!has_values_) return true;  // all-NULL chunk
-  switch (pred.kind) {
-    case ColumnPredicate::Kind::kCompare:
-      return CanPruneCompare(pred.op, pred.values[0]);
-    case ColumnPredicate::Kind::kIn:
+  switch (pred.op) {
+    case Op::kIn:
       return std::all_of(
           pred.values.begin(), pred.values.end(),
-          [&](const Value& item) { return CanPruneCompare("=", item); });
-    case ColumnPredicate::Kind::kBetween: {
+          [&](const Value& item) { return CanPruneCompare(Op::kEq, item); });
+    case Op::kBetween: {
       const Value& low = pred.values[0];
       const Value& high = pred.values[1];
       if (low.is_null() || high.is_null()) return true;
       if (!Comparable(low) || !Comparable(high)) return false;
       return max_.Compare(low) < 0 || min_.Compare(high) > 0;
     }
-    case ColumnPredicate::Kind::kLike:
+    case Op::kLike:
       return false;  // min/max say nothing about pattern matches
+    default:
+      return CanPruneCompare(pred.op, pred.values[0]);
   }
-  return false;
 }
 
-bool ChunkStats::CanPruneCompare(std::string_view op, const Value& lit) const {
+bool ChunkStats::CanPruneCompare(ColumnPredicate::Op op,
+                                 const Value& lit) const {
+  using Op = ColumnPredicate::Op;
   if (lit.is_null()) return true;  // NULL comparisons never hold
   if (!Comparable(lit)) return false;
-  if (op == "=") {
-    return lit.Compare(min_) < 0 || lit.Compare(max_) > 0;
+  switch (op) {
+    case Op::kEq:
+      return lit.Compare(min_) < 0 || lit.Compare(max_) > 0;
+    case Op::kNe:
+      // Prunable only when every non-NULL value equals the literal. Compare
+      // and Equals agree on int/double coercion, so Compare == 0 is exact.
+      return min_.Compare(lit) == 0 && max_.Compare(lit) == 0;
+    case Op::kLt: return min_.Compare(lit) >= 0;
+    case Op::kLe: return min_.Compare(lit) > 0;
+    case Op::kGt: return max_.Compare(lit) <= 0;
+    case Op::kGe: return max_.Compare(lit) < 0;
+    default: return false;
   }
-  if (op == "<>" || op == "!=") {
-    // Prunable only when every non-NULL value equals the literal. Compare and
-    // Equals agree on int/double coercion, so Compare == 0 is exact here.
-    return min_.Compare(lit) == 0 && max_.Compare(lit) == 0;
-  }
-  if (op == "<") return min_.Compare(lit) >= 0;
-  if (op == "<=") return min_.Compare(lit) > 0;
-  if (op == ">") return max_.Compare(lit) <= 0;
-  if (op == ">=") return max_.Compare(lit) < 0;
-  return false;
 }
 
 }  // namespace sfsql::storage

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "storage/predicate.h"
@@ -89,7 +88,7 @@ class ChunkStats {
     return (min_.is_numeric() && lit.is_numeric()) || min_.type() == lit.type();
   }
   /// CanPrune for `col op lit` on a chunk with values.
-  bool CanPruneCompare(std::string_view op, const Value& lit) const;
+  bool CanPruneCompare(ColumnPredicate::Op op, const Value& lit) const;
 
   bool has_values_ = false;
   Value min_;

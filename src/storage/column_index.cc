@@ -117,7 +117,7 @@ std::pair<size_t, size_t> ColumnIndex::EqualRange(const Value& value) const {
 template <typename Visit>
 void ColumnIndex::Match(const ColumnPredicate& pred, uint64_t* verified,
                         Visit&& visit) const {
-  using Kind = ColumnPredicate::Kind;
+  using Op = ColumnPredicate::Op;
   auto lower = [&](size_t lo, size_t hi, const Value& v) {
     return static_cast<size_t>(
         std::lower_bound(values_.begin() + lo, values_.begin() + hi, v,
@@ -134,36 +134,8 @@ void ColumnIndex::Match(const ColumnPredicate& pred, uint64_t* verified,
   auto emit = [&](size_t first, size_t last) {
     return first >= last || visit(first, last);
   };
-  switch (pred.kind) {
-    case Kind::kCompare: {
-      const Value& v = pred.values[0];
-      if (v.is_null()) return;
-      const std::string& op = pred.op;
-      if (op == "=" || op == "<>" || op == "!=") {
-        auto [lo, hi] = EqualRange(v);
-        if (op == "=") {
-          emit(lo, hi);
-        } else if (emit(0, lo)) {
-          // Equals-complement over the whole domain: values of other type
-          // classes compare unequal, hence satisfy '<>'.
-          emit(hi, values_.size());
-        }
-        return;
-      }
-      // The inequalities compare inside the literal's type class.
-      auto [lo, hi] = ClassRange(v);
-      if (op == "<") {
-        emit(lo, lower(lo, hi, v));
-      } else if (op == "<=") {
-        emit(lo, upper(lo, hi, v));
-      } else if (op == ">") {
-        emit(upper(lo, hi, v), hi);
-      } else if (op == ">=") {
-        emit(lower(lo, hi, v), hi);
-      }
-      return;
-    }
-    case Kind::kIn: {
+  switch (pred.op) {
+    case Op::kIn: {
       std::vector<std::pair<size_t, size_t>> ranges;
       for (const Value& v : pred.values) {
         if (!v.is_null()) ranges.push_back(EqualRange(v));
@@ -176,16 +148,38 @@ void ColumnIndex::Match(const ColumnPredicate& pred, uint64_t* verified,
       }
       return;
     }
-    case Kind::kBetween: {
+    case Op::kBetween: {
       const Value& low = pred.values[0];
       const Value& high = pred.values[1];
       if (low.is_null() || high.is_null()) return;
       emit(lower(0, values_.size(), low), upper(0, values_.size(), high));
       return;
     }
-    case Kind::kLike:
+    case Op::kLike:
       MatchLike(pred.pattern, pred.escape, verified, visit);
       return;
+    default: {  // kNone..kGe
+      const Value& v = pred.values[0];
+      if (v.is_null()) return;
+      if (pred.op == Op::kEq || pred.op == Op::kNe) {
+        auto [lo, hi] = EqualRange(v);
+        if (pred.op == Op::kEq) {
+          emit(lo, hi);
+        } else if (emit(0, lo)) {
+          // Equals-complement over the whole domain: values of other type
+          // classes compare unequal, hence satisfy '<>'.
+          emit(hi, values_.size());
+        }
+        return;
+      }
+      // The inequalities compare inside the literal's type class.
+      auto [lo, hi] = ClassRange(v);
+      if (pred.op == Op::kLt) emit(lo, lower(lo, hi, v));
+      if (pred.op == Op::kLe) emit(lo, upper(lo, hi, v));
+      if (pred.op == Op::kGt) emit(upper(lo, hi, v), hi);
+      if (pred.op == Op::kGe) emit(lower(lo, hi, v), hi);
+      return;
+    }
   }
 }
 

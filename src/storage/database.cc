@@ -208,9 +208,9 @@ std::vector<ColumnIndexInfo> Database::BuiltColumnIndexes() const {
 bool Database::AnyTupleSatisfies(int relation_id, int attr_index,
                                  const ColumnPredicate& pred) const {
   if (!HasColumn(relation_id, attr_index)) return false;
-  const bool compare = pred.kind == ColumnPredicate::Kind::kCompare;
+  const bool compare = pred.is_compare();
   if (compare && pred.values[0].is_null()) return false;
-  if (pred.kind == ColumnPredicate::Kind::kLike) {
+  if (pred.op == ColumnPredicate::Op::kLike) {
     counters_->CountLikeProbe();
   } else {
     counters_->CountValueProbe();

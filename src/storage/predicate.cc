@@ -4,49 +4,45 @@
 
 namespace sfsql::storage {
 
+ColumnPredicate ColumnPredicate::Compare(std::string_view op, Value v) {
+  static constexpr std::pair<std::string_view, Op> kOps[] = {
+      {"=", Op::kEq}, {"<>", Op::kNe}, {"!=", Op::kNe}, {"<", Op::kLt},
+      {"<=", Op::kLe}, {">", Op::kGt}, {">=", Op::kGe}};
+  for (const auto& [text, decoded] : kOps) {
+    if (op == text) return Compare(decoded, std::move(v));
+  }
+  return Compare(Op::kNone, std::move(v));
+}
+
 ValueFilter::ValueFilter(const ColumnPredicate& pred) {
-  using Kind = ColumnPredicate::Kind;
-  switch (pred.kind) {
-    case Kind::kCompare: {
-      const Value& v = pred.values[0];
-      const std::string& op = pred.op;
-      if (v.is_null()) return;  // keeps nothing
-      if (op == "=") {
-        op_ = Op::kEq;
-      } else if (op == "<>" || op == "!=") {
-        op_ = Op::kNe;
-      } else if (op == "<") {
-        op_ = Op::kLt;
-      } else if (op == "<=") {
-        op_ = Op::kLe;
-      } else if (op == ">") {
-        op_ = Op::kGt;
-      } else if (op == ">=") {
-        op_ = Op::kGe;
-      } else {
-        return;
-      }
-      values_.push_back(v);
-      int_literal_ = v.is_int();
-      if (int_literal_) literal_int_ = v.AsInt();
-      return;
-    }
-    case Kind::kIn:
+  switch (pred.op) {
+    case Op::kNone:
+      return;  // keeps nothing
+    case Op::kIn:
       op_ = Op::kIn;
       for (const Value& item : pred.values) {
         if (!item.is_null()) values_.push_back(item);
       }
       return;
-    case Kind::kBetween:
+    case Op::kBetween:
       if (pred.values[0].is_null() || pred.values[1].is_null()) return;
       op_ = Op::kBetween;
       values_ = pred.values;
       return;
-    case Kind::kLike:
+    case Op::kLike:
       op_ = Op::kLike;
       pattern_ = pred.pattern;
       escape_ = pred.escape;
       return;
+    default: {  // kEq..kGe
+      const Value& v = pred.values[0];
+      if (v.is_null()) return;  // keeps nothing
+      op_ = pred.op;
+      values_.push_back(v);
+      int_literal_ = v.is_int();
+      if (int_literal_) literal_int_ = v.AsInt();
+      return;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,47 +19,52 @@ namespace sfsql::storage {
 ///
 /// The rows it keeps are the ones the executor's two-valued evaluation keeps:
 /// a NULL row value or a NULL operand keeps nothing, and
-///  * kCompare: "=" keeps values Equal to the literal; "<>"/"!=" keeps every
-///    other non-null value, values of another type class (bool < numeric <
-///    string) included; "<", "<=", ">", ">=" compare inside the literal's
-///    type class. Any other op keeps nothing;
+///  * kEq keeps values Equal to the literal; kNe keeps every other non-null
+///    value, values of another type class (bool < numeric < string)
+///    included; kLt, kLe, kGt, kGe compare inside the literal's type class;
+///  * kNone (an unknown comparison operator) keeps nothing;
 ///  * kIn: values Equal to some non-null list element;
 ///  * kBetween: low <= value <= high in the Value::Compare total order (no
 ///    class check, like the executor's BETWEEN; low > high keeps nothing);
 ///  * kLike: string values matching the pattern (exec::LikeMatch).
 /// ValueFilter below is these rules, value by value.
 struct ColumnPredicate {
-  enum class Kind { kCompare, kIn, kBetween, kLike };
+  enum class Op { kNone, kEq, kNe, kLt, kLe, kGt, kGe, kIn, kBetween, kLike };
 
-  Kind kind = Kind::kCompare;
-  std::string op;             ///< kCompare only
-  /// kCompare: {v}; kIn: the list; kBetween: {low, high}.
+  Op op = Op::kNone;
+  /// Comparisons (kNone..kGe): {v}; kIn: the list; kBetween: {low, high}.
   std::vector<Value> values;
   std::string pattern;        ///< kLike only
   char escape = '\0';         ///< kLike only; '\0' = no escape character
 
-  static ColumnPredicate Compare(std::string op, Value v) {
+  /// True for `col op v` (kNone..kGe), whose operand is values[0].
+  bool is_compare() const { return op <= Op::kGe; }
+
+  static ColumnPredicate Compare(Op op, Value v) {
     ColumnPredicate p;
-    p.op = std::move(op);
+    p.op = op;
     p.values.push_back(std::move(v));
     return p;
   }
+  /// Decodes "=", "<>" (or "!="), "<", "<=", ">" and ">="; any other `op`
+  /// is kNone.
+  static ColumnPredicate Compare(std::string_view op, Value v);
   static ColumnPredicate In(std::vector<Value> items) {
     ColumnPredicate p;
-    p.kind = Kind::kIn;
+    p.op = Op::kIn;
     p.values = std::move(items);
     return p;
   }
   static ColumnPredicate Between(Value low, Value high) {
     ColumnPredicate p;
-    p.kind = Kind::kBetween;
+    p.op = Op::kBetween;
     p.values.push_back(std::move(low));
     p.values.push_back(std::move(high));
     return p;
   }
   static ColumnPredicate Like(std::string pattern, char escape) {
     ColumnPredicate p;
-    p.kind = Kind::kLike;
+    p.op = Op::kLike;
     p.pattern = std::move(pattern);
     p.escape = escape;
     return p;
@@ -83,7 +89,7 @@ class ValueFilter {
                 size_t n) const;
 
  private:
-  enum class Op { kNone, kEq, kNe, kLt, kLe, kGt, kGe, kIn, kBetween, kLike };
+  using Op = ColumnPredicate::Op;
 
   /// Calls fn(keep) with the operator's per-value rule, so Keeps and Narrow
   /// share one rule per operator and Narrow's loop has no dispatch in it.

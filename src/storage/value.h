@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,10 +21,12 @@ class Value {
   Value() : data_(Null{}) {}
 
   static Value Null_() { return Value(); }
-  static Value Bool(bool b) { return Value(Data(b)); }
-  static Value Int(int64_t v) { return Value(Data(v)); }
-  static Value Double(double v) { return Value(Data(v)); }
-  static Value String(std::string s) { return Value(Data(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Double(double v) { return Value(std::in_place_type<double>, v); }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
 
   bool is_null() const { return std::holds_alternative<Null>(data_); }
   bool is_bool() const { return std::holds_alternative<bool>(data_); }
@@ -64,7 +67,11 @@ class Value {
     bool operator==(const Null&) const { return true; }
   };
   using Data = std::variant<Null, bool, int64_t, double, std::string>;
-  explicit Value(Data data) : data_(std::move(data)) {}
+  /// Builds the alternative in place. Moving a temporary Data instead makes
+  /// GCC 12 warn -Wmaybe-uninitialized on its string alternative under ASan.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : data_(type, std::forward<Arg>(arg)) {}
 
   Data data_;
 };

@@ -150,8 +150,10 @@ TEST(CostModelTest, QErrorMedianOnMovie43WorkloadAt10x) {
 // Sort-merge vs hash vs twin differential. The twin (every top-level WHERE
 // conjunct c as NOT (NOT (c))) has no equi edges, so it joins by nested loop.
 
+// Non-null `merge_stats` receives the forced sort-merge executor's counters.
 void ExpectThreeWayAgreement(const Database* db, const std::string& sql,
-                             bool expect_sort_merge) {
+                             bool expect_sort_merge,
+                             ExecStats* merge_stats = nullptr) {
   ExecConfig hash;  // cost model on; its picks at this scale are hash/iNL
   ExecConfig merge;
   merge.force_sort_merge = true;
@@ -171,6 +173,7 @@ void ExpectThreeWayAgreement(const Database* db, const std::string& sql,
   if (expect_sort_merge) {
     EXPECT_GE(merge_ex.stats().sort_merge_joins, 1u) << sql;
   }
+  if (merge_stats != nullptr) *merge_stats = merge_ex.stats();
 }
 
 TEST(CostModelTest, SortMergeMatchesHashOnNullAndDuplicateKeys) {
@@ -197,6 +200,21 @@ TEST(CostModelTest, SortMergeMatchesHashOnNullAndDuplicateKeys) {
       db.get(),
       "SELECT COUNT(*) FROM L, R WHERE L.b = R.b AND L.tag = 'even'",
       /*expect_sort_merge=*/true);
+}
+
+TEST(CostModelTest, SortMergeSkipsSortOfPresortedInput) {
+  auto db = JoinTortureDb();
+  // Two sort-merge steps keyed on the same placed column L.a: the second
+  // merges the first's output, already in L.a order, without sorting it.
+  // A wrongly skipped sort would lose matches; the twin and the hash plan
+  // pin the rows.
+  ExecStats merge;
+  ExpectThreeWayAgreement(db.get(),
+                          "SELECT R.note, COUNT(*) FROM L, R, R S "
+                          "WHERE L.a = R.a AND L.a = S.a GROUP BY R.note",
+                          /*expect_sort_merge=*/true, &merge);
+  EXPECT_GE(merge.merge_sorts_skipped, 1u);
+  EXPECT_EQ(merge.sort_merge_joins, 2u);
 }
 
 TEST(CostModelTest, SortMergeMatchesHashOnStarSchema) {

@@ -21,6 +21,7 @@
 
 #include "core/engine.h"
 #include "exec/executor.h"
+#include "exec/task_pool.h"
 #include "sql/parser.h"
 #include "storage/column_index.h"
 #include "storage/database.h"
@@ -599,6 +600,7 @@ std::unique_ptr<Database> ChunkedDb(size_t chunk_capacity, size_t total) {
 // planned results must match row for row.
 TEST(ExecChunkTest, DifferentialAtChunkEdgeRowCounts) {
   constexpr size_t kCap = 8;
+  TaskPool pool(3);
   for (size_t total : {size_t{0}, size_t{kCap - 1}, size_t{kCap},
                        size_t{kCap + 1}, size_t{3 * kCap}}) {
     auto db = ChunkedDb(kCap, total);
@@ -626,6 +628,7 @@ TEST(ExecChunkTest, DifferentialAtChunkEdgeRowCounts) {
         SCOPED_TRACE("exec_threads=" + std::to_string(threads));
         ExecConfig config;
         config.exec_threads = threads;
+        config.pool = &pool;
         config.morsel_grain = 2;
         Result<QueryResult> r = ExpectSameBothWays(db.get(), sql, config);
         ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();

@@ -21,37 +21,37 @@ namespace sfsql::test_support {
 /// True if a row holding `v` satisfies `pred`, evaluated straight from the
 /// semantics documented on storage::ColumnPredicate.
 inline bool Keeps(const storage::Value& v, const storage::ColumnPredicate& p) {
-  using Kind = storage::ColumnPredicate::Kind;
+  using Op = storage::ColumnPredicate::Op;
   if (v.is_null()) return false;
-  switch (p.kind) {
-    case Kind::kCompare: {
-      const storage::Value& lit = p.values[0];
-      if (lit.is_null()) return false;
-      if (p.op == "=") return v.Equals(lit);
-      if (p.op == "<>" || p.op == "!=") return !v.Equals(lit);
-      const bool same_class =
-          (v.is_numeric() && lit.is_numeric()) || v.type() == lit.type();
-      if (!same_class) return false;
-      const int c = v.Compare(lit);
-      if (p.op == "<") return c < 0;
-      if (p.op == "<=") return c <= 0;
-      if (p.op == ">") return c > 0;
-      if (p.op == ">=") return c >= 0;
+  switch (p.op) {
+    case Op::kNone:
       return false;
-    }
-    case Kind::kIn:
+    case Op::kIn:
       return std::any_of(p.values.begin(), p.values.end(),
                          [&](const storage::Value& item) {
                            return !item.is_null() && v.Equals(item);
                          });
-    case Kind::kBetween:
+    case Op::kBetween:
       return !p.values[0].is_null() && !p.values[1].is_null() &&
              v.Compare(p.values[0]) >= 0 && v.Compare(p.values[1]) <= 0;
-    case Kind::kLike:
+    case Op::kLike:
       return v.is_string() &&
              exec::LikeMatch(v.AsString(), p.pattern, p.escape);
+    default: {  // kEq..kGe
+      const storage::Value& lit = p.values[0];
+      if (lit.is_null()) return false;
+      if (p.op == Op::kEq) return v.Equals(lit);
+      if (p.op == Op::kNe) return !v.Equals(lit);
+      const bool same_class =
+          (v.is_numeric() && lit.is_numeric()) || v.type() == lit.type();
+      if (!same_class) return false;
+      const int c = v.Compare(lit);
+      if (p.op == Op::kLt) return c < 0;
+      if (p.op == Op::kLe) return c <= 0;
+      if (p.op == Op::kGt) return c > 0;
+      return c >= 0;
+    }
   }
-  return false;
 }
 
 /// The column index's rows for `pred` on column `attr` of the table version
