@@ -33,14 +33,14 @@
 // index joins) runs once with ExecConfig::exec_threads = 1 (serial) and once
 // at 4 threads over a shared exec::TaskPool. Results are compared *in row
 // order* (bit-identity is the parallel executor's contract, stronger than
-// the SameRows multiset check), and the pool's task/steal counters land in
-// the report.
+// the SameRows multiset check), and the pool's task counter lands in the
+// report.
 //
 // Emits BENCH_execute.json with queries/sec per scale, the wide-table
 // throughput and chunks-pruned counter, the star-schema join throughput and
 // q-error distribution, the parallel-vs-serial speedup and pool counters,
-// and the per-query latency distribution (p50/p95/p99), plus the executor's
-// cumulative access-path counters in the run metadata.
+// and the per-query latency distribution (p50/p95/p99), plus the last
+// scale's access-path counters (summed ExecInfo::stats) in the run metadata.
 //
 // Acceptance: parallel execution >= 2.5x serial at 4 threads (multicore
 // hosts only — a single-core machine cannot express the speedup; the
@@ -114,6 +114,7 @@ struct RunResult {
   long long executed = 0;
   std::vector<exec::QueryResult> first_round;  ///< for cross-checking
   std::vector<double> query_seconds;           ///< per-query wall times
+  exec::ExecStats stats;                       ///< summed over every query
 };
 
 RunResult RunWorkload(exec::Executor& ex, const std::vector<std::string>& qs,
@@ -123,8 +124,9 @@ RunResult RunWorkload(exec::Executor& ex, const std::vector<std::string>& qs,
   const auto start = std::chrono::steady_clock::now();
   for (int round = 0; round < rounds; ++round) {
     for (const std::string& q : qs) {
+      exec::ExecInfo info;
       const auto q_start = std::chrono::steady_clock::now();
-      auto r = ex.ExecuteSql(q);
+      auto r = ex.ExecuteSql(q, &info);
       out.query_seconds.push_back(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         q_start)
@@ -135,6 +137,7 @@ RunResult RunWorkload(exec::Executor& ex, const std::vector<std::string>& qs,
         *ok = false;
         return out;
       }
+      exec::MergeStats(out.stats, info.stats);
       if (round == 0) out.first_round.push_back(std::move(*r));
     }
   }
@@ -327,6 +330,7 @@ struct JoinRunResult {
   std::vector<exec::QueryResult> first_round;
   std::vector<double> per_query_seconds;  ///< summed across rounds
   std::vector<double> q_errors;           ///< round 0
+  exec::ExecStats stats;                  ///< summed over every query
 };
 
 JoinRunResult RunJoinWorkload(exec::Executor& ex,
@@ -351,6 +355,7 @@ JoinRunResult RunJoinWorkload(exec::Executor& ex,
         *ok = false;
         return out;
       }
+      exec::MergeStats(out.stats, info.stats);
       if (round == 0) {
         out.first_round.push_back(std::move(*r));
         if (info.has_join_actuals && info.estimated_join_rows >= 0.0) {
@@ -410,12 +415,10 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::vector<double> index_query_seconds;
   std::unique_ptr<storage::Database> last_db;
-  std::unique_ptr<exec::Executor> last_indexed;
   exec::ExecStats final_stats;
   for (int scale : scales) {
     auto db = BuildMovie43(seed, base_rows, scale);
-    auto indexed_ptr = std::make_unique<exec::Executor>(db.get());
-    exec::Executor& indexed = *indexed_ptr;
+    exec::Executor indexed(db.get());
 
     bool ok = true;
     // Untimed warmup: builds every lazy column index the workload touches,
@@ -436,7 +439,8 @@ int main(int argc, char** argv) {
     std::printf("%6dx %10zu %15.0f%s\n", scale, db->TotalRows(), index_qps,
                 identical ? "" : "  DIFFERS FROM TWIN — BUG");
 
-    const exec::ExecStats stats = indexed.stats();
+    exec::ExecStats stats = warmup.stats;
+    exec::MergeStats(stats, index.stats);
     report.AddRow(
         "scales",
         obs::BenchReport::Row()
@@ -451,8 +455,7 @@ int main(int argc, char** argv) {
     report.SetMetric("index_queries_per_second_scale" + std::to_string(scale),
                      index_qps);
     final_stats = stats;
-    last_db = std::move(db);  // the executor's db pointer stays valid
-    last_indexed = std::move(indexed_ptr);
+    last_db = std::move(db);
   }
 
   // --- Wide-table section: IndexScans and chunk-stat pruning ---
@@ -484,7 +487,8 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
 
     const double pruning_qps = pruned.executed / pruned.seconds;
-    const exec::ExecStats pstats = pruning.stats();
+    exec::ExecStats pstats = warmup.stats;
+    exec::MergeStats(pstats, pruned.stats);
 
     std::printf("\nwide table — %zu rows x %d cols, chunks of %zu\n",
                 wide_rows, kWideCols, wide_chunk_capacity);
@@ -540,7 +544,7 @@ int main(int argc, char** argv) {
     exec::Executor cost(sales_db.get());
     bool ok = true;
     // Untimed warmup (lazy column-index builds).
-    (void)RunJoinWorkload(cost, stmts, 1, &ok);
+    JoinRunResult cost_warmup = RunJoinWorkload(cost, stmts, 1, &ok);
     if (!ok) return 1;
     JoinRunResult cost_run = RunJoinWorkload(cost, stmts, cost_join_rounds, &ok);
     if (!ok) return 1;
@@ -570,7 +574,8 @@ int main(int argc, char** argv) {
     std::printf("overall: %.0f q/s; q-error median %.2f max %.2f\n", cost_qps,
                 qerror_median, qerror_max);
 
-    const exec::ExecStats cstats = cost.stats();
+    exec::ExecStats cstats = cost_warmup.stats;
+    exec::MergeStats(cstats, cost_run.stats);
     report.SetMetric("cost_join_queries_per_second", cost_qps);
     report.SetMetric("join_qerror_median", qerror_median);
     report.SetMetric("join_qerror_max", qerror_max);
@@ -629,12 +634,11 @@ int main(int argc, char** argv) {
     std::printf("\nmorsel-driven parallel execution — sales star schema, "
                 "%d threads vs serial\n",
                 parallel_threads);
-    std::printf("%15s %15s %9s %12s %12s\n", "serial q/s", "parallel q/s",
-                "speedup", "pool tasks", "pool steals");
-    std::printf("%15.1f %15.1f %8.2fx %12llu %12llu%s\n", serial_qps,
-                parallel_qps, parallel_speedup,
+    std::printf("%15s %15s %9s %12s\n", "serial q/s", "parallel q/s",
+                "speedup", "pool tasks");
+    std::printf("%15.1f %15.1f %8.2fx %12llu%s\n", serial_qps, parallel_qps,
+                parallel_speedup,
                 static_cast<unsigned long long>(pool_stats.tasks),
-                static_cast<unsigned long long>(pool_stats.steals),
                 identical ? "" : "  RESULTS DIVERGE — BUG");
 
     report.AddRow("parallel",
@@ -645,14 +649,11 @@ int main(int argc, char** argv) {
                       .Number("speedup_parallel_vs_serial", parallel_speedup)
                       .Number("pool_tasks",
                               static_cast<double>(pool_stats.tasks))
-                      .Number("pool_steals",
-                              static_cast<double>(pool_stats.steals))
                       .Number("results_identical", identical ? 1 : 0));
     report.SetMetric("serial_exec_queries_per_second", serial_qps);
     report.SetMetric("parallel_exec_queries_per_second", parallel_qps);
     report.SetMetric("speedup_parallel_vs_serial", parallel_speedup);
     report.SetMetric("pool_tasks", static_cast<double>(pool_stats.tasks));
-    report.SetMetric("pool_steals", static_cast<double>(pool_stats.steals));
   }
 
   report.SetMetric("results_identical", all_identical ? 1 : 0);
@@ -681,7 +682,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(final_stats.index_scans));
   report.SetMetric("exec_rows_pruned_last_scale",
                    static_cast<double>(final_stats.rows_pruned));
-  RecordRunMetadata(&report, *last_db, last_indexed.get());
+  RecordRunMetadata(&report, *last_db, &final_stats);
   (void)report.WriteFile();
   return all_identical ? 0 : 1;
 }

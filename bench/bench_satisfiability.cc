@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/mapper.h"
 #include "obs/bench_report.h"
 #include "workloads/metrics.h"
@@ -87,7 +88,8 @@ std::vector<Probe> BuildProbes(const storage::Database& db) {
             {storage::Value::String(s.substr(0, std::min<size_t>(3, s.size())) +
                                     "%")});  // prefix hit
         if (s.size() >= 2) {
-          add("like", {storage::Value::String("_" + s.substr(1))});  // '_' hit
+          add("like",
+              {storage::Value::String(StrCat("_", s.substr(1)))});  // '_' hit
         }
         add("like", {storage::Value::String(s)});  // wildcard-free hit
         add("like", {storage::Value::String("%zq%xw42%")});  // trigram miss

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "core/plan_cache.h"
 #include "core/profile.h"
@@ -54,7 +55,7 @@ namespace {
 /// could differ under a caching bug (text, order, weight, network) is
 /// included.
 std::string ResultKey(const Result<std::vector<core::Translation>>& r) {
-  if (!r.ok()) return "<" + r.status().ToString() + ">";
+  if (!r.ok()) return StrCat("<", r.status().ToString(), ">");
   std::string key;
   for (const core::Translation& t : *r) {
     char weight[64];

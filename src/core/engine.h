@@ -89,7 +89,7 @@ class SchemaFreeEngine {
   /// The engine's resolved configuration (introspection reads the profile
   /// store and thresholds from here).
   const EngineConfig& config() const { return config_; }
-  /// The engine-owned work-stealing pool execution morsels run on; null when
+  /// The engine-owned task pool execution morsels run on; null when
   /// execution is serial (max(num_threads, exec_threads) <= 1). Feeds
   /// sys_pool and serve_driver stats.
   const exec::TaskPool* task_pool() const { return pool_.get(); }
@@ -180,7 +180,7 @@ class SchemaFreeEngine {
 
   const storage::Database* db_;
   EngineConfig config_;
-  /// One work-stealing pool per engine (exec/task_pool), shared by every
+  /// One task pool per engine (exec/task_pool), shared by every
   /// Execute's morsel loops; sized max(num_threads, exec_threads) - 1
   /// workers, null when that is 0.
   /// Declared before everything that may reference it so it is destroyed

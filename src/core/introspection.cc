@@ -237,10 +237,9 @@ std::vector<Row> PoolRows(const exec::TaskPool* pool) {
   if (pool == nullptr) return rows;
   const exec::TaskPoolStats stats = pool->stats();
   Row row;
-  row.reserve(6);
+  row.reserve(5);
   row.push_back(Value::Int(static_cast<int64_t>(stats.workers)));
   row.push_back(Value::Int(static_cast<int64_t>(stats.tasks)));
-  row.push_back(Value::Int(static_cast<int64_t>(stats.steals)));
   row.push_back(Value::Int(static_cast<int64_t>(stats.parallel_fors)));
   row.push_back(Value::Int(static_cast<int64_t>(stats.nested_inline)));
   row.push_back(Value::Int(static_cast<int64_t>(stats.idle_ms)));
@@ -314,7 +313,6 @@ Introspection::Introspection(const IntrospectionSources& sources) {
   (void)catalog.AddRelation(MakeRelation("sys_pool",
                                          {{"workers", kInt},
                                           {"tasks", kInt},
-                                          {"steals", kInt},
                                           {"parallel_fors", kInt},
                                           {"nested_inline", kInt},
                                           {"idle_ms", kInt}}));

@@ -54,7 +54,7 @@ struct IntrospectionSources {
 ///                      merged across chunks (the cost model's estimator
 ///                      inputs — sketch-union NDV, null fraction, min/max)
 ///   sys_pool        — one row: the shared worker pool's lifetime counters
-///                      (workers, tasks, steals, parallel_fors, nested_inline,
+///                      (workers, tasks, parallel_fors, nested_inline,
 ///                      idle_ms)
 ///
 /// The snapshot is taken once at construction (point-in-time, like any

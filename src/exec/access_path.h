@@ -66,7 +66,7 @@ struct ExecConfig {
   /// aggregate folds run the same morsels inline. Correctness is
   /// grain-independent.
   size_t morsel_grain = 0;
-  /// Shared work-stealing pool the morsel loops run on (borrowed — the
+  /// Shared task pool the morsel loops run on (borrowed — the
   /// engine owns one and hands it to every Execute). Null: serial, whatever
   /// exec_threads says.
   TaskPool* pool = nullptr;

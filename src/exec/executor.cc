@@ -548,8 +548,10 @@ class BlockExecutor {
     std::vector<AggState> parts(morsels);
     std::vector<Status> statuses(morsels);
     ForMorsels(n, grain, !in_order, [&](size_t m, size_t lo, size_t hi) {
+      AggState part;  // local, then moved once: see RowLoop
       statuses[m] =
-          FoldAggregate(b, fn, group, lo, hi, env, morsels == 1, parts[m]);
+          FoldAggregate(b, fn, group, lo, hi, env, morsels == 1, part);
+      parts[m] = std::move(part);
       return statuses[m].ok() && !parts[m].reorder;
     });
     bool redo = false;
@@ -721,6 +723,10 @@ class BlockExecutor {
   //  * outputs and stats go to per-morsel slots, stitched/merged in morsel
   //    order after the barrier — results are bit-identical to serial and no
   //    hot-path counter is shared between workers;
+  //  * a body accumulates into locals and moves them into its slot once:
+  //    slots of neighbouring morsels share cache lines, and concurrent
+  //    morsels are neighbours, so a push_back or counter bump straight into
+  //    the slot would false-share with the next worker's;
   //  * bodies only evaluate subquery-free expressions: planner-pushed
   //    conjuncts and join filters are so by construction (the planner
   //    routes any conjunct containing a subquery or star to the residual
@@ -745,7 +751,11 @@ class BlockExecutor {
     std::vector<ExecStats> deltas(morsels);
     ForMorsels(n, grain, /*parallel_ok=*/true,
                [&](size_t m, size_t b, size_t e) {
-                 statuses[m] = body(b, e, outs[m], deltas[m]);
+                 std::vector<uint32_t> local;
+                 ExecStats delta;
+                 statuses[m] = body(b, e, local, delta);
+                 outs[m] = std::move(local);
+                 deltas[m] = delta;
                  return true;
                });
     for (const Status& s : statuses) {
@@ -889,7 +899,7 @@ Status BlockExecutor::GroupTuples(
   std::vector<MorselGroups> parts((n + grain - 1) / grain);
   std::vector<Status> statuses(parts.size());
   auto key_morsel = [&](size_t m, size_t lo, size_t hi) -> Status {
-    MorselGroups& my = parts[m];
+    MorselGroups my;  // local, then moved once: see RowLoop
     Env key_env = env;
     Frame& own = key_env.back();
     Row key(block.group_by.size());
@@ -907,6 +917,7 @@ Status BlockExecutor::GroupTuples(
       if (fresh) my.order.push_back(&*it);
       it->second.push_back(own.ids);
     }
+    parts[m] = std::move(my);
     return Status::OK();
   };
   ForMorsels(n, grain, parallel_ok, [&](size_t m, size_t lo, size_t hi) {
@@ -1153,18 +1164,19 @@ Result<std::vector<uint32_t>> BlockExecutor::FoldJoin(const BoundBlock& block,
       auto fresh_key = [&](uint32_t id, Row& key) {
         for (size_t k = 0; k < keys.size(); ++k) key[k] = fresh(id, keys[k]);
       };
-      const size_t bmorsels =
-          std::max<size_t>(1, (base.size() + grain - 1) / grain);
-      std::vector<std::vector<std::vector<uint32_t>>> parts(
-          bmorsels, std::vector<std::vector<uint32_t>>(partitions));
+      const size_t bmorsels = (base.size() + grain - 1) / grain;
+      std::vector<std::vector<std::vector<uint32_t>>> parts(bmorsels);
       ForMorsels(base.size(), grain, parallel,
                  [&](size_t m, size_t b, size_t e) {
+                   // Local, then moved once (see RowLoop).
+                   std::vector<std::vector<uint32_t>> part(partitions);
                    Row key(keys.size());
                    for (size_t i = b; i < e; ++i) {
                      if (fresh_null(base[i])) continue;
                      fresh_key(base[i], key);
-                     parts[m][partition_of(key)].push_back(base[i]);
+                     part[partition_of(key)].push_back(base[i]);
                    }
+                   parts[m] = std::move(part);
                    return true;
                  });
       std::vector<BuildMap> build(partitions);
@@ -1445,24 +1457,12 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt,
                         config_.pool);
     out = block.ExecuteBlock(binding.root(), Env{});
   }
-  for (size_t i = 0; i < kNumExecCounters; ++i) {
-    totals_[i].fetch_add(stats.*kExecCounters[i].field,
-                         std::memory_order_relaxed);
-  }
   if (info != nullptr) {
     info->stats = stats;
     info->rows_returned = out.ok() ? out->rows.size() : 0;
     info->seconds = obs::NanosToSeconds(clock->NowNanos() - start);
   }
   return out;
-}
-
-ExecStats Executor::stats() const {
-  ExecStats s;
-  for (size_t i = 0; i < kNumExecCounters; ++i) {
-    s.*kExecCounters[i].field = totals_[i].load(std::memory_order_relaxed);
-  }
-  return s;
 }
 
 std::vector<TableAccessExplain> Executor::ExplainAccessPaths(
@@ -1476,9 +1476,10 @@ std::vector<TableAccessExplain> Executor::ExplainAccessPaths(
   return ExplainPlan(db_->catalog(), **plan);
 }
 
-Result<QueryResult> Executor::ExecuteSql(std::string_view sql_text) {
+Result<QueryResult> Executor::ExecuteSql(std::string_view sql_text,
+                                         ExecInfo* info) {
   SFSQL_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql_text));
-  return Execute(*stmt);
+  return Execute(*stmt, info);
 }
 
 }  // namespace sfsql::exec

@@ -1,7 +1,6 @@
 #ifndef SFSQL_EXEC_EXECUTOR_H_
 #define SFSQL_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -26,8 +25,8 @@ struct QueryResult {
 };
 
 /// Everything one Execute call did, reported back to the caller (the engine's
-/// profile capture). Unlike Executor::stats(), these are per-call, not
-/// cumulative; `access_paths` covers the top-level block only.
+/// profile capture). A caller that wants totals sums `stats` across calls;
+/// `access_paths` covers the top-level block only.
 struct ExecInfo {
   ExecStats stats;
   std::vector<TableAccessExplain> access_paths;
@@ -106,11 +105,8 @@ class Executor {
                               ExecInfo* info = nullptr);
 
   /// Convenience: parse + execute a full SQL string.
-  Result<QueryResult> ExecuteSql(std::string_view sql);
-
-  /// Cumulative access-path counters across every Execute on this instance
-  /// (atomics inside, so concurrent Executes accumulate safely).
-  ExecStats stats() const;
+  Result<QueryResult> ExecuteSql(std::string_view sql,
+                                 ExecInfo* info = nullptr);
 
   /// Binds `stmt` and plans its top-level block exactly as Execute does,
   /// over versions it pins the same way, and returns the EXPLAIN view
@@ -122,8 +118,6 @@ class Executor {
  private:
   const storage::Database* db_;
   ExecConfig config_;
-  /// Cumulative totals, parallel to kExecCounters.
-  std::atomic<uint64_t> totals_[kNumExecCounters] = {};
 };
 
 }  // namespace sfsql::exec

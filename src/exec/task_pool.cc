@@ -1,5 +1,6 @@
 #include "exec/task_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -7,22 +8,6 @@
 #include "obs/metrics.h"
 
 namespace sfsql::exec {
-
-void WaitGroup::Add(size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  count_ += n;
-}
-
-void WaitGroup::Done() {
-  std::lock_guard<std::mutex> lk(mu_);
-  --count_;
-  if (count_ == 0) cv_.notify_all();
-}
-
-void WaitGroup::Wait() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return count_ == 0; });
-}
 
 namespace {
 
@@ -32,95 +17,87 @@ thread_local bool t_in_pool_task = false;
 
 }  // namespace
 
-/// One ParallelFor in flight. Stack-allocated by the caller; morsels hold a
-/// pointer, and wg guarantees the caller outlives every reference.
-struct LoopState {
+/// One fanned-out ParallelFor. The caller and every worker serving it hold a
+/// reference, so the record outlives whichever of them touches it last.
+/// `body` lives on the caller's stack; it is only called for a claimed
+/// morsel, and the caller waits for every claimed morsel to finish.
+struct TaskPool::Loop {
   const std::function<void(size_t, size_t)>* body = nullptr;
-  WaitGroup wg;
-  std::mutex ex_mu;
+  size_t n = 0;
+  size_t grain = 0;
+  size_t morsels = 0;
+  std::atomic<size_t> next{0};  ///< claim cursor: the next unclaimed morsel
+  std::atomic<size_t> done{0};  ///< morsels finished
+  std::mutex mu;                ///< guards `ex`; pairs with `done_cv`
+  std::condition_variable done_cv;
   std::exception_ptr ex;
 };
 
 TaskPool::TaskPool(size_t workers) {
-  queues_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 TaskPool::~TaskPool() {
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
-    ++epoch_;
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-void TaskPool::RunMorsel(const Morsel& m) {
-  bool prev = t_in_pool_task;
+void TaskPool::RunMorsels(Loop& loop) {
+  const bool prev = t_in_pool_task;
   t_in_pool_task = true;
-  try {
-    (*m.loop->body)(m.begin, m.end);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(m.loop->ex_mu);
-    if (!m.loop->ex) m.loop->ex = std::current_exception();
+  for (;;) {
+    const size_t i = loop.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= loop.morsels) break;
+    const size_t begin = i * loop.grain;
+    try {
+      (*loop.body)(begin, std::min(loop.n, begin + loop.grain));
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      if (!loop.ex) loop.ex = std::current_exception();
+    }
+    if (loop.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        loop.morsels) {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      loop.done_cv.notify_all();
+    }
   }
   t_in_pool_task = prev;
-  tasks_.fetch_add(1, std::memory_order_relaxed);
-  m.loop->wg.Done();
 }
 
-bool TaskPool::TryRunOne(size_t self) {
-  const size_t w = queues_.size();
-  // Own deque first (front = LIFO-ish locality), then victims from the back.
-  for (size_t k = 0; k < w; ++k) {
-    size_t q = (self + k) % w;
-    if (self >= w) q = k;  // callers have no own deque; scan in order
-    Morsel m;
-    {
-      std::lock_guard<std::mutex> lk(queues_[q]->mu);
-      if (queues_[q]->dq.empty()) continue;
-      if (q == self) {
-        m = queues_[q]->dq.front();
-        queues_[q]->dq.pop_front();
-      } else {
-        m = queues_[q]->dq.back();
-        queues_[q]->dq.pop_back();
-      }
-    }
-    if (q != self && self < w) steals_.fetch_add(1, std::memory_order_relaxed);
-    RunMorsel(m);
-    return true;
-  }
-  return false;
+void TaskPool::Retire(const Loop* loop) {
+  auto it = std::find_if(loops_.begin(), loops_.end(),
+                         [loop](const auto& l) { return l.get() == loop; });
+  if (it != loops_.end()) loops_.erase(it);
 }
 
-void TaskPool::WorkerLoop(size_t self) {
+void TaskPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lk(wake_mu_);
-      if (stop_) return;
-      seen = epoch_;
-    }
-    if (TryRunOne(self)) continue;
-    std::unique_lock<std::mutex> lk(wake_mu_);
     if (stop_) return;
-    if (epoch_ != seen) continue;  // work arrived after the scan; rescan
-    auto t0 = std::chrono::steady_clock::now();
-    wake_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-    auto waited = std::chrono::steady_clock::now() - t0;
-    idle_ns_.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count(),
-        std::memory_order_relaxed);
+    if (loops_.empty()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      work_cv_.wait(lk, [this] { return stop_ || !loops_.empty(); });
+      const auto waited = std::chrono::steady_clock::now() - t0;
+      idle_ns_.fetch_add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count(),
+          std::memory_order_relaxed);
+      lk.unlock();
+      PublishMetricsDelta();
+      lk.lock();
+      continue;
+    }
+    std::shared_ptr<Loop> loop = loops_.front();
     lk.unlock();
-    PublishMetricsDelta();
+    RunMorsels(*loop);
+    lk.lock();
+    Retire(loop.get());
   }
 }
 
@@ -131,10 +108,8 @@ void TaskPool::ParallelFor(size_t n, size_t grain,
   const size_t num_morsels = (n + grain - 1) / grain;
 
   auto run_inline = [&] {
-    for (size_t i = 0; i < num_morsels; ++i) {
-      size_t begin = i * grain;
-      size_t end = begin + grain < n ? begin + grain : n;
-      body(begin, end);
+    for (size_t begin = 0; begin < n; begin += grain) {
+      body(begin, std::min(n, begin + grain));
     }
     tasks_.fetch_add(num_morsels, std::memory_order_relaxed);
   };
@@ -153,41 +128,43 @@ void TaskPool::ParallelFor(size_t n, size_t grain,
     return;
   }
 
-  LoopState loop;
-  loop.body = &body;
-  loop.wg.Add(num_morsels);
-  // Deal morsels round-robin across the worker deques, one queue lock each.
-  const size_t w = queues_.size();
-  for (size_t q = 0; q < w; ++q) {
-    std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    for (size_t i = q; i < num_morsels; i += w) {
-      size_t begin = i * grain;
-      size_t end = begin + grain < n ? begin + grain : n;
-      queues_[q]->dq.push_back(Morsel{&loop, begin, end});
-    }
-  }
+  auto loop = std::make_shared<Loop>();
+  loop->body = &body;
+  loop->n = n;
+  loop->grain = grain;
+  loop->morsels = num_morsels;
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    ++epoch_;
+    std::lock_guard<std::mutex> lk(mu_);
+    loops_.push_back(loop);
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   parallel_fors_.fetch_add(1, std::memory_order_relaxed);
 
-  // The caller drains morsels too (its own loop's or any other in-flight
-  // loop's — either way the pool makes progress), then blocks for stragglers.
-  while (TryRunOne(w)) {
+  // The caller claims from its own cursor until it runs out, then waits only
+  // for the morsels workers still hold.
+  RunMorsels(*loop);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    Retire(loop.get());
   }
-  loop.wg.Wait();
+  {
+    std::unique_lock<std::mutex> lk(loop->mu);
+    loop->done_cv.wait(lk, [&] {
+      return loop->done.load(std::memory_order_acquire) == num_morsels;
+    });
+  }
+  tasks_.fetch_add(num_morsels, std::memory_order_relaxed);
   PublishMetricsDelta();
 
-  if (loop.ex) std::rethrow_exception(loop.ex);
+  // Taken out of the record, so that a worker dropping the last reference
+  // to it later never frees the exception the caller is handling.
+  if (std::exception_ptr ex = std::move(loop->ex)) std::rethrow_exception(ex);
 }
 
 TaskPoolStats TaskPool::stats() const {
   TaskPoolStats s;
   s.workers = workers_.size();
   s.tasks = tasks_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
   s.parallel_fors = parallel_fors_.load(std::memory_order_relaxed);
   s.nested_inline = nested_inline_.load(std::memory_order_relaxed);
   s.idle_ms = idle_ns_.load(std::memory_order_relaxed) / 1000000;
@@ -197,23 +174,18 @@ TaskPoolStats TaskPool::stats() const {
 void TaskPool::EnableMetrics(obs::MetricsRegistry* registry) {
   std::lock_guard<std::mutex> lk(metrics_mu_);
   if (registry == nullptr) {
-    tasks_counter_ = steals_counter_ = parallel_fors_counter_ =
-        idle_ms_counter_ = nullptr;
+    tasks_counter_ = parallel_fors_counter_ = idle_ms_counter_ = nullptr;
     return;
   }
   tasks_counter_ = registry->GetCounter(
       "sfsql_pool_tasks_total", "Morsels executed by the engine task pool");
-  steals_counter_ = registry->GetCounter(
-      "sfsql_pool_steals_total",
-      "Morsels a pool worker stole from another worker's deque");
   parallel_fors_counter_ = registry->GetCounter(
       "sfsql_pool_parallel_fors_total",
       "ParallelFor calls that fanned out across the pool");
   idle_ms_counter_ = registry->GetCounter(
       "sfsql_pool_idle_ms_total",
       "Total milliseconds pool workers spent parked waiting for work");
-  tasks_published_ = steals_published_ = parallel_fors_published_ =
-      idle_ms_published_ = 0;
+  tasks_published_ = parallel_fors_published_ = idle_ms_published_ = 0;
 }
 
 void TaskPool::PublishMetricsDelta() {
@@ -221,12 +193,10 @@ void TaskPool::PublishMetricsDelta() {
   if (tasks_counter_ == nullptr) return;
   TaskPoolStats s = stats();
   tasks_counter_->Increment(s.tasks - tasks_published_);
-  steals_counter_->Increment(s.steals - steals_published_);
   parallel_fors_counter_->Increment(s.parallel_fors -
                                     parallel_fors_published_);
   idle_ms_counter_->Increment(s.idle_ms - idle_ms_published_);
   tasks_published_ = s.tasks;
-  steals_published_ = s.steals;
   parallel_fors_published_ = s.parallel_fors;
   idle_ms_published_ = s.idle_ms;
 }

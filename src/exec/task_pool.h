@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,22 +18,6 @@ class MetricsRegistry;
 
 namespace sfsql::exec {
 
-/// Blocking completion latch in the Go style: Add(n) before handing out n
-/// units of work, Done() as each finishes, Wait() blocks until the count
-/// returns to zero. Done() on a zero count is a bug; it is left undefined
-/// rather than checked on the hot path.
-class WaitGroup {
- public:
-  void Add(size_t n);
-  void Done();
-  void Wait();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t count_ = 0;
-};
-
 /// Point-in-time pool counters (cumulative since construction). `idle_ms` is
 /// the summed wall time workers spent parked waiting for work — on an
 /// otherwise quiet engine it grows at `workers` seconds per second, which is
@@ -42,27 +25,30 @@ class WaitGroup {
 struct TaskPoolStats {
   size_t workers = 0;
   uint64_t tasks = 0;          ///< morsels executed (by workers and callers)
-  uint64_t steals = 0;         ///< morsels a worker took from another's deque
+  uint64_t steals = 0;         ///< always 0 (morsels are claimed, never
+                               ///< stolen); perfbench/harness.cc reads it
   uint64_t parallel_fors = 0;  ///< ParallelFor calls that fanned out
   uint64_t nested_inline = 0;  ///< nested ParallelFor calls run inline
   uint64_t idle_ms = 0;        ///< total worker time parked waiting for work
 };
 
-/// Engine-wide work-stealing thread pool the executor's morsel loops fan out
-/// on: a fixed set of OS threads with per-worker deques, so two concurrent
-/// queries interleave at morsel granularity instead of oversubscribing the
-/// machine with per-call thread spawns.
+/// Engine-wide morsel pool the executor's loops fan out on: a fixed set of OS
+/// threads, so two concurrent queries interleave at morsel granularity
+/// instead of oversubscribing the machine with per-call thread spawns.
 ///
-/// Scheduling: ParallelFor splits [0, n) into contiguous morsels of `grain`
-/// items and deals them round-robin across the worker deques. Workers pop
-/// their own deque from the front and steal from the back of a victim's
-/// deque when empty; the calling thread participates too (it drains morsels
-/// while waiting), so a pool with W workers reaches W+1-way parallelism and
-/// a pool with zero workers degrades to a plain serial loop.
+/// Scheduling (morsel-driven, Leis et al., SIGMOD 2014): ParallelFor splits
+/// [0, n) into contiguous morsels of `grain` items and publishes one loop
+/// record whose atomic cursor hands out morsel indices. Workers serve the
+/// oldest published loop that still has morsels; the calling thread claims
+/// from its own loop's cursor too, so a pool with W workers reaches
+/// W+1-way parallelism and a pool with zero workers degrades to a plain
+/// serial loop. Morsels are equal-sized, so one shared cursor balances them
+/// without per-worker queues.
 ///
 /// Concurrency contract:
-///  * ParallelFor is safe to call from any number of threads concurrently;
-///    morsels of distinct loops share the deques and complete independently.
+///  * ParallelFor is safe to call from any number of threads concurrently.
+///    A caller runs only its own loop's morsels and returns once they are
+///    all done, never waiting on a worker busy with another loop.
 ///  * A nested ParallelFor (called from inside a pool task) runs inline and
 ///    serially on the calling thread — never deadlocks, counted in
 ///    stats().nested_inline so tests can assert the rejection fired.
@@ -100,42 +86,32 @@ class TaskPool {
 
   TaskPoolStats stats() const;
 
-  /// Registers sfsql_pool_tasks_total, sfsql_pool_steals_total,
-  /// sfsql_pool_parallel_fors_total and sfsql_pool_idle_ms_total in
-  /// `registry` (null detaches). Counters are flushed from the pool's own
-  /// atomics once per ParallelFor / worker wake, not per task.
+  /// Registers sfsql_pool_tasks_total, sfsql_pool_parallel_fors_total and
+  /// sfsql_pool_idle_ms_total in `registry` (null detaches). Counters are
+  /// flushed from the pool's own atomics once per ParallelFor / worker wake,
+  /// not per task.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Morsel {
-    struct LoopState* loop = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-  };
+  struct Loop;
 
-  struct alignas(64) WorkerQueue {
-    std::mutex mu;
-    std::deque<Morsel> dq;
-  };
-
-  void WorkerLoop(size_t self);
-  bool TryRunOne(size_t self);  ///< self == workers_.size() for callers
-  void RunMorsel(const Morsel& m);
+  void WorkerLoop();
+  /// Claims and runs `loop`'s morsels until its cursor runs out.
+  void RunMorsels(Loop& loop);
+  /// Unpublishes `loop` if it is still listed. Requires mu_.
+  void Retire(const Loop* loop);
   void PublishMetricsDelta();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  // Wake protocol: epoch_ increments under wake_mu_ whenever work is pushed;
-  // a worker that found every deque empty re-checks the epoch before parking
-  // so a push between its scan and its wait cannot be missed.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  uint64_t epoch_ = 0;
+  // Published loops, oldest first; a loop leaves once its cursor runs out.
+  // Workers park on work_cv_ while the list is empty.
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::vector<std::shared_ptr<Loop>> loops_;
   bool stop_ = false;
 
   std::atomic<uint64_t> tasks_{0};
-  std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> parallel_fors_{0};
   std::atomic<uint64_t> nested_inline_{0};
   std::atomic<uint64_t> idle_ns_{0};
@@ -143,11 +119,9 @@ class TaskPool {
   // Last values flushed into the obs counters (guarded by metrics_mu_).
   std::mutex metrics_mu_;
   obs::Counter* tasks_counter_ = nullptr;
-  obs::Counter* steals_counter_ = nullptr;
   obs::Counter* parallel_fors_counter_ = nullptr;
   obs::Counter* idle_ms_counter_ = nullptr;
   uint64_t tasks_published_ = 0;
-  uint64_t steals_published_ = 0;
   uint64_t parallel_fors_published_ = 0;
   uint64_t idle_ms_published_ = 0;
 };

@@ -84,7 +84,9 @@ CanonicalQuery Canonicalize(const SelectStatement& stmt) {
     out.literals.push_back(std::move(e.literal));
     const storage::Value& literal = out.literals.back();
     if (literal.is_string()) {
-      e.literal = storage::Value::String("$" + std::to_string(slot));
+      std::string name = "$";
+      name += std::to_string(slot);
+      e.literal = storage::Value::String(std::move(name));
     } else if (literal.is_int()) {
       e.literal = storage::Value::Int(slot);
     } else {

@@ -95,7 +95,7 @@ bool Satisfies(const storage::Value& v, std::string_view op,
 }  // namespace
 
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
-                       const exec::Executor* executor) {
+                       const exec::ExecStats* exec_stats) {
   report->SetConfig("dataset_total_rows",
                     static_cast<long long>(db.TotalRows()));
   const catalog::Catalog& cat = db.catalog();
@@ -113,11 +113,10 @@ void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
   report->SetMetric("index_build_seconds", s.build_seconds);
   report->SetMetric("like_candidates_verified",
                     static_cast<double>(s.like_candidates_verified));
-  if (executor != nullptr) {
-    const exec::ExecStats e = executor->stats();
+  if (exec_stats != nullptr) {
     for (const exec::ExecCounter& c : exec::kExecCounters) {
       report->SetMetric(StrCat("exec_", c.name),
-                        static_cast<double>(e.*c.field));
+                        static_cast<double>(exec_stats->*c.field));
     }
   }
 }
@@ -263,10 +262,11 @@ ExprPtr DoubleNegateConjuncts(ExprPtr e) {
 }  // namespace
 
 Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
-                                      std::string_view sql) {
+                                      std::string_view sql,
+                                      exec::ExecInfo* info) {
   SFSQL_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
   if (stmt->where) stmt->where = DoubleNegateConjuncts(std::move(stmt->where));
-  return executor.Execute(*stmt);
+  return executor.Execute(*stmt, info);
 }
 
 bool ScanConditionSatisfiable(const storage::Database& db, int relation_id,

@@ -17,11 +17,11 @@ namespace sfsql::workloads {
 /// this right before WriteFile): the dataset's row counts (total in config,
 /// per relation in a "dataset" table) and the database's cumulative
 /// column-index counters — index probes, index builds and build time, LIKE
-/// candidates verified — plus, when `executor` is given, its cumulative
-/// access-path counters as exec_<name> for every counter in
+/// candidates verified — plus, when `exec_stats` is given, those access-path
+/// counters (summed ExecInfo::stats) as exec_<name> for every counter in
 /// exec::kExecCounters.
 void RecordRunMetadata(obs::BenchReport* report, const storage::Database& db,
-                       const exec::Executor* executor = nullptr);
+                       const exec::ExecStats* exec_stats = nullptr);
 
 /// Information-unit costs (§7.1). A schema element (relation or attribute
 /// name) is one information unit; approximately specified elements count as a
@@ -74,7 +74,8 @@ Result<bool> TranslationMatchesGold(const storage::Database& db,
 /// runs on full scans, per-row predicates and nested-loop joins — the
 /// differential oracle for index scans, pruning and the join operators.
 Result<exec::QueryResult> ExecuteTwin(exec::Executor& executor,
-                                      std::string_view sql);
+                                      std::string_view sql,
+                                      exec::ExecInfo* info = nullptr);
 
 /// Reference oracle for the §4.3 satisfiability probes: true if some tuple of
 /// (relation, attribute) satisfies `cond`, found by a scan (skipping chunks

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
@@ -102,7 +103,7 @@ std::unique_ptr<Database> JoinTortureDb() {
                          : Value::Int(i % 4 == 0 ? 7 : rng() % 40);
     Value b = i % 13 == 6 ? Value::Null_() : Value::Int(rng() % 4);
     EXPECT_TRUE(db->Insert(r_id, {std::move(a), std::move(b),
-                                  Value::String("r" + std::to_string(i % 5))})
+                                  Value::String(StrCat("r", i % 5))})
                     .ok());
   }
   return db;
@@ -160,9 +161,10 @@ void ExpectThreeWayAgreement(const Database* db, const std::string& sql,
 
   Executor hash_ex(db, hash);
   Executor merge_ex(db, merge);
+  ExecInfo merge_info;
   auto a = workloads::ExecuteTwin(hash_ex, sql);
   auto b = hash_ex.ExecuteSql(sql);
-  auto c = merge_ex.ExecuteSql(sql);
+  auto c = merge_ex.ExecuteSql(sql, &merge_info);
   ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
   ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
   ASSERT_TRUE(c.ok()) << sql << ": " << c.status().ToString();
@@ -171,9 +173,9 @@ void ExpectThreeWayAgreement(const Database* db, const std::string& sql,
   EXPECT_TRUE(a->SameRows(*c)) << sql << "\n  twin " << a->rows.size()
                                << " vs sort-merge " << c->rows.size();
   if (expect_sort_merge) {
-    EXPECT_GE(merge_ex.stats().sort_merge_joins, 1u) << sql;
+    EXPECT_GE(merge_info.stats.sort_merge_joins, 1u) << sql;
   }
-  if (merge_stats != nullptr) *merge_stats = merge_ex.stats();
+  if (merge_stats != nullptr) *merge_stats = merge_info.stats;
 }
 
 TEST(CostModelTest, SortMergeMatchesHashOnNullAndDuplicateKeys) {

@@ -345,30 +345,33 @@ TEST_F(ExecEdgeTest, SubqueryOverEmptyGlobalAggregateReadsNull) {
 }
 
 TEST_F(ExecEdgeTest, UncorrelatedSubqueriesRunOncePerExecute) {
-  Executor in_list(db_.get());
-  auto in = in_list.ExecuteSql(
+  ExecInfo in_list;
+  auto in = exec_.ExecuteSql(
       "SELECT name FROM Person "
-      "WHERE name IN (SELECT name FROM Person WHERE gender = 'female')");
+      "WHERE name IN (SELECT name FROM Person WHERE gender = 'female')",
+      &in_list);
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   EXPECT_EQ(in->rows.size(), 2u);
-  EXPECT_EQ(in_list.stats().table_scans, 2u);  // outer scan + one subquery run
+  EXPECT_EQ(in_list.stats.table_scans, 2u);  // outer scan + one subquery run
 
-  Executor scalar(db_.get());
-  auto max = scalar.ExecuteSql(
-      "SELECT title FROM Movie WHERE title = (SELECT max(title) FROM Movie)");
+  ExecInfo scalar;
+  auto max = exec_.ExecuteSql(
+      "SELECT title FROM Movie WHERE title = (SELECT max(title) FROM Movie)",
+      &scalar);
   ASSERT_TRUE(max.ok()) << max.status().ToString();
   ASSERT_EQ(max->rows.size(), 1u);
   EXPECT_EQ(max->rows[0][0].AsString(), "Titanic");
-  EXPECT_EQ(scalar.stats().table_scans, 2u);
+  EXPECT_EQ(scalar.stats.table_scans, 2u);
 
   // A correlated subquery still runs once per outer row: 1 + 7 scans.
-  Executor correlated(db_.get());
-  auto exists = correlated.ExecuteSql(
+  ExecInfo correlated;
+  auto exists = exec_.ExecuteSql(
       "SELECT name FROM Person p "
-      "WHERE EXISTS (SELECT * FROM Actor a WHERE a.person_id = p.person_id)");
+      "WHERE EXISTS (SELECT * FROM Actor a WHERE a.person_id = p.person_id)",
+      &correlated);
   ASSERT_TRUE(exists.ok()) << exists.status().ToString();
   EXPECT_EQ(exists->rows.size(), 5u);
-  EXPECT_EQ(correlated.stats().table_scans, 8u);
+  EXPECT_EQ(correlated.stats.table_scans, 8u);
 }
 
 // Pushed single-column predicates over a table of 4-row chunks, so every

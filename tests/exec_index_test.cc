@@ -392,21 +392,23 @@ TEST(ExecIndexTest, StatsCountScansAndPruning) {
   auto db = PlaygroundDb();
   ExecConfig cfg;  // defaults: index scan on
   Executor ex(db.get(), cfg);
-  auto r = ex.ExecuteSql("SELECT * FROM T1 WHERE k = 5");
+  ExecInfo info;
+  auto r = ex.ExecuteSql("SELECT * FROM T1 WHERE k = 5", &info);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), 1u);
-  ExecStats s = ex.stats();
+  const ExecStats& s = info.stats;
   EXPECT_EQ(s.index_scans, 1u);
   EXPECT_EQ(s.table_scans, 0u);
   EXPECT_EQ(s.rows_pruned, 239u);  // 240 rows, 1 kept
   EXPECT_GE(s.pushed_predicates, 1u);
 
   // The twin's conjunct is not sargable: a full scan answers it.
-  Executor twin(db.get(), cfg);
-  auto t = workloads::ExecuteTwin(twin, "SELECT * FROM T1 WHERE k = 5");
+  ExecInfo twin_info;
+  auto t = workloads::ExecuteTwin(ex, "SELECT * FROM T1 WHERE k = 5",
+                                  &twin_info);
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   EXPECT_TRUE(r->SameRows(*t));
-  ExecStats ts = twin.stats();
+  const ExecStats& ts = twin_info.stats;
   EXPECT_EQ(ts.index_scans, 0u);
   EXPECT_EQ(ts.table_scans, 1u);
 }
@@ -649,17 +651,17 @@ TEST(ExecChunkTest, ChunkStatPruningSkipsChunksWithoutIndex) {
   // a scan over an IndexScan; the scan still skips whole chunks by their
   // min/max stats. The twin's conjuncts are not sargable: it scans them all.
   Executor ex(db.get());
-  Executor twin(db.get());
   // Rows with i in [80, 150] live in one of the four chunks.
   const std::string sql = "SELECT k FROM T WHERE i >= 80 AND i <= 150";
-  auto a = ex.ExecuteSql(sql);
-  auto b = workloads::ExecuteTwin(twin, sql);
+  ExecInfo info;
+  ExecInfo twin_info;
+  auto a = ex.ExecuteSql(sql, &info);
+  auto b = workloads::ExecuteTwin(ex, sql, &twin_info);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->SameRows(*b));
-  const ExecStats s = ex.stats();
-  EXPECT_EQ(s.index_scans, 0u);
-  EXPECT_GT(s.chunks_pruned, 0u);
-  EXPECT_EQ(twin.stats().chunks_pruned, 0u);
+  EXPECT_EQ(info.stats.index_scans, 0u);
+  EXPECT_GT(info.stats.chunks_pruned, 0u);
+  EXPECT_EQ(twin_info.stats.chunks_pruned, 0u);
 }
 
 TEST(ExecChunkStressTest, ExecuteRacingInsertAcrossChunkSeal) {

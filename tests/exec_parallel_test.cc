@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "exec/executor.h"
 #include "exec/task_pool.h"
@@ -204,7 +205,7 @@ std::unique_ptr<Database> BuildFoldDb() {
   auto db = std::make_unique<Database>(b.Build(), /*chunk_capacity=*/64);
   std::vector<Row> dims;
   for (int i = 0; i < 40; ++i) {
-    dims.push_back({Value::Int(i), Value::String("d" + std::to_string(i % 9))});
+    dims.push_back({Value::Int(i), Value::String(StrCat("d", i % 9))});
   }
   EXPECT_TRUE(db->InsertRows(0, std::move(dims)).ok());
   const Value xs[] = {Value::Double(1e16), Value::Double(1.0),
@@ -219,7 +220,7 @@ std::unique_ptr<Database> BuildFoldDb() {
          i % 7 == 0 ? Value::Null_() : Value::Int((i * 37) % 11 - 3),
          i % 5 == 0 ? Value::Null_() : xs[i % 8],
          i % 3 == 0 ? Value::Null_()
-                    : Value::String("s" + std::to_string(i % 17)),
+                    : Value::String(StrCat("s", i % 17)),
          Value::Int(sign * ((int64_t{1} << 54) + i))});
   }
   EXPECT_TRUE(db->InsertRows(1, std::move(facts)).ok());

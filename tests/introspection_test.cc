@@ -272,7 +272,7 @@ TEST_F(IntrospectionTest, SysPoolReportsSharedPoolCounters) {
 
   // And it is reachable schema-free ("pool" ~ sys_pool).
   std::string translated;
-  auto free = intro.Query("SELECT steals FROM pool", &translated);
+  auto free = intro.Query("SELECT parallel_fors FROM pool", &translated);
   ASSERT_TRUE(free.ok()) << free.status().ToString();
   EXPECT_NE(translated.find("sys_pool"), std::string::npos) << translated;
   ASSERT_EQ(free->rows.size(), 1u);

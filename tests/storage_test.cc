@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/relation_tree.h"
 #include "index_checks.h"
 #include "storage/database.h"
@@ -110,7 +111,7 @@ TEST(DatabaseTest, InsertRowsBulkLoad) {
   Database db(MovieCatalog());
   std::vector<Row> rows;
   for (int i = 0; i < 5; ++i) {
-    rows.push_back({Value::Int(i), Value::String("p" + std::to_string(i)),
+    rows.push_back({Value::Int(i), Value::String(StrCat("p", i)),
                     Value::String(i % 2 ? "male" : "female")});
   }
   EXPECT_TRUE(db.InsertRows(0, std::move(rows)).ok());
@@ -225,7 +226,7 @@ TEST(ChunkedTableTest, RowsSpanChunksAtExactBoundaries) {
     Database db(MovieCatalog(), /*chunk_capacity=*/4);
     for (size_t i = 0; i < total; ++i) {
       ASSERT_TRUE(db.Insert(0, {Value::Int(static_cast<int64_t>(i)),
-                                Value::String("p" + std::to_string(i)),
+                                Value::String(StrCat("p", i)),
                                 Value::Null_()})
                       .ok());
     }
@@ -234,7 +235,7 @@ TEST(ChunkedTableTest, RowsSpanChunksAtExactBoundaries) {
     EXPECT_EQ(t.num_chunks(), (total + 3) / 4);
     for (size_t i = 0; i < total; ++i) {
       EXPECT_EQ(t.at(i, 0).AsInt(), static_cast<int64_t>(i));
-      EXPECT_EQ(t.at(i, 1).AsString(), "p" + std::to_string(i));
+      EXPECT_EQ(t.at(i, 1).AsString(), StrCat("p", i));
       EXPECT_TRUE(t.at(i, 2).is_null());
     }
   }

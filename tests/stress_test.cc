@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/engine.h"
 #include "core/plan_cache.h"
 #include "core/profile.h"
@@ -41,7 +42,7 @@ namespace {
 
 /// Comparison key over the full ranked list: SQL text, weight bits, network.
 std::string ResultKey(const Result<std::vector<core::Translation>>& r) {
-  if (!r.ok()) return "<" + r.status().ToString() + ">";
+  if (!r.ok()) return StrCat("<", r.status().ToString(), ">");
   std::string key;
   for (const core::Translation& t : *r) {
     char weight[64];

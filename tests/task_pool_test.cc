@@ -1,17 +1,21 @@
-// Unit tests for the engine-wide work-stealing pool (exec/task_pool):
-// exactly-once morsel coverage at awkward grain/count combinations, the
-// zero-worker inline degradation, exception propagation to the caller,
-// nested-ParallelFor inline rejection, WaitGroup semantics, and concurrent
-// loops sharing one pool (the TSan-relevant paths; CI runs this binary under
-// -fsanitize=thread).
+// Unit tests for the engine-wide morsel pool (exec/task_pool): exactly-once
+// morsel coverage at awkward grain/count combinations, the zero-worker inline
+// degradation, exception propagation to the caller, nested-ParallelFor inline
+// rejection, a caller never blocking on another loop's morsels, and
+// concurrent loops sharing one pool (the TSan-relevant paths; CI runs this
+// binary under -fsanitize=thread, repeated).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,8 +141,8 @@ TEST(TaskPoolTest, MetricsExportCountersMatchStats) {
       stats.parallel_fors);
 }
 
-// Two threads hammer the same pool with interleaved loops: morsels of
-// distinct loops share the deques, so every loop must still see exactly-once
+// Two threads hammer the same pool with interleaved loops: workers serve
+// both loops' cursors, so every loop must still see exactly-once
 // coverage and a correct join. This is the contract two concurrent parallel
 // queries rely on; run under TSan it also proves the fork-join ordering.
 TEST(TaskPoolTest, ConcurrentParallelForsShareThePool) {
@@ -166,24 +170,45 @@ TEST(TaskPoolTest, ConcurrentParallelForsShareThePool) {
   EXPECT_GE(pool.stats().tasks, 2u * kLoopsPerThread);
 }
 
-TEST(WaitGroupTest, WaitBlocksUntilAllDone) {
-  WaitGroup wg;
-  wg.Add(3);
-  std::atomic<int> done{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&] {
-      done.fetch_add(1);
-      wg.Done();
+// A caller runs only its own loop's morsels. Here the one worker and a first
+// caller are stuck inside a 3-morsel loop whose third morsel nobody has
+// claimed; a second caller's loop must still finish, on the caller alone,
+// instead of picking up the stuck loop's leftover morsel.
+TEST(TaskPoolTest, CallerRunsOnlyItsOwnLoop) {
+  TaskPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool released = false;
+  std::thread stuck([&] {
+    pool.ParallelFor(3, 1, [&](size_t, size_t) {
+      std::unique_lock<std::mutex> lk(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait(lk, [&] { return released; });
     });
+  });
+  auto release = [&] {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+    cv.notify_all();
+  };
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return entered == 2; });
   }
-  wg.Wait();
-  EXPECT_EQ(done.load(), 3);
-  for (auto& t : threads) t.join();
-  // A drained group is reusable.
-  wg.Add(1);
-  wg.Done();
-  wg.Wait();
+
+  std::atomic<int> own{0};
+  auto second = std::async(std::launch::async, [&] {
+    pool.ParallelFor(4, 1, [&](size_t, size_t) { own.fetch_add(1); });
+  });
+  const bool finished =
+      second.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release();
+  second.wait();
+  stuck.join();
+  EXPECT_TRUE(finished) << "a caller waited on another loop's morsel";
+  EXPECT_EQ(own.load(), 4);
 }
 
 }  // namespace

@@ -129,7 +129,6 @@ void WriteStatsJson(const std::string& path, const ServeResult& r, double qps,
     w.BeginObject();
     w.KV("workers", static_cast<unsigned long long>(ps.workers));
     w.KV("tasks", static_cast<unsigned long long>(ps.tasks));
-    w.KV("steals", static_cast<unsigned long long>(ps.steals));
     w.KV("parallel_fors", static_cast<unsigned long long>(ps.parallel_fors));
     w.KV("nested_inline", static_cast<unsigned long long>(ps.nested_inline));
     w.KV("idle_ms", static_cast<unsigned long long>(ps.idle_ms));
@@ -318,10 +317,9 @@ int main(int argc, char** argv) {
               profiles.capacity());
   if (const exec::TaskPool* pool = engine.task_pool()) {
     const exec::TaskPoolStats ps = pool->stats();
-    std::printf("pool: %zu workers, %llu tasks (%llu stolen), "
+    std::printf("pool: %zu workers, %llu tasks, "
                 "%llu parallel loops (%llu nested inline), idle %llu ms\n",
                 ps.workers, static_cast<unsigned long long>(ps.tasks),
-                static_cast<unsigned long long>(ps.steals),
                 static_cast<unsigned long long>(ps.parallel_fors),
                 static_cast<unsigned long long>(ps.nested_inline),
                 static_cast<unsigned long long>(ps.idle_ms));

@@ -128,11 +128,10 @@ int main(int argc, char** argv) {
   }
   if (const JsonValue* pool = parsed->Find("pool");
       pool != nullptr && pool->is_object()) {
-    std::printf("pool: %.0f workers, %.0f tasks (%.0f stolen), "
+    std::printf("pool: %.0f workers, %.0f tasks, "
                 "%.0f parallel loops (%.0f nested inline), idle %.0f ms\n",
                 NumberOr(pool->Find("workers"), 0),
                 NumberOr(pool->Find("tasks"), 0),
-                NumberOr(pool->Find("steals"), 0),
                 NumberOr(pool->Find("parallel_fors"), 0),
                 NumberOr(pool->Find("nested_inline"), 0),
                 NumberOr(pool->Find("idle_ms"), 0));

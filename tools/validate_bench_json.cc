@@ -107,10 +107,10 @@ bool ValidateFile(const std::string& path) {
           "cost_join_queries_per_second",
           "join_qerror_median", "join_qerror_max",
           // Morsel-driven parallel section: serial-vs-parallel throughput,
-          // the speedup, and the shared pool's counters. Their absence means
-          // the parallel executor silently fell out of the bench.
+          // the speedup, and the shared pool's task count. Their absence
+          // means the parallel executor silently fell out of the bench.
           "serial_exec_queries_per_second", "parallel_exec_queries_per_second",
-          "speedup_parallel_vs_serial", "pool_tasks", "pool_steals"}) {
+          "speedup_parallel_vs_serial", "pool_tasks"}) {
       const JsonValue* v = metrics->Find(key);
       if (v == nullptr || !v->is_number()) {
         return Fail(path, std::string("metrics.") + key +
